@@ -26,8 +26,9 @@ bandwidth fell below the model ceiling — flows through this package:
   (JSONL under ``campaigns/``) with content-hashed cell ids and a strict
   deterministic / host / provenance payload split.
 * :mod:`repro.obs.hostmetrics` — host-side self-metrics (wall clock, peak
-  tracemalloc, optional cProfile hotspots); a sanctioned wall-clock
-  reader outside :mod:`repro.runtime` (simlint SIM109).
+  RSS; allocation peak and cProfile hotspots under ``--profile``); a
+  sanctioned wall-clock reader outside :mod:`repro.runtime` (simlint
+  SIM109).
 * :mod:`repro.obs.telemetry` — the *wall-clock* telemetry plane for the
   scheduling service: live metrics registry (counters, gauges, latency
   histograms with p50/p95/p99), cross-process lifecycle spans with trace

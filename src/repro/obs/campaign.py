@@ -58,7 +58,7 @@ from repro.obs.store import (
     manifest_determinism_payload,
 )
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
-from repro.units import fmt_time
+from repro.units import fmt_bytes, fmt_time
 from repro.workflow.spec import WorkflowSpec
 
 #: Relative makespan change below which a drift is noise, not a regression.
@@ -978,9 +978,13 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
             f"| recomputes coalesced | {host.recomputes_coalesced:.0f} |",
             f"| components skipped | {host.solver_components_skipped:.0f} |",
             f"| vector batches | {host.vector_batches:.0f} |",
-            f"| peak tracemalloc bytes | {host.peak_tracemalloc_bytes} |",
-            "",
+            f"| peak RSS | {fmt_bytes(host.peak_rss_bytes)} |",
         ]
+        if host.profiled:
+            lines.append(
+                f"| peak tracemalloc bytes | {host.peak_tracemalloc_bytes} |"
+            )
+        lines.append("")
         if host.hotspots:
             lines += [
                 "## Hotspots (aggregated cProfile, by cumulative time)",
@@ -1026,11 +1030,16 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
         elif cell.paper_hit is False:
             paper += " MISS"
         lines.append(row + f"  {cell.winner:>8}  {paper}")
+    allocations = (
+        f", peak tracemalloc {host.peak_tracemalloc_bytes} bytes"
+        if host.profiled
+        else ""
+    )
     lines.append(
         f"host: {host.wall_seconds:.2f}s wall, "
         f"{host.sim_seconds_per_wall_second:.1f} sim-s/wall-s, "
         f"{host.events_executed:.0f} events, "
-        f"peak {host.peak_tracemalloc_bytes} bytes"
+        f"peak RSS {fmt_bytes(host.peak_rss_bytes)}{allocations}"
     )
     for spot in host.hotspots:
         lines.append(
@@ -1043,7 +1052,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
 def bench_record(run: CampaignRun) -> Dict[str, Any]:
     """The ``BENCH_campaign.json`` payload: the recorded perf trajectory."""
     host = run.host_total()
-    return {
+    record: Dict[str, Any] = {
         "bench": "campaign",
         "campaign": run.name,
         "suite": run.suite,
@@ -1063,5 +1072,8 @@ def bench_record(run: CampaignRun) -> Dict[str, Any]:
         "recomputes_coalesced": host.recomputes_coalesced,
         "solver_components_skipped": host.solver_components_skipped,
         "vector_batches": host.vector_batches,
-        "peak_tracemalloc_bytes": host.peak_tracemalloc_bytes,
+        "peak_rss_bytes": host.peak_rss_bytes,
     }
+    if host.profiled:
+        record["peak_tracemalloc_bytes"] = host.peak_tracemalloc_bytes
+    return record

@@ -441,7 +441,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile each cell and record hotspot tables",
+        help="cProfile each cell and record hotspot tables and the "
+        "tracemalloc allocation peak (slows the simulator several-fold)",
     )
     run.add_argument(
         "--profile-top",

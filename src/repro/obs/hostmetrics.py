@@ -3,8 +3,9 @@
 Everything else in :mod:`repro.obs` is clocked on virtual time and is
 byte-identical across reruns; this module is the one sanctioned wall-clock
 reader outside :mod:`repro.runtime` (enforced by simlint rule SIM109).  It
-measures the simulator itself — wall-clock seconds, peak tracemalloc
-bytes, optional cProfile hotspots — and pairs those with the deterministic
+measures the simulator itself — wall-clock seconds and the process's peak
+resident memory by default; the tracemalloc allocation peak and cProfile
+hotspots only when profiling — and pairs those with the deterministic
 work counters the engine and flow network already track (events executed,
 rate recomputations, solver iterations), yielding one
 :class:`HostMetrics` record per campaign cell.
@@ -27,12 +28,19 @@ import cProfile
 import io
 import os
 import pstats
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.units import KiB
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - platforms without the module
+    resource = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.capture import Observation
@@ -40,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Hotspot rows kept per profiled cell.
 PROFILE_TOP_DEFAULT = 10
+
+#: ``ru_maxrss`` unit: bytes on macOS, KiB on Linux and the other Unixes.
+_MAXRSS_SCALE = 1 if sys.platform == "darwin" else KiB
 
 #: Record-shape marker for discrete-event (virtual-time) runs.
 KIND_SIMULATED = "simulated"
@@ -74,8 +85,10 @@ class Hotspot:
 class HostMetrics:
     """Host-side cost of one campaign cell (or one emulated run).
 
-    ``wall_seconds`` and ``peak_tracemalloc_bytes`` come from the host
-    clock and allocator; the event/recompute/solver counters are
+    ``wall_seconds`` and ``peak_rss_bytes`` come from the host clock and
+    the kernel's resident-memory high-water mark; ``peak_tracemalloc_bytes``
+    is the allocation peak, nonzero only for profiled cells.  The
+    event/recompute/solver counters are
     deterministic simulator totals copied here because they are *cost*
     signals, not results.  The record deliberately mirrors the same keys
     for simulated and emulated runs so both kinds live in one store.
@@ -102,6 +115,7 @@ class HostMetrics:
     #: vectorized fixed-point sweeps run by the numpy backend.
     solver_components_skipped: float = 0.0
     vector_batches: float = 0.0
+    peak_rss_bytes: int = 0
     peak_tracemalloc_bytes: int = 0
     runs: int = 0
     hotspots: List[Hotspot] = field(default_factory=list)
@@ -118,6 +132,11 @@ class HostMetrics:
         if self.wall_seconds <= 0:
             return 0.0
         return self.events_executed / self.wall_seconds
+
+    @property
+    def profiled(self) -> bool:
+        """Whether an allocation peak or hotspots were recorded (``profile=True``)."""
+        return bool(self.peak_tracemalloc_bytes or self.hotspots)
 
     @property
     def memo_hit_rate(self) -> float:
@@ -147,6 +166,7 @@ class HostMetrics:
             "recomputes_coalesced": self.recomputes_coalesced,
             "solver_components_skipped": self.solver_components_skipped,
             "vector_batches": self.vector_batches,
+            "peak_rss_bytes": self.peak_rss_bytes,
             "peak_tracemalloc_bytes": self.peak_tracemalloc_bytes,
             "runs": self.runs,
         }
@@ -158,22 +178,27 @@ class HostMetrics:
 class HostMeter:
     """Context manager measuring the host cost of a block of work.
 
-    Wraps wall clock + tracemalloc (and optionally cProfile) around
-    whatever runs inside the ``with`` block::
+    By default reads only the wall clock around whatever runs inside the
+    ``with`` block, plus the process's peak resident memory at exit (one
+    ``getrusage`` call), so metering costs nothing measurable.  With
+    ``profile=True`` it also runs cProfile and tracemalloc::
 
         with HostMeter(profile=True) as meter:
             observations = [observe_workflow(spec, c) for c in configs]
         metrics = simulated_host_metrics(meter, observations)
 
-    tracemalloc is started only if this meter started it (nesting-safe);
-    the reported peak is reset at entry so each cell sees its own
-    high-water mark.
+    Allocation tracing slows the simulator several-fold, which is why it
+    is a profiling tool and not a default.  tracemalloc is stopped only if
+    this meter started it (nesting-safe); the traced peak is reset at
+    entry so each cell sees its own high-water mark.  ``peak_rss_bytes``
+    is process-wide and monotone: it never drops between cells.
     """
 
     def __init__(self, profile: bool = False, profile_top: int = PROFILE_TOP_DEFAULT):
         self.profile = profile
         self.profile_top = profile_top
         self.wall_seconds: float = 0.0
+        self.peak_rss_bytes: int = 0
         self.peak_tracemalloc_bytes: int = 0
         self._profiler: Optional[cProfile.Profile] = None
         self._started_tracemalloc = False
@@ -185,11 +210,11 @@ class HostMeter:
         if self._entered:
             raise SimulationError("HostMeter is not reentrant")
         self._entered = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        tracemalloc.reset_peak()
         if self.profile:
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._started_tracemalloc = True
+            tracemalloc.reset_peak()
             self._profiler = cProfile.Profile()
             self._profiler.enable()
         self._t0 = time.perf_counter()
@@ -199,9 +224,11 @@ class HostMeter:
         self.wall_seconds = time.perf_counter() - self._t0
         if self._profiler is not None:
             self._profiler.disable()
-        _, self.peak_tracemalloc_bytes = tracemalloc.get_traced_memory()
-        if self._started_tracemalloc:
-            tracemalloc.stop()
+            _, self.peak_tracemalloc_bytes = tracemalloc.get_traced_memory()
+            if self._started_tracemalloc:
+                tracemalloc.stop()
+                self._started_tracemalloc = False
+        self.peak_rss_bytes = _peak_rss_bytes()
         self._entered = False
 
     # ------------------------------------------------------------------
@@ -228,6 +255,13 @@ class HostMeter:
             )
         rows.sort(key=lambda spot: (-spot.cumtime, spot.function))
         return rows[: top if top is not None else self.profile_top]
+
+
+def _peak_rss_bytes() -> int:
+    """The process's peak resident memory in bytes (0 without ``resource``)."""
+    if resource is None:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _MAXRSS_SCALE
 
 
 def _function_label(filename: str, lineno: int, name: str) -> str:
@@ -278,6 +312,7 @@ def simulated_host_metrics(
         recomputes_coalesced=coalesced,
         solver_components_skipped=skipped,
         vector_batches=batches,
+        peak_rss_bytes=meter.peak_rss_bytes,
         peak_tracemalloc_bytes=meter.peak_tracemalloc_bytes,
         runs=len(observations),
         hotspots=meter.hotspots(),
@@ -334,6 +369,7 @@ def aggregate_host_metrics(metrics: Iterable[HostMetrics]) -> HostMetrics:
         total.recomputes_coalesced += item.recomputes_coalesced
         total.solver_components_skipped += item.solver_components_skipped
         total.vector_batches += item.vector_batches
+        total.peak_rss_bytes = max(total.peak_rss_bytes, item.peak_rss_bytes)
         total.peak_tracemalloc_bytes = max(
             total.peak_tracemalloc_bytes, item.peak_tracemalloc_bytes
         )
@@ -375,6 +411,7 @@ def host_metrics_from_record(record: Dict[str, Any]) -> HostMetrics:
         recomputes_coalesced=record.get("recomputes_coalesced", 0.0),
         solver_components_skipped=record.get("solver_components_skipped", 0.0),
         vector_batches=record.get("vector_batches", 0.0),
+        peak_rss_bytes=record.get("peak_rss_bytes", 0),
         peak_tracemalloc_bytes=record.get("peak_tracemalloc_bytes", 0),
         runs=record.get("runs", 0),
         hotspots=[

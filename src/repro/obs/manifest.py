@@ -20,8 +20,10 @@ of the export.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -47,11 +49,20 @@ def calibration_hash(cal: OptaneCalibration) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha(default: str = "unknown") -> str:
-    """Current git commit SHA, or *default* outside a repository."""
+    """Commit SHA of the checkout the running ``repro`` package lives in.
+
+    Resolved against the package directory, not the caller's working
+    directory, so the SHA names the code actually running; *default*
+    when the package is not inside a git checkout.  Code already loaded
+    does not change with later commits, so ``git`` is spawned at most
+    once per process (``git_sha.cache_clear()`` forces a fresh lookup).
+    """
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "-C", package_dir, "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5,

@@ -161,6 +161,9 @@ class TestRunCampaign:
         assert record["runs"] == 2
         assert record["wall_seconds_total"] > 0
         assert record["sim_seconds_per_wall_second"] > 0
+        assert record["peak_rss_bytes"] > 0
+        # Allocation tracing is a profiling tool; unprofiled runs omit it.
+        assert "peak_tracemalloc_bytes" not in record
 
 
 class TestDiff:
@@ -230,6 +233,7 @@ def synthetic_run():
                 events_executed=640,
                 flow_recomputes=640,
                 solver_iterations=2788,
+                peak_rss_bytes=49_930_240,
                 peak_tracemalloc_bytes=1000,
                 runs=2,
             ),
@@ -266,6 +270,7 @@ GOLDEN_MARKDOWN = """\
 | recomputes coalesced | 0 |
 | components skipped | 0 |
 | vector batches | 0 |
+| peak RSS | 47.6 MiB |
 | peak tracemalloc bytes | 1000 |
 """
 
@@ -279,6 +284,16 @@ class TestReport:
         assert "golden-001" in text
         assert "hit rate: 1/1" in text
         assert "P-LocR" in text
+        assert "peak RSS 47.6 MiB, peak tracemalloc 1000 bytes" in text
+
+    def test_unprofiled_run_omits_tracemalloc(self):
+        run = synthetic_run()
+        run.cells[0].host.peak_tracemalloc_bytes = 0
+        for markdown in (True, False):
+            text = campaign_report(run, markdown=markdown)
+            assert "peak RSS" in text
+            assert "tracemalloc" not in text
+        assert "peak_tracemalloc_bytes" not in bench_record(run)
 
     def test_memo_hit_rate_in_header_and_gtc_warning(self):
         run = synthetic_run()

@@ -1,9 +1,12 @@
 """Host-side self-metrics: the meter, profiling, and record-shape parity."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.configs import S_LOCW
 from repro.errors import SimulationError
+from repro.obs.campaign import run_cell
 from repro.obs.capture import observe_workflow
 from repro.obs.hostmetrics import (
     KIND_EMULATED,
@@ -27,10 +30,35 @@ def tiny_observation():
 class TestHostMeter:
     def test_measures_wall_time_and_memory(self):
         with HostMeter() as meter:
+            tracing_inside = tracemalloc.is_tracing()
             blob = [bytes(64 * 1024) for _ in range(8)]
         assert meter.wall_seconds > 0
-        assert meter.peak_tracemalloc_bytes > 0
+        assert meter.peak_rss_bytes > 0
+        # The default meter never traces allocations: that is profiling.
+        assert not tracing_inside
+        assert meter.peak_tracemalloc_bytes == 0
         assert blob  # keep the allocation alive through the block
+
+    def test_profiled_meter_reports_allocation_peak(self):
+        with HostMeter(profile=True) as meter:
+            tracing_inside = tracemalloc.is_tracing()
+            blob = [bytes(64 * 1024) for _ in range(8)]
+        assert tracing_inside
+        assert meter.peak_tracemalloc_bytes > 0
+        assert meter.peak_rss_bytes > 0
+        assert not tracemalloc.is_tracing()  # the meter stops what it started
+        assert blob
+
+    def test_profiled_meter_leaves_outer_tracing_running(self):
+        tracemalloc.start()
+        try:
+            with HostMeter(profile=True) as meter:
+                blob = bytes(64 * 1024)
+            assert tracemalloc.is_tracing()
+            assert meter.peak_tracemalloc_bytes > 0
+            assert blob
+        finally:
+            tracemalloc.stop()
 
     def test_not_reentrant(self):
         meter = HostMeter()
@@ -52,6 +80,26 @@ class TestHostMeter:
         assert spots[0].cumtime >= spots[-1].cumtime
         assert all("(" in spot.function for spot in spots)
         assert all("/" not in spot.function for spot in spots)
+
+
+class TestCellMeterCost:
+    """Guards on what metering a cell costs, by counting, not timing."""
+
+    def test_default_cell_runs_untraced(self):
+        tracing = []
+        run_cell(
+            "micro-2k",
+            8,
+            iterations=1,
+            on_observation=lambda _obs: tracing.append(tracemalloc.is_tracing()),
+        )
+        assert tracing and not any(tracing)
+
+    def test_profiled_cell_keeps_hotspots_and_allocation_peak(self):
+        cell = run_cell("micro-2k", 8, iterations=1, profile=True)
+        assert cell.host.hotspots
+        assert cell.host.peak_tracemalloc_bytes > 0
+        assert cell.host.profiled
 
 
 class TestSimulatedMetrics:
@@ -76,9 +124,21 @@ class TestSimulatedMetrics:
         assert loaded.kind == metrics.kind
         assert loaded.wall_seconds == metrics.wall_seconds
         assert loaded.events_executed == metrics.events_executed
+        assert loaded.peak_rss_bytes == metrics.peak_rss_bytes > 0
         assert [s.function for s in loaded.hotspots] == [
             s.function for s in metrics.hotspots
         ]
+
+    def test_record_without_peak_rss_rehydrates_with_zero(self):
+        # Host records stored before peak RSS was metered lack the key.
+        record = HostMetrics(
+            kind=KIND_SIMULATED, wall_seconds=1.5, peak_tracemalloc_bytes=4096
+        ).as_record()
+        del record["peak_rss_bytes"]
+        loaded = host_metrics_from_record(record)
+        assert loaded.peak_rss_bytes == 0
+        assert loaded.peak_tracemalloc_bytes == 4096
+        assert loaded.wall_seconds == 1.5
 
 
 class TestThreadedParity:
@@ -118,6 +178,7 @@ class TestAggregate:
             wall_seconds=1.0,
             simulated_seconds=10.0,
             events_executed=100,
+            peak_rss_bytes=7000,
             peak_tracemalloc_bytes=500,
             runs=4,
             hotspots=[Hotspot("f.py:1(f)", 2, 0.1, 0.4)],
@@ -127,6 +188,7 @@ class TestAggregate:
             wall_seconds=3.0,
             simulated_seconds=30.0,
             events_executed=300,
+            peak_rss_bytes=9000,
             peak_tracemalloc_bytes=200,
             runs=4,
             hotspots=[Hotspot("f.py:1(f)", 1, 0.2, 0.3)],
@@ -137,6 +199,7 @@ class TestAggregate:
         assert total.simulated_seconds == 40.0
         assert total.events_executed == 400
         assert total.peak_tracemalloc_bytes == 500  # max, not sum
+        assert total.peak_rss_bytes == 9000
         assert total.runs == 8
         merged = total.hotspots[0]
         assert (merged.calls, merged.tottime, merged.cumtime) == (3, 0.30000000000000004, 0.7)
