@@ -5,7 +5,7 @@ the flow solver or engine are visible: one medium workflow end to end, and
 one solver-heavy small-object workflow.
 
 Each simulator benchmark attaches its work counters (events, recomputes,
-solver iterations, memo hit rate, makespan) as ``extra_info`` so the JSON
+solver iterations, memo hit rate, capped solves, makespan) as ``extra_info`` so the JSON
 artifact carries the *why* behind a wall-time move — a regression with an
 unchanged iteration count is allocator churn; one with a collapsed memo
 hit rate is a solver-strategy bug.  ``tools/bench_guard.py`` turns the
@@ -39,8 +39,7 @@ def _attach_work_counters(benchmark, spec, config):
             "solver_classes": stats.get("solver_classes", 0),
             "memo_hit_rate": (hits / attempts) if attempts else 0.0,
             "recomputes_coalesced": stats.get("recomputes_coalesced", 0),
-            "solver_components_skipped": stats.get("solver_components_skipped", 0),
-            "vector_batches": stats.get("vector_batches", 0),
+            "solves_at_cap": stats.get("solves_at_cap", 0),
         }
     )
 

@@ -57,7 +57,7 @@ happens to compare equal today — so this pass walks the source with
     ``np.arange``, ``np.ones`` and their ``_like`` variants) constructed
     inside a ``for``/``while`` loop of a function marked with a
     ``# simlint: hotpath`` comment.  Hot solver loops (the flow network's
-    fixed point, scalar or vectorized) run millions of iterations per
+    fixed point) run millions of iterations per
     campaign; per-iteration allocation churn is exactly the cost the fast
     path removed, and this rule keeps future edits from silently
     reintroducing it.  Allocate before the loop and reset in place.
@@ -200,8 +200,7 @@ HOTPATH_MARKER = "simlint: hotpath"
 #: identifier so both plain and module-qualified spellings are caught;
 #: the numpy allocators are matched by resolved dotted origin only (a
 #: bare ``zeros()`` method on some other object is not an allocation),
-#: so the vectorized solver's batch buffers must be built once per solve
-#: and filled in place inside the fixed-point loop.
+#: so any array buffers a hot loop needs are built once, before it.
 _HOTPATH_ALLOCATORS: Set[str] = {
     "dict",
     "ResourceLoad",

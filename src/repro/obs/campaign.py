@@ -872,24 +872,20 @@ def _memo_warnings(run: CampaignRun) -> List[str]:
 
     GTC-class workflows were the ROADMAP's "next 10×" target because
     BENCH_simcore once showed their memo hit rate pinned at 0.0.  The
-    share-state tokens (PR-10) fixed that: read-only solve phases now
-    memo-hit across the congestion EWMA's drift, and untouched connected
-    components replay cached rates (``solver_components_skipped``).  A
-    GTC cell showing either signal is the fast path working as designed,
-    so only a cell with *neither* memo hits *nor* skipped components —
-    every solve recomputed from scratch — still warns.
+    share-state tokens fixed that: read-only solve phases now memo-hit
+    across the congestion EWMA's drift.  A GTC cell with memo misses but
+    no hits — every solve recomputed from scratch — still warns.
     """
     warnings = []
     for cell in run.cells:
         if not cell.key.startswith("gtc"):
             continue
         misses = cell.host.solver_memo_misses
-        reused = cell.host.solver_memo_hits + cell.host.solver_components_skipped
-        if misses > 0 and reused == 0:
+        if misses > 0 and cell.host.solver_memo_hits == 0:
             warnings.append(
                 f"{cell.key}: solver reused no work "
-                f"(0 memo hits / {misses:.0f} misses, 0 components "
-                "skipped) — every flow solve recomputed from scratch"
+                f"(0 memo hits / {misses:.0f} misses) — every flow solve "
+                "recomputed from scratch"
             )
     return warnings
 
@@ -976,8 +972,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
             f"({host.solver_memo_hits:.0f}/"
             f"{host.solver_memo_hits + host.solver_memo_misses:.0f}) |",
             f"| recomputes coalesced | {host.recomputes_coalesced:.0f} |",
-            f"| components skipped | {host.solver_components_skipped:.0f} |",
-            f"| vector batches | {host.vector_batches:.0f} |",
+            f"| solves at iteration cap | {host.solves_at_cap:.0f} |",
             f"| peak RSS | {fmt_bytes(host.peak_rss_bytes)} |",
         ]
         if host.profiled:
@@ -1039,6 +1034,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
         f"host: {host.wall_seconds:.2f}s wall, "
         f"{host.sim_seconds_per_wall_second:.1f} sim-s/wall-s, "
         f"{host.events_executed:.0f} events, "
+        f"{host.solves_at_cap:.0f} solves at cap, "
         f"peak RSS {fmt_bytes(host.peak_rss_bytes)}{allocations}"
     )
     for spot in host.hotspots:
@@ -1070,8 +1066,7 @@ def bench_record(run: CampaignRun) -> Dict[str, Any]:
         "solver_memo_misses": host.solver_memo_misses,
         "memo_hit_rate": host.memo_hit_rate,
         "recomputes_coalesced": host.recomputes_coalesced,
-        "solver_components_skipped": host.solver_components_skipped,
-        "vector_batches": host.vector_batches,
+        "solves_at_cap": host.solves_at_cap,
         "peak_rss_bytes": host.peak_rss_bytes,
     }
     if host.profiled:

@@ -47,7 +47,7 @@ class Observation:
         self.result: Optional["RunResult"] = None
         self._spans: Optional[List[Span]] = None
         #: Flow-solver strategy counters (classes, memo hits/misses,
-        #: coalesced recomputes), latched from the network at finalize.
+        #: coalesced recomputes, capped solves), latched from the network at finalize.
         #: Host-side accounting only — deliberately NOT probes, so trace
         #: and metrics exports stay identical across solver modes.
         self.solver_stats: Dict[str, int] = {}
@@ -105,8 +105,7 @@ class Observation:
                 "solver_memo_hits": network.memo_hits,
                 "solver_memo_misses": network.memo_misses,
                 "recomputes_coalesced": network.recomputes_coalesced,
-                "solver_components_skipped": network.solver_components_skipped,
-                "vector_batches": network.vector_batches,
+                "solves_at_cap": network.solves_at_cap,
             }
         self.result = result
 

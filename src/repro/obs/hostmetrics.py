@@ -110,11 +110,9 @@ class HostMetrics:
     solver_memo_hits: float = 0.0
     solver_memo_misses: float = 0.0
     recomputes_coalesced: float = 0.0
-    #: Incremental-solve accounting (PR-10): connected components whose
-    #: cached rates were replayed instead of re-solved, and batched
-    #: vectorized fixed-point sweeps run by the numpy backend.
-    solver_components_skipped: float = 0.0
-    vector_batches: float = 0.0
+    #: Solver health: solves that hit ``DUTY_ITERATIONS`` without meeting
+    #: ``RATE_TOLERANCE`` (see :attr:`repro.sim.flow.FlowNetwork.solves_at_cap`).
+    solves_at_cap: float = 0.0
     peak_rss_bytes: int = 0
     peak_tracemalloc_bytes: int = 0
     runs: int = 0
@@ -164,8 +162,7 @@ class HostMetrics:
             "solver_memo_misses": self.solver_memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
             "recomputes_coalesced": self.recomputes_coalesced,
-            "solver_components_skipped": self.solver_components_skipped,
-            "vector_batches": self.vector_batches,
+            "solves_at_cap": self.solves_at_cap,
             "peak_rss_bytes": self.peak_rss_bytes,
             "peak_tracemalloc_bytes": self.peak_tracemalloc_bytes,
             "runs": self.runs,
@@ -279,8 +276,7 @@ def simulated_host_metrics(
     """Combine a meter's host readings with the observed runs' work counters."""
     simulated = 0.0
     events = timers = recomputes = solver = completed = 0.0
-    classes = memo_hits = memo_misses = coalesced = 0.0
-    skipped = batches = 0.0
+    classes = memo_hits = memo_misses = coalesced = capped = 0.0
     for observation in observations:
         if observation.result is not None:
             simulated += observation.result.makespan
@@ -295,8 +291,7 @@ def simulated_host_metrics(
         memo_hits += stats.get("solver_memo_hits", 0)
         memo_misses += stats.get("solver_memo_misses", 0)
         coalesced += stats.get("recomputes_coalesced", 0)
-        skipped += stats.get("solver_components_skipped", 0)
-        batches += stats.get("vector_batches", 0)
+        capped += stats.get("solves_at_cap", 0)
     return HostMetrics(
         kind=KIND_SIMULATED,
         wall_seconds=meter.wall_seconds,
@@ -310,8 +305,7 @@ def simulated_host_metrics(
         solver_memo_hits=memo_hits,
         solver_memo_misses=memo_misses,
         recomputes_coalesced=coalesced,
-        solver_components_skipped=skipped,
-        vector_batches=batches,
+        solves_at_cap=capped,
         peak_rss_bytes=meter.peak_rss_bytes,
         peak_tracemalloc_bytes=meter.peak_tracemalloc_bytes,
         runs=len(observations),
@@ -367,8 +361,7 @@ def aggregate_host_metrics(metrics: Iterable[HostMetrics]) -> HostMetrics:
         total.solver_memo_hits += item.solver_memo_hits
         total.solver_memo_misses += item.solver_memo_misses
         total.recomputes_coalesced += item.recomputes_coalesced
-        total.solver_components_skipped += item.solver_components_skipped
-        total.vector_batches += item.vector_batches
+        total.solves_at_cap += item.solves_at_cap
         total.peak_rss_bytes = max(total.peak_rss_bytes, item.peak_rss_bytes)
         total.peak_tracemalloc_bytes = max(
             total.peak_tracemalloc_bytes, item.peak_tracemalloc_bytes
@@ -409,8 +402,7 @@ def host_metrics_from_record(record: Dict[str, Any]) -> HostMetrics:
         solver_memo_hits=record.get("solver_memo_hits", 0.0),
         solver_memo_misses=record.get("solver_memo_misses", 0.0),
         recomputes_coalesced=record.get("recomputes_coalesced", 0.0),
-        solver_components_skipped=record.get("solver_components_skipped", 0.0),
-        vector_batches=record.get("vector_batches", 0.0),
+        solves_at_cap=record.get("solves_at_cap", 0.0),
         peak_rss_bytes=record.get("peak_rss_bytes", 0),
         peak_tracemalloc_bytes=record.get("peak_tracemalloc_bytes", 0),
         runs=record.get("runs", 0),

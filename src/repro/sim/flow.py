@@ -45,6 +45,7 @@ Key emergent behaviours, each a headline observation of the paper:
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 from collections import OrderedDict
@@ -81,48 +82,26 @@ SOLVER_ENV = "REPRO_SOLVER"
 #: Environment variable disabling recompute coalescing ("0"/"off"/"false").
 COALESCE_ENV = "REPRO_COALESCE"
 
-#: Equivalence-class solver with converged-state memoization.
+#: Equivalence-class solver with converged-state memoization (the default).
 SOLVER_FAST = "fast"
 
 #: Straightforward per-flow fixed point — the byte-identity oracle the fast
 #: path is validated against (``REPRO_SOLVER=reference``).
 SOLVER_REFERENCE = "reference"
 
-#: Batched numpy fixed point over all equivalence classes at once (the
-#: default when numpy is importable; falls back to ``fast`` otherwise).
-SOLVER_VECTOR = "vector"
-
-#: Environment variable forcing the pure-Python fallback even when numpy is
-#: installed ("1"/"on"/"true") — used by CI to prove the fallback lane.
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-#: Below this many equivalence classes the ``vector`` solver delegates to
-#: the scalar class loop: batch setup (a dozen small array fills) costs more
-#: than it saves on the handful-of-classes solves that dominate workflow
-#: runs.  Byte-identity holds on both sides of the cutover, so this is a
-#: pure dispatch decision.  Tests monkeypatch it to 0 to force batching.
-VECTOR_MIN_CLASSES = 24
-
-try:  # pragma: no cover - import-time environment probe
-    if os.environ.get(NO_NUMPY_ENV, "").lower() in ("1", "on", "true"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY lane
-    _np = None
-
 
 def numpy_available() -> bool:
-    """Whether the batched ``vector`` backend has numpy to run on."""
-    return _np is not None
+    """Whether numpy is installed (checked without importing it).
+
+    The simulator never uses numpy; the benchmark's environment stamp
+    still reports it.
+    """
+    return importlib.util.find_spec("numpy") is not None
 
 
 def default_solver() -> str:
     """Solver used when neither argument nor ``REPRO_SOLVER`` picks one."""
-    env = os.environ.get(SOLVER_ENV)
-    if env:
-        return env
-    return SOLVER_VECTOR if _np is not None else SOLVER_FAST
+    return os.environ.get(SOLVER_ENV) or SOLVER_FAST
 
 
 @dataclass
@@ -304,10 +283,10 @@ class CapacityResource:
         A finer-grained refinement of :meth:`solver_state_token`: stateful
         devices whose read path reads no mutable state can return ``()`` for
         reads while still tokenising their write-side state, so memo entries
-        and dirty-component checks for read-only flow sets survive write-side
-        state churn.  Returning ``None`` marks the combination opaque (memo
-        bypass, component always dirty).  Resources that do not override
-        this method fall back to the :meth:`solver_state_token` protocol.
+        for read-only flow sets survive write-side state churn.  Returning
+        ``None`` marks the combination opaque (memo bypass).  Resources
+        that do not override this method fall back to the
+        :meth:`solver_state_token` protocol.
         """
         return None
 
@@ -315,9 +294,13 @@ class CapacityResource:
         return f"<CapacityResource {self.name}>"
 
 
-@dataclass
+@dataclass(eq=False)
 class Flow:
     """One in-flight bulk transfer.
+
+    Flows compare and hash by identity (``eq=False``): the solver keys
+    rate dicts on flow objects, and two transfers with equal fields are
+    still two transfers.
 
     Parameters
     ----------
@@ -376,12 +359,6 @@ class Flow:
         self.log_op = math.log(max(self.op_bytes, 1.0))
         self.done = SimEvent(name=f"flow:{self.label}.done")
 
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
 
 def _build_loads(
     flows: Sequence[Flow], duties: Dict[Flow, float]
@@ -435,9 +412,9 @@ class SolveResult:
     classes: int = 0
     memo_hit: bool = False
     memo_attempted: bool = False
-    #: Batched numpy fixed-point iterations executed (``vector`` backend
-    #: above its class-count cutover; 0 on scalar and memo-hit solves).
-    vector_batches: int = 0
+    #: Whether the fixed point met ``RATE_TOLERANCE`` within
+    #: ``DUTY_ITERATIONS`` (a memo hit replays the recorded solve's flag).
+    converged: bool = True
 
 
 class _FlowClass:
@@ -460,7 +437,6 @@ class _FlowClass:
         "duty",
         "rate",
         "index",
-        "loads",
         "groups",
         "pairs",
         "weight",
@@ -479,18 +455,12 @@ class _FlowClass:
         self.duty = flow.duty
         self.rate = 0.0
         self.index = index
-        self.loads: Tuple[ResourceLoad, ...] = ()
         self.groups: Tuple["_ShareGroup", ...] = ()
         #: ``(load, resource_index)`` pairs for the accumulation loop.
         self.pairs: Tuple[Tuple[ResourceLoad, int], ...] = ()
         self.weight = 0.0
         self.log_term = 0.0
         self.congestion_term = 0.0
-
-
-#: Sentinel distinguishing "caller supplied no tokens" from an explicit
-#: ``None`` (= opaque path, memo bypass) in the solver entry points.
-_UNSET = object()
 
 
 def _state_token(resource: CapacityResource) -> object:
@@ -515,7 +485,7 @@ def _share_fields_of(rtype: type) -> Optional[Tuple[str, ...]]:
 def resource_share_token(
     resource: CapacityResource, combos: Sequence[Tuple[str, bool]]
 ) -> object:
-    """Memo/dirty token covering the share state *resource* exposes to the
+    """Memo token covering the share state *resource* exposes to the
     ``(kind, remote)`` combinations in *combos*, or ``None`` when opaque.
 
     Prefers the per-combination :meth:`CapacityResource.share_state_token`
@@ -562,7 +532,7 @@ class _ShareGroup:
 
 
 def _build_classes(flows: Sequence[Flow]):
-    """Group *flows* into solver equivalence classes (shared setup).
+    """Group *flows* into solver equivalence classes.
 
     Returns ``(classes, order, resources, combos)``: the sig-keyed class
     map, the per-flow class list (flow order), resources in first-appearance
@@ -639,37 +609,29 @@ def _build_groups(
     return group_list
 
 
-def _memo_probe(memo, flows, classes, order, resources, combos, tokens=_UNSET):
+def _memo_probe(memo, flows, classes, order, resources, combos):
     """Look up a converged-state memo entry; returns ``(key, hit_or_None)``.
 
     ``key`` is ``None`` when any path resource is opaque (memo bypass).  On
     a hit the stored per-class rates/duties are replayed onto *flows* and a
-    complete :class:`SolveResult` is returned.  *tokens* short-circuits the
-    share-token walk when the caller (the network's dirty-component check)
-    already computed it: a tuple of per-resource tokens, or ``None`` for
-    an opaque path.
+    complete :class:`SolveResult` is returned.
     """
-    if tokens is _UNSET:
-        tokens_list: Optional[List[object]] = []
-        for r in resources:
-            token = resource_share_token(r, combos[r])
-            if token is None:
-                tokens_list = None
-                break
-            tokens_list.append(token)
-        tokens = tuple(tokens_list) if tokens_list is not None else None
-    if tokens is None:
-        return None, None
+    tokens = []
+    for r in resources:
+        token = resource_share_token(r, combos[r])
+        if token is None:
+            return None, None
+        tokens.append(token)
     key = (
         tuple(cls.index for cls in order),
         tuple(classes),
-        tokens,
+        tuple(tokens),
     )
     entry = memo.get(key)
     if entry is None:
         return key, None
     memo.move_to_end(key)
-    class_rates, class_duties, iterations, loads = entry
+    class_rates, class_duties, iterations, loads, converged = entry
     rates = {}
     for f, cls in zip(flows, order):
         f.duty = class_duties[cls.index]
@@ -681,16 +643,18 @@ def _memo_probe(memo, flows, classes, order, resources, combos, tokens=_UNSET):
         classes=len(classes),
         memo_hit=True,
         memo_attempted=True,
+        converged=converged,
     )
 
 
-def _memo_store(memo, key, class_list, iterations, loads) -> None:
-    """Record a converged solve under *key* (bounded LRU)."""
+def _memo_store(memo, key, class_list, iterations, loads, converged) -> None:
+    """Record a finished solve under *key* (bounded LRU)."""
     memo[key] = (
         tuple(cls.rate for cls in class_list),
         tuple(cls.duty for cls in class_list),
         iterations,
         loads,
+        converged,
     )
     if len(memo) > MEMO_CAPACITY:
         memo.popitem(last=False)
@@ -709,6 +673,7 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
     rates: Dict[Flow, float] = {f: 0.0 for f in flows}
     loads: Dict[CapacityResource, ResourceLoad] = {}
     iterations = 0
+    converged = False
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
         loads = _build_loads(flows, duties)
@@ -740,17 +705,15 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
             denom = max(new_rate, 1.0)
             max_rel_change = max(max_rel_change, abs(new_rate - old_rate) / denom)
         if max_rel_change < RATE_TOLERANCE:
+            converged = True
             break
     for f in flows:
         f.duty = duties[f]
-    return SolveResult(rates, iterations, loads)
+    return SolveResult(rates, iterations, loads, converged=converged)
 
 
 def _solve_classes(
-    flows: Sequence[Flow],
-    memo: Optional["OrderedDict"] = None,
-    tokens: object = _UNSET,
-    prebuilt: Optional[tuple] = None,
+    flows: Sequence[Flow], memo: Optional["OrderedDict"] = None
 ) -> SolveResult:
     # simlint: hotpath — allocations here multiply by flows × resources ×
     # DUTY_ITERATIONS × recomputes; load objects are reset in place.
@@ -768,16 +731,12 @@ def _solve_classes(
       signature projection) per iteration — identical operands stand for
       every member class (see :class:`_ShareGroup`).
     """
-    if prebuilt is None:
-        prebuilt = _build_classes(flows)
-    classes, order, resources, combos = prebuilt
+    classes, order, resources, combos = _build_classes(flows)
     class_list = list(classes.values())
 
     key = None
     if memo is not None:
-        key, hit = _memo_probe(
-            memo, flows, classes, order, resources, combos, tokens
-        )
+        key, hit = _memo_probe(memo, flows, classes, order, resources, combos)
         if hit is not None:
             return hit
 
@@ -788,7 +747,6 @@ def _solve_classes(
     read_logs = [0.0] * n_res
     write_logs = [0.0] * n_res
     for cls in class_list:
-        cls.loads = tuple(loads[r] for r in cls.resources)
         cls.pairs = tuple(
             (loads[r], res_index[r]) for r in cls.resources
         )
@@ -812,8 +770,8 @@ def _solve_classes(
                 load.raw_write_local += 1
     exp = math.exp
     inf = math.inf
-    isinf = math.isinf
     iterations = 0
+    converged = False
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
         for load in loads_list:
@@ -908,262 +866,21 @@ def _solve_classes(
             if rel > max_rel_change:
                 max_rel_change = rel
         if max_rel_change < RATE_TOLERANCE:
+            converged = True
             break
     rates = {}
     for f, cls in zip(flows, order):
         f.duty = cls.duty
         rates[f] = cls.rate
     if key is not None:
-        _memo_store(memo, key, class_list, iterations, loads)
+        _memo_store(memo, key, class_list, iterations, loads, converged)
     return SolveResult(
         rates,
         iterations,
         loads,
         classes=len(class_list),
         memo_attempted=key is not None,
-    )
-
-
-#: Per-resource float accumulator slots used by the vector backend:
-#: n_read_local, n_read_remote, n_write_local, n_write_remote,
-#: read log-sum, write log-sum, congestion_write_remote.
-_VEC_SLOTS = 7
-
-
-def _solve_vector(
-    flows: Sequence[Flow],
-    memo: Optional["OrderedDict"] = None,
-    tokens: object = _UNSET,
-) -> SolveResult:
-    # simlint: hotpath — the iteration loop must not allocate; all numpy
-    # buffers are built once in the batch-setup phase and reused via out=.
-    """Batched numpy duty-cycle fixed point over all classes at once.
-
-    Byte-identity with :func:`_solve_classes` (and hence the reference)
-    rests on:
-
-    * ``np.add.at`` applies repeated-index additions sequentially in entry
-      order, and entries are laid out in flow-list order, so per-resource
-      load sums reproduce the scalar accumulation bit for bit (verified by
-      the solver-equivalence property tests);
-    * every elementwise update (harmonic rate, damping, clamps) uses the
-      same IEEE-754 double operations as the scalar loop — no vectorised
-      ``exp``/``log`` (libm results may differ); geometric-mean finalisation
-      stays on ``math.exp`` scalars;
-    * ``share()`` evaluation stays on the exact scalar path via share
-      groups, fed by the same :class:`ResourceLoad` objects.
-
-    Falls back to :func:`_solve_classes` when numpy is unavailable or the
-    class count is below :data:`VECTOR_MIN_CLASSES` (batch setup would cost
-    more than it saves) — bit-identical either way.
-    """
-    np = _np
-    if np is None:
-        return _solve_classes(flows, memo, tokens)
-    prebuilt = _build_classes(flows)
-    classes, order, resources, combos = prebuilt
-    class_list = list(classes.values())
-    n_classes = len(class_list)
-    if n_classes < VECTOR_MIN_CLASSES:
-        return _solve_classes(flows, memo, tokens, prebuilt)
-
-    key = None
-    if memo is not None:
-        key, hit = _memo_probe(
-            memo, flows, classes, order, resources, combos, tokens
-        )
-        if hit is not None:
-            return hit
-
-    loads = {r: ResourceLoad() for r in resources}
-    loads_list = [loads[r] for r in resources]
-    for cls in class_list:
-        cls.loads = tuple(loads[r] for r in cls.resources)
-    group_list = _build_groups(class_list, loads)
-    n_groups = len(group_list)
-
-    # ---- batch setup: dense per-class arrays -------------------------
-    duty = np.fromiter((cls.duty for cls in class_list), np.float64, n_classes)
-    self_cap = np.fromiter(
-        (cls.self_cap for cls in class_list), np.float64, n_classes
-    )
-    log_op = np.fromiter(
-        (cls.log_op for cls in class_list), np.float64, n_classes
-    )
-    issue = np.fromiter(
-        (cls.issue_weight for cls in class_list), np.float64, n_classes
-    )
-    rate = np.zeros(n_classes)
-
-    # Accumulation entries in flow-list order (the byte-identity contract):
-    # one (slot, class) pair per flow × path-resource for occupancy and
-    # log-sum slots, plus congestion entries for remote writes.  Raw flow
-    # counts are duty-independent — accumulated once here.
-    res_index = {r: i for i, r in enumerate(resources)}
-    n_idx: List[int] = []
-    n_cls: List[int] = []
-    log_idx: List[int] = []
-    cong_idx: List[int] = []
-    cong_cls: List[int] = []
-    raw_counts = [0] * (len(resources) * 4)
-    for cls in order:
-        if cls.kind == "read":
-            noff = 1 if cls.remote else 0
-            logoff = 4
-        else:
-            noff = 3 if cls.remote else 2
-            logoff = 5
-        for r in cls.resources:
-            base = res_index[r] * _VEC_SLOTS
-            n_idx.append(base + noff)
-            n_cls.append(cls.index)
-            log_idx.append(base + logoff)
-            raw_counts[res_index[r] * 4 + noff] += 1
-            if noff == 3:
-                cong_idx.append(base + 6)
-                cong_cls.append(cls.index)
-    acc = np.zeros(len(resources) * _VEC_SLOTS)
-    n_idx_arr = np.array(n_idx, dtype=np.intp)
-    n_cls_arr = np.array(n_cls, dtype=np.intp)
-    log_idx_arr = np.array(log_idx, dtype=np.intp)
-    cong_idx_arr = np.array(cong_idx, dtype=np.intp)
-    cong_cls_arr = np.array(cong_cls, dtype=np.intp)
-    for i, load in enumerate(loads_list):
-        load.raw_read_local = raw_counts[i * 4]
-        load.raw_read_remote = raw_counts[i * 4 + 1]
-        load.raw_write_local = raw_counts[i * 4 + 2]
-        load.raw_write_remote = raw_counts[i * 4 + 3]
-
-    # Class → share-group device-rate reduction: a padded index matrix into
-    # the per-group share vector, with a trailing +inf sentinel for padding
-    # (and for resource-less classes).
-    gmax = 1
-    for cls in class_list:
-        if len(cls.groups) > gmax:
-            gmax = len(cls.groups)
-    grp_matrix = np.full((n_classes, gmax), n_groups, dtype=np.intp)
-    for i, cls in enumerate(class_list):
-        for j, g in enumerate(cls.groups):
-            grp_matrix[i, j] = g.gindex
-    shares = np.empty(n_groups + 1)
-    shares[n_groups] = math.inf
-
-    # Reusable iteration buffers (the loop itself must not allocate).
-    w = np.empty(n_classes)
-    wlog = np.empty(n_classes)
-    n_gather = np.empty(len(n_idx))
-    cong_gather = np.empty(len(cong_idx))
-    grp_gather = np.empty((n_classes, gmax))
-    device_rate = np.empty(n_classes)
-    harm = np.empty(n_classes)
-    new_rate = np.empty(n_classes)
-    new_duty = np.empty(n_classes)
-    tmp = np.empty(n_classes)
-    denom = np.empty(n_classes)
-    inf_dev = np.empty(n_classes, dtype=bool)
-    dev_fin_cap = np.empty(n_classes, dtype=bool)
-    inv_self = np.empty(n_classes)
-    inf_cap = np.isinf(self_cap)
-    fin_cap = ~inf_cap
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, self_cap, out=inv_self)
-
-    batches = 0
-    for _ in range(DUTY_ITERATIONS):
-        batches += 1
-        # -- duty-weighted load accumulation (flow order via add.at) ----
-        np.maximum(duty, MIN_DUTY, out=w)
-        np.multiply(w, log_op, out=wlog)
-        acc[:] = 0.0
-        np.take(w, n_cls_arr, out=n_gather)
-        np.add.at(acc, n_idx_arr, n_gather)
-        np.take(wlog, n_cls_arr, out=n_gather)
-        np.add.at(acc, log_idx_arr, n_gather)
-        if cong_idx_arr.size:
-            np.minimum(w, issue, out=wlog)
-            np.take(wlog, cong_cls_arr, out=cong_gather)
-            np.add.at(acc, cong_idx_arr, cong_gather)
-        for i, load in enumerate(loads_list):
-            base = i * _VEC_SLOTS
-            nrl = float(acc[base])
-            nrr = float(acc[base + 1])
-            nwl = float(acc[base + 2])
-            nwr = float(acc[base + 3])
-            load.n_read_local = nrl
-            load.n_read_remote = nrr
-            load.n_write_local = nwl
-            load.n_write_remote = nwr
-            load.congestion_write_remote = float(acc[base + 6])
-            n_reads = nrl + nrr
-            load.read_op_bytes = (
-                math.exp(float(acc[base + 4]) / n_reads) if n_reads > 0 else 0.0
-            )
-            n_writes = nwl + nwr
-            load.write_op_bytes = (
-                math.exp(float(acc[base + 5]) / n_writes) if n_writes > 0 else 0.0
-            )
-        # -- shares stay scalar (exact same call sequence as `fast`) ----
-        for g in group_list:
-            shares[g.gindex] = g.resource.share(g.load, g.rep)
-        np.take(shares, grp_matrix, out=grp_gather)
-        np.amin(grp_gather, axis=1, out=device_rate)
-        # -- rate/duty update, branch semantics via masked copies -------
-        np.isinf(device_rate, out=inf_dev)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, device_rate, out=harm)
-            np.add(harm, inv_self, out=harm)
-            np.divide(1.0, harm, out=harm)
-            np.copyto(new_rate, harm)
-            np.copyto(new_rate, device_rate, where=inf_cap)
-            np.copyto(new_rate, self_cap, where=inf_dev)
-            # new_duty = min(1, max(MIN_DUTY, 1 - new_rate / self_cap)),
-            # overridden to MIN_DUTY when the device is unconstrained and
-            # to 1.0 when the flow has no self cap.
-            np.divide(new_rate, self_cap, out=new_duty)
-            np.subtract(1.0, new_duty, out=new_duty)
-            np.maximum(new_duty, MIN_DUTY, out=new_duty)
-            np.minimum(new_duty, 1.0, out=new_duty)
-        np.logical_and(inf_dev, fin_cap, out=dev_fin_cap)
-        np.copyto(new_duty, MIN_DUTY, where=dev_fin_cap)
-        np.copyto(new_duty, 1.0, where=inf_cap)
-        np.isinf(new_rate, out=inf_dev)
-        if inf_dev.any():
-            bad = class_list[int(np.argmax(inf_dev))]
-            raise SimulationError(
-                f"flow {bad.rep.label!r} has unbounded rate: no resource or "
-                "self cap constrains it"
-            )
-        # -- damped duty step and convergence check ---------------------
-        np.subtract(new_duty, duty, out=tmp)
-        np.multiply(tmp, DUTY_DAMPING, out=tmp)
-        np.add(duty, tmp, out=tmp)
-        np.maximum(tmp, MIN_DUTY, out=tmp)
-        np.minimum(tmp, 1.0, out=duty)
-        np.subtract(new_rate, rate, out=tmp)
-        np.abs(tmp, out=tmp)
-        np.maximum(new_rate, 1.0, out=denom)
-        np.divide(tmp, denom, out=tmp)
-        max_rel_change = float(tmp.max())
-        np.copyto(rate, new_rate)
-        if max_rel_change < RATE_TOLERANCE:
-            break
-
-    for i, cls in enumerate(class_list):
-        cls.duty = float(duty[i])
-        cls.rate = float(rate[i])
-    rates = {}
-    for f, cls in zip(flows, order):
-        f.duty = cls.duty
-        rates[f] = cls.rate
-    if key is not None:
-        _memo_store(memo, key, class_list, batches, loads)
-    return SolveResult(
-        rates,
-        batches,
-        loads,
-        classes=n_classes,
-        memo_attempted=key is not None,
-        vector_batches=batches,
+        converged=converged,
     )
 
 
@@ -1171,17 +888,15 @@ def solve_flow_set(
     flows: Sequence[Flow],
     solver: Optional[str] = None,
     memo: Optional["OrderedDict"] = None,
-    tokens: object = _UNSET,
 ) -> SolveResult:
     """Solve the processor-sharing duty-cycle fixed point for *flows*.
 
     Stores the converged duty cycle on each flow and returns a
     :class:`SolveResult` with rates, iteration count, and the solver's final
-    internal loads.  *solver* selects the implementation (``"vector"`` /
-    ``"fast"`` / ``"reference"``; default from the ``REPRO_SOLVER``
-    environment variable, else ``vector`` when numpy is importable and
-    ``fast`` otherwise); *memo* is the fast/vector converged-state LRU
-    (``None`` disables memoization).  All implementations produce
+    internal loads.  *solver* selects the implementation (``"fast"`` /
+    ``"reference"``; default from the ``REPRO_SOLVER`` environment
+    variable, else ``fast``); *memo* is the fast solver's converged-state
+    LRU (``None`` disables memoization).  Both implementations produce
     byte-identical results for any flow set honouring the
     :meth:`CapacityResource.share` contract.
     """
@@ -1189,16 +904,18 @@ def solve_flow_set(
         return SolveResult({}, 0, {})
     if solver is None:
         solver = default_solver()
+    if solver == SOLVER_FAST:
+        return _solve_classes(flows, memo)
     if solver == SOLVER_REFERENCE:
         return _solve_reference(flows)
-    if solver == SOLVER_VECTOR:
-        return _solve_vector(flows, memo, tokens)
-    if solver != SOLVER_FAST:
-        raise SimulationError(
-            f"unknown solver {solver!r} (env {SOLVER_ENV}); choices: "
-            f"{SOLVER_VECTOR!r}, {SOLVER_FAST!r}, {SOLVER_REFERENCE!r}"
-        )
-    return _solve_classes(flows, memo, tokens)
+    raise _unknown_solver(solver)
+
+
+def _unknown_solver(solver: str) -> SimulationError:
+    return SimulationError(
+        f"unknown solver {solver!r} (env {SOLVER_ENV}); choices: "
+        f"{SOLVER_FAST!r}, {SOLVER_REFERENCE!r}"
+    )
 
 
 def solve_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
@@ -1254,14 +971,16 @@ class FlowNetwork:
         The discrete-event engine whose clock and flush hooks drive the
         network.
     solver:
-        ``"vector"`` (batched numpy fixed point, the default when numpy is
-        importable), ``"fast"`` (equivalence classes + memo) or
+        ``"fast"`` (equivalence classes + memo, the default) or
         ``"reference"`` (per-flow oracle).  Defaults from ``REPRO_SOLVER``.
     coalesce:
         Whether to defer same-timestamp recomputes.  Defaults from
         ``REPRO_COALESCE`` (coalescing is applied identically under both
         solvers, so the fast-vs-reference oracle compares like with like).
     """
+
+    solver_components_skipped = 0  # retired; perfbench/tracing.py still reads it
+    vector_batches = 0  # retired; perfbench/tracing.py still reads it
 
     def __init__(
         self,
@@ -1275,32 +994,25 @@ class FlowNetwork:
         self.recompute_count: int = 0
         self.flows_completed: int = 0
         self.solver_iterations: int = 0
-        #: Equivalence classes summed over recomputes (fast/vector solvers).
+        #: Equivalence classes summed over recomputes (fast solver).
         self.solver_classes: int = 0
-        #: Converged-state memo hits/misses (fast/vector solvers; a bypassed
-        #: memo — opaque stateful resource on the path — counts as neither).
+        #: Converged-state memo hits/misses (fast solver; a bypassed memo —
+        #: opaque stateful resource on the path — counts as neither).
         self.memo_hits: int = 0
         self.memo_misses: int = 0
         #: Recompute requests absorbed into an already-pending flush.
         self.recomputes_coalesced: int = 0
-        #: Connected components whose solve was skipped because nothing
-        #: that influences their rates changed (membership and share-state
-        #: tokens both stable) — counted under every solver backend, since
-        #: component splitting is a network-level strategy.
-        self.solver_components_skipped: int = 0
-        #: Batched numpy fixed-point iterations executed (vector backend).
-        self.vector_batches: int = 0
+        #: Solves that used all ``DUTY_ITERATIONS`` without meeting
+        #: ``RATE_TOLERANCE`` (memo hits replay the recorded solve's flag).
+        self.solves_at_cap: int = 0
         self._observed_resources: set = set()
         #: Optional observability adapter (see :mod:`repro.obs.hooks`);
         #: ``None`` keeps the solver path free of instrumentation cost.
         self.hooks: Optional[object] = None
         if solver is None:
             solver = default_solver()
-        if solver not in (SOLVER_VECTOR, SOLVER_FAST, SOLVER_REFERENCE):
-            raise SimulationError(
-                f"unknown solver {solver!r} (env {SOLVER_ENV}); choices: "
-                f"{SOLVER_VECTOR!r}, {SOLVER_FAST!r}, {SOLVER_REFERENCE!r}"
-            )
+        if solver not in (SOLVER_FAST, SOLVER_REFERENCE):
+            raise _unknown_solver(solver)
         self.solver = solver
         if coalesce is None:
             coalesce = os.environ.get(COALESCE_ENV, "1").lower() not in (
@@ -1311,15 +1023,6 @@ class FlowNetwork:
         self.coalesce = bool(coalesce)
         self._memo: "OrderedDict" = OrderedDict()
         self._dirty = False
-        #: Per-component records from the last recompute, keyed by the
-        #: component's resource frozenset (or the flow itself for
-        #: resource-less singletons): (flow tuple, share tokens, loads).
-        self._component_cache: Dict[object, tuple] = {}
-        #: Resources explicitly invalidated by a targeted ``poke`` on a
-        #: token-less resource; forces their component dirty once.
-        self._dirty_resources: set = set()
-        #: Bare ``poke()`` escape hatch: force every component dirty once.
-        self._force_all = False
         #: Set when a deferred (coalescing) solve cancelled completion
         #: timers; the flush re-schedules one timer per affected flow.
         self._timers_stale = False
@@ -1363,32 +1066,19 @@ class FlowNetwork:
         unaffected, and a burst of same-instant pokes (16 readers blocking
         on one publish) costs one solve instead of sixteen.
 
-        Naming the changed *resources* keeps the poke cheap: resources that
-        participate in the share-token protocol are simply re-checked at
-        flush time — if the token a component's flows depend on is
-        unchanged (a poller count bumped while only reads are active, say),
-        the component's solve is skipped outright and counted in
-        ``solver_components_skipped``.  A token-less resource (state hidden
-        in a ``capacity_fn`` closure) cannot be reasoned about, so its
-        component is forced dirty and the memo flushed.  A bare ``poke()``
-        keeps the historical conservative semantics: flush the memo and
-        re-solve everything.
+        Naming the changed *resources* keeps the converged-state memo:
+        resources that participate in the share-token protocol expose the
+        state the memo key depends on, so a stale entry can never match.
+        A token-less resource (state hidden in a ``capacity_fn`` closure)
+        cannot be reasoned about, so the memo is flushed; a bare ``poke()``
+        flushes it too.
         """
-        if resources:
-            for r in resources:
-                rtype = type(r)
-                if (
-                    rtype.share_state_token
-                    is CapacityResource.share_state_token
-                    and rtype.solver_state_token
-                    is CapacityResource.solver_state_token
-                ):
-                    # No token protocol: nothing provable about r's state.
-                    self._memo.clear()
-                    self._dirty_resources.add(r)
-        else:
+        if not resources or any(
+            type(r).share_state_token is CapacityResource.share_state_token
+            and type(r).solver_state_token is CapacityResource.solver_state_token
+            for r in resources
+        ):
             self._memo.clear()
-            self._force_all = True
         self._advance_progress()
         self._request_recompute()
 
@@ -1431,158 +1121,48 @@ class FlowNetwork:
                 flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
         self._last_update = now
 
-    def _split_components(self) -> List[tuple]:
-        """Partition active flows into resource-connected components.
-
-        Returns ``(key, flows, resources, combos)`` tuples in first-flow
-        order: *key* is the component's resource frozenset (or the flow
-        itself for resource-less singletons), *resources* keeps flow-major
-        first-appearance order and *combos* maps each resource to the
-        ``(kind, remote)`` combinations present.
-        """
-        # Inlined union-find (see :class:`ComponentIndex` for the readable
-        # reference implementation): active sets are tiny but this runs on
-        # every recompute, so method-call overhead matters.
-        parent: Dict[object, object] = {}
-        for f in self._flows:
-            rs = f.resources
-            if not rs:
-                continue
-            r0 = rs[0]
-            root0 = parent.get(r0)
-            if root0 is None:
-                parent[r0] = root0 = r0
-            else:
-                while parent[root0] is not root0:
-                    parent[root0] = parent[parent[root0]]
-                    root0 = parent[root0]
-            for r in rs[1:]:
-                root = parent.get(r)
-                if root is None:
-                    parent[r] = root0
-                    continue
-                while parent[root] is not root:
-                    parent[root] = parent[parent[root]]
-                    root = parent[root]
-                if root is not root0:
-                    parent[root] = root0
-        parts: Dict[object, tuple] = {}
-        ordered: List[tuple] = []
-        for f in self._flows:
-            rs = f.resources
-            if rs:
-                root = parent[rs[0]]
-                while parent[root] is not root:
-                    parent[root] = parent[parent[root]]
-                    root = parent[root]
-            else:
-                root = f
-            part = parts.get(root)
-            if part is None:
-                part = (root, [], [], {})
-                parts[root] = part
-                ordered.append(part)
-            _, flows, resources, combos = part
-            flows.append(f)
-            combo = (f.kind, f.remote)
-            for r in f.resources:
-                seen = combos.get(r)
-                if seen is None:
-                    combos[r] = {combo}
-                    resources.append(r)
-                else:
-                    seen.add(combo)
-        return [
-            (frozenset(resources) if resources else flows[0], flows, resources, combos)
-            for _root, flows, resources, combos in ordered
-        ]
-
-    def _component_dirty(self, key, flows, resources, combos, tokens) -> bool:
-        """Whether a component must be re-solved this recompute."""
-        if self._force_all or tokens is None:
-            return True
-        record = self._component_cache.get(key)
-        if record is None or record[0] != tuple(flows) or record[1] != tokens:
-            return True
-        if self._dirty_resources:
-            for r in resources:
-                if r in self._dirty_resources:
-                    return True
-        return False
-
     def _recompute(self) -> None:
-        """Re-solve rates for the current flow set and reschedule completions.
-
-        Incremental: the flow set is split into resource-connected
-        components, and only *dirty* components — membership changed, a
-        share-state token moved, or an explicit invalidation — are handed
-        to the solver.  Clean components replay their cached rates, duties,
-        loads and completion timers untouched; each skip is counted in
-        ``solver_components_skipped``.  The split and skip policy are
-        solver-independent (applied identically under vector/fast/
-        reference), so the cross-backend byte-identity oracle compares like
-        with like.
-        """
+        """Re-solve rates for the current flow set and reschedule completions."""
         self.recompute_count += 1
         now = self.engine.now
-        memo = self._memo if self.solver != SOLVER_REFERENCE else None
-        components = self._split_components()
-        new_cache: Dict[object, tuple] = {}
-        merged_loads: Dict[CapacityResource, ResourceLoad] = {}
-        solved_flows: List[Flow] = []
-        solved_rates: Dict[Flow, float] = {}
-        total_iterations = 0
-        for key, flows, resources, combos in components:
-            tokens_list: Optional[List[object]] = []
-            for r in resources:
-                token = resource_share_token(r, combos[r])
-                if token is None:
-                    tokens_list = None
-                    break
-                tokens_list.append(token)
-            tokens = tuple(tokens_list) if tokens_list is not None else None
-            if self._component_dirty(key, flows, resources, combos, tokens):
-                result = solve_flow_set(
-                    flows, solver=self.solver, memo=memo, tokens=tokens
-                )
-                total_iterations += result.iterations
-                self.solver_iterations += result.iterations
-                self.solver_classes += result.classes
-                self.vector_batches += result.vector_batches
-                if result.memo_attempted:
-                    if result.memo_hit:
-                        self.memo_hits += 1
-                    else:
-                        self.memo_misses += 1
-                solved_flows.extend(flows)
-                solved_rates.update(result.rates)
-                loads = result.loads
-            else:
-                self.solver_components_skipped += 1
-                loads = self._component_cache[key][2]
-            new_cache[key] = (tuple(flows), tokens, loads)
-            merged_loads.update(loads)
-        self._component_cache = new_cache
-        self._dirty_resources.clear()
-        self._force_all = False
-        # Let stateful resources (congestion EWMAs) see the converged load
-        # — every active resource, every recompute, exactly as before the
-        # incremental path: skipped components replay their cached loads
-        # (field-identical to what a re-solve would rebuild), so state
-        # evolution keeps the historical observation schedule.  Resources
-        # that just went idle observe an explicitly empty load so their
-        # state can decay.
-        for resource in self._observed_resources - set(merged_loads):
+        flows = self._flows
+        loads: Dict[CapacityResource, ResourceLoad] = {}
+        iterations = 0
+        rates: Dict[Flow, float] = {}
+        if flows:
+            # A module-global call, so wrappers of solve_flow_set (the
+            # benchmark's per-layer tracer) see every solve.
+            result = solve_flow_set(
+                flows,
+                solver=self.solver,
+                memo=self._memo if self.solver == SOLVER_FAST else None,
+            )
+            iterations = result.iterations
+            loads = result.loads
+            rates = result.rates
+            self.solver_iterations += iterations
+            self.solver_classes += result.classes
+            if result.memo_attempted:
+                if result.memo_hit:
+                    self.memo_hits += 1
+                else:
+                    self.memo_misses += 1
+            if not result.converged:
+                self.solves_at_cap += 1
+        # Let stateful resources (congestion EWMAs) see the converged load.
+        # Resources that just went idle observe an explicitly empty load so
+        # their state can decay.
+        for resource in self._observed_resources - loads.keys():
             resource.observe(now, ResourceLoad())
-        for resource, load in merged_loads.items():
+        for resource, load in loads.items():
             resource.observe(now, load)
-        self._observed_resources = set(merged_loads)
+        self._observed_resources = set(loads)
         if self.hooks is not None:
-            self.hooks.on_recompute(now, self._flows, merged_loads)
-            self.hooks.on_solve(now, total_iterations)
+            self.hooks.on_recompute(now, flows, loads)
+            self.hooks.on_solve(now, iterations)
         defer = self.coalesce
-        for flow in solved_flows:
-            new_rate = solved_rates[flow]
+        for flow in flows:
+            new_rate = rates[flow]
             if (
                 new_rate == flow.rate
                 and flow._timer is not None

@@ -247,15 +247,33 @@ class TestSolverStrategyCounters:
             solver_memo_hits=5.0,
             solver_memo_misses=2.0,
             recomputes_coalesced=11.0,
+            solves_at_cap=3.0,
         )
         record = metrics.as_record()
         assert record["solver_classes"] == 7.0
         assert record["memo_hit_rate"] == 5.0 / 7.0
+        assert record["solves_at_cap"] == 3.0
         loaded = host_metrics_from_record(record)
         assert loaded.solver_classes == 7.0
         assert loaded.solver_memo_hits == 5.0
         assert loaded.solver_memo_misses == 2.0
         assert loaded.recomputes_coalesced == 11.0
+        assert loaded.solves_at_cap == 3.0
+
+    def test_record_with_retired_solver_keys_rehydrates(self):
+        # Records stored before the single-solver path carry two counters
+        # that no longer exist, and no solves_at_cap.
+        record = HostMetrics(
+            kind=KIND_SIMULATED, wall_seconds=0.5, solver_memo_hits=4.0
+        ).as_record()
+        del record["solves_at_cap"]
+        record["solver_components_skipped"] = 0.0
+        record["vector_batches"] = 0.0
+        loaded = host_metrics_from_record(record)
+        assert loaded.solver_memo_hits == 4.0
+        assert loaded.solves_at_cap == 0.0
+        assert "vector_batches" not in loaded.as_record()
+        assert "solver_components_skipped" not in loaded.as_record()
 
     def test_aggregate_sums_counters(self):
         a = HostMetrics(
@@ -265,6 +283,7 @@ class TestSolverStrategyCounters:
             solver_memo_hits=1.0,
             solver_memo_misses=3.0,
             recomputes_coalesced=4.0,
+            solves_at_cap=1.0,
         )
         b = HostMetrics(
             kind=KIND_SIMULATED,
@@ -273,10 +292,12 @@ class TestSolverStrategyCounters:
             solver_memo_hits=2.0,
             solver_memo_misses=1.0,
             recomputes_coalesced=6.0,
+            solves_at_cap=2.0,
         )
         total = aggregate_host_metrics([a, b])
         assert total.solver_classes == 7.0
         assert total.solver_memo_hits == 3.0
         assert total.solver_memo_misses == 4.0
         assert total.recomputes_coalesced == 10.0
+        assert total.solves_at_cap == 3.0
         assert total.memo_hit_rate == 3.0 / 7.0

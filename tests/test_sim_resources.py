@@ -121,50 +121,3 @@ class TestBarrier:
         # Pairs of identical leave times at 1.5, 3.0, 4.5.
         assert leave_times == [1.5, 1.5, 3.0, 3.0, 4.5, 4.5]
 
-
-class TestComponentIndex:
-    """Direct coverage for the readable union-find reference; the flow
-    network inlines the same algorithm in its component split."""
-
-    def make(self):
-        from repro.sim.resources import ComponentIndex
-
-        return ComponentIndex()
-
-    def test_add_is_idempotent_singleton(self):
-        index = self.make()
-        index.add("a")
-        index.add("a")
-        assert len(index) == 1
-        assert index.find("a") == "a"
-
-    def test_union_connects_and_find_canonicalizes(self):
-        index = self.make()
-        root = index.union("a", "b")
-        assert index.connected("a", "b")
-        assert index.find("a") is index.find("b") is root
-        index.add("c")
-        assert not index.connected("a", "c")
-
-    def test_transitive_chains_collapse(self):
-        index = self.make()
-        members = [f"m{i}" for i in range(16)]
-        for left, right in zip(members, members[1:]):
-            index.union(left, right)
-        roots = {index.find(member) for member in members}
-        assert len(roots) == 1
-        assert len(index) == 16
-
-    def test_disjoint_sets_stay_disjoint(self):
-        index = self.make()
-        index.union("a", "b")
-        index.union("x", "y")
-        assert index.connected("a", "b")
-        assert index.connected("x", "y")
-        assert not index.connected("a", "x")
-
-    def test_union_by_rank_returns_stable_root(self):
-        index = self.make()
-        index.union("a", "b")  # rank 1 tree rooted somewhere
-        root = index.union("a", "c")  # singleton joins the taller tree
-        assert index.find("c") is root

@@ -17,10 +17,9 @@ and ``benchmarks/bench_headline.py``) into the committed
   iterations, events, memo hit rate, makespan) must not drift at all — a
   wall regression with unchanged counters is host noise or allocator
   churn, one *with* counter drift is a solver-strategy change and fails
-  loudly either way.  ``--counters-only`` skips the wall and floor
-  checks for lanes with different host economics (the no-numpy CI lane
-  runs the pure-Python fallback, which is legitimately slower but must
-  produce byte-identical work counters).
+  loudly either way.  Every benchmark in the run must have a baseline
+  entry and vice versa: a benchmark the baseline does not know would
+  otherwise run unguarded.
 
 Usage::
 
@@ -50,6 +49,7 @@ COUNTER_FIELDS = (
     "solver_iterations_per_run",
     "events_per_run",
     "memo_hit_rate",
+    "solves_at_cap",
     "makespan",
 )
 
@@ -148,8 +148,11 @@ def compare(args: argparse.Namespace) -> int:
     document = load_json(args.baseline)
     baseline = document["benchmarks"]
     floors = document.get("throughput_floors", {})
-    counters_only = getattr(args, "counters_only", False)
-    failures = []
+    failures = [
+        f"{name}: not in the baseline, so it is unguarded; re-record "
+        "the baseline with `record`"
+        for name in sorted(set(current) - set(baseline))
+    ]
     for name, expected in sorted(baseline.items()):
         measured = current.get(name)
         if measured is None:
@@ -159,7 +162,7 @@ def compare(args: argparse.Namespace) -> int:
         now = measured["median_wall_seconds"]
         drift = (now - then) / then
         marker = "OK"
-        if not counters_only and abs(drift) > args.tolerance:
+        if abs(drift) > args.tolerance:
             marker = "FAIL"
             failures.append(
                 f"{name}: median wall {now * 1e3:.2f} ms vs baseline "
@@ -168,7 +171,7 @@ def compare(args: argparse.Namespace) -> int:
             )
         floor = floors.get(name)
         rate = measured.get("events_per_second", 0.0)
-        if not counters_only and floor and rate < floor:
+        if floor and rate < floor:
             marker = "FAIL"
             failures.append(
                 f"{name}: {rate:.0f} events/s is below the committed "
@@ -213,13 +216,6 @@ def main(argv=None) -> int:
     cmp_.add_argument("export", help="pytest-benchmark JSON export")
     cmp_.add_argument("--baseline", default="BENCH_simcore.json")
     cmp_.add_argument("--tolerance", type=float, default=WALL_TOLERANCE)
-    cmp_.add_argument(
-        "--counters-only",
-        action="store_true",
-        help="check only the deterministic work counters (skip wall-time "
-        "and throughput-floor guards); for lanes whose host economics "
-        "differ, e.g. the pure-Python no-numpy fallback",
-    )
     cmp_.set_defaults(func=compare)
 
     args = parser.parse_args(argv)
