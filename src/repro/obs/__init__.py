@@ -4,11 +4,13 @@ Everything the paper's analysis needs to *explain* a run — which rank
 stalled on a version wait, which socket's PMEM saturated, how far achieved
 bandwidth fell below the model ceiling — flows through this package:
 
-* :mod:`repro.obs.probes` — the instrumentation API: counters, gauges and
-  histograms keyed on **virtual** time.  The engine, the fluid-flow
-  network, the PMEM devices and the NVStream channel all emit into a
-  :class:`~repro.obs.probes.ProbeRegistry`; when no registry is attached
-  the emission sites are a single ``is None`` branch (zero overhead).
+* :mod:`repro.obs.probes` — the one instrument registry: counters,
+  gauges and histograms, every mutator taking its caller's timestamp
+  first.  The engine, the fluid-flow network, the PMEM devices and the
+  NVStream channel emit into a :class:`~repro.obs.probes.ProbeRegistry`
+  on **virtual** time; when no registry is attached the emission sites
+  are a single ``is None`` branch (zero overhead).  The scheduling
+  service feeds its own registry on wall time.
 * :mod:`repro.obs.spans` — hierarchical spans (run -> rank -> iteration ->
   phase) layered on the existing :class:`~repro.sim.trace.Tracer`,
   OTel-inspired but clocked on ``engine.now``.
@@ -19,8 +21,10 @@ bandwidth fell below the model ceiling — flows through this package:
   (one observed run) and the capture context that wires observability
   into ``run_workflow`` and the experiments CLI.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loads in Perfetto /
-  ``chrome://tracing``), JSONL span and metric dumps, and the trace
-  schema validator.
+  ``chrome://tracing``) for observed runs and for the stitched service
+  trace that nests virtual-time simulation spans under wall-time
+  lifecycle spans, JSONL span and metric dumps, and the trace schema
+  validator.
 * :mod:`repro.obs.report` — the text hot-phase report and run diffing.
 * :mod:`repro.obs.store` — the persistent, append-only campaign store
   (JSONL under ``campaigns/``) with content-hashed cell ids and a strict
@@ -29,11 +33,10 @@ bandwidth fell below the model ceiling — flows through this package:
   RSS; allocation peak and cProfile hotspots under ``--profile``); a
   sanctioned wall-clock reader outside :mod:`repro.runtime` (simlint
   SIM109).
-* :mod:`repro.obs.telemetry` — the *wall-clock* telemetry plane for the
-  scheduling service: live metrics registry (counters, gauges, latency
-  histograms with p50/p95/p99), cross-process lifecycle spans with trace
-  ids, Prometheus text exposition, and the stitched service trace that
-  nests wall-time spans above virtual-time simulation spans.
+* :mod:`repro.obs.telemetry` — the wall-specific half of the scheduling
+  service's telemetry: cross-process lifecycle spans with trace ids, the
+  JSONL snapshot (latency histograms with p50/p95/p99) and Prometheus
+  text exposition formats, and their validators.
 * :mod:`repro.obs.campaign` — the campaign runner over the paper suite,
   the regression diff engine (makespan drift, winner flips, paper-claim
   changes) and the markdown/terminal dashboards.
@@ -75,6 +78,7 @@ from repro.obs.explain import (
 from repro.obs.export import (
     chrome_trace,
     metrics_records,
+    service_chrome_trace,
     span_records,
     to_json,
     to_jsonl,
@@ -89,17 +93,15 @@ from repro.obs.hostmetrics import (
     threaded_host_metrics,
 )
 from repro.obs.manifest import RunManifest, build_manifest, calibration_hash
-from repro.obs.probes import Counter, Gauge, Histogram, ProbeRegistry
+from repro.obs.probes import Counter, Gauge, Histogram, LatencyHistogram, ProbeRegistry
 from repro.obs.report import diff_report, hot_phase_report
 from repro.obs.spans import Span, build_spans
 from repro.obs.store import CampaignStore, StoredCampaign, StoredCell
 from repro.obs.telemetry import (
     SpanRecorder,
-    TelemetryRegistry,
-    WallSpan,
     mint_trace_id,
     prometheus_exposition,
-    service_chrome_trace,
+    telemetry_snapshot,
     validate_exposition,
     validate_snapshot,
 )
@@ -114,6 +116,7 @@ __all__ = [
     "Histogram",
     "HostMeter",
     "HostMetrics",
+    "LatencyHistogram",
     "Observation",
     "PathSegment",
     "ProbeRegistry",
@@ -124,8 +127,6 @@ __all__ = [
     "SpanRecorder",
     "StoredCampaign",
     "StoredCell",
-    "TelemetryRegistry",
-    "WallSpan",
     "aggregate_host_metrics",
     "attribution_from_phases",
     "attribution_record",
@@ -153,6 +154,7 @@ __all__ = [
     "service_chrome_trace",
     "simulated_host_metrics",
     "span_records",
+    "telemetry_snapshot",
     "threaded_host_metrics",
     "to_json",
     "to_jsonl",

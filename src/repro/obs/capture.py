@@ -41,7 +41,7 @@ class Observation:
     """All observability state of one observed workflow run."""
 
     def __init__(self) -> None:
-        self.probes = ProbeRegistry(enabled=True)
+        self.probes = ProbeRegistry()
         self.manifest: Optional[RunManifest] = None
         self.tracer: Optional["Tracer"] = None
         self.result: Optional["RunResult"] = None

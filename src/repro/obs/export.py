@@ -24,6 +24,11 @@ per-run makespans, counter totals, gauge peaks and the full provenance
 manifest.  The reconciliation tests (counter totals vs. the metrics
 layer) and ``python -m repro.obs diff`` read that section rather than
 re-deriving state from raw events.
+
+The scheduling service's stitched trace (:func:`service_chrome_trace`)
+shares the process/thread layout: one process per job, wall-time
+lifecycle spans on a ``service`` thread, and the simulated rank tracks
+below it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,13 @@ from repro.units import MICROSECOND
 
 #: Thread-id offset separating reader-rank tracks from writer-rank tracks.
 READER_TID_OFFSET = 1000
+
+#: ``tid`` of the wall-time service track inside each job's trace process.
+SERVICE_TID = 0
+
+#: Version of the service telemetry schema — snapshot records and the
+#: stitched service trace (bumped on breaking changes).
+TELEMETRY_SCHEMA_VERSION = 1
 
 #: Thread id counter events are attached to (Perfetto scopes "C" events to
 #: the process, so this never collides with a rank's slice track).
@@ -199,6 +211,143 @@ def chrome_trace(observations: Sequence[Observation]) -> Dict[str, Any]:
         "repro": {
             "schema_version": runs[0]["manifest"]["schema_version"] if runs else 0,
             "runs": runs,
+        },
+    }
+
+
+def service_chrome_trace(
+    job_traces: Sequence[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """One Chrome trace document for a traced service run.
+
+    *job_traces* carries one entry per traced job::
+
+        {"trace_id": ..., "label": "job-0000-... micro-2k@8",
+         "wall_spans": [<WallSpan record>, ...],
+         "sim_runs": [{"run_id": ..., "makespan": ...,
+                       "start": <epoch>, "end": <epoch>,
+                       "spans": [<span_records row>, ...]},
+                      ...]}
+
+    Each job becomes one trace process: its wall-time lifecycle spans
+    (submit → queue-wait → worker → result) render on the ``service``
+    thread, and each simulated run's virtual-time spans are linearly
+    rescaled into the run's measured wall window — so the simulation
+    flamegraph nests *under* the ``simulate`` span that produced it, on
+    one coherent wall-clock timeline.  Every event carries its
+    ``trace_id`` in ``args``, which is what links spans recorded in
+    different processes.
+    """
+    events: List[Dict[str, Any]] = []
+    traced_jobs: List[Dict[str, Any]] = []
+    starts = [
+        span["start"]
+        for trace in job_traces
+        for span in trace.get("wall_spans", [])
+    ]
+    t0 = min(starts) if starts else 0.0
+
+    def _us(epoch: float) -> float:
+        return max(0.0, _microseconds(epoch - t0))
+
+    for index, trace in enumerate(sorted(
+        job_traces, key=lambda item: item.get("trace_id", "")
+    )):
+        pid = index + 1
+        trace_id = trace.get("trace_id", "")
+        events.append(
+            _metadata(pid, 0, "process_name", trace.get("label", trace_id))
+        )
+        events.append(_metadata(pid, 0, "process_sort_index", index))
+        events.append(_metadata(pid, SERVICE_TID, "thread_name", "service"))
+        events.append(
+            _metadata(pid, SERVICE_TID, "thread_sort_index", SERVICE_TID)
+        )
+        wall_spans = trace.get("wall_spans", [])
+        for record in wall_spans:
+            events.append(
+                {
+                    "name": record["name"],
+                    "cat": "service",
+                    "ph": "X",
+                    "ts": _us(record["start"]),
+                    "dur": _microseconds(max(0.0, record["end"] - record["start"])),
+                    "pid": pid,
+                    "tid": SERVICE_TID,
+                    "args": {
+                        "trace_id": trace_id,
+                        "span_id": record["span_id"],
+                        "parent_id": record.get("parent_id"),
+                        "os_pid": record.get("os_pid", 0),
+                        **record.get("attrs", {}),
+                    },
+                }
+            )
+        named_tids = {SERVICE_TID}
+        sim_spans_total = 0
+        for run in trace.get("sim_runs", []):
+            window_start = run["start"]
+            window = max(0.0, run["end"] - run["start"])
+            makespan = max(float(run.get("makespan") or 0.0), 1e-12)
+            scale = window / makespan
+            for span in run.get("spans", []):
+                if span.get("category") in ("run", "rank"):
+                    continue
+                # +1 keeps every simulated track clear of the service track.
+                tid = _tid(span.get("component", ""), span.get("rank", 0)) + 1
+                if tid not in named_tids:
+                    named_tids.add(tid)
+                    events.append(
+                        _metadata(
+                            pid,
+                            tid,
+                            "thread_name",
+                            f"sim {span.get('component', '?')} "
+                            f"{span.get('rank', 0)}",
+                        )
+                    )
+                    events.append(_metadata(pid, tid, "thread_sort_index", tid))
+                events.append(
+                    {
+                        "name": span["name"],
+                        "cat": "sim-" + span.get("category", "phase"),
+                        "ph": "X",
+                        "ts": _us(window_start + span["start"] * scale),
+                        "dur": _microseconds(
+                            max(0.0, span.get("duration", 0.0)) * scale
+                        ),
+                        "pid": pid,
+                        "tid": tid,
+                        "args": {
+                            "trace_id": trace_id,
+                            "run_id": run.get("run_id"),
+                            "virtual_start": span["start"],
+                            "virtual_end": span["end"],
+                            "iteration": span.get("iteration", -1),
+                        },
+                    }
+                )
+                sim_spans_total += 1
+        traced_jobs.append(
+            {
+                "pid": pid,
+                "trace_id": trace_id,
+                "label": trace.get("label", trace_id),
+                "wall_spans": len(wall_spans),
+                "sim_runs": len(trace.get("sim_runs", [])),
+                "sim_spans": sim_spans_total,
+            }
+        )
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "repro": {
+            "schema_version": TELEMETRY_SCHEMA_VERSION,
+            "runs": [],
+            "service": {
+                "epoch_origin": t0,
+                "jobs": traced_jobs,
+            },
         },
     }
 

@@ -1,36 +1,32 @@
-"""Wall-clock telemetry: live metrics, lifecycle spans, Prometheus text.
+"""Wall-clock telemetry: trace ids, lifecycle spans, snapshot formats.
 
 Everything else in :mod:`repro.obs` is clocked on *virtual* time and must
-be byte-identical across reruns; this module is the opposite — it is the
-live sensor plane of the scheduling service, clocked on the host's
-wall clock.  It provides:
+be byte-identical across reruns; this module is the wall-specific part of
+the scheduling service's live sensor plane.  Its metrics live in an
+ordinary :class:`~repro.obs.probes.ProbeRegistry` that
+:class:`~repro.service.telemetry.ServiceTelemetry` feeds with wall-clock
+timestamps; what is wall-specific lives here:
 
-* :class:`TelemetryRegistry` — labelled counters, gauges, and
-  fixed-bucket latency histograms with p50/p95/p99 derivation
-  (Prometheus-style cumulative buckets with linear interpolation);
-* :class:`SpanRecorder` + :class:`WallSpan` — a per-job lifecycle event
-  stream.  A ``trace_id`` is minted at submit (:func:`mint_trace_id`, a
+* :func:`mint_trace_id`, :class:`SpanRecorder` + :class:`WallSpan` — a
+  per-job lifecycle event stream.  A ``trace_id`` is minted at submit (a
   pure function of the job id so nothing new needs persisting), carried
   through :class:`~repro.service.pool.WorkerPool` task payloads into the
-  worker process, and stitched back into one trace in the parent;
-* exporters — JSONL snapshot records (:meth:`TelemetryRegistry.snapshot`),
-  the Prometheus text exposition format
-  (:func:`prometheus_exposition`), and a Chrome trace-event document
-  (:func:`service_chrome_trace`) in which wall-time service spans nest
-  *above* the virtual-time simulation spans of the runs they triggered
-  (virtual time is linearly rescaled into each run's measured wall
-  window, so Perfetto shows one coherent timeline per job);
-* in-tree validators for both exposition text and snapshot records
-  (:func:`validate_exposition`, :func:`validate_snapshot`) — used by the
-  tests and the CI service job.
+  worker process, and stitched back into one trace in the parent (the
+  Chrome trace itself is built by
+  :func:`repro.obs.export.service_chrome_trace`);
+* the formats — JSONL snapshot records (:func:`telemetry_snapshot`:
+  counters and gauges as values, latency histograms as cumulative
+  buckets plus p50/p95/p99) and the Prometheus text exposition format
+  (:func:`prometheus_exposition`);
+* in-tree validators for both (:func:`validate_exposition`,
+  :func:`validate_snapshot`) — used by the tests and the CI service job.
 
-Telemetry is strictly additive: a disabled registry/recorder hands out
-shared null instruments whose mutators are empty, and nothing in this
-module ever writes into a deterministic artifact — cell ids, campaign
-stores, and queue payloads are byte-identical with telemetry on or off
-(a regression test enforces this).  This module is a sanctioned host
-clock reader (simlint SIM109, dataflow rule SIM201); wall-clock values it
-produces must never flow into trace/store/manifest sinks.
+Nothing in this module ever writes into a deterministic artifact — cell
+ids, campaign stores, and queue payloads are byte-identical with
+telemetry on or off (a regression test enforces this).  This module is a
+sanctioned host clock reader (simlint SIM109, dataflow rule SIM201);
+wall-clock values it produces must never flow into trace/store/manifest
+sinks.
 """
 
 from __future__ import annotations
@@ -51,11 +47,8 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import SimulationError
-from repro.units import MICROSECOND
-
-#: Version of the telemetry snapshot schema (bumped on breaking changes).
-TELEMETRY_SCHEMA_VERSION = 1
+from repro.obs.export import TELEMETRY_SCHEMA_VERSION, _is_number
+from repro.obs.probes import Counter, Gauge, ProbeRegistry
 
 #: Default latency histogram bucket upper bounds, in seconds.  Chosen to
 #: resolve both cache-hit service latencies (sub-millisecond) and real
@@ -83,18 +76,8 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 #: Quantiles every histogram snapshot derives.
 DERIVED_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: Prometheus metric-name grammar (also applied to snapshot names).
+#: Prometheus metric-name grammar (applied to snapshot names).
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-#: Prometheus label-name grammar.
-LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: ``tid`` of the wall-time service track inside each job's trace process.
-SERVICE_TID = 0
-
-#: ``tid`` offset separating simulated reader tracks from writer tracks in
-#: a stitched service trace (mirrors :mod:`repro.obs.export`).
-READER_TID_OFFSET = 1000
 
 
 def mint_trace_id(job_id: str) -> str:
@@ -108,294 +91,58 @@ def mint_trace_id(job_id: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Instruments.
+# Snapshots.
 # ----------------------------------------------------------------------
-LabelItems = Tuple[Tuple[str, str], ...]
-
-
-def _label_items(labels: Dict[str, str]) -> LabelItems:
-    for key, value in labels.items():
-        if not LABEL_NAME_RE.match(key):
-            raise SimulationError(f"invalid telemetry label name {key!r}")
-        if not isinstance(value, str):
-            raise SimulationError(
-                f"telemetry label {key!r} must be a string, got "
-                f"{type(value).__name__}"
-            )
-    return tuple(sorted(labels.items()))
-
-
-class WallInstrument:
-    """Identity of one wall-clock metric stream (name + sorted labels)."""
-
-    kind = "instrument"
-
-    __slots__ = ("name", "labels", "help_text")
-
-    def __init__(self, name: str, labels: LabelItems, help_text: str) -> None:
-        if not METRIC_NAME_RE.match(name):
-            raise SimulationError(f"invalid telemetry metric name {name!r}")
-        self.name = name
-        self.labels = labels
-        self.help_text = help_text
-
-    @property
-    def key(self) -> Tuple[str, str, LabelItems]:
-        return (self.kind, self.name, self.labels)
-
-    @property
-    def label(self) -> str:
-        """Display label: ``name{k="v",...}`` (stable, sorted labels)."""
-        if not self.labels:
-            return self.name
-        inner = ",".join(f'{k}="{v}"' for k, v in self.labels)
-        return f"{self.name}{{{inner}}}"
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "labels": dict(self.labels),
-            "help": self.help_text,
-        }
-
-
-class WallCounter(WallInstrument):
-    """Monotonic wall-side total (jobs submitted, cache hits, retries)."""
-
-    kind = "counter"
-
-    __slots__ = ("value",)
-
-    def __init__(self, name: str, labels: LabelItems = (), help_text: str = ""):
-        super().__init__(name, labels, help_text)
-        self.value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise SimulationError(
-                f"counter {self.label}: increment must be >= 0, got {amount}"
-            )
-        self.value += amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = super().as_dict()
-        data["value"] = self.value
-        return data
-
-
-class WallGauge(WallInstrument):
-    """Point-in-time wall-side level (queue depth, worker utilization)."""
-
-    kind = "gauge"
-
-    __slots__ = ("value",)
-
-    def __init__(self, name: str, labels: LabelItems = (), help_text: str = ""):
-        super().__init__(name, labels, help_text)
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = super().as_dict()
-        data["value"] = self.value
-        return data
-
-
-class WallHistogram(WallInstrument):
-    """Fixed-bucket wall-time histogram with derived quantiles.
-
-    Buckets are cumulative upper bounds in the Prometheus style; the final
-    implicit bucket is +Inf.  Quantiles are derived the way
-    ``histogram_quantile()`` derives them: find the bucket the target rank
-    falls in and interpolate linearly between its bounds.
-    """
-
-    kind = "histogram"
-
-    __slots__ = ("buckets", "bucket_counts", "sum", "count")
-
-    def __init__(
-        self,
-        name: str,
-        labels: LabelItems = (),
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ):
-        super().__init__(name, labels, help_text)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise SimulationError(f"histogram {name!r} needs >= 1 bucket")
-        if len(set(bounds)) != len(bounds):
-            raise SimulationError(f"histogram {name!r} has duplicate buckets")
-        self.buckets = bounds
-        #: One count per finite bucket plus the +Inf overflow bucket —
-        #: *non*-cumulative internally; cumulated at snapshot time.
-        self.bucket_counts = [0] * (len(bounds) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``[(le, cumulative_count), ...]`` ending with the +Inf bucket."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.buckets, self.bucket_counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self.bucket_counts[-1]))
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Estimated value at quantile *q* in [0, 1] (0.0 when empty)."""
-        if self.count <= 0:
-            return 0.0
-        target = q * self.count
-        previous_bound = 0.0
-        previous_cum = 0
-        for bound, cum in self.cumulative():
-            if cum >= target:
-                if bound == float("inf"):
-                    # Observations beyond the largest finite bucket: the
-                    # histogram cannot resolve further, report the bound.
-                    return self.buckets[-1]
-                span = cum - previous_cum
-                if span <= 0:
-                    return bound
-                fraction = (target - previous_cum) / span
-                return previous_bound + (bound - previous_bound) * fraction
-            previous_bound, previous_cum = bound, cum
-        return self.buckets[-1]
-
-    def as_dict(self) -> Dict[str, Any]:
-        data = super().as_dict()
-        data["buckets"] = [
-            [bound, cum]
-            for bound, cum in self.cumulative()
-            if bound != float("inf")
+def _snapshot_entry(instrument: Any) -> Dict[str, Any]:
+    entry: Dict[str, Any] = {
+        "name": instrument.name,
+        "labels": dict(instrument.attrs),
+        "help": instrument.help_text,
+    }
+    if isinstance(instrument, Counter):
+        entry["value"] = instrument.total
+    elif isinstance(instrument, Gauge):
+        entry["value"] = float(instrument.value)
+    else:
+        entry["buckets"] = [
+            [bound, cum] for bound, cum in instrument.cumulative()[:-1]
         ]
-        data["sum"] = self.sum
-        data["count"] = self.count
+        entry["sum"] = instrument.sum
+        entry["count"] = instrument.count
         for q in DERIVED_QUANTILES:
-            data[f"p{int(q * 100)}"] = self.quantile(q)
-        return data
+            entry[f"p{int(q * 100)}"] = instrument.quantile(q)
+    return entry
 
 
-class _NullInstrument:
-    """Shared no-op instrument a disabled registry hands out."""
+def telemetry_snapshot(
+    registry: ProbeRegistry,
+    at: float,
+    uptime_seconds: float,
+    extra: Optional[Dict[str, Any]] = None,
+    final: bool = False,
+) -> Dict[str, Any]:
+    """One JSONL snapshot record of a wall-clock registry's state.
 
-    value = 0.0
-    sum = 0.0
-    count = 0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-# ----------------------------------------------------------------------
-# The registry.
-# ----------------------------------------------------------------------
-class TelemetryRegistry:
-    """Wall-clock metric registry with Prometheus-compatible snapshots.
-
-    Disabled registries (``enabled=False``) return shared null instruments
-    and produce empty snapshots — the emission sites in the service cost
-    one attribute access and nothing else.
+    Counters and gauges become ``{name, labels, help, value}``; latency
+    histograms add cumulative buckets, ``sum``, ``count`` and the derived
+    p50/p95/p99.  *at* and *uptime_seconds* come from the caller's clock.
     """
-
-    def __init__(
-        self, enabled: bool = True, clock: Callable[[], float] = time.time
-    ) -> None:
-        self.enabled = enabled
-        self._clock = clock
-        self._instruments: Dict[Tuple[str, str, LabelItems], WallInstrument] = {}
-        self.started_at = clock() if enabled else 0.0
-
-    # -- instrument factories -------------------------------------------
-    def _get(self, cls, name: str, help_text: str, labels: Dict[str, str], **kw):
-        if not self.enabled:
-            return _NULL_INSTRUMENT
-        items = _label_items(labels)
-        key = (cls.kind, name, items)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = cls(name, items, help_text, **kw)
-            self._instruments[key] = instrument
-        return instrument
-
-    def counter(self, name: str, help_text: str = "", **labels: str):
-        return self._get(WallCounter, name, help_text, labels)
-
-    def gauge(self, name: str, help_text: str = "", **labels: str):
-        return self._get(WallGauge, name, help_text, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        **labels: str,
-    ):
-        return self._get(
-            WallHistogram, name, help_text, labels, buckets=buckets
-        )
-
-    # -- reading --------------------------------------------------------
-    def instruments(self) -> List[WallInstrument]:
-        """Every instrument, sorted by (kind, name, labels) — stable."""
-        return [self._instruments[key] for key in sorted(self._instruments)]
-
-    def snapshot(
-        self, extra: Optional[Dict[str, Any]] = None, final: bool = False
-    ) -> Dict[str, Any]:
-        """One JSONL snapshot record of the registry's current state."""
-        now = self._clock() if self.enabled else 0.0
-        record: Dict[str, Any] = {
-            "record": "telemetry_snapshot",
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "at": now,
-            "uptime_seconds": (now - self.started_at) if self.enabled else 0.0,
-            "final": final,
-            "counters": [],
-            "gauges": [],
-            "histograms": [],
-        }
-        for instrument in self.instruments():
-            record[instrument.kind + "s"].append(instrument.as_dict())
-        if extra:
-            for key, value in extra.items():
-                record[key] = value
-        return record
+    record: Dict[str, Any] = {
+        "record": "telemetry_snapshot",
+        "schema_version": TELEMETRY_SCHEMA_VERSION,
+        "at": at,
+        "uptime_seconds": uptime_seconds,
+        "final": final,
+        "counters": [],
+        "gauges": [],
+        "histograms": [],
+    }
+    for instrument in registry.instruments():
+        record[instrument.kind + "s"].append(_snapshot_entry(instrument))
+    if extra:
+        for key, value in extra.items():
+            record[key] = value
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -409,10 +156,6 @@ _SNAPSHOT_REQUIRED = (
     "gauges",
     "histograms",
 )
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_snapshot(record: Any) -> List[str]:
@@ -721,19 +464,16 @@ class SpanRecorder:
     """Collects :class:`WallSpan` records for one process.
 
     Span ids are ``<trace_id>/p<os_pid>.<seq>`` — unique across the
-    parent and every worker without coordination.  Disabled recorders
-    swallow everything.
+    parent and every worker without coordination.
     """
 
     def __init__(
         self,
-        enabled: bool = True,
         clock: Callable[[], float] = time.time,
         os_pid: Optional[int] = None,
     ) -> None:
         import os
 
-        self.enabled = enabled
         self._clock = clock
         self.os_pid = os_pid if os_pid is not None else os.getpid()
         self.spans: List[WallSpan] = []
@@ -752,10 +492,8 @@ class SpanRecorder:
         parent_id: Optional[str] = None,
         span_id: Optional[str] = None,
         **attrs: Any,
-    ) -> Optional[WallSpan]:
+    ) -> WallSpan:
         """Append one explicit span (times supplied by the caller)."""
-        if not self.enabled:
-            return None
         span = WallSpan(
             trace_id=trace_id,
             span_id=span_id if span_id is not None else self._next_id(trace_id),
@@ -775,10 +513,8 @@ class SpanRecorder:
         name: str,
         parent_id: Optional[str] = None,
         **attrs: Any,
-    ) -> Optional[WallSpan]:
+    ) -> WallSpan:
         """Append an instant (zero-duration) span at the current time."""
-        if not self.enabled:
-            return None
         now = self._clock()
         return self.record(trace_id, name, now, now, parent_id, **attrs)
 
@@ -792,9 +528,6 @@ class SpanRecorder:
         **attrs: Any,
     ) -> Iterator[Dict[str, Any]]:
         """Time a block; yields the attrs dict so callers can annotate."""
-        if not self.enabled:
-            yield {}
-            return
         start = self._clock()
         live_attrs: Dict[str, Any] = dict(attrs)
         try:
@@ -812,8 +545,6 @@ class SpanRecorder:
 
     def extend(self, records: Sequence[Dict[str, Any]]) -> None:
         """Stitch spans recorded in another process (JSON records) in."""
-        if not self.enabled:
-            return
         for record in records:
             self.spans.append(WallSpan.from_record(record))
 
@@ -823,166 +554,3 @@ class SpanRecorder:
         for span in self.spans:
             grouped.setdefault(span.trace_id, []).append(span)
         return grouped
-
-
-# ----------------------------------------------------------------------
-# Stitched Chrome trace: wall-time service spans over virtual-time runs.
-# ----------------------------------------------------------------------
-def _sim_tid(component: str, rank: int) -> int:
-    """Thread id of a simulated (component, rank) track (service trace)."""
-    if component == "writer":
-        base = 0
-    elif component == "reader":
-        base = READER_TID_OFFSET
-    else:
-        base = READER_TID_OFFSET * 2
-    # +1 keeps every simulated track clear of the wall-time service track.
-    return base + rank + 1
-
-
-def _metadata(pid: int, tid: int, name: str, value: Any) -> Dict[str, Any]:
-    key = "name" if name.endswith("_name") else "sort_index"
-    return {
-        "name": name,
-        "ph": "M",
-        "ts": 0,
-        "pid": pid,
-        "tid": tid,
-        "args": {key: value},
-    }
-
-
-def service_chrome_trace(
-    job_traces: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """One Chrome trace document for a traced service run.
-
-    *job_traces* carries one entry per traced job::
-
-        {"trace_id": ..., "label": "job-0000-... micro-2k@8",
-         "wall_spans": [<WallSpan record>, ...],
-         "sim_runs": [{"run_id": ..., "makespan": ...,
-                       "start": <epoch>, "end": <epoch>,
-                       "spans": [<repro.obs.export.span_records row>, ...]},
-                      ...]}
-
-    Each job becomes one trace process: its wall-time lifecycle spans
-    (submit → queue-wait → worker → result) render on the ``service``
-    thread, and each simulated run's virtual-time spans are linearly
-    rescaled into the run's measured wall window — so the simulation
-    flamegraph nests *under* the ``simulate`` span that produced it, on
-    one coherent wall-clock timeline.  Every event carries its
-    ``trace_id`` in ``args``, which is what links spans recorded in
-    different processes.
-    """
-    events: List[Dict[str, Any]] = []
-    traced_jobs: List[Dict[str, Any]] = []
-    starts = [
-        span["start"]
-        for trace in job_traces
-        for span in trace.get("wall_spans", [])
-    ]
-    t0 = min(starts) if starts else 0.0
-
-    def _us(epoch: float) -> float:
-        return max(0.0, (epoch - t0) / MICROSECOND)
-
-    for index, trace in enumerate(sorted(
-        job_traces, key=lambda item: item.get("trace_id", "")
-    )):
-        pid = index + 1
-        trace_id = trace.get("trace_id", "")
-        events.append(
-            _metadata(pid, 0, "process_name", trace.get("label", trace_id))
-        )
-        events.append(_metadata(pid, 0, "process_sort_index", index))
-        events.append(_metadata(pid, SERVICE_TID, "thread_name", "service"))
-        events.append(
-            _metadata(pid, SERVICE_TID, "thread_sort_index", SERVICE_TID)
-        )
-        wall_spans = trace.get("wall_spans", [])
-        for record in wall_spans:
-            events.append(
-                {
-                    "name": record["name"],
-                    "cat": "service",
-                    "ph": "X",
-                    "ts": _us(record["start"]),
-                    "dur": max(0.0, record["end"] - record["start"])
-                    / MICROSECOND,
-                    "pid": pid,
-                    "tid": SERVICE_TID,
-                    "args": {
-                        "trace_id": trace_id,
-                        "span_id": record["span_id"],
-                        "parent_id": record.get("parent_id"),
-                        "os_pid": record.get("os_pid", 0),
-                        **record.get("attrs", {}),
-                    },
-                }
-            )
-        named_tids = {SERVICE_TID}
-        sim_spans_total = 0
-        for run in trace.get("sim_runs", []):
-            window_start = run["start"]
-            window = max(0.0, run["end"] - run["start"])
-            makespan = max(float(run.get("makespan") or 0.0), 1e-12)
-            scale = window / makespan
-            for span in run.get("spans", []):
-                if span.get("category") in ("run", "rank"):
-                    continue
-                tid = _sim_tid(span.get("component", ""), span.get("rank", 0))
-                if tid not in named_tids:
-                    named_tids.add(tid)
-                    events.append(
-                        _metadata(
-                            pid,
-                            tid,
-                            "thread_name",
-                            f"sim {span.get('component', '?')} "
-                            f"{span.get('rank', 0)}",
-                        )
-                    )
-                    events.append(_metadata(pid, tid, "thread_sort_index", tid))
-                events.append(
-                    {
-                        "name": span["name"],
-                        "cat": "sim-" + span.get("category", "phase"),
-                        "ph": "X",
-                        "ts": _us(window_start + span["start"] * scale),
-                        "dur": max(0.0, span.get("duration", 0.0)) * scale
-                        / MICROSECOND,
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {
-                            "trace_id": trace_id,
-                            "run_id": run.get("run_id"),
-                            "virtual_start": span["start"],
-                            "virtual_end": span["end"],
-                            "iteration": span.get("iteration", -1),
-                        },
-                    }
-                )
-                sim_spans_total += 1
-        traced_jobs.append(
-            {
-                "pid": pid,
-                "trace_id": trace_id,
-                "label": trace.get("label", trace_id),
-                "wall_spans": len(wall_spans),
-                "sim_runs": len(trace.get("sim_runs", [])),
-                "sim_spans": sim_spans_total,
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "repro": {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "runs": [],
-            "service": {
-                "epoch_origin": t0,
-                "jobs": traced_jobs,
-            },
-        },
-    }

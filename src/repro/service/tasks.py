@@ -118,7 +118,7 @@ def execute_cell_record(payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.obs.export import span_records
         from repro.obs.telemetry import SpanRecorder
 
-        recorder = SpanRecorder(enabled=True)
+        recorder = SpanRecorder()
         trace_id = context["trace_id"]
         parent_id = context.get("parent_id")
         sim_runs: list = []

@@ -1,7 +1,7 @@
 """Service-side telemetry: the live sensor plane of one service pass.
 
-:class:`ServiceTelemetry` owns one :class:`~repro.obs.telemetry.
-TelemetryRegistry` (wall-time counters/gauges/histograms) and one
+:class:`ServiceTelemetry` owns one :class:`~repro.obs.probes.ProbeRegistry`
+(counters/gauges/latency histograms, fed wall-clock timestamps) and one
 :class:`~repro.obs.telemetry.SpanRecorder` (per-job lifecycle spans), and
 plugs into the service components as a passive observer:
 
@@ -21,10 +21,12 @@ the worker (:func:`repro.service.tasks.execute_cell_record`) returns its
 wall spans and virtual-time run spans under ``record["telemetry"]``, and
 :meth:`ServiceTelemetry.absorb_worker_records` stitches them back in here.
 
-Everything is strictly additive: a disabled instance records nothing,
-writes nothing, and the queue/cache/store bytes it watches are identical
-with or without it (wall-clock values live only in telemetry artifacts —
-``telemetry.jsonl`` snapshots, Prometheus expositions, trace files).
+Everything is strictly additive: every public hook of a disabled
+instance returns before touching its registry or recorder, so it records
+nothing and writes nothing, and the queue/cache/store bytes it watches
+are identical with or without it (wall-clock values live only in
+telemetry artifacts — ``telemetry.jsonl`` snapshots, Prometheus
+expositions, trace files).
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs.export import service_chrome_trace
+from repro.obs.probes import ProbeRegistry
 from repro.obs.telemetry import (
+    DEFAULT_LATENCY_BUCKETS,
     SpanRecorder,
-    TelemetryRegistry,
     mint_trace_id,
     prometheus_exposition,
-    service_chrome_trace,
+    telemetry_snapshot,
 )
 
 #: Telemetry snapshots append here, inside the service directory.
@@ -53,7 +57,11 @@ LATENCY_METRIC = "repro_service_submit_result_latency_seconds"
 
 
 class ServiceTelemetry:
-    """Wall-clock metrics + lifecycle spans for one service process."""
+    """Wall-clock metrics + lifecycle spans for one service process.
+
+    *enabled* is the one telemetry switch (``repro-service run
+    --no-telemetry``): every public hook checks it first.
+    """
 
     def __init__(
         self,
@@ -64,8 +72,9 @@ class ServiceTelemetry:
         self.root = root
         self.enabled = enabled
         self._clock = clock
-        self.registry = TelemetryRegistry(enabled=enabled, clock=clock)
-        self.recorder = SpanRecorder(enabled=enabled, clock=clock)
+        self.registry = ProbeRegistry()
+        self.recorder = SpanRecorder(clock=clock)
+        self.started_at = clock() if enabled else 0.0
         #: job_id -> epoch the job (re-)entered ``queued``.
         self._queued_since: Dict[str, float] = {}
         #: job_id -> epoch of first submission.
@@ -97,7 +106,7 @@ class ServiceTelemetry:
         self.registry.counter(
             "repro_service_jobs_submitted_total",
             "Jobs appended to the queue by this process.",
-        ).inc()
+        ).add(now)
         trace_id = mint_trace_id(job.job_id)
         self._submitted_at[job.job_id] = now
         self._queued_since[job.job_id] = now
@@ -125,7 +134,7 @@ class ServiceTelemetry:
             "repro_service_transitions_total",
             "Queue state transitions, by target state.",
             state=state,
-        ).inc()
+        ).add(now)
         trace_id = mint_trace_id(job.job_id)
         root_id = f"{trace_id}/root"
         if state == "running":
@@ -134,7 +143,8 @@ class ServiceTelemetry:
                 self.registry.histogram(
                     QUEUE_WAIT_METRIC,
                     "Seconds jobs spent queued before being claimed.",
-                ).observe(now - queued_since)
+                    DEFAULT_LATENCY_BUCKETS,
+                ).observe(now, now - queued_since)
                 self.recorder.record(
                     trace_id,
                     "queue-wait",
@@ -161,7 +171,8 @@ class ServiceTelemetry:
                 self.registry.histogram(
                     LATENCY_METRIC,
                     "Seconds from job submission to its terminal result.",
-                ).observe(now - submitted)
+                    DEFAULT_LATENCY_BUCKETS,
+                ).observe(now, now - submitted)
             self.recorder.record(
                 trace_id,
                 "job",
@@ -178,27 +189,29 @@ class ServiceTelemetry:
     def task_started(self, task_id: str) -> None:
         if not self.enabled:
             return
+        now = self._clock()
         self.registry.counter(
             "repro_service_tasks_started_total",
             "Tasks handed to a worker (inline or pooled).",
-        ).inc()
+        ).add(now)
         span_id, attempt = self._worker_expected.get(
             task_id, (f"{mint_trace_id(task_id)}/worker.0", 0)
         )
-        self._worker_started[task_id] = (self._clock(), span_id, attempt)
+        self._worker_started[task_id] = (now, span_id, attempt)
 
     def task_settled(self, outcome: Any) -> None:
         if not self.enabled:
             return
+        now = self._clock()
         self.registry.counter(
             "repro_service_tasks_settled_total",
             "Task outcomes, by status.",
             status=outcome.status,
-        ).inc()
+        ).add(now)
         self.registry.counter(
             "repro_service_worker_busy_seconds_total",
             "Wall seconds workers spent on settled tasks.",
-        ).inc(max(0.0, outcome.wall_seconds))
+        ).add(now, max(0.0, outcome.wall_seconds))
         started = self._worker_started.pop(outcome.task_id, None)
         if started is None or outcome.status == "skipped":
             return
@@ -216,11 +229,13 @@ class ServiceTelemetry:
         )
 
     def pool_rebuilt(self, reason: str) -> None:
+        if not self.enabled:
+            return
         self.registry.counter(
             "repro_service_pool_rebuilds_total",
             "Executor rebuilds forced by crashes or timeouts.",
             reason=reason,
-        ).inc()
+        ).add(self._clock())
 
     # -- scheduler hooks -------------------------------------------------
     def worker_dispatch(self, job: Any) -> Optional[Dict[str, str]]:
@@ -250,17 +265,20 @@ class ServiceTelemetry:
         )
 
     def stale_requeued(self, count: int) -> None:
-        if count:
-            self.registry.counter(
-                "repro_service_stale_requeued_total",
-                "Stale running jobs recovered at service start.",
-            ).inc(count)
+        if not self.enabled or not count:
+            return
+        self.registry.counter(
+            "repro_service_stale_requeued_total",
+            "Stale running jobs recovered at service start.",
+        ).add(self._clock(), count)
 
     def deadline_expired(self, job: Any) -> None:
+        if not self.enabled:
+            return
         self.registry.counter(
             "repro_service_deadline_expired_total",
             "Jobs failed because their deadline passed before running.",
-        ).inc()
+        ).add(self._clock())
 
     def cache_hit(self, job: Any, cell_id: str) -> None:
         if not self.enabled:
@@ -268,7 +286,7 @@ class ServiceTelemetry:
         self.registry.counter(
             "repro_service_cache_hits_total",
             "Cell jobs served straight from the result cache.",
-        ).inc()
+        ).add(self._clock())
         trace_id = mint_trace_id(job.job_id)
         self.recorder.mark(
             trace_id,
@@ -278,10 +296,12 @@ class ServiceTelemetry:
         )
 
     def cache_miss(self, job: Any) -> None:
+        if not self.enabled:
+            return
         self.registry.counter(
             "repro_service_cache_misses_total",
             "Cell jobs whose content id was not cached.",
-        ).inc()
+        ).add(self._clock())
 
     def cache_stored(self, job: Any, cell_id: str) -> None:
         if not self.enabled:
@@ -289,7 +309,7 @@ class ServiceTelemetry:
         self.registry.counter(
             "repro_service_cache_stores_total",
             "Fresh cell results written into the cache.",
-        ).inc()
+        ).add(self._clock())
         trace_id = mint_trace_id(job.job_id)
         self.recorder.mark(
             trace_id,
@@ -304,7 +324,7 @@ class ServiceTelemetry:
         self.registry.counter(
             "repro_service_retries_total",
             "Failed attempts sent back to the queue for another try.",
-        ).inc()
+        ).add(self._clock())
         trace_id = mint_trace_id(job.job_id)
         self.recorder.mark(
             trace_id,
@@ -317,11 +337,11 @@ class ServiceTelemetry:
     def backoff(self, seconds: float, attempt_round: int) -> None:
         if not self.enabled:
             return
+        start = self._clock()
         self.registry.counter(
             "repro_service_backoff_seconds_total",
             "Wall seconds slept between retry rounds.",
-        ).inc(seconds)
-        start = self._clock()
+        ).add(start, seconds)
         self.recorder.record(
             "service",
             "backoff",
@@ -331,10 +351,12 @@ class ServiceTelemetry:
         )
 
     def round_finished(self) -> None:
+        if not self.enabled:
+            return
         self.registry.counter(
             "repro_service_rounds_total",
             "Worker-pool dispatch rounds completed.",
-        ).inc()
+        ).add(self._clock())
 
     def absorb_worker_records(self, job: Any, telemetry: Any) -> None:
         """Stitch one worker's spans back into this process's recorder.
@@ -360,36 +382,37 @@ class ServiceTelemetry:
         """Refresh the point-in-time gauges before a snapshot."""
         if not self.enabled:
             return
+        now = self._clock()
         if counts is not None:
             self.registry.gauge(
                 "repro_service_queue_depth",
                 "Jobs currently in the queued state.",
-            ).set(counts.get("queued", 0))
+            ).set(now, counts.get("queued", 0))
             for state, value in sorted(counts.items()):
                 self.registry.gauge(
                     "repro_service_jobs",
                     "Jobs by lifecycle state (replayed from the log).",
                     state=state,
-                ).set(value)
+                ).set(now, value)
         if report is not None:
             self.registry.gauge(
                 "repro_service_cache_hit_rate",
                 "Cache hits / lookups for the current pass.",
-            ).set(report.cache_hit_rate)
+            ).set(now, report.cache_hit_rate)
         busy = self.registry.counter(
             "repro_service_worker_busy_seconds_total",
             "Wall seconds workers spent on settled tasks.",
-        ).value
+        ).total
         if wall_seconds is not None and wall_seconds > 0 and report is not None:
             slots = max(1, report.jobs)
             self.registry.gauge(
                 "repro_service_worker_utilization",
                 "Busy worker-seconds / available worker-seconds.",
-            ).set(min(1.0, busy / (wall_seconds * slots)))
+            ).set(now, min(1.0, busy / (wall_seconds * slots)))
             self.registry.gauge(
                 "repro_service_jobs_per_second",
                 "Jobs reaching done per wall second this pass.",
-            ).set(self._jobs_done / wall_seconds)
+            ).set(now, self._jobs_done / wall_seconds)
 
     def note_bottleneck(self, key: str, bottleneck: Dict[str, Any]) -> None:
         """Record one cell's winner bottleneck (the explain attribution).
@@ -413,7 +436,10 @@ class ServiceTelemetry:
         if self._bottleneck is not None:
             extra = dict(extra or {})
             extra.setdefault("bottleneck", self._bottleneck)
-        return self.registry.snapshot(extra=extra, final=final)
+        now = self._clock() if self.enabled else 0.0
+        return telemetry_snapshot(
+            self.registry, now, now - self.started_at, extra=extra, final=final
+        )
 
     def write_snapshot(
         self, extra: Optional[Dict[str, Any]] = None, final: bool = False

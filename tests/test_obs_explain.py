@@ -35,7 +35,7 @@ from repro.obs.explain import (
     validate_explain_report,
     why_line,
 )
-from repro.obs.probes import step_fraction_above, step_time_weighted_mean
+from repro.obs.probes import step_fraction_above
 from repro.obs.spans import last_finishing_leaf, leaf_tracks
 from repro.obs.store import CampaignStore
 from repro.sim.engine import TIME_EPSILON
@@ -451,8 +451,6 @@ def test_step_fraction_helpers():
     assert step_fraction_above(samples, 4.0, 1.0) == pytest.approx(0.25)
     assert step_fraction_above([], 4.0, 0.0) == 0.0
     assert step_fraction_above(samples, 0.0, 0.0) == 0.0
-    assert step_time_weighted_mean(samples, 4.0) == pytest.approx(1.0)
-    assert step_time_weighted_mean([], 4.0) == 0.0
 
 
 def test_span_track_helpers(observations):

@@ -101,20 +101,6 @@ class TestProbeRegistry:
         with pytest.raises(SimulationError):
             ProbeRegistry().counter("bytes", socket=[0])
 
-    def test_disabled_registry_returns_shared_nulls(self):
-        probes = ProbeRegistry(enabled=False)
-        counter = probes.counter("bytes")
-        counter.add(0.0, 1e9)
-        assert counter.total == 0.0
-        assert counter.samples == []
-        assert probes.instruments() == []
-        gauge = probes.gauge("depth")
-        gauge.set(0.0, 5.0)
-        assert gauge.samples == []
-        histogram = probes.histogram("rate")
-        histogram.observe(0.0, 1.0)
-        assert histogram.count == 0
-
     def test_instruments_sorted(self):
         probes = ProbeRegistry()
         probes.gauge("zeta")
@@ -135,13 +121,6 @@ class TestProbeRegistry:
         assert probes.counter_total("bytes", socket=0, direction="read") == 3.0
         assert probes.counter_total("missing") == 0.0
 
-    def test_find(self):
-        probes = ProbeRegistry()
-        wanted = probes.counter("bytes", socket=1)
-        probes.counter("bytes", socket=0)
-        assert probes.find("bytes", socket=1) is wanted
-        assert probes.find("nope") is None
-
     def test_as_records_roundtrip_shape(self):
         probes = ProbeRegistry()
         probes.counter("bytes").add(1.0, 2.0)
@@ -152,3 +131,30 @@ class TestProbeRegistry:
         assert records[0]["total"] == 2.0
         assert records[1]["peak"] == 3.0
         assert records[2]["count"] == 1
+
+
+def test_plain_run_builds_no_registry_and_attaches_no_hooks(monkeypatch):
+    """DESIGN §7b "zero overhead when disabled": an unobserved run never
+    builds a registry, and every emission site sees ``hooks is None``."""
+    from repro.apps.suite import build_workflow
+    from repro.core.configs import S_LOCW
+    from repro.workflow import runner
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a plain run built a ProbeRegistry")
+
+    monkeypatch.setattr(ProbeRegistry, "__init__", refuse)
+    executions = []
+    original_run = runner._WorkflowExecution.run
+
+    def run(self):
+        executions.append(self)
+        return original_run(self)
+
+    monkeypatch.setattr(runner._WorkflowExecution, "run", run)
+    result = runner.run_workflow(build_workflow("micro-2k", 8), S_LOCW)
+    assert result.makespan > 0
+    (execution,) = executions
+    assert execution.engine.hooks is None
+    assert execution.network.hooks is None
+    assert execution.channel.hooks is None

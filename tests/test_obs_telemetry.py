@@ -5,16 +5,15 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.export import validate_chrome_trace
+from repro.obs.export import service_chrome_trace, validate_chrome_trace
+from repro.obs.probes import LatencyHistogram, ProbeRegistry
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     SpanRecorder,
-    TelemetryRegistry,
-    WallHistogram,
     WallSpan,
     mint_trace_id,
     prometheus_exposition,
-    service_chrome_trace,
+    telemetry_snapshot,
     validate_exposition,
     validate_snapshot,
 )
@@ -48,39 +47,42 @@ def test_mint_trace_id_is_pure_and_distinct():
 # Instruments.
 # ----------------------------------------------------------------------
 def test_counter_monotonic_and_rejects_negative():
-    registry = TelemetryRegistry(clock=FakeClock())
+    registry = ProbeRegistry()
     counter = registry.counter("repro_test_total", "help text")
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
+    counter.add(1000.0)
+    counter.add(1001.0, 2.5)
+    assert counter.total == 3.5
+    assert counter.help_text == "help text"
     with pytest.raises(SimulationError):
-        counter.inc(-1.0)
+        counter.add(1002.0, -1.0)
     # Same (name, labels) -> the same instrument object.
     assert registry.counter("repro_test_total") is counter
     assert registry.counter("repro_test_total", state="done") is not counter
 
 
-def test_gauge_set_inc_dec():
-    registry = TelemetryRegistry(clock=FakeClock())
-    gauge = registry.gauge("repro_depth")
-    gauge.set(5)
-    gauge.inc(2)
-    gauge.dec()
-    assert gauge.value == 6.0
-
-
 def test_invalid_metric_and_label_names_rejected():
-    registry = TelemetryRegistry(clock=FakeClock())
+    registry = ProbeRegistry()
     with pytest.raises(SimulationError):
         registry.counter("bad name")
     with pytest.raises(SimulationError):
         registry.counter("repro_ok_total", **{"0bad": "x"})
+    with pytest.raises(SimulationError):
+        registry.histogram("bad-name", bounds=(1.0,))
+    # Dotted probe names are valid instrument names.
+    assert registry.counter("flow.recomputes").name == "flow.recomputes"
+
+
+def test_histogram_without_bounds_returns_existing_latency_histogram():
+    registry = ProbeRegistry()
+    latency = registry.histogram("repro_latency_seconds", bounds=(1.0, 2.0))
+    assert isinstance(latency, LatencyHistogram)
+    assert registry.histogram("repro_latency_seconds") is latency
 
 
 def test_histogram_quantile_interpolates_linearly():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0))
+    histogram = LatencyHistogram("repro_latency_seconds", bounds=(1.0, 2.0))
     for value in (0.5, 1.5, 1.5, 1.5):
-        histogram.observe(value)
+        histogram.observe(0.0, value)
     assert histogram.count == 4
     assert histogram.cumulative() == [
         (1.0, 1),
@@ -94,13 +96,14 @@ def test_histogram_quantile_interpolates_linearly():
 
 
 def test_histogram_empty_and_overflow():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0))
+    registry = ProbeRegistry()
+    histogram = registry.histogram("repro_latency_seconds", bounds=(1.0, 2.0))
     assert histogram.quantile(0.5) == 0.0
-    histogram.observe(50.0)  # lands in the +Inf overflow bucket
+    histogram.observe(0.0, 50.0)  # lands in the +Inf overflow bucket
     assert histogram.cumulative()[-1] == (float("inf"), 1)
     # The histogram cannot resolve past its largest finite bound.
     assert histogram.quantile(0.99) == 2.0
-    data = histogram.as_dict()
+    data = telemetry_snapshot(registry, 0.0, 0.0)["histograms"][0]
     assert data["count"] == 1
     assert data["buckets"][-1] == [2.0, 0]
     assert "p99" in data
@@ -108,22 +111,27 @@ def test_histogram_empty_and_overflow():
 
 def test_histogram_rejects_empty_and_duplicate_buckets():
     with pytest.raises(SimulationError):
-        WallHistogram("repro_x_seconds", buckets=())
+        LatencyHistogram("repro_x_seconds", bounds=())
     with pytest.raises(SimulationError):
-        WallHistogram("repro_x_seconds", buckets=(1.0, 1.0))
+        LatencyHistogram("repro_x_seconds", bounds=(1.0, 1.0))
 
 
 # ----------------------------------------------------------------------
 # Registry snapshots + the snapshot validator.
 # ----------------------------------------------------------------------
 def test_snapshot_shape_and_validation():
-    clock = FakeClock()
-    registry = TelemetryRegistry(clock=clock)
-    registry.counter("repro_jobs_total").inc(3)
-    registry.gauge("repro_depth").set(2)
-    registry.histogram("repro_wait_seconds", buckets=(0.1, 1.0)).observe(0.05)
-    clock.advance(7.0)
-    snapshot = registry.snapshot(extra={"round": 1}, final=True)
+    registry = ProbeRegistry()
+    registry.counter("repro_jobs_total").add(1000.0, 3)
+    registry.gauge("repro_depth").set(1000.0, 2)
+    registry.histogram("repro_wait_seconds", bounds=(0.1, 1.0)).observe(
+        1000.0, 0.05
+    )
+    snapshot = telemetry_snapshot(
+        registry, 1007.0, 7.0, extra={"round": 1}, final=True
+    )
+    assert [entry["value"] for entry in snapshot["counters"]] == [3.0]
+    assert [entry["value"] for entry in snapshot["gauges"]] == [2.0]
+    assert snapshot["histograms"][0]["count"] == 1
     assert snapshot["record"] == "telemetry_snapshot"
     assert snapshot["schema_version"] == TELEMETRY_SCHEMA_VERSION
     assert snapshot["uptime_seconds"] == pytest.approx(7.0)
@@ -135,9 +143,9 @@ def test_snapshot_shape_and_validation():
 
 
 def test_validate_snapshot_catches_tampering():
-    registry = TelemetryRegistry(clock=FakeClock())
-    registry.histogram("repro_wait_seconds", buckets=(0.1, 1.0)).observe(0.5)
-    snapshot = registry.snapshot()
+    registry = ProbeRegistry()
+    registry.histogram("repro_wait_seconds", bounds=(0.1, 1.0)).observe(0.0, 0.5)
+    snapshot = telemetry_snapshot(registry, 0.0, 0.0)
     snapshot["histograms"][0]["buckets"] = [[1.0, 2], [0.1, 1]]
     assert any(
         "not increasing" in problem for problem in validate_snapshot(snapshot)
@@ -146,32 +154,20 @@ def test_validate_snapshot_catches_tampering():
     assert validate_snapshot([]) == ["snapshot: not a JSON object"]
 
 
-def test_disabled_registry_is_inert():
-    registry = TelemetryRegistry(enabled=False)
-    counter = registry.counter("repro_jobs_total")
-    counter.inc(5)
-    assert counter.value == 0.0
-    assert registry.instruments() == []
-    snapshot = registry.snapshot()
-    assert snapshot["counters"] == []
-    assert snapshot["at"] == 0.0
-    assert validate_snapshot(snapshot) == []
-
-
 # ----------------------------------------------------------------------
 # Prometheus exposition + its validator.
 # ----------------------------------------------------------------------
 def test_exposition_round_trip_validates():
-    registry = TelemetryRegistry(clock=FakeClock())
-    registry.counter("repro_jobs_total", "Jobs.", state="done").inc(2)
-    registry.counter("repro_jobs_total", "Jobs.", state="failed").inc()
-    registry.gauge("repro_depth", "Depth.").set(4)
+    registry = ProbeRegistry()
+    registry.counter("repro_jobs_total", "Jobs.", state="done").add(0.0, 2)
+    registry.counter("repro_jobs_total", "Jobs.", state="failed").add(0.0)
+    registry.gauge("repro_depth", "Depth.").set(0.0, 4)
     histogram = registry.histogram(
-        "repro_wait_seconds", "Waits.", buckets=(0.1, 1.0)
+        "repro_wait_seconds", "Waits.", bounds=(0.1, 1.0)
     )
-    histogram.observe(0.05)
-    histogram.observe(5.0)
-    text = prometheus_exposition(registry.snapshot())
+    histogram.observe(0.0, 0.05)
+    histogram.observe(0.0, 5.0)
+    text = prometheus_exposition(telemetry_snapshot(registry, 0.0, 0.0))
     assert validate_exposition(text) == []
     lines = text.splitlines()
     assert "# TYPE repro_jobs_total counter" in lines
@@ -243,16 +239,6 @@ def test_span_record_round_trip_and_cross_process_stitch():
     assert stitched.os_pid == 99
     assert stitched.attrs == {"run_id": "r1"}
     assert WallSpan.from_record(stitched.as_record()) == stitched
-
-
-def test_disabled_recorder_swallows_everything():
-    recorder = SpanRecorder(enabled=False)
-    assert recorder.mark("t", "x") is None
-    with recorder.span("t", "y") as attrs:
-        attrs["ignored"] = True
-    recorder.extend([{"trace_id": "t", "span_id": "s", "name": "z",
-                      "start": 0.0, "end": 1.0}])
-    assert recorder.spans == []
 
 
 # ----------------------------------------------------------------------
@@ -364,10 +350,10 @@ def test_service_chrome_trace_empty():
 # Quantile edge cases: bucket boundaries, empty, single-sample.
 # ----------------------------------------------------------------------
 def test_histogram_quantile_at_exact_bucket_boundary():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0, 4.0))
+    histogram = LatencyHistogram("repro_latency_seconds", bounds=(1.0, 2.0, 4.0))
     # An observation equal to a bound lands in that bucket (le semantics).
     for value in (1.0, 2.0, 4.0, 4.0):
-        histogram.observe(value)
+        histogram.observe(0.0, value)
     assert histogram.cumulative() == [
         (1.0, 1),
         (2.0, 2),
@@ -384,17 +370,18 @@ def test_histogram_quantile_at_exact_bucket_boundary():
 
 
 def test_histogram_quantile_empty_is_zero_for_all_q():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0,))
+    registry = ProbeRegistry()
+    histogram = registry.histogram("repro_latency_seconds", bounds=(1.0,))
     for q in (0.0, 0.5, 0.95, 1.0):
         assert histogram.quantile(q) == 0.0
-    data = histogram.as_dict()
+    data = telemetry_snapshot(registry, 0.0, 0.0)["histograms"][0]
     assert data["count"] == 0
     assert data["p99"] == 0.0
 
 
 def test_histogram_quantile_single_sample():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0))
-    histogram.observe(1.5)
+    histogram = LatencyHistogram("repro_latency_seconds", bounds=(1.0, 2.0))
+    histogram.observe(0.0, 1.5)
     # One sample in (1.0, 2.0]: q=0 collapses to the empty first bucket's
     # bound (the occupied bucket's lower edge), q in between interpolates
     # linearly, and q=1 reaches the upper bound.
@@ -404,16 +391,16 @@ def test_histogram_quantile_single_sample():
 
 
 def test_histogram_quantile_single_sample_first_bucket():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0))
-    histogram.observe(0.25)
+    histogram = LatencyHistogram("repro_latency_seconds", bounds=(1.0, 2.0))
+    histogram.observe(0.0, 0.25)
     # The first bucket interpolates from an implicit lower bound of 0.
     assert histogram.quantile(0.5) == pytest.approx(0.5)
     assert histogram.quantile(1.0) == pytest.approx(1.0)
 
 
 def test_histogram_quantile_zero_q_returns_lower_edge():
-    histogram = WallHistogram("repro_latency_seconds", buckets=(1.0, 2.0))
+    histogram = LatencyHistogram("repro_latency_seconds", bounds=(1.0, 2.0))
     for value in (1.5, 1.6):
-        histogram.observe(value)
+        histogram.observe(0.0, value)
     # q=0 targets rank 0: the first non-empty bucket's lower edge.
     assert histogram.quantile(0.0) == pytest.approx(1.0)

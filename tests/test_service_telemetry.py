@@ -2,6 +2,7 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs.telemetry import (
     validate_exposition,
     validate_snapshot,
 )
+from repro.service.pool import TaskOutcome
 from repro.service.queue import JobQueue
 from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
 from repro.service.telemetry import (
@@ -41,9 +43,9 @@ def test_run_produces_metrics_spans_and_snapshots(tmp_path):
     submitted = telemetry.registry.counter(
         "repro_service_jobs_submitted_total"
     )
-    assert submitted.value == 2
+    assert submitted.total == 2
     misses = telemetry.registry.counter("repro_service_cache_misses_total")
-    assert misses.value == 2
+    assert misses.total == 2
     latency = telemetry.registry.histogram(LATENCY_METRIC)
     assert latency.count == 2
     assert latency.quantile(0.99) >= latency.quantile(0.5) >= 0.0
@@ -142,7 +144,7 @@ def test_cache_hits_traced_on_second_pass(tmp_path):
     report = scheduler.run()
     assert report.cache_hits == 2
     hits = telemetry.registry.counter("repro_service_cache_hits_total")
-    assert hits.value == 2
+    assert hits.total == 2
     span_names = {span.name for span in telemetry.recorder.spans}
     assert "cache-hit" in span_names
     assert "simulate" not in span_names
@@ -241,14 +243,241 @@ def test_disabled_telemetry_hooks_are_inert(tmp_path):
     assert telemetry.worker_dispatch(job) is None
     # The dispatch payload therefore never grows a _telemetry key, so
     # worker inputs are byte-identical too.
+    telemetry.job_submitted(job)
+    telemetry.job_transition(job, "running", None)
+    telemetry.job_transition(job, "done", {"cache": "hit"})
+    telemetry.task_started(job.job_id)
+    telemetry.task_settled(TaskOutcome(job.job_id, "done", wall_seconds=1.0))
+    telemetry.pool_rebuilt("crash")
+    telemetry.schedule_decided(job, 0, 1.0)
+    telemetry.stale_requeued(2)
+    telemetry.deadline_expired(job)
     telemetry.cache_hit(job, "abc")
+    telemetry.cache_miss(job)
+    telemetry.cache_stored(job, "abc")
     telemetry.retry_scheduled(job, "error")
+    telemetry.backoff(0.5, 1)
+    telemetry.round_finished()
+    telemetry.update_levels(
+        counts={"queued": 1},
+        report=SimpleNamespace(cache_hit_rate=1.0, jobs=1),
+        wall_seconds=1.0,
+    )
+    telemetry.note_bottleneck("micro-2k@8", {"fraction": 0.9})
+    telemetry.absorb_worker_records(
+        job, {"wall_spans": [], "sim_runs": [{"run_id": "r"}]}
+    )
+    assert telemetry.write_snapshot(final=True) is None
+    assert telemetry.registry.instruments() == []
     assert telemetry.recorder.spans == []
+    assert not os.path.exists(os.path.join(root, TELEMETRY_FILENAME))
 
 
 def test_default_scheduler_has_disabled_telemetry(tmp_path):
     scheduler = ServiceScheduler(root=str(tmp_path / "svc"))
     assert scheduler.telemetry.enabled is False
+
+
+# ----------------------------------------------------------------------
+# The wall formats, pinned byte for byte.
+# ----------------------------------------------------------------------
+class FakeClock:
+    """A controllable wall clock so the pinned formats are deterministic."""
+
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+def _drive_synthetic_jobs(root):
+    """Three jobs on a fake clock: a cache miss, a cache hit, a retry."""
+    clock = FakeClock()
+    telemetry = ServiceTelemetry(root, clock=clock)
+
+    def job(job_id):
+        return SimpleNamespace(
+            job_id=job_id, submitted_at=1000.0, state_at=1000.0, attempts=0,
+            payload={"family": "micro-2k", "ranks": 8},
+        )
+
+    def move(job, state, at, detail=None):
+        job.state_at = at
+        telemetry.job_transition(job, state, detail)
+
+    def attempt(job, status, wall_seconds):
+        telemetry.task_started(job.job_id)
+        telemetry.task_settled(
+            TaskOutcome(job.job_id, status, wall_seconds=wall_seconds)
+        )
+
+    miss, hit, retried = job("job-a"), job("job-b"), job("job-c")
+    for each in (miss, hit, retried):
+        telemetry.job_submitted(each)
+    telemetry.cache_hit(hit, "cell-b")
+    move(hit, "done", 1000.25, {"cache": "hit"})
+    for each in (miss, retried):
+        telemetry.cache_miss(each)
+    move(miss, "running", 1000.5)
+    attempt(miss, "done", 2.0)
+    telemetry.cache_stored(miss, "cell-a")
+    move(miss, "done", 1003.0, {"cache": "stored"})
+    move(retried, "running", 1001.0)
+    retried.attempts = 1
+    attempt(retried, "error", 0.5)
+    telemetry.retry_scheduled(retried, "error")
+    move(retried, "queued", 1001.5)
+    move(retried, "running", 1002.0)
+    attempt(retried, "done", 1.0)
+    move(retried, "done", 1003.5, {"cache": "stored"})
+    telemetry.round_finished()
+    telemetry.update_levels(
+        counts={"done": 3},
+        report=SimpleNamespace(cache_hit_rate=0.5, jobs=1),
+        wall_seconds=4.0,
+    )
+    clock.now = 1004.0
+    return telemetry
+
+
+EXPECTED_SNAPSHOT = """\
+{"at": 1004.0, "final": true, "record": "telemetry_snapshot", "schema_version": 1, "uptime_seconds": 4.0}
+{"help": "Cell jobs served straight from the result cache.", "labels": {}, "name": "repro_service_cache_hits_total", "value": 1.0}
+{"help": "Cell jobs whose content id was not cached.", "labels": {}, "name": "repro_service_cache_misses_total", "value": 2.0}
+{"help": "Fresh cell results written into the cache.", "labels": {}, "name": "repro_service_cache_stores_total", "value": 1.0}
+{"help": "Jobs appended to the queue by this process.", "labels": {}, "name": "repro_service_jobs_submitted_total", "value": 3.0}
+{"help": "Failed attempts sent back to the queue for another try.", "labels": {}, "name": "repro_service_retries_total", "value": 1.0}
+{"help": "Worker-pool dispatch rounds completed.", "labels": {}, "name": "repro_service_rounds_total", "value": 1.0}
+{"help": "Task outcomes, by status.", "labels": {"status": "done"}, "name": "repro_service_tasks_settled_total", "value": 2.0}
+{"help": "Task outcomes, by status.", "labels": {"status": "error"}, "name": "repro_service_tasks_settled_total", "value": 1.0}
+{"help": "Tasks handed to a worker (inline or pooled).", "labels": {}, "name": "repro_service_tasks_started_total", "value": 3.0}
+{"help": "Queue state transitions, by target state.", "labels": {"state": "done"}, "name": "repro_service_transitions_total", "value": 3.0}
+{"help": "Queue state transitions, by target state.", "labels": {"state": "queued"}, "name": "repro_service_transitions_total", "value": 1.0}
+{"help": "Queue state transitions, by target state.", "labels": {"state": "running"}, "name": "repro_service_transitions_total", "value": 3.0}
+{"help": "Wall seconds workers spent on settled tasks.", "labels": {}, "name": "repro_service_worker_busy_seconds_total", "value": 3.5}
+{"help": "Cache hits / lookups for the current pass.", "labels": {}, "name": "repro_service_cache_hit_rate", "value": 0.5}
+{"help": "Jobs by lifecycle state (replayed from the log).", "labels": {"state": "done"}, "name": "repro_service_jobs", "value": 3.0}
+{"help": "Jobs reaching done per wall second this pass.", "labels": {}, "name": "repro_service_jobs_per_second", "value": 0.75}
+{"help": "Jobs currently in the queued state.", "labels": {}, "name": "repro_service_queue_depth", "value": 0.0}
+{"help": "Busy worker-seconds / available worker-seconds.", "labels": {}, "name": "repro_service_worker_utilization", "value": 0.875}
+{"buckets": [[0.001, 0], [0.0025, 0], [0.005, 0], [0.01, 0], [0.025, 0], [0.05, 0], [0.1, 0], [0.25, 0], [0.5, 2], [1.0, 3], [2.5, 3], [5.0, 3], [10.0, 3], [30.0, 3], [60.0, 3], [120.0, 3], [300.0, 3]], "count": 3, "help": "Seconds jobs spent queued before being claimed.", "labels": {}, "name": "repro_service_queue_wait_seconds", "p50": 0.4375, "p95": 0.9249999999999998, "p99": 0.9849999999999999, "sum": 2.0}
+{"buckets": [[0.001, 0], [0.0025, 0], [0.005, 0], [0.01, 0], [0.025, 0], [0.05, 0], [0.1, 0], [0.25, 1], [0.5, 1], [1.0, 1], [2.5, 1], [5.0, 3], [10.0, 3], [30.0, 3], [60.0, 3], [120.0, 3], [300.0, 3]], "count": 3, "help": "Seconds from job submission to its terminal result.", "labels": {}, "name": "repro_service_submit_result_latency_seconds", "p50": 3.125, "p95": 4.8125, "p99": 4.9624999999999995, "sum": 6.75}
+"""
+
+EXPECTED_EXPOSITION = """\
+# HELP repro_service_cache_hits_total Cell jobs served straight from the result cache.
+# TYPE repro_service_cache_hits_total counter
+repro_service_cache_hits_total 1
+# HELP repro_service_cache_misses_total Cell jobs whose content id was not cached.
+# TYPE repro_service_cache_misses_total counter
+repro_service_cache_misses_total 2
+# HELP repro_service_cache_stores_total Fresh cell results written into the cache.
+# TYPE repro_service_cache_stores_total counter
+repro_service_cache_stores_total 1
+# HELP repro_service_jobs_submitted_total Jobs appended to the queue by this process.
+# TYPE repro_service_jobs_submitted_total counter
+repro_service_jobs_submitted_total 3
+# HELP repro_service_retries_total Failed attempts sent back to the queue for another try.
+# TYPE repro_service_retries_total counter
+repro_service_retries_total 1
+# HELP repro_service_rounds_total Worker-pool dispatch rounds completed.
+# TYPE repro_service_rounds_total counter
+repro_service_rounds_total 1
+# HELP repro_service_tasks_settled_total Task outcomes, by status.
+# TYPE repro_service_tasks_settled_total counter
+repro_service_tasks_settled_total{status="done"} 2
+repro_service_tasks_settled_total{status="error"} 1
+# HELP repro_service_tasks_started_total Tasks handed to a worker (inline or pooled).
+# TYPE repro_service_tasks_started_total counter
+repro_service_tasks_started_total 3
+# HELP repro_service_transitions_total Queue state transitions, by target state.
+# TYPE repro_service_transitions_total counter
+repro_service_transitions_total{state="done"} 3
+repro_service_transitions_total{state="queued"} 1
+repro_service_transitions_total{state="running"} 3
+# HELP repro_service_worker_busy_seconds_total Wall seconds workers spent on settled tasks.
+# TYPE repro_service_worker_busy_seconds_total counter
+repro_service_worker_busy_seconds_total 3.5
+# HELP repro_service_cache_hit_rate Cache hits / lookups for the current pass.
+# TYPE repro_service_cache_hit_rate gauge
+repro_service_cache_hit_rate 0.5
+# HELP repro_service_jobs Jobs by lifecycle state (replayed from the log).
+# TYPE repro_service_jobs gauge
+repro_service_jobs{state="done"} 3
+# HELP repro_service_jobs_per_second Jobs reaching done per wall second this pass.
+# TYPE repro_service_jobs_per_second gauge
+repro_service_jobs_per_second 0.75
+# HELP repro_service_queue_depth Jobs currently in the queued state.
+# TYPE repro_service_queue_depth gauge
+repro_service_queue_depth 0
+# HELP repro_service_worker_utilization Busy worker-seconds / available worker-seconds.
+# TYPE repro_service_worker_utilization gauge
+repro_service_worker_utilization 0.875
+# HELP repro_service_queue_wait_seconds Seconds jobs spent queued before being claimed.
+# TYPE repro_service_queue_wait_seconds histogram
+repro_service_queue_wait_seconds_bucket{le="0.001"} 0
+repro_service_queue_wait_seconds_bucket{le="0.0025"} 0
+repro_service_queue_wait_seconds_bucket{le="0.005"} 0
+repro_service_queue_wait_seconds_bucket{le="0.01"} 0
+repro_service_queue_wait_seconds_bucket{le="0.025"} 0
+repro_service_queue_wait_seconds_bucket{le="0.05"} 0
+repro_service_queue_wait_seconds_bucket{le="0.1"} 0
+repro_service_queue_wait_seconds_bucket{le="0.25"} 0
+repro_service_queue_wait_seconds_bucket{le="0.5"} 2
+repro_service_queue_wait_seconds_bucket{le="1"} 3
+repro_service_queue_wait_seconds_bucket{le="2.5"} 3
+repro_service_queue_wait_seconds_bucket{le="5"} 3
+repro_service_queue_wait_seconds_bucket{le="10"} 3
+repro_service_queue_wait_seconds_bucket{le="30"} 3
+repro_service_queue_wait_seconds_bucket{le="60"} 3
+repro_service_queue_wait_seconds_bucket{le="120"} 3
+repro_service_queue_wait_seconds_bucket{le="300"} 3
+repro_service_queue_wait_seconds_bucket{le="+Inf"} 3
+repro_service_queue_wait_seconds_sum 2
+repro_service_queue_wait_seconds_count 3
+# HELP repro_service_submit_result_latency_seconds Seconds from job submission to its terminal result.
+# TYPE repro_service_submit_result_latency_seconds histogram
+repro_service_submit_result_latency_seconds_bucket{le="0.001"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.0025"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.005"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.01"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.025"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.05"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.1"} 0
+repro_service_submit_result_latency_seconds_bucket{le="0.25"} 1
+repro_service_submit_result_latency_seconds_bucket{le="0.5"} 1
+repro_service_submit_result_latency_seconds_bucket{le="1"} 1
+repro_service_submit_result_latency_seconds_bucket{le="2.5"} 1
+repro_service_submit_result_latency_seconds_bucket{le="5"} 3
+repro_service_submit_result_latency_seconds_bucket{le="10"} 3
+repro_service_submit_result_latency_seconds_bucket{le="30"} 3
+repro_service_submit_result_latency_seconds_bucket{le="60"} 3
+repro_service_submit_result_latency_seconds_bucket{le="120"} 3
+repro_service_submit_result_latency_seconds_bucket{le="300"} 3
+repro_service_submit_result_latency_seconds_bucket{le="+Inf"} 3
+repro_service_submit_result_latency_seconds_sum 6.75
+repro_service_submit_result_latency_seconds_count 3
+"""
+
+
+def _snapshot_lines(snapshot):
+    """The snapshot as JSON lines: the header, then one line per entry."""
+    sections = ("counters", "gauges", "histograms")
+    header = {k: v for k, v in snapshot.items() if k not in sections}
+    lines = [json.dumps(header, sort_keys=True)]
+    for section in sections:
+        lines += [json.dumps(entry, sort_keys=True) for entry in snapshot[section]]
+    return "\n".join(lines) + "\n"
+
+
+def test_wall_formats_are_pinned(tmp_path):
+    telemetry = _drive_synthetic_jobs(str(tmp_path / "svc"))
+    snapshot = telemetry.snapshot(final=True)
+    assert _snapshot_lines(snapshot) == EXPECTED_SNAPSHOT
+    assert telemetry.exposition() == EXPECTED_EXPOSITION
+    assert validate_snapshot(snapshot) == []
+    assert validate_exposition(EXPECTED_EXPOSITION) == []
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +511,7 @@ def test_worker_utilization_and_rate_gauges(tmp_path):
         # No unexpected unlabelled gauge families beyond the known set.
         next(
             g for g in telemetry.registry.instruments()
-            if g.kind == "gauge" and not g.labels and g.name not in (
+            if g.kind == "gauge" and not g.attrs and g.name not in (
                 "repro_service_cache_hit_rate",
                 "repro_service_jobs_per_second",
                 "repro_service_queue_depth",
