@@ -98,22 +98,33 @@ class NetworkHooks:
         for name, gauge in self._model.items():
             if name not in seen:
                 gauge.set(now, 0.0)
+        # One pass over the flows; per-resource sums stay in flow order.
+        # share() runs once per (resource, projection) group: the share
+        # contract makes it identical across the group.  It runs after
+        # observe(), so the model rate reads the just-updated device state.
+        achieved = dict.fromkeys(loads, 0.0)
+        model = dict.fromkeys(loads, 0.0)
+        shares: Dict[Tuple["CapacityResource", object], float] = {}
+        for flow in flows:
+            rate = flow.rate
+            for resource in flow.resources:
+                achieved[resource] += rate
+                key = (resource, resource.share_projector(flow))
+                share = shares.get(key)
+                if share is None:
+                    share = resource.share(loads[resource], flow)
+                    shares[key] = share
+                model[resource] += share
         for resource, load in sorted(loads.items(), key=lambda kv: kv[0].name):
-            achieved = 0.0
-            model = 0.0
-            for flow in flows:
-                if resource in flow.resources:
-                    achieved += flow.rate
-                    model += resource.share(load, flow)
             self._resource_gauge(
                 self._occupancy, "resource.occupancy", resource.name
             ).set(now, load.n_total)
             self._resource_gauge(
                 self._achieved, "resource.rate_achieved", resource.name
-            ).set(now, achieved)
+            ).set(now, achieved[resource])
             self._resource_gauge(
                 self._model, "resource.rate_model", resource.name
-            ).set(now, model)
+            ).set(now, model[resource])
 
     def on_solve(self, now: float, iterations: int) -> None:
         """Called after every rate solve with the fixed-point iteration count.

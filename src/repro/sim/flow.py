@@ -50,6 +50,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -162,6 +163,14 @@ class ResourceLoad:
 
 CapacityFn = Callable[[ResourceLoad], float]
 
+#: Per-flow fields :meth:`CapacityResource.share` may read (its contract).
+_SHARE_FIELDS = ("kind", "remote", "self_cap", "op_bytes", "issue_weight")
+
+
+def _unprojected(flow: "Flow") -> tuple:
+    """Share projector of resources whose ``share()`` reads no flow field."""
+    return ()
+
 
 class CapacityResource:
     """A shared resource whose capacity depends on the current load mix.
@@ -200,6 +209,27 @@ class CapacityResource:
     #: Resources that do not override :meth:`share` are grouped on the load
     #: alone (the default policy reads no per-flow field).
     share_signature_fields: Optional[Tuple[str, ...]] = None
+
+    #: ``share_projector(flow)``: the part of *flow* this resource type's
+    #: :meth:`share` reads, per :attr:`share_signature_fields`.  Flows with
+    #: equal projections get bit-identical shares from one load, so one
+    #: ``share()`` call stands for all of them.  Set once per subclass by
+    #: :meth:`__init_subclass__`.
+    share_projector: Callable[["Flow"], object] = staticmethod(_unprojected)
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.share is CapacityResource.share:
+            fields: Tuple[str, ...] = ()
+        elif cls.share_signature_fields is None:
+            # Undeclared override: assume it reads the full signature
+            # (duty excepted — the contract has never allowed it).
+            fields = _SHARE_FIELDS
+        else:
+            fields = cls.share_signature_fields
+        cls.share_projector = (
+            attrgetter(*fields) if fields else staticmethod(_unprojected)
+        )
 
     def __init__(
         self,
@@ -302,6 +332,11 @@ class Flow:
     rate dicts on flow objects, and two transfers with equal fields are
     still two transfers.
 
+    ``kind``, ``remote``, ``resources``, ``self_cap``, ``op_bytes`` and
+    ``issue_weight`` are fixed at construction: :attr:`shape` captures
+    them once for the solver, so reassigning one afterwards is an error
+    the solver cannot see.
+
     Parameters
     ----------
     nbytes:
@@ -345,6 +380,10 @@ class Flow:
     #: ``log(max(op_bytes, 1))``, precomputed — the solver needs it for the
     #: geometric-mean accumulation on every class build.
     log_op: float = field(init=False, default=0.0, repr=False)
+    #: ``(kind, remote, resources, self_cap, op_bytes, issue_weight)``:
+    #: every solver input but ``duty``, built once — flows of equal shape
+    #: and duty are one solver class, and the memo keys on shapes.
+    shape: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("read", "write"):
@@ -357,6 +396,14 @@ class Flow:
             self.op_bytes = max(self.nbytes, 1.0)
         self.remaining = float(self.nbytes)
         self.log_op = math.log(max(self.op_bytes, 1.0))
+        self.shape = (
+            self.kind,
+            self.remote,
+            self.resources,
+            self.self_cap,
+            self.op_bytes,
+            self.issue_weight,
+        )
         self.done = SimEvent(name=f"flow:{self.label}.done")
 
 
@@ -420,10 +467,9 @@ class SolveResult:
 class _FlowClass:
     """One solver equivalence class: flows indistinguishable to the fixed point.
 
-    All solver-relevant inputs (kind, remote, path, caps, op size, issue
-    weight, starting duty) are identical across members, so their rate and
-    duty trajectories through the fixed point are identical too — the class
-    carries one copy of that trajectory for all of them.
+    Members share one :attr:`Flow.shape` and starting duty, so their rate
+    and duty trajectories through the fixed point are identical too — the
+    class carries one copy of that trajectory for all of them.
     """
 
     __slots__ = (
@@ -436,7 +482,7 @@ class _FlowClass:
         "issue_weight",
         "duty",
         "rate",
-        "index",
+        "members",
         "groups",
         "pairs",
         "weight",
@@ -444,7 +490,7 @@ class _FlowClass:
         "congestion_term",
     )
 
-    def __init__(self, flow: Flow, index: int) -> None:
+    def __init__(self, flow: Flow) -> None:
         self.rep = flow
         self.kind = flow.kind
         self.remote = flow.remote
@@ -454,7 +500,7 @@ class _FlowClass:
         self.issue_weight = flow.issue_weight
         self.duty = flow.duty
         self.rate = 0.0
-        self.index = index
+        self.members = 0
         self.groups: Tuple["_ShareGroup", ...] = ()
         #: ``(load, resource_index)`` pairs for the accumulation loop.
         self.pairs: Tuple[Tuple[ResourceLoad, int], ...] = ()
@@ -473,13 +519,6 @@ def _state_token(resource: CapacityResource) -> object:
         # worst and bypass the memo for any set that touches it.
         return None
     return ()
-
-
-def _share_fields_of(rtype: type) -> Optional[Tuple[str, ...]]:
-    """Signature fields ``rtype.share`` may read (``None`` = all of them)."""
-    if rtype.share is CapacityResource.share:
-        return ()
-    return rtype.share_signature_fields
 
 
 def resource_share_token(
@@ -506,7 +545,7 @@ def resource_share_token(
 
 class _ShareGroup:
     """One ``share()`` evaluation standing for every class that projects to
-    the same (resource, declared-signature-fields) key.
+    the same (resource, :attr:`CapacityResource.share_projector`) key.
 
     The share contract forbids :meth:`CapacityResource.share` from reading
     anything outside the declared fields, so every member class receives
@@ -515,61 +554,31 @@ class _ShareGroup:
     start cascades, where a dozen classes share one projection).
     """
 
-    __slots__ = ("resource", "load", "rep", "gindex", "share")
+    __slots__ = ("resource", "load", "rep", "share")
 
-    def __init__(
-        self,
-        resource: CapacityResource,
-        load: ResourceLoad,
-        rep: Flow,
-        gindex: int,
-    ) -> None:
+    def __init__(self, resource: CapacityResource, load: ResourceLoad, rep: Flow) -> None:
         self.resource = resource
         self.load = load
         self.rep = rep
-        self.gindex = gindex
         self.share = math.inf
 
 
-def _build_classes(flows: Sequence[Flow]):
-    """Group *flows* into solver equivalence classes.
+def _build_classes(flows: Sequence[Flow], shapes: tuple, duties: tuple):
+    """Group *flows* into solver classes keyed on ``(shape, duty)``.
 
-    Returns ``(classes, order, resources, combos)``: the sig-keyed class
-    map, the per-flow class list (flow order), resources in first-appearance
-    order, and each resource's present ``(kind, remote)`` combinations.
+    Returns ``(class_list, order)``: the classes in first-appearance order
+    and the per-flow class list (flow order).
     """
-    classes: "OrderedDict[tuple, _FlowClass]" = OrderedDict()
+    classes: Dict[tuple, _FlowClass] = {}
     order: List[_FlowClass] = []
-    resources: List[CapacityResource] = []
-    combos: Dict[CapacityResource, set] = {}
-    for f in flows:
-        sig = (
-            f.kind,
-            f.remote,
-            f.resources,
-            f.self_cap,
-            f.op_bytes,
-            f.issue_weight,
-            f.duty,
-        )
+    for f, sig in zip(flows, zip(shapes, duties)):
         cls = classes.get(sig)
         if cls is None:
-            cls = _FlowClass(f, len(classes))
+            cls = _FlowClass(f)
             classes[sig] = cls
-            combo = (f.kind, f.remote)
-            for r in f.resources:
-                # Same class => same path, so first-appearance resource
-                # order (which fixes loads-dict iteration order downstream)
-                # matches the reference's flow-major insertion order.
-                if r not in resources:
-                    resources.append(r)
-                seen = combos.get(r)
-                if seen is None:
-                    seen = set()
-                    combos[r] = seen
-                seen.add(combo)
+        cls.members += 1
         order.append(cls)
-    return classes, order, resources, combos
+    return list(classes.values()), order
 
 
 def _build_groups(
@@ -578,86 +587,34 @@ def _build_groups(
 ) -> List[_ShareGroup]:
     """Attach share groups to each class; returns groups in creation order."""
     groups: Dict[tuple, _ShareGroup] = {}
-    group_list: List[_ShareGroup] = []
     for cls in class_list:
         rep = cls.rep
         slots = []
         for r in cls.resources:
-            fields = _share_fields_of(type(r))
-            if fields is None:
-                # Undeclared override: assume it reads the full signature
-                # (duty excepted — the contract has never allowed it).
-                proj: tuple = (
-                    cls.kind,
-                    cls.remote,
-                    cls.self_cap,
-                    rep.op_bytes,
-                    cls.issue_weight,
-                )
-            elif fields:
-                proj = tuple(getattr(rep, name) for name in fields)
-            else:
-                proj = ()
-            gkey = (r, proj)
+            gkey = (r, r.share_projector(rep))
             group = groups.get(gkey)
             if group is None:
-                group = _ShareGroup(r, loads[r], rep, len(group_list))
+                group = _ShareGroup(r, loads[r], rep)
                 groups[gkey] = group
-                group_list.append(group)
             slots.append(group)
         cls.groups = tuple(slots)
-    return group_list
+    return list(groups.values())
 
 
-def _memo_probe(memo, flows, classes, order, resources, combos):
-    """Look up a converged-state memo entry; returns ``(key, hit_or_None)``.
+def _memo_key(shapes: tuple, duties: tuple, combos: Dict[CapacityResource, set]):
+    """Converged-state memo key, or ``None`` when a path resource is opaque.
 
-    ``key`` is ``None`` when any path resource is opaque (memo bypass).  On
-    a hit the stored per-class rates/duties are replayed onto *flows* and a
-    complete :class:`SolveResult` is returned.
+    The per-flow ``(shape, duty)`` sequence fixes the class partition, the
+    class signatures and the flow-order summation, so with each resource's
+    share-state token it determines the whole solve.
     """
     tokens = []
-    for r in resources:
-        token = resource_share_token(r, combos[r])
+    for r, seen in combos.items():
+        token = resource_share_token(r, seen)
         if token is None:
-            return None, None
+            return None
         tokens.append(token)
-    key = (
-        tuple(cls.index for cls in order),
-        tuple(classes),
-        tuple(tokens),
-    )
-    entry = memo.get(key)
-    if entry is None:
-        return key, None
-    memo.move_to_end(key)
-    class_rates, class_duties, iterations, loads, converged = entry
-    rates = {}
-    for f, cls in zip(flows, order):
-        f.duty = class_duties[cls.index]
-        rates[f] = class_rates[cls.index]
-    return key, SolveResult(
-        rates,
-        iterations,
-        loads,
-        classes=len(classes),
-        memo_hit=True,
-        memo_attempted=True,
-        converged=converged,
-    )
-
-
-def _memo_store(memo, key, class_list, iterations, loads, converged) -> None:
-    """Record a finished solve under *key* (bounded LRU)."""
-    memo[key] = (
-        tuple(cls.rate for cls in class_list),
-        tuple(cls.duty for cls in class_list),
-        iterations,
-        loads,
-        converged,
-    )
-    if len(memo) > MEMO_CAPACITY:
-        memo.popitem(last=False)
+    return (shapes, duties, tuple(tokens))
 
 
 def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
@@ -712,6 +669,10 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
     return SolveResult(rates, iterations, loads, converged=converged)
 
 
+_shape_of = attrgetter("shape")
+_duty_of = attrgetter("duty")
+
+
 def _solve_classes(
     flows: Sequence[Flow], memo: Optional["OrderedDict"] = None
 ) -> SolveResult:
@@ -719,7 +680,7 @@ def _solve_classes(
     # DUTY_ITERATIONS × recomputes; load objects are reset in place.
     """Equivalence-class duty-cycle fixed point with converged-state memo.
 
-    Byte-identity with :func:`_solve_reference` rests on two facts:
+    Byte-identity with :func:`_solve_reference` rests on three facts:
 
     * per-class work (``share()`` calls, rate/duty updates) uses exactly the
       arithmetic the reference applies to each member — identical operands
@@ -730,20 +691,50 @@ def _solve_classes(
     * ``share()`` is evaluated once per *share group* (resource × declared
       signature projection) per iteration — identical operands stand for
       every member class (see :class:`_ShareGroup`).
+
+    The memo key is the per-flow :attr:`Flow.shape` and duty sequences plus
+    each resource's share-state token; a hit replays per-flow rates and
+    duties without building a class.
     """
-    classes, order, resources, combos = _build_classes(flows)
-    class_list = list(classes.values())
+    shapes = tuple(map(_shape_of, flows))
+    duties = tuple(map(_duty_of, flows))
+    # Path resources in first-appearance order (it fixes loads-dict order,
+    # matching the reference's flow-major insertion order), each with the
+    # (kind, remote) combinations present on it.
+    combos: Dict[CapacityResource, set] = {}
+    for shape in dict.fromkeys(shapes):
+        combo = (shape[0], shape[1])
+        for r in shape[2]:
+            seen = combos.get(r)
+            if seen is None:
+                combos[r] = {combo}
+            else:
+                seen.add(combo)
 
     key = None
     if memo is not None:
-        key, hit = _memo_probe(memo, flows, classes, order, resources, combos)
-        if hit is not None:
-            return hit
+        key = _memo_key(shapes, duties, combos)
+        entry = memo.get(key) if key is not None else None
+        if entry is not None:
+            memo.move_to_end(key)
+            flow_rates, flow_duties, n_classes, iterations, loads, converged = entry
+            for f, duty in zip(flows, flow_duties):
+                f.duty = duty
+            return SolveResult(
+                dict(zip(flows, flow_rates)),
+                iterations,
+                loads,
+                classes=n_classes,
+                memo_hit=True,
+                memo_attempted=True,
+                converged=converged,
+            )
 
-    loads = {r: ResourceLoad() for r in resources}
-    loads_list = [loads[r] for r in resources]
-    res_index = {r: i for i, r in enumerate(resources)}
-    n_res = len(resources)
+    class_list, order = _build_classes(flows, shapes, duties)
+    loads = {r: ResourceLoad() for r in combos}
+    loads_list = list(loads.values())
+    res_index = {r: i for i, r in enumerate(combos)}
+    n_res = len(loads_list)
     read_logs = [0.0] * n_res
     write_logs = [0.0] * n_res
     for cls in class_list:
@@ -751,23 +742,24 @@ def _solve_classes(
             (loads[r], res_index[r]) for r in cls.resources
         )
     group_list = _build_groups(class_list, loads)
-    # Raw (unweighted) flow counts are duty-independent: accumulate them
-    # once, outside the fixed point — exact integer sums, so skipping the
-    # per-iteration re-accumulation is bit-neutral.
-    for cls in order:
+    # Raw (unweighted) flow counts are duty-independent: add them once per
+    # class, outside the fixed point — exact integer sums, so neither the
+    # order nor skipping the per-iteration re-accumulation changes a bit.
+    for cls in class_list:
+        members = cls.members
         if cls.kind == "read":
             if cls.remote:
                 for load, _ri in cls.pairs:
-                    load.raw_read_remote += 1
+                    load.raw_read_remote += members
             else:
                 for load, _ri in cls.pairs:
-                    load.raw_read_local += 1
+                    load.raw_read_local += members
         elif cls.remote:
             for load, _ri in cls.pairs:
-                load.raw_write_remote += 1
+                load.raw_write_remote += members
         else:
             for load, _ri in cls.pairs:
-                load.raw_write_local += 1
+                load.raw_write_local += members
     exp = math.exp
     inf = math.inf
     iterations = 0
@@ -868,14 +860,24 @@ def _solve_classes(
         if max_rel_change < RATE_TOLERANCE:
             converged = True
             break
-    rates = {}
-    for f, cls in zip(flows, order):
-        f.duty = cls.duty
-        rates[f] = cls.rate
+    flow_rates = tuple([cls.rate for cls in order])
+    flow_duties = tuple([cls.duty for cls in order])
+    for f, duty in zip(flows, flow_duties):
+        f.duty = duty
     if key is not None:
-        _memo_store(memo, key, class_list, iterations, loads, converged)
+        # ``converged`` stays last: tests rewrite it to replay a capped solve.
+        memo[key] = (
+            flow_rates,
+            flow_duties,
+            len(class_list),
+            iterations,
+            loads,
+            converged,
+        )
+        if len(memo) > MEMO_CAPACITY:
+            memo.popitem(last=False)
     return SolveResult(
-        rates,
+        dict(zip(flows, flow_rates)),
         iterations,
         loads,
         classes=len(class_list),
@@ -961,9 +963,9 @@ class FlowNetwork:
     one cold solve of N fresh flows at duty 1.0 can land on the collapsed
     branch — a simulated-result change of tens of percent, not rounding.
     The start cascade is therefore part of the model.  Completions are
-    safe: survivors enter the flush solve with near-converged duties, so
-    both paths stay in the same basin and drift stays at solver-tolerance
-    level (~1e-5), far below the campaign diff threshold.
+    coalesced, and that does move simulated results beyond solver
+    tolerance on some paper cells; DESIGN.md §5b gives the measured drift
+    and its cause.
 
     Parameters
     ----------
@@ -1157,9 +1159,6 @@ class FlowNetwork:
         for resource, load in loads.items():
             resource.observe(now, load)
         self._observed_resources = set(loads)
-        if self.hooks is not None:
-            self.hooks.on_recompute(now, flows, loads)
-            self.hooks.on_solve(now, iterations)
         defer = self.coalesce
         for flow in flows:
             new_rate = rates[flow]
@@ -1191,6 +1190,10 @@ class FlowNetwork:
                 self._timers_stale = True
             else:
                 self._schedule_completion(flow)
+        if self.hooks is not None:
+            # After the rates are assigned, so hooks see the converged state.
+            self.hooks.on_recompute(now, flows, loads)
+            self.hooks.on_solve(now, iterations)
 
     def _schedule_completion(self, flow: Flow) -> None:
         """Schedule *flow*'s completion timer from its current rate."""

@@ -308,3 +308,174 @@ class TestPokeDeferral:
         assert memo_sizes["start"] > 0
         assert memo_sizes["tokened"] == memo_sizes["start"]
         assert memo_sizes["plain"] == 0
+
+
+KEYED_SHARED = CapacityResource(
+    "shared", lambda load: 120e9 / (1.0 + 0.3 * load.n_total)
+)
+KEYED_OTHER = CapacityResource("other", lambda load: 90e9)
+KEYED_DEVICE = OptaneDeviceResource("pmem[0]", DEFAULT_CALIBRATION)
+
+
+def keyed_flow_set(overrides=None):
+    """Three local writes and two remote reads over a shared curve and the
+    real device; *overrides* maps a flow index to replaced ``Flow`` kwargs."""
+    write = dict(
+        nbytes=1e6,
+        kind="write",
+        remote=False,
+        resources=(KEYED_SHARED, KEYED_DEVICE),
+        self_cap=4e9,
+        op_bytes=64 * KiB,
+        issue_weight=1.0,
+    )
+    read = dict(
+        write,
+        kind="read",
+        remote=True,
+        resources=(KEYED_DEVICE,),
+        self_cap=2e9,
+        op_bytes=4 * KiB,
+        issue_weight=0.6,
+    )
+    specs = [dict(write, label=f"w{i}") for i in range(3)]
+    specs += [dict(read, label=f"r{i}") for i in range(2)]
+    for index, changes in (overrides or {}).items():
+        specs[index].update(changes)
+    return [make_flow(**spec) for spec in specs]
+
+
+class TestMemoKey:
+    """The memo keys on per-flow shapes and duties, in flow order."""
+
+    def solve_after_base(self, flows):
+        """Solve the base set into a fresh memo, then solve *flows*."""
+        memo = flow_module.OrderedDict()
+        first = solve_flow_set(keyed_flow_set(), memo=memo)
+        assert first.memo_attempted and not first.memo_hit
+        return solve_flow_set(flows, memo=memo)
+
+    def test_cloned_flow_set_hits_without_building_classes(self, monkeypatch):
+        memo = flow_module.OrderedDict()
+        flows = keyed_flow_set()
+        first = solve_flow_set(flows, memo=memo)
+        # Payload and label are not solver inputs: still the same key.
+        clones = keyed_flow_set()
+        for i, clone in enumerate(clones):
+            clone.nbytes = clone.remaining = 5e5 + i
+            clone.label = f"clone{i}"
+
+        def no_classes(*args):
+            raise AssertionError("a memo hit built a solver class")
+
+        monkeypatch.setattr(flow_module, "_FlowClass", no_classes)
+        hit = solve_flow_set(clones, memo=memo)
+        assert hit.memo_hit
+        assert hit.classes == first.classes == 2
+        assert hit.iterations == first.iterations
+        assert hit.loads is first.loads
+        assert [hit.rates[f] for f in clones] == [first.rates[f] for f in flows]
+        assert [f.duty for f in clones] == [f.duty for f in flows]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", "read"),
+            ("remote", True),
+            ("resources", (KEYED_OTHER, KEYED_DEVICE)),
+            ("self_cap", 3e9),
+            ("op_bytes", 32 * KiB),
+            ("issue_weight", 0.5),
+        ],
+    )
+    def test_any_static_field_change_misses(self, field, value):
+        second = self.solve_after_base(keyed_flow_set({1: {field: value}}))
+        assert second.memo_attempted and not second.memo_hit
+
+    def test_one_ulp_duty_nudge_misses(self):
+        flows = keyed_flow_set()
+        flows[2].duty = math.nextafter(flows[2].duty, 0.0)
+        second = self.solve_after_base(flows)
+        assert second.memo_attempted and not second.memo_hit
+
+    def test_permuted_flow_order_misses(self):
+        # Summation order is part of the result, so flow order is part of
+        # the key.  The first flow stays first, so the resource order (and
+        # with it the token tuple) is unchanged: only the order differs.
+        w0, w1, w2, r0, r1 = keyed_flow_set()
+        second = self.solve_after_base([w0, r0, w1, w2, r1])
+        assert second.memo_attempted and not second.memo_hit
+
+    def test_shape_matches_fields_for_runner_built_flows(self, monkeypatch):
+        from repro.apps.suite import build_workflow
+        from repro.core.configs import P_LOCR
+        from repro.workflow.runner import run_workflow
+
+        seen = []
+        original = flow_module.solve_flow_set
+
+        def collecting(flows, **kwargs):
+            seen.extend(flows)
+            return original(flows, **kwargs)
+
+        monkeypatch.setattr(flow_module, "solve_flow_set", collecting)
+        run_workflow(build_workflow("micro-2k", 8, iterations=2), P_LOCR)
+        assert seen
+        for f in seen:
+            assert f.shape == (
+                f.kind,
+                f.remote,
+                f.resources,
+                f.self_cap,
+                f.op_bytes,
+                f.issue_weight,
+            )
+
+
+class TestRateGauges:
+    def test_rate_achieved_is_the_converged_rate_sum(self, monkeypatch):
+        """At every recompute, ``resource.rate_achieved`` is the flow-order
+        sum of the rates that recompute's solve converged to."""
+        from repro.apps.suite import build_workflow
+        from repro.core.configs import P_LOCR
+        from repro.obs.capture import Observation, observe_workflow
+        from repro.obs.hooks import NetworkHooks
+
+        expected = []
+        original = flow_module.solve_flow_set
+
+        def recording(flows, **kwargs):
+            result = original(flows, **kwargs)
+            sums = {}
+            for f in flows:
+                for r in f.resources:
+                    sums[r.name] = sums.get(r.name, 0.0) + result.rates[f]
+            expected.append(sums)
+            return result
+
+        achieved = []
+
+        class Checking(NetworkHooks):
+            def __init__(self, probes):
+                super().__init__(probes)
+                self.registry = probes
+
+            def on_recompute(self, now, flows, loads):
+                super().on_recompute(now, flows, loads)
+                if flows:
+                    achieved.append(
+                        {
+                            r.name: self.registry.gauge(
+                                "resource.rate_achieved", resource=r.name
+                            ).value
+                            for r in loads
+                        }
+                    )
+
+        monkeypatch.setattr(flow_module, "solve_flow_set", recording)
+        monkeypatch.setattr(
+            Observation, "network_hooks", lambda self: Checking(self.probes)
+        )
+        observe_workflow(build_workflow("micro-2k", 8, iterations=2), P_LOCR)
+        assert len(expected) > 10
+        assert achieved == expected

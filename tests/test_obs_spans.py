@@ -1,7 +1,10 @@
 """Unit tests for span building and the run manifest."""
 
 import dataclasses
+import hashlib
+import json
 
+from repro.obs import manifest as manifest_module
 from repro.obs.manifest import (
     SCHEMA_VERSION,
     build_manifest,
@@ -117,6 +120,27 @@ class TestManifest:
         )
         assert calibration_hash(tweaked) != base
         assert calibration_hash(DEFAULT_CALIBRATION) == base
+
+    def test_cached_calibration_hash_equals_fresh(self):
+        def fresh(cal):
+            fields = sorted(dataclasses.asdict(cal).items())
+            payload = json.dumps({k: repr(v) for k, v in fields}, sort_keys=True)
+            return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+        replaced = dataclasses.replace(
+            DEFAULT_CALIBRATION, read_ramp_scale=7.5, enable_size_effects=False
+        )
+        cache = manifest_module._field_reprs_hash
+        for cal in (DEFAULT_CALIBRATION, replaced):
+            first = calibration_hash(cal)
+            hits = cache.cache_info().hits
+            assert calibration_hash(cal) == first == fresh(cal)
+            assert cache.cache_info().hits == hits + 1
+        # Equal calibrations that print differently keep distinct hashes.
+        as_float = dataclasses.replace(DEFAULT_CALIBRATION, xpline_bytes=256.0)
+        assert as_float == DEFAULT_CALIBRATION
+        assert calibration_hash(as_float) == fresh(as_float)
+        assert calibration_hash(as_float) != calibration_hash(DEFAULT_CALIBRATION)
 
     def test_to_json_deterministic(self):
         manifest = build_manifest(self.spec(), S_LOCW, DEFAULT_CALIBRATION)
