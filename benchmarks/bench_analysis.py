@@ -1,70 +1,39 @@
-"""Benchmarks: the static-analysis passes themselves (not a paper artifact).
+"""Benchmarks: the static-analysis pass itself (not a paper artifact).
 
-The analyzers run in CI on every push, so their own runtime is part of
-the development feedback loop.  This file tracks the cost of building the
-project model and of each whole-program pass over the full ``src/`` tree,
-and enforces the hard wall guard: lint + all three dataflow families must
-finish in **under 10 seconds** — an analyzer slower than the test suite
-it gates would get turned off, which is worse than any false negative.
+The analyzer runs in CI on every push, so its own runtime is part of the
+development feedback loop.  This file tracks the cost of exactly what
+``python -m repro.analysis src/`` runs — the platform/calibration tables
+plus the per-file lint of the full ``src/`` tree — and enforces the hard
+wall guard: the sweep must finish in **under 10 seconds** — an analyzer
+slower than the test suite it gates would get turned off, which is worse
+than any false negative.
 
-Work counters (modules, functions, diagnostics) ride along as
-``extra_info`` so a wall-time move is attributable: more modules is
-growth, more fixpoint rounds is an engine regression.
+The file and diagnostic counts ride along as ``extra_info`` so a
+wall-time move is attributable: more files is growth, the same files
+slower is a linter regression.
 """
 
 import os
 
+from repro.analysis.cli import run_analysis
 from repro.analysis.diagnostics import DiagnosticSink
-from repro.analysis.project import Project
-from repro.analysis.simlint import lint_paths
-from repro.analysis.svc import check_service_atomicity
-from repro.analysis.taint import check_determinism_taint
-from repro.analysis.units_check import check_units
+from repro.analysis.simlint import iter_python_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 
-#: The CI wall budget for one full analysis sweep (lint + dataflow).
+#: The CI wall budget for one full analysis sweep.
 WALL_BUDGET_SECONDS = 10.0
 
 
 def _full_sweep():
     sink = DiagnosticSink()
-    lint_paths([SRC], sink=sink)
-    project = Project.load([SRC])
-    check_determinism_taint(project, sink=sink)
-    check_service_atomicity(project, sink=sink)
-    check_units(project, sink=sink)
-    return project, sink.sorted()
-
-
-def test_project_model_build(benchmark):
-    project = benchmark.pedantic(
-        Project.load, args=([SRC],), rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert len(project.modules) > 50
-    benchmark.extra_info.update(
-        {
-            "modules": len(project.modules),
-            "functions": len(project.functions),
-        }
-    )
-
-
-def test_determinism_taint_pass(benchmark):
-    project = Project.load([SRC])
-    diagnostics = benchmark.pedantic(
-        check_determinism_taint,
-        args=(project,),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    benchmark.extra_info["diagnostics"] = len(diagnostics)
+    run_analysis([SRC], sink)
+    return sink.sorted()
 
 
 def test_full_analysis_sweep_under_wall_budget(benchmark):
-    (project, diagnostics) = benchmark.pedantic(
+    diagnostics = benchmark.pedantic(
         _full_sweep, rounds=3, iterations=1, warmup_rounds=1
     )
     median = benchmark.stats.stats.median
@@ -74,7 +43,7 @@ def test_full_analysis_sweep_under_wall_budget(benchmark):
     )
     benchmark.extra_info.update(
         {
-            "modules": len(project.modules),
+            "files": len(iter_python_files([SRC])),
             "diagnostics": len(diagnostics),
         }
     )

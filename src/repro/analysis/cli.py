@@ -2,33 +2,27 @@
 
 Examples::
 
-    python -m repro.analysis src/                 # lint + dataflow analyses
+    python -m repro.analysis src/                 # lint + platform tables
     python -m repro.analysis src/ --format json   # machine-readable
-    python -m repro.analysis src/ --format sarif  # CI code-scanning upload
-    python -m repro.analysis src/ --select SIM2,SVC4,UNIT6
+    python -m repro.analysis src/ --format sarif  # code-scanning upload
+    python -m repro.analysis src/ --select SIM10,PLAT3
     python -m repro.analysis src/ --ignore SIM106
     python -m repro.analysis src/ --fix           # rewrite magic literals
     python -m repro.analysis --list-rules
     python -m repro.analysis --platform-only      # just the platform tables
-    python -m repro.analysis src/ --write-baseline  # accept current findings
 
-Three layers run by default:
+Two layers run by default:
 
 * the per-file lint (``SIM1xx``) over every ``*.py`` given;
-* the whole-program dataflow analyses (``SIM2xx`` determinism taint,
-  ``SVC4xx`` service atomicity, ``UNIT6xx`` dimension checking) over the
-  project model built from the same paths;
 * the platform/calibration table validation (``PLAT3xx``) — part of the
   repository's correctness floor, checked in microseconds.
 
-If ``analysis-baseline.json`` exists in the working directory (or
-``--baseline PATH`` is given) the accepted findings listed there do not
-fail the run — only **new** findings do.  ``--no-baseline`` shows
-everything; ``--write-baseline`` refreshes the file from the current
-findings.
+Determinism across processes (host clocks, hash seeds, iteration order
+reaching a stored payload) is enforced at runtime, not here: see the
+hash-seed oracle in ``tests/test_determinism.py``.
 
-Exit status: 0 when no (non-baselined) error-severity diagnostics were
-found, 1 otherwise, 2 on usage errors.
+Exit status: 0 when no error-severity diagnostics were found, 1
+otherwise, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -38,11 +32,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    Baseline,
-    find_default_baseline,
-)
 from repro.analysis.diagnostics import (
     DiagnosticSink,
     Severity,
@@ -61,26 +50,25 @@ def _split_codes(value: Optional[str]) -> Optional[List[str]]:
     return [part for part in value.replace(",", " ").split() if part]
 
 
-def _run_dataflow(paths: List[str], sink: DiagnosticSink) -> None:
-    """The whole-program analyses (SIM2xx / SVC4xx / UNIT6xx)."""
-    from repro.analysis.project import Project
-    from repro.analysis.svc import check_service_atomicity
-    from repro.analysis.taint import check_determinism_taint
-    from repro.analysis.units_check import check_units
+def run_analysis(
+    paths: List[str], sink: DiagnosticSink, platform_only: bool = False
+) -> None:
+    """Everything the CLI checks: platform tables, then the lint of *paths*."""
+    from repro.platform.builder import paper_testbed
+    from repro.pmem.calibration import DEFAULT_CALIBRATION
 
-    project = Project.load(paths)
-    check_determinism_taint(project, sink=sink)
-    check_service_atomicity(project, sink=sink)
-    check_units(project, sink=sink)
+    for diagnostic in validate_calibration(DEFAULT_CALIBRATION) + validate_node(
+        paper_testbed(), DEFAULT_CALIBRATION
+    ):
+        sink.emit(diagnostic)
+    if not platform_only:
+        lint_paths(paths, sink=sink)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
-        description=(
-            "Determinism lint, dataflow analyses, and platform validation "
-            "for the simulator."
-        ),
+        description="Determinism lint and platform validation for the simulator.",
     )
     parser.add_argument(
         "paths",
@@ -114,32 +102,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip source analysis; only validate platform/calibration tables",
     )
     parser.add_argument(
-        "--no-dataflow",
-        action="store_true",
-        help="skip the whole-program analyses (lint + platform only)",
-    )
-    parser.add_argument(
         "--fix",
         action="store_true",
         help="rewrite SIM106 magic literals in place before analyzing",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file of accepted findings (default: "
-            f"{DEFAULT_BASELINE} in the working directory, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report and fail on every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings: write them to the baseline file",
     )
     args = parser.parse_args(argv)
 
@@ -166,38 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"fixed {count} magic literal(s) in {path}")
 
     sink = DiagnosticSink(select=select, ignore=ignore)
-
-    # Platform/calibration tables: always part of the correctness floor.
-    from repro.platform.builder import paper_testbed
-    from repro.pmem.calibration import DEFAULT_CALIBRATION
-
-    for diagnostic in validate_calibration(DEFAULT_CALIBRATION) + validate_node(
-        paper_testbed(), DEFAULT_CALIBRATION
-    ):
-        sink.emit(diagnostic)
-
-    if not args.platform_only:
-        lint_paths(paths, sink=sink)
-        if not args.no_dataflow:
-            _run_dataflow(paths, sink)
-
+    run_analysis(paths, sink, platform_only=args.platform_only)
     diagnostics = sink.sorted()
-
-    baseline_path = args.baseline or find_default_baseline()
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        Baseline.from_diagnostics(diagnostics).dump(target)
-        print(f"wrote {len(diagnostics)} finding(s) to {target}")
-        return 0
-
-    baselined_count = 0
-    if baseline_path and not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load baseline: {exc}")
-        diagnostics, baselined = baseline.split(diagnostics)
-        baselined_count = len(baselined)
 
     if args.format == "json":
         print(render_json(diagnostics))
@@ -205,13 +140,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_sarif(diagnostics))
     elif diagnostics:
         print(render_text(diagnostics))
-        if baselined_count:
-            print(f"({baselined_count} baselined finding(s) not shown)")
     else:
-        suffix = (
-            f" ({baselined_count} baselined)" if baselined_count else ""
-        )
-        print(f"0 error(s), 0 warning(s){suffix}")
+        print("0 error(s), 0 warning(s)")
     return 1 if any(d.severity is Severity.ERROR for d in diagnostics) else 0
 
 

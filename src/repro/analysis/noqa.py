@@ -1,4 +1,4 @@
-"""Shared ``# noqa`` suppression parsing for every analysis pass.
+"""``# noqa`` suppression parsing for the lint pass.
 
 The PR-1 parser lived inside :mod:`repro.analysis.simlint` and had two
 real bugs this module fixes:
@@ -13,8 +13,7 @@ The grammar here matches the conventional one: ``# noqa`` (case-
 insensitive) suppresses every rule on the line; ``# noqa: CODE1,CODE2``
 (comma- or space-separated, optionally followed by prose) suppresses
 exactly those codes.  Several ``noqa`` comments on one line union their
-code sets.  All dataflow analyzers and the linter share this parser, so a
-suppression means the same thing to every rule family.
+code sets.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Dict, Iterable, List, Set
 
 from repro.analysis.diagnostics import Diagnostic
 
-#: ``# noqa`` or ``# noqa: SIM104, SVC401 free-form reason``.
+#: ``# noqa`` or ``# noqa: SIM104, SIM111 free-form reason``.
 _NOQA_RE = re.compile(
     r"#\s*noqa\b(?P<sep>\s*:\s*(?P<codes>[A-Za-z]+[0-9]+"
     r"(?:\s*[,\s]\s*[A-Za-z]+[0-9]+)*))?",

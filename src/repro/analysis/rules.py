@@ -152,88 +152,6 @@ SIM111 = register(
 )
 
 # ---------------------------------------------------------------------------
-# SIM2xx — whole-program determinism taint (repro.analysis.taint).
-# ---------------------------------------------------------------------------
-SIM201 = register(
-    "SIM201",
-    "host-clock-taint",
-    "host-clock value (time.time / perf_counter / datetime.now, possibly "
-    "returned through helper calls) flows into a deterministic sink — "
-    "trace record, store cell, manifest, or cell-id hash; wall-clock "
-    "readings may only travel via repro.obs.hostmetrics into the "
-    "segregated host section",
-)
-SIM202 = register(
-    "SIM202",
-    "entropy-taint",
-    "host-entropy value (random.* / os.urandom / uuid4 / os.getpid / "
-    "builtin hash) flows into a deterministic sink; derive identifiers "
-    "and payloads from the spec instead",
-)
-SIM203 = register(
-    "SIM203",
-    "iteration-order-taint",
-    "unordered iteration (set / os.listdir / glob / unsorted dict view) "
-    "is accumulated order-sensitively (list append) and reaches a "
-    "deterministic sink; sort before accumulating so the stored order is "
-    "input-determined",
-)
-
-# ---------------------------------------------------------------------------
-# SVC4xx — service atomicity / worker-safety (repro.analysis.svc).
-# ---------------------------------------------------------------------------
-SVC401 = register(
-    "SVC401",
-    "shared-mutable-worker-state",
-    "mutable module-level container is mutated in code reachable from a "
-    "repro.service worker entrypoint; forked workers each see a private "
-    "copy, so cross-worker state silently diverges — pass state "
-    "explicitly or keep it in the store",
-)
-SVC402 = register(
-    "SVC402",
-    "unsanctioned-store-write",
-    "direct file write under service/ or campaigns/ outside the "
-    "sanctioned atomic-append helpers (CampaignStore / JobQueue / result "
-    "cache); concurrent writers corrupt the append-only JSONL stores",
-)
-SVC403 = register(
-    "SVC403",
-    "completion-order-dependence",
-    "results consumed in worker completion order (imap_unordered / "
-    "as_completed / pool run) reach a store or record sink without a "
-    "sort-by-cell-id; byte-identity across worker counts requires "
-    "order-normalized persistence",
-)
-
-# ---------------------------------------------------------------------------
-# UNIT6xx — unit/dimension checking (repro.analysis.units_check).
-# ---------------------------------------------------------------------------
-UNIT601 = register(
-    "UNIT601",
-    "mixed-dimension-arithmetic",
-    "+ or - between values of different physical dimensions (bytes vs "
-    "seconds vs bytes/second) in model math; the result is meaningless "
-    "even though the floats happily add",
-    severity=Severity.ERROR,
-)
-UNIT602 = register(
-    "UNIT602",
-    "mixed-dimension-comparison",
-    "ordering/equality comparison between values of different physical "
-    "dimensions; comparisons must be like-with-like",
-    severity=Severity.ERROR,
-)
-UNIT603 = register(
-    "UNIT603",
-    "dimension-mismatch-binding",
-    "a name/argument/return that declares a dimension by convention "
-    "(*_bytes, *_seconds, *_bps, latency, bandwidth, ...) receives a "
-    "value inferred to have a different dimension",
-    severity=Severity.WARNING,
-)
-
-# ---------------------------------------------------------------------------
 # SPEC2xx — workflow-spec validation (repro.analysis.validate).
 # ---------------------------------------------------------------------------
 SPEC201 = register(

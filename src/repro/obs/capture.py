@@ -142,7 +142,7 @@ class CaptureSession:
         return [obs for obs in self.observations if obs.finalized]
 
 
-_SESSIONS: List[CaptureSession] = []  # noqa: SVC401 process-local context stack; capture never crosses workers
+_SESSIONS: List[CaptureSession] = []
 
 
 def active_session() -> Optional[CaptureSession]:

@@ -24,7 +24,7 @@ timestamps; what is wall-specific lives here:
 Nothing in this module ever writes into a deterministic artifact — cell
 ids, campaign stores, and queue payloads are byte-identical with
 telemetry on or off (a regression test enforces this).  This module is a
-sanctioned host clock reader (simlint SIM109, dataflow rule SIM201);
+sanctioned host clock reader (simlint SIM109);
 wall-clock values it produces must never flow into trace/store/manifest
 sinks.
 """

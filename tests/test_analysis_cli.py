@@ -61,32 +61,13 @@ class TestCli:
     def test_platform_only(self, capsys):
         assert main(["--platform-only"]) == 0
 
-
-class TestDataflowWiring:
-    def test_select_dataflow_families(self, capsys):
-        # The DESIGN quick-start invocation must work end to end.
-        assert main([SRC, "--select", "SIM2,SVC4,UNIT6"]) == 0
-
-    def test_taint_finding_fails_run(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "obs" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "import time\n\n"
-            "def f(tracer):\n"
-            "    tracer.record('event', time.time())\n"
-        )
-        assert main([str(tmp_path), "--select", "SIM2"]) == 1
-        assert "SIM201" in capsys.readouterr().out
-
-    def test_no_dataflow_skips_taint(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "obs" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "import time\n\n"
-            "def f(tracer):\n"
-            "    tracer.record('event', time.time())\n"
-        )
-        assert main([str(tmp_path), "--select", "SIM2", "--no-dataflow"]) == 0
+    @pytest.mark.parametrize("prefix", ["SIM2", "SVC4", "UNIT6"])
+    def test_removed_rule_families_are_unknown(self, tmp_path, prefix):
+        # Cross-process determinism is a runtime oracle now
+        # (tests/test_determinism.py), not a rule family.
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path), "--select", prefix])
+        assert excinfo.value.code == 2
 
 
 class TestSarifFormat:
@@ -99,62 +80,10 @@ class TestSarifFormat:
         bad = tmp_path / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("CHUNK = 4096\n")
-        assert main([str(bad), "--format", "sarif", "--no-baseline"]) == 1
+        assert main([str(bad), "--format", "sarif"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert validate_sarif(document) == []
         assert document["runs"][0]["results"][0]["ruleId"] == "SIM106"
-
-
-class TestBaselineFlow:
-    def _write_bad(self, tmp_path):
-        bad = tmp_path / "repro" / "sim" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nstamp = time.time()\n")
-        return bad
-
-    def test_baseline_accepts_existing_findings(self, tmp_path, capsys):
-        bad = self._write_bad(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(bad), "--write-baseline", "--baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        assert main([str(bad), "--baseline", str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_new_finding_still_fails(self, tmp_path, capsys):
-        bad = self._write_bad(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(bad), "--write-baseline", "--baseline", str(baseline)]) == 0
-        bad.write_text(bad.read_text() + "CHUNK = 4096\n")
-        assert main([str(bad), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "SIM106" in out and "SIM101" not in out
-
-    def test_no_baseline_shows_everything(self, tmp_path, capsys):
-        bad = self._write_bad(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(bad), "--write-baseline", "--baseline", str(baseline)]) == 0
-        assert (
-            main([str(bad), "--baseline", str(baseline), "--no-baseline"]) == 1
-        )
-
-    def test_committed_baseline_matches_tree(self):
-        # analysis-baseline.json is committed; regenerating it from the
-        # current tree must be a no-op (no stale or missing entries).
-        from repro.analysis.baseline import Baseline
-        from repro.analysis.diagnostics import DiagnosticSink
-        from repro.analysis.cli import _run_dataflow
-        from repro.analysis.simlint import lint_paths
-
-        sink = DiagnosticSink()
-        lint_paths([SRC], sink=sink)
-        _run_dataflow([SRC], sink)
-        current = Baseline.from_diagnostics(sink.sorted())
-        committed = Baseline.load(os.path.join(REPO_ROOT, "analysis-baseline.json"))
-        normalize = lambda keys: {
-            (code, path.replace(REPO_ROOT.replace(os.sep, "/") + "/", ""), msg)
-            for code, path, msg in keys
-        }
-        assert normalize(current.keys) == normalize(committed.keys)
 
 
 class TestFixFlag:
@@ -170,14 +99,11 @@ class TestFixFlag:
 
 class TestAnalysisRuntime:
     def test_full_tree_analysis_under_ten_seconds(self):
-        """The CI wall guard: lint + all dataflow passes over src/."""
-        from repro.analysis.cli import _run_dataflow
+        """The CI wall guard: everything the CLI checks over src/."""
+        from repro.analysis.cli import run_analysis
         from repro.analysis.diagnostics import DiagnosticSink
-        from repro.analysis.simlint import lint_paths
 
         start = time.perf_counter()
-        sink = DiagnosticSink()
-        lint_paths([SRC], sink=sink)
-        _run_dataflow([SRC], sink)
+        run_analysis([SRC], DiagnosticSink())
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"analysis took {elapsed:.1f}s (budget 10s)"

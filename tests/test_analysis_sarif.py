@@ -15,8 +15,8 @@ from repro.analysis.sarif import (
 def sample_diagnostics():
     return [
         Diagnostic(
-            code="SIM201",
-            message="host-clock taint reaches trace record",
+            code="SIM109",
+            message="host-clock call outside the sanctioned readers",
             severity=Severity.ERROR,
             path="src/repro/obs/fixture.py",
             line=12,
@@ -24,8 +24,8 @@ def sample_diagnostics():
             hint="route through hostmetrics",
         ),
         Diagnostic(
-            code="UNIT603",
-            message="mismatched binding",
+            code="SIM106",
+            message="raw byte magnitude literal",
             severity=Severity.WARNING,
             path="src/repro/sim/flow.py",
             line=3,
@@ -54,7 +54,7 @@ class TestEmitter:
     def test_result_fields(self):
         document = sarif_document(sample_diagnostics())
         result = document["runs"][0]["results"][0]
-        assert result["ruleId"] == "SIM201"
+        assert result["ruleId"] == "SIM109"
         assert result["level"] == "error"
         assert "hostmetrics" in result["message"]["text"]
         region = result["locations"][0]["physicalLocation"]["region"]

@@ -1,19 +1,35 @@
-"""Determinism regression: identical inputs must yield identical traces.
+"""Determinism regression: identical inputs must yield identical outputs.
 
 The simulator's whole value rests on reproducibility — the same spec and
 configuration must produce the same event sequence down to the last float,
-or results in the paper tables cannot be trusted across reruns.  This test
-serializes the full trace (every record, every field, full float precision)
-from two independent runs and requires the bytes to match exactly.  This is
-also the invariant the SIM1xx lint rules exist to protect: any wall-clock
-read, unseeded RNG, or iteration-order leak in the hot path shows up here
-as a byte diff.
+or results in the paper tables cannot be trusted across reruns.
+
+Two oracles enforce it:
+
+* **In-process reruns** (:class:`TestDeterminism`) serialize the full trace
+  (every record, every field, full float precision) from two runs in one
+  interpreter and require the bytes to match.  A wall-clock read or an
+  unseeded RNG in the hot path shows up here as a byte diff.  Iteration-
+  order and ``hash()`` leaks do *not*: both runs share one hash seed, so a
+  ``set`` iterates in the same order twice.
+* **Cross-hash-seed reruns**
+  (:func:`test_micro_campaign_bytes_independent_of_hash_seed`) run the
+  micro campaign in fresh interpreters under several ``PYTHONHASHSEED``
+  values and require every stored cell's id, key and deterministic
+  payload to match byte for byte.  That catches what the first oracle
+  cannot: ``set`` order or builtin ``hash()`` reaching a stored payload,
+  a manifest, or a cell id.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.apps.suite import build_workflow
 from repro.core.configs import ALL_CONFIGS
 from repro.storage.objects import SnapshotSpec
 from repro.units import KiB, MiB
@@ -83,3 +99,98 @@ class TestDeterminism:
         assert serialize_run(
             run_workflow(big, parallel, trace=True)
         ) != serialize_run(run_workflow(big, serial, trace=True))
+
+
+#: micro-2k@16's makespans, bit for bit (``perfbench/fixtures/
+#: sweep_reference.json`` holds the same values).  A cheap cell whose
+#: four runs exercise local and remote reads and writes of small objects.
+PINNED_MAKESPANS = {
+    "S-LocW": 35.66488473883602,
+    "S-LocR": 34.73865361458155,
+    "P-LocW": 44.65466003089469,
+    "P-LocR": 34.25740585382093,
+}
+
+
+def test_micro_2k_makespans_pinned_bit_for_bit():
+    """Model arithmetic is pinned, not just bounded by a drift threshold.
+
+    A dimensionally wrong term (seconds added to a rate, bytes minus a
+    latency) can move makespans by 1e-15 relative: far below any drift
+    bound, but still a different model.  A change that moves these bits on
+    purpose updates the pins and says why in its change log.
+    """
+    spec = build_workflow("micro-2k", 16)
+    assert {
+        config.label: run_workflow(spec, config).makespan
+        for config in ALL_CONFIGS
+    } == PINNED_MAKESPANS
+
+
+#: Hash seeds for the cross-process oracle; ``0`` disables randomization.
+HASH_SEEDS = (0, 1, 2, 3)
+
+#: Runs the micro campaign into a throwaway store and prints, as canonical
+#: JSON, every stored cell's identity and deterministic payload (host and
+#: provenance left out) plus the id ``cell_id_for_spec`` plans for it.
+_CAMPAIGN_PROBE = """
+import json, tempfile
+from repro.apps.suite import build_workflow
+from repro.core.configs import ALL_CONFIGS
+from repro.obs.campaign import parse_cell_key, run_campaign
+from repro.obs.store import CampaignStore, canonical_json
+from repro.pmem.calibration import DEFAULT_CALIBRATION
+from repro.service.cache import cell_id_for_spec
+
+with tempfile.TemporaryDirectory() as root:
+    store = CampaignStore(root)
+    run_campaign(suite="micro", name="oracle", store=store, iterations=1)
+    cells = store.read("oracle").cells
+planned = {}
+for cell in cells:
+    family, ranks = parse_cell_key(cell.key)
+    spec = build_workflow(family, ranks, iterations=1)
+    planned[cell.key] = cell_id_for_spec(spec, ALL_CONFIGS, DEFAULT_CALIBRATION)
+stored = [
+    {"cell_id": c.cell_id, "key": c.key, "deterministic": c.deterministic}
+    for c in cells
+]
+print(json.dumps({"stored": canonical_json(stored), "planned": planned}))
+"""
+
+
+def test_micro_campaign_bytes_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    procs = {}
+    for seed in HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        procs[seed] = subprocess.Popen(
+            [sys.executable, "-c", _CAMPAIGN_PROBE],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    outputs = {}
+    for seed, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}:\n{err}"
+        outputs[seed] = json.loads(out.splitlines()[-1])
+
+    for seed, output in outputs.items():
+        stored = json.loads(output["stored"])
+        assert len(stored) == 2
+        for cell in stored:
+            assert output["planned"][cell["key"]] == cell["cell_id"], (
+                f"PYTHONHASHSEED={seed}: planned id for {cell['key']} "
+                "differs from the id the run stored"
+            )
+    reference = outputs[HASH_SEEDS[0]]["stored"]
+    differing = [s for s in HASH_SEEDS if outputs[s]["stored"] != reference]
+    assert not differing, (
+        f"stored cells under PYTHONHASHSEED={differing} differ from "
+        f"PYTHONHASHSEED={HASH_SEEDS[0]}"
+    )

@@ -1,11 +1,12 @@
 """Service scheduler: cache-served reruns, retries, drain, determinism."""
 
+import json
 import random
 import time
 
 import pytest
 
-from repro.obs.store import CampaignStore, StoredCell
+from repro.obs.store import CampaignStore, StoredCell, canonical_json
 from repro.service.queue import KIND_CELL, STATE_FAILED, JobQueue
 from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
 
@@ -44,6 +45,11 @@ def test_first_run_executes_second_run_hits_cache(root):
 
     store = CampaignStore(scheduler.store.root)
     assert len(store.read(RESULTS_CAMPAIGN).cells) == 2
+    # Only CampaignStore writes the results file, so every line is in the
+    # canonical form byte-identity checks rely on.
+    with open(store.path(RESULTS_CAMPAIGN), encoding="utf-8") as handle:
+        for line in handle:
+            assert line == canonical_json(json.loads(line)) + "\n"
     # The run reports regret for every completed cell, hit or fresh.
     assert len(first.regrets) == 2
     assert len(second.regrets) == 2
