@@ -1,8 +1,9 @@
 """Benchmarks: raw simulator throughput (not a paper artifact).
 
 Tracks the cost of the discrete-event substrate itself so regressions in
-the flow solver or engine are visible: one medium workflow end to end, and
-one solver-heavy small-object workflow.
+the flow solver or engine are visible: one medium workflow end to end, one
+solver-heavy small-object workflow, and the fast solver's memo-miss path
+alone (the recorded misses of one paper run, replayed without the memo).
 
 Each simulator benchmark attaches its work counters (events, recomputes,
 solver iterations, memo hit rate, capped solves, makespan) as ``extra_info`` so the JSON
@@ -13,11 +14,14 @@ pytest-benchmark JSON into the committed ``BENCH_simcore.json`` baseline
 and enforces the +/-20 % guard in CI.
 """
 
+import repro.sim.flow as flow_module
 from repro.apps.gtc import gtc_workflow
 from repro.apps.microbench import micro_workflow
+from repro.apps.suite import build_workflow
 from repro.core.configs import P_LOCR, S_LOCW
 from repro.metrics.timeline import render_timeline
 from repro.obs.capture import observe_workflow
+from repro.sim.flow import SOLVER_FAST, solve_flow_set
 from repro.units import KiB
 from repro.workflow.runner import run_workflow
 
@@ -76,3 +80,62 @@ def test_render_timeline_wide(benchmark):
         warmup_rounds=1,
     )
     assert rendered.count("\n") >= 2 * spec.ranks
+
+
+def _record_miss_solves(monkeypatch, spec, config):
+    """The solves of one run that missed the memo, each as its flow list
+    plus the flows' starting duties."""
+    misses = []
+    original = flow_module.solve_flow_set
+
+    def recording(flows, **kwargs):
+        duties = [f.duty for f in flows]
+        result = original(flows, **kwargs)
+        if not result.memo_hit:
+            misses.append((list(flows), duties))
+        return result
+
+    monkeypatch.setattr(flow_module, "solve_flow_set", recording)
+    run_workflow(spec, config)
+    monkeypatch.undo()
+    return misses
+
+
+def _replay(misses):
+    """Re-solve every recorded miss from its starting duties, memo off;
+    returns the total fixed-point iterations."""
+    iterations = 0
+    for flows, duties in misses:
+        for f, duty in zip(flows, duties):
+            f.duty = duty
+        iterations += solve_flow_set(flows, solver=SOLVER_FAST, memo=None).iterations
+    return iterations
+
+
+def test_solver_miss_replay(benchmark, monkeypatch):
+    """The solve kernel without engine, memo or runner: every memo-miss
+    solve of gtc+readonly@24 under P-LocR.  Resources keep their end-of-run
+    state, so the replay is deterministic but need not retrace the run's
+    own solves.  ``share_calls`` is iterations x share groups summed over
+    the solves: it moves only if the kernel's grouping does."""
+    misses = _record_miss_solves(monkeypatch, build_workflow("gtc+readonly", 24), P_LOCR)
+    iterations = benchmark.pedantic(
+        _replay, args=(misses,), rounds=5, iterations=1, warmup_rounds=1
+    )
+    calls = []
+    resource_types = {type(r) for flows, _ in misses for f in flows for r in f.resources}
+    for rtype in resource_types:
+
+        def counting(resource, load, flow, original=rtype.share):
+            calls.append(resource)
+            return original(resource, load, flow)
+
+        monkeypatch.setattr(rtype, "share", counting)
+    assert _replay(misses) == iterations
+    benchmark.extra_info.update(
+        {
+            "solves": len(misses),
+            "solver_iterations": iterations,
+            "share_calls": len(calls),
+        }
+    )

@@ -11,7 +11,7 @@ that unrelated remote flows contend with one another.
 
 from __future__ import annotations
 
-from repro.sim.flow import CapacityResource, ResourceLoad
+from repro.sim.flow import CapacityResource, Flow, ResourceLoad
 
 
 class UpiLink(CapacityResource):
@@ -19,9 +19,21 @@ class UpiLink(CapacityResource):
 
     __slots__ = ("bandwidth",)
 
+    #: :meth:`share` reads no flow field, so one evaluation per load stands
+    #: for every flow on the link (the grouping of the inherited policy).
+    share_signature_fields = ()
+
     def __init__(self, socket_a: int, socket_b: int, bandwidth: float) -> None:
         self.bandwidth = float(bandwidth)
         super().__init__(name=f"upi[{socket_a}<->{socket_b}]", capacity_fn=self._capacity)
 
     def _capacity(self, load: ResourceLoad) -> float:
         return self.bandwidth
+
+    def share(self, load: ResourceLoad, flow: Flow) -> float:
+        """Processor sharing of the link: bit-identical to the inherited
+        policy (no per-thread cap) without its call chain."""
+        bandwidth = self.bandwidth
+        if not bandwidth >= 0:  # negative or NaN: capacity() raises
+            self.capacity(load)
+        return bandwidth / max(1.0, load.n_total)

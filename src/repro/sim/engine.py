@@ -107,8 +107,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run *callback* ``delay`` seconds from now; returns a cancellable handle."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # negative, or NaN (which would corrupt heap order)
+            raise SimulationError(f"cannot schedule at delay {delay}: it must be >= 0")
         timer = Timer(self._now + delay, callback)
         self._seq += 1
         heapq.heappush(self._queue, (timer.time, self._seq, timer))

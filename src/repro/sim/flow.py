@@ -464,51 +464,6 @@ class SolveResult:
     converged: bool = True
 
 
-class _FlowClass:
-    """One solver equivalence class: flows indistinguishable to the fixed point.
-
-    Members share one :attr:`Flow.shape` and starting duty, so their rate
-    and duty trajectories through the fixed point are identical too — the
-    class carries one copy of that trajectory for all of them.
-    """
-
-    __slots__ = (
-        "rep",
-        "kind",
-        "remote",
-        "resources",
-        "self_cap",
-        "log_op",
-        "issue_weight",
-        "duty",
-        "rate",
-        "members",
-        "groups",
-        "pairs",
-        "weight",
-        "log_term",
-        "congestion_term",
-    )
-
-    def __init__(self, flow: Flow) -> None:
-        self.rep = flow
-        self.kind = flow.kind
-        self.remote = flow.remote
-        self.resources = flow.resources
-        self.self_cap = flow.self_cap
-        self.log_op = flow.log_op
-        self.issue_weight = flow.issue_weight
-        self.duty = flow.duty
-        self.rate = 0.0
-        self.members = 0
-        self.groups: Tuple["_ShareGroup", ...] = ()
-        #: ``(load, resource_index)`` pairs for the accumulation loop.
-        self.pairs: Tuple[Tuple[ResourceLoad, int], ...] = ()
-        self.weight = 0.0
-        self.log_term = 0.0
-        self.congestion_term = 0.0
-
-
 def _state_token(resource: CapacityResource) -> object:
     """Memo token for *resource*, or ``None`` when its state is opaque."""
     rtype = type(resource)
@@ -543,64 +498,6 @@ def resource_share_token(
     return _state_token(resource)
 
 
-class _ShareGroup:
-    """One ``share()`` evaluation standing for every class that projects to
-    the same (resource, :attr:`CapacityResource.share_projector`) key.
-
-    The share contract forbids :meth:`CapacityResource.share` from reading
-    anything outside the declared fields, so every member class receives
-    bit-identical shares — one call per group per iteration replaces one
-    call per class per iteration (the dominant cost on duty-ulp-splintered
-    start cascades, where a dozen classes share one projection).
-    """
-
-    __slots__ = ("resource", "load", "rep", "share")
-
-    def __init__(self, resource: CapacityResource, load: ResourceLoad, rep: Flow) -> None:
-        self.resource = resource
-        self.load = load
-        self.rep = rep
-        self.share = math.inf
-
-
-def _build_classes(flows: Sequence[Flow], shapes: tuple, duties: tuple):
-    """Group *flows* into solver classes keyed on ``(shape, duty)``.
-
-    Returns ``(class_list, order)``: the classes in first-appearance order
-    and the per-flow class list (flow order).
-    """
-    classes: Dict[tuple, _FlowClass] = {}
-    order: List[_FlowClass] = []
-    for f, sig in zip(flows, zip(shapes, duties)):
-        cls = classes.get(sig)
-        if cls is None:
-            cls = _FlowClass(f)
-            classes[sig] = cls
-        cls.members += 1
-        order.append(cls)
-    return list(classes.values()), order
-
-
-def _build_groups(
-    class_list: List[_FlowClass],
-    loads: Dict[CapacityResource, ResourceLoad],
-) -> List[_ShareGroup]:
-    """Attach share groups to each class; returns groups in creation order."""
-    groups: Dict[tuple, _ShareGroup] = {}
-    for cls in class_list:
-        rep = cls.rep
-        slots = []
-        for r in cls.resources:
-            gkey = (r, r.share_projector(rep))
-            group = groups.get(gkey)
-            if group is None:
-                group = _ShareGroup(r, loads[r], rep)
-                groups[gkey] = group
-            slots.append(group)
-        cls.groups = tuple(slots)
-    return list(groups.values())
-
-
 def _memo_key(shapes: tuple, duties: tuple, combos: Dict[CapacityResource, set]):
     """Converged-state memo key, or ``None`` when a path resource is opaque.
 
@@ -615,6 +512,15 @@ def _memo_key(shapes: tuple, duties: tuple, combos: Dict[CapacityResource, set])
             return None
         tokens.append(token)
     return (shapes, duties, tuple(tokens))
+
+
+def _nan_share(resource: CapacityResource) -> SimulationError:
+    """Error for a NaN ``share()``: ``<`` and ``min`` would silently read
+    it as "unconstrained", so both solvers check every share they use."""
+    return SimulationError(
+        f"share() of {resource.name!r} returned NaN: the rate of every flow "
+        "on it would be undefined"
+    )
 
 
 def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
@@ -638,7 +544,10 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
         for f in flows:
             device_rate = math.inf
             for r in f.resources:
-                device_rate = min(device_rate, r.share(loads[r], f))
+                share = r.share(loads[r], f)
+                if share != share:
+                    raise _nan_share(r)
+                device_rate = min(device_rate, share)
             if math.isinf(device_rate):
                 new_rate = f.self_cap
                 new_duty = MIN_DUTY if math.isfinite(f.self_cap) else 1.0
@@ -673,11 +582,87 @@ _shape_of = attrgetter("shape")
 _duty_of = attrgetter("duty")
 
 
+def _in_flow_order(cls_of: List[int], classes: List[int], n_classes: int) -> List[int]:
+    """The entries of *cls_of* (flow order) whose class is in *classes*."""
+    if not classes:
+        return []
+    if len(classes) == n_classes:
+        return cls_of
+    chosen = set(classes)
+    return [c for c in cls_of if c in chosen]
+
+
+def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
+    """Number *flows*' solver classes and lay out one miss's flat plan.
+
+    Classes are numbered by first appearance of ``(shape, duty)``.  Returns
+    ``(cls_of, reps, remote, loads, folds, groups, class_groups)``:
+
+    * ``cls_of`` — each flow's class, in flow order; ``reps`` — one member
+      flow per class; ``remote`` — each class's locality;
+    * ``loads`` — one :class:`ResourceLoad` per path resource (in
+      *resources* order), raw counts already set;
+    * ``folds`` — per path resource, ``(load, reads, writes)``: the class
+      of each reading / writing flow on it, in flow order;
+    * ``groups`` — ``(bound share, load, rep)`` per (resource,
+      :attr:`CapacityResource.share_projector`) key, in creation order;
+      ``class_groups`` — each class's group indices, in path order.
+    """
+    index: Dict[tuple, int] = {}
+    cls_of: List[int] = []
+    reps: List[Flow] = []
+    for f, sig in zip(flows, zip(shapes, duties)):
+        c = index.get(sig)
+        if c is None:
+            c = index[sig] = len(reps)
+            reps.append(f)
+        cls_of.append(c)
+    n_classes = len(reps)
+    remote = [rep.remote for rep in reps]
+    loads = {r: ResourceLoad() for r in resources}
+    # Classes on each path resource: readers, writers.
+    members = {r: ([], []) for r in resources}
+    groups: List[tuple] = []
+    group_index: Dict[tuple, int] = {}
+    shape_groups: Dict[tuple, Tuple[int, ...]] = {}
+    class_groups: List[Tuple[int, ...]] = []
+    for c, rep in enumerate(reps):
+        writer = rep.kind == "write"
+        for r in rep.resources:
+            members[r][writer].append(c)
+        # Share groups are a function of the shape: classes that differ
+        # only in duty reuse one lookup.
+        slots = shape_groups.get(rep.shape)
+        if slots is None:
+            slots = []
+            for r in rep.resources:
+                gkey = (r, r.share_projector(rep))
+                g = group_index.get(gkey)
+                if g is None:
+                    g = group_index[gkey] = len(groups)
+                    groups.append((r.share, loads[r], rep))
+                slots.append(g)
+            slots = shape_groups[rep.shape] = tuple(slots)
+        class_groups.append(slots)
+    folds = []
+    for r, (read_classes, write_classes) in members.items():
+        reads = _in_flow_order(cls_of, read_classes, n_classes)
+        writes = _in_flow_order(cls_of, write_classes, n_classes)
+        # Raw (unweighted) counts are duty-independent: set once.
+        load = loads[r]
+        load.raw_read_remote = sum(map(remote.__getitem__, reads))
+        load.raw_read_local = len(reads) - load.raw_read_remote
+        load.raw_write_remote = sum(map(remote.__getitem__, writes))
+        load.raw_write_local = len(writes) - load.raw_write_remote
+        folds.append((load, reads, writes))
+    return cls_of, reps, remote, loads, folds, groups, class_groups
+
+
 def _solve_classes(
     flows: Sequence[Flow], memo: Optional["OrderedDict"] = None
 ) -> SolveResult:
     # simlint: hotpath — allocations here multiply by flows × resources ×
-    # DUTY_ITERATIONS × recomputes; load objects are reset in place.
+    # DUTY_ITERATIONS × recomputes; load fields are overwritten in place.
     """Equivalence-class duty-cycle fixed point with converged-state memo.
 
     Byte-identity with :func:`_solve_reference` rests on three facts:
@@ -686,15 +671,16 @@ def _solve_classes(
       arithmetic the reference applies to each member — identical operands
       give identical IEEE-754 results, so one evaluation stands for all;
     * per-resource *accumulation* stays in flow-list order.  Floating-point
-      addition is order-sensitive, so load sums are accumulated per flow
-      (using per-class cached terms) rather than per class scaled by count;
+      addition is order-sensitive, so each load field is a left fold from
+      ``0.0`` over the per-class terms of its contributing flows, in flow
+      order (see :func:`_build_plan`), never a per-class term × count;
     * ``share()`` is evaluated once per *share group* (resource × declared
-      signature projection) per iteration — identical operands stand for
-      every member class (see :class:`_ShareGroup`).
+      signature projection) per iteration: the share contract makes every
+      member class's operands identical, so one call stands for all.
 
     The memo key is the per-flow :attr:`Flow.shape` and duty sequences plus
     each resource's share-state token; a hit replays per-flow rates and
-    duties without building a class.
+    duties without building a plan.
     """
     shapes = tuple(map(_shape_of, flows))
     duties = tuple(map(_duty_of, flows))
@@ -730,100 +716,66 @@ def _solve_classes(
                 converged=converged,
             )
 
-    class_list, order = _build_classes(flows, shapes, duties)
-    loads = {r: ResourceLoad() for r in combos}
-    loads_list = list(loads.values())
-    res_index = {r: i for i, r in enumerate(combos)}
-    n_res = len(loads_list)
-    read_logs = [0.0] * n_res
-    write_logs = [0.0] * n_res
-    for cls in class_list:
-        cls.pairs = tuple(
-            (loads[r], res_index[r]) for r in cls.resources
-        )
-    group_list = _build_groups(class_list, loads)
-    # Raw (unweighted) flow counts are duty-independent: add them once per
-    # class, outside the fixed point — exact integer sums, so neither the
-    # order nor skipping the per-iteration re-accumulation changes a bit.
-    for cls in class_list:
-        members = cls.members
-        if cls.kind == "read":
-            if cls.remote:
-                for load, _ri in cls.pairs:
-                    load.raw_read_remote += members
-            else:
-                for load, _ri in cls.pairs:
-                    load.raw_read_local += members
-        elif cls.remote:
-            for load, _ri in cls.pairs:
-                load.raw_write_remote += members
-        else:
-            for load, _ri in cls.pairs:
-                load.raw_write_local += members
+    cls_of, reps, remote, loads, folds, groups, class_groups = _build_plan(
+        flows, shapes, duties, combos
+    )
+    n_classes = len(reps)
+    cls_duty = [rep.duty for rep in reps]
+    cls_rate = [0.0] * n_classes
+    self_caps = [rep.self_cap for rep in reps]
+    log_ops = [rep.log_op for rep in reps]
+    issues = [rep.issue_weight for rep in reps]
+    # Per-class load terms, refreshed in place as each class's duty moves
+    # (a damped duty is already clamped, so it *is* the next weight).
+    weights = [MIN_DUTY if d < MIN_DUTY else d for d in cls_duty]
+    terms = [w * lo for w, lo in zip(weights, log_ops)]
+    congestion = [w if w < iw else iw for w, iw in zip(weights, issues)]
     exp = math.exp
     inf = math.inf
     iterations = 0
     converged = False
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
-        for load in loads_list:
-            load.n_read_local = 0.0
-            load.n_read_remote = 0.0
-            load.n_write_local = 0.0
-            load.n_write_remote = 0.0
-            load.congestion_write_remote = 0.0
-        for i in range(n_res):
-            read_logs[i] = 0.0
-            write_logs[i] = 0.0
-        for cls in class_list:
-            weight = cls.duty
-            if weight < MIN_DUTY:
-                weight = MIN_DUTY
-            cls.weight = weight
-            cls.log_term = weight * cls.log_op
-            issue = cls.issue_weight
-            cls.congestion_term = weight if weight < issue else issue
-        # Accumulate per flow, in flow-list order: summation order is part
-        # of the byte-identity contract with the reference solver.
-        for cls in order:
-            weight = cls.weight
-            term = cls.log_term
-            if cls.kind == "read":
-                if cls.remote:
-                    for load, ri in cls.pairs:
-                        load.n_read_remote += weight
-                        read_logs[ri] += term
-                else:
-                    for load, ri in cls.pairs:
-                        load.n_read_local += weight
-                        read_logs[ri] += term
-            elif cls.remote:
-                congestion = cls.congestion_term
-                for load, ri in cls.pairs:
-                    load.n_write_remote += weight
-                    load.congestion_write_remote += congestion
-                    write_logs[ri] += term
-            else:
-                for load, ri in cls.pairs:
-                    load.n_write_local += weight
-                    write_logs[ri] += term
-        for i in range(n_res):
-            load = loads_list[i]
-            n_reads = load.n_read_local + load.n_read_remote
-            if n_reads > 0:
-                load.read_op_bytes = exp(read_logs[i] / n_reads)
-            n_writes = load.n_write_local + load.n_write_remote
-            if n_writes > 0:
-                load.write_op_bytes = exp(write_logs[i] / n_writes)
-        for g in group_list:
-            g.share = g.resource.share(g.load, g.rep)
+        # Each load field is a left fold from 0.0 over its flows in flow
+        # order, as the reference accumulates it.
+        for load, reads, writes in folds:
+            if reads:
+                local = far = log = 0.0
+                for c in reads:
+                    if remote[c]:
+                        far += weights[c]
+                    else:
+                        local += weights[c]
+                    log += terms[c]
+                load.n_read_local = local
+                load.n_read_remote = far
+                if local + far > 0:
+                    load.read_op_bytes = exp(log / (local + far))
+            if writes:
+                local = far = congested = log = 0.0
+                for c in writes:
+                    if remote[c]:
+                        far += weights[c]
+                        congested += congestion[c]
+                    else:
+                        local += weights[c]
+                    log += terms[c]
+                load.n_write_local = local
+                load.n_write_remote = far
+                load.congestion_write_remote = congested
+                if local + far > 0:
+                    load.write_op_bytes = exp(log / (local + far))
+        shares = [share(load, rep) for share, load, rep in groups]
         max_rel_change = 0.0
-        for cls in class_list:
+        for c in range(n_classes):
             device_rate = inf
-            for g in cls.groups:
-                if g.share < device_rate:
-                    device_rate = g.share
-            self_cap = cls.self_cap
+            for g in class_groups[c]:
+                s = shares[g]
+                if s < device_rate:
+                    device_rate = s
+                elif s != s:
+                    raise _nan_share(groups[g][0].__self__)
+            self_cap = self_caps[c]
             if device_rate == inf:
                 new_rate = self_cap
                 new_duty = 1.0 if self_cap == inf else MIN_DUTY
@@ -839,29 +791,31 @@ def _solve_classes(
                     new_duty = 1.0
             if new_rate == inf:
                 raise SimulationError(
-                    f"flow {cls.rep.label!r} has unbounded rate: no resource "
+                    f"flow {reps[c].label!r} has unbounded rate: no resource "
                     "or self cap constrains it"
                 )
-            old_rate = cls.rate
-            duty = cls.duty + DUTY_DAMPING * (new_duty - cls.duty)
+            old_duty = cls_duty[c]
+            duty = old_duty + DUTY_DAMPING * (new_duty - old_duty)
             if duty < MIN_DUTY:
                 duty = MIN_DUTY
             elif duty > 1.0:
                 duty = 1.0
-            cls.duty = duty
-            cls.rate = new_rate
-            denom = new_rate if new_rate > 1.0 else 1.0
-            rel = new_rate - old_rate
+            cls_duty[c] = weights[c] = duty
+            terms[c] = duty * log_ops[c]
+            issue = issues[c]
+            congestion[c] = duty if duty < issue else issue
+            rel = new_rate - cls_rate[c]
+            cls_rate[c] = new_rate
             if rel < 0.0:
                 rel = -rel
-            rel /= denom
+            rel /= new_rate if new_rate > 1.0 else 1.0
             if rel > max_rel_change:
                 max_rel_change = rel
         if max_rel_change < RATE_TOLERANCE:
             converged = True
             break
-    flow_rates = tuple([cls.rate for cls in order])
-    flow_duties = tuple([cls.duty for cls in order])
+    flow_rates = tuple(map(cls_rate.__getitem__, cls_of))
+    flow_duties = tuple(map(cls_duty.__getitem__, cls_of))
     for f, duty in zip(flows, flow_duties):
         f.duty = duty
     if key is not None:
@@ -869,7 +823,7 @@ def _solve_classes(
         memo[key] = (
             flow_rates,
             flow_duties,
-            len(class_list),
+            n_classes,
             iterations,
             loads,
             converged,
@@ -880,7 +834,7 @@ def _solve_classes(
         dict(zip(flows, flow_rates)),
         iterations,
         loads,
-        classes=len(class_list),
+        classes=n_classes,
         memo_attempted=key is not None,
         converged=converged,
     )

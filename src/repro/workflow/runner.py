@@ -19,7 +19,7 @@ is published.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.metrics.results import PhaseBreakdown, RunResult
@@ -112,6 +112,9 @@ class _WorkflowExecution:
         self.channel_socket = writer_socket if config.writer_local else reader_socket
         self.writer_stats = _ComponentStats()
         self.reader_stats = _ComponentStats()
+        #: ``Flow`` keyword arguments per ``(kind, cpu_socket)``; see
+        #: :meth:`_flow_template`.
+        self._flow_templates: Dict[tuple, Dict[str, Any]] = {}
         # MPI simulations synchronize every iteration through collectives
         # (ghost exchange / reductions), so checkpoint bursts stay aligned
         # across ranks; the barrier models that lockstep.
@@ -158,6 +161,17 @@ class _WorkflowExecution:
 
     # ------------------------------------------------------------------
     def _make_flow(self, kind: str, cpu_socket: int, label: str) -> Flow:
+        template = self._flow_templates.get((kind, cpu_socket))
+        if template is None:
+            template = self._flow_templates[kind, cpu_socket] = self._flow_template(
+                kind, cpu_socket
+            )
+        return Flow(label=label, **template)
+
+    def _flow_template(self, kind: str, cpu_socket: int) -> Dict[str, Any]:
+        """Every ``Flow`` field but the label, for *kind* flows issued from
+        *cpu_socket*: within one run they depend on nothing else (the stack
+        helpers are pure and the calibration is frozen)."""
         snapshot = self.spec.snapshot
         op_bytes = float(snapshot.object_bytes)
         path, remote = self.node.flow_path(cpu_socket, self.channel_socket)
@@ -171,7 +185,7 @@ class _WorkflowExecution:
             else self.cal.single_thread_read()
         )
         issue_weight = self_cap / (self_cap + single_thread)
-        return Flow(
+        return dict(
             nbytes=snapshot.snapshot_bytes * amplification,
             kind=kind,
             remote=remote,
@@ -181,7 +195,6 @@ class _WorkflowExecution:
             # log-structured streaming), not the logical object size.
             op_bytes=self.stack.device_access_bytes(kind, op_bytes),
             issue_weight=issue_weight,
-            label=label,
         )
 
     # ------------------------------------------------------------------

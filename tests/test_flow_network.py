@@ -34,7 +34,9 @@ from repro.units import KiB
 from tests.test_solver_equivalence import (
     assert_results_identical,
     clone_flow,
+    contended_resource,
     make_flow,
+    solve_both,
 )
 
 
@@ -365,10 +367,10 @@ class TestMemoKey:
             clone.nbytes = clone.remaining = 5e5 + i
             clone.label = f"clone{i}"
 
-        def no_classes(*args):
-            raise AssertionError("a memo hit built a solver class")
+        def no_plan(*args):
+            raise AssertionError("a memo hit built a solver plan")
 
-        monkeypatch.setattr(flow_module, "_FlowClass", no_classes)
+        monkeypatch.setattr(flow_module, "_build_plan", no_plan)
         hit = solve_flow_set(clones, memo=memo)
         assert hit.memo_hit
         assert hit.classes == first.classes == 2
@@ -376,6 +378,31 @@ class TestMemoKey:
         assert hit.loads is first.loads
         assert [hit.rates[f] for f in clones] == [first.rates[f] for f in flows]
         assert [f.duty for f in clones] == [f.duty for f in flows]
+
+    def test_miss_calls_share_once_per_group_per_iteration(self, monkeypatch):
+        """A miss evaluates ``share()`` exactly iterations × share groups
+        times: one call per (resource, share projection) per iteration."""
+        calls = []
+        for cls in (CapacityResource, OptaneDeviceResource):
+            original = cls.share
+
+            def counting(resource, load, flow, original=original):
+                calls.append(resource)
+                return original(resource, load, flow)
+
+            monkeypatch.setattr(cls, "share", counting)
+        # Four classes (a second self cap, a second duty) in three groups:
+        # the shared curve reads no flow field, the device reads
+        # (kind, remote), so all three write classes share two groups.
+        flows = keyed_flow_set({1: {"self_cap": 3e9}})
+        flows[2].duty = 0.5
+        groups = {(r, type(r).share_projector(f)) for f in flows for r in f.resources}
+        assert len(groups) == 3
+        result = solve_flow_set(flows, memo=flow_module.OrderedDict())
+        assert not result.memo_hit and result.iterations > 1
+        assert result.classes == 4
+        assert len(calls) == result.iterations * len(groups)
+        assert calls.count(KEYED_SHARED) == result.iterations
 
     @pytest.mark.parametrize(
         "field, value",
@@ -430,6 +457,57 @@ class TestMemoKey:
                 f.op_bytes,
                 f.issue_weight,
             )
+
+
+class TestFlowOrderAccumulation:
+    """Twelve classes interleaved in flow order with unrelated duties: every
+    load field must be folded flow by flow, as the reference does.
+    Regrouping the same terms by class (e.g. sorting a resource's reader
+    or writer list) rounds differently on several of these seeds."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_interleaved_classes_bit_identical(self, seed):
+        rng = random.Random(seed)
+        shared = contended_resource()
+        duties = [rng.uniform(0.05, 1.0) for _ in range(3)]
+        flows = []
+        for i in range(24):
+            flow = make_flow(
+                kind="read" if i % 2 == 0 else "write",
+                remote=(i // 2) % 2 == 1,
+                resources=[shared],
+                self_cap=30.0,
+                op_bytes=4 * KiB,
+                label=f"f{i}",
+            )
+            flow.duty = duties[i % 3]
+            flows.append(flow)
+        assert_results_identical(*solve_both(flows))
+
+
+class _NanShare(CapacityResource):
+    """A broken device model whose ``share()`` returns NaN."""
+
+    def share(self, load, flow):
+        return math.nan
+
+
+class TestNanShare:
+    """A NaN share must raise, not read as "unconstrained" (``nan < x`` is
+    false, so a bare min would skip it and hand the flow its self cap)."""
+
+    @pytest.mark.parametrize("solver", [SOLVER_FAST, SOLVER_REFERENCE])
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_share_raises_naming_the_resource(self, solver, nan_first):
+        finite = CapacityResource("finite", lambda load: 10.0)
+        bad = _NanShare("bad")
+        path = (bad, finite) if nan_first else (finite, bad)
+        flows = [
+            make_flow(resources=path, self_cap=5.0, label="f0"),
+            make_flow(kind="read", resources=(finite,), self_cap=5.0, label="f1"),
+        ]
+        with pytest.raises(SimulationError, match="'bad'.*NaN"):
+            solve_flow_set(flows, solver=solver, memo=flow_module.OrderedDict())
 
 
 class TestRateGauges:

@@ -1,12 +1,16 @@
 """Unit tests for the platform model."""
 
+import math
+
 import pytest
 
-from repro.errors import ConfigurationError, PlacementError
+from repro.errors import ConfigurationError, PlacementError, SimulationError
 from repro.platform.builder import paper_testbed, single_socket_node
+from repro.platform.interconnect import UpiLink
 from repro.platform.topology import CorePool, Node, Socket
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.pmem.device import OptaneDevice
+from repro.sim.flow import CapacityResource, Flow, ResourceLoad
 from repro.units import GiB
 
 
@@ -127,3 +131,39 @@ class TestBuilders:
         assert node.upi(0, 1).capacity(ResourceLoad()) == pytest.approx(
             DEFAULT_CALIBRATION.upi_bandwidth
         )
+
+
+class TestUpiShare:
+    """``UpiLink.share`` is a shortcut for the inherited processor-sharing
+    policy: it must return the very same float."""
+
+    @pytest.mark.parametrize("bandwidth", [20.8e9, 1.0, 3.0, math.inf])
+    def test_share_matches_inherited_policy_bit_for_bit(self, bandwidth):
+        link = UpiLink(0, 1, bandwidth)
+        flow = Flow(nbytes=1.0, kind="read", remote=True, resources=(link,))
+        values = [0.0, 1e-6, 0.25, 0.5, 1.0, 1.0 + 2**-52, 1.5, 7.3, 24.0]
+        for n_read in values:
+            for n_write in values:
+                load = ResourceLoad(
+                    n_read_local=n_read / 3,
+                    n_read_remote=n_read - n_read / 3,
+                    n_write_local=n_write / 7,
+                    n_write_remote=n_write - n_write / 7,
+                )
+                fast = link.share(load, flow)
+                inherited = CapacityResource.share(link, load, flow)
+                assert fast.hex() == inherited.hex(), (n_read, n_write)
+
+    def test_share_projects_no_flow_field(self):
+        assert UpiLink.share_signature_fields == ()
+        assert UpiLink.share_projector(object()) == ()
+
+    @pytest.mark.parametrize("bandwidth", [-1.0, math.nan])
+    def test_invalid_bandwidth_still_raises(self, bandwidth):
+        link = UpiLink(0, 1, 1e9)
+        flow = Flow(nbytes=1.0, kind="read", remote=True, resources=(link,))
+        link.bandwidth = bandwidth
+        with pytest.raises(SimulationError, match="upi"):
+            link.share(ResourceLoad(n_read_remote=1.0), flow)
+        with pytest.raises(SimulationError, match="upi"):
+            link.capacity(ResourceLoad())

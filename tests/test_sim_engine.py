@@ -32,6 +32,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().schedule(-0.1, lambda: None)
 
+    def test_nan_delay_raises(self):
+        """A NaN time compares false both ways and would corrupt heap order."""
+        engine = Engine()
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            engine.schedule_at(float("nan"), lambda: None)
+        assert engine.peak_queue_depth == 0
+
     def test_schedule_at_absolute_time(self):
         engine = Engine()
         seen = []

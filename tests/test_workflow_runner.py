@@ -6,9 +6,10 @@ from repro.core.configs import ALL_CONFIGS, P_LOCR, P_LOCW, S_LOCR, S_LOCW
 from repro.errors import PlacementError, ValidationError
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.storage.objects import SnapshotSpec
-from repro.units import GiB, KiB, MiB
+from repro.units import KiB, MiB
 from repro.workflow.iteration import component_iteration_profile
 from repro.workflow.kernels import FixedWorkKernel
+from repro.workflow import runner
 from repro.workflow.runner import probe_component, run_workflow
 from repro.workflow.spec import WorkflowSpec
 
@@ -163,3 +164,62 @@ class TestAllConfigsRun:
         result = run_workflow(micro_spec(), config)
         assert result.makespan > 0
         assert result.config_label == config.label
+
+
+class TestFlowTemplates:
+    """``_make_flow`` builds every flow of one ``(kind, cpu_socket)`` from a
+    per-run template; the flows must still equal a fresh derivation and
+    stay independent of one another."""
+
+    @staticmethod
+    def capture_flows(monkeypatch, spec, config):
+        seen = []
+        original = runner._WorkflowExecution._make_flow
+
+        def recording(execution, kind, cpu_socket, label):
+            flow = original(execution, kind, cpu_socket, label)
+            seen.append((execution, kind, cpu_socket, flow))
+            return flow
+
+        monkeypatch.setattr(runner._WorkflowExecution, "_make_flow", recording)
+        run_workflow(spec, config)
+        return seen
+
+    @pytest.mark.parametrize("config", [P_LOCR, S_LOCW])
+    def test_fields_equal_a_fresh_derivation(self, monkeypatch, config):
+        spec = micro_spec(ranks=4, iterations=2, object_bytes=2 * MiB, objects=4)
+        seen = self.capture_flows(monkeypatch, spec, config)
+        combos = {(kind, socket) for _, kind, socket, _ in seen}
+        assert combos == {("write", 0), ("read", 1)}
+        for execution, kind, socket, flow in seen:
+            stack, cal = execution.stack, execution.cal
+            op_bytes = float(spec.snapshot.object_bytes)
+            path, remote = execution.node.flow_path(socket, execution.channel_socket)
+            self_cap = stack.self_cap(cal, kind, op_bytes, remote)
+            single = (
+                cal.single_thread_write() if kind == "write" else cal.single_thread_read()
+            )
+            assert flow.kind == kind
+            assert flow.remote == remote
+            assert flow.resources == path
+            assert flow.self_cap == self_cap
+            assert flow.nbytes == spec.snapshot.snapshot_bytes * stack.amplification(
+                kind, op_bytes, remote
+            )
+            assert flow.op_bytes == stack.device_access_bytes(kind, op_bytes)
+            assert flow.issue_weight == self_cap / (self_cap + single)
+
+    def test_template_flows_share_shape_but_not_state(self, monkeypatch):
+        spec = micro_spec(ranks=2, iterations=2, object_bytes=2 * MiB, objects=4)
+        execution = self.capture_flows(monkeypatch, spec, P_LOCR)[0][0]
+        a = execution._make_flow("write", 0, "a")
+        b = execution._make_flow("write", 0, "b")
+        assert a.shape == b.shape
+        assert (a.label, b.label) == ("a", "b")
+        assert a.done is not b.done
+        a.remaining, a.rate, a.duty = 1.0, 2.0, 0.5
+        a._timer = object()
+        a.done.succeed(a)
+        assert b.remaining == b.nbytes
+        assert (b.rate, b.duty, b._timer) == (0.0, 1.0, None)
+        assert not b.done.triggered
