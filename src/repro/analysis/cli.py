@@ -4,10 +4,8 @@ Examples::
 
     python -m repro.analysis src/                 # lint + platform tables
     python -m repro.analysis src/ --format json   # machine-readable
-    python -m repro.analysis src/ --format sarif  # code-scanning upload
     python -m repro.analysis src/ --select SIM10,PLAT3
     python -m repro.analysis src/ --ignore SIM106
-    python -m repro.analysis src/ --fix           # rewrite magic literals
     python -m repro.analysis --list-rules
     python -m repro.analysis --platform-only      # just the platform tables
 
@@ -39,7 +37,6 @@ from repro.analysis.diagnostics import (
     render_text,
 )
 from repro.analysis.rules import all_rules, resolve_codes
-from repro.analysis.sarif import render_sarif
 from repro.analysis.simlint import lint_paths
 from repro.analysis.validate import validate_calibration, validate_node
 
@@ -77,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -101,11 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="skip source analysis; only validate platform/calibration tables",
     )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="rewrite SIM106 magic literals in place before analyzing",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -124,20 +116,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not os.path.exists(path):
             parser.error(f"no such file or directory: {path}")
 
-    if args.fix:
-        from repro.analysis.autofix import fix_paths
-
-        for path, count in sorted(fix_paths(paths).items()):
-            print(f"fixed {count} magic literal(s) in {path}")
-
     sink = DiagnosticSink(select=select, ignore=ignore)
     run_analysis(paths, sink, platform_only=args.platform_only)
     diagnostics = sink.sorted()
 
     if args.format == "json":
         print(render_json(diagnostics))
-    elif args.format == "sarif":
-        print(render_sarif(diagnostics))
     elif diagnostics:
         print(render_text(diagnostics))
     else:

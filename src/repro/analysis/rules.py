@@ -132,15 +132,15 @@ SIM109 = register(
     "stray-host-clock",
     "host-clock call (time.perf_counter / time.time / ...) outside the "
     "sanctioned readers; wall-clock measurement belongs in "
-    "repro.obs.hostmetrics or repro.runtime so host cost stays out of "
-    "deterministic payloads",
+    "repro.obs.hostmetrics, repro.obs.telemetry or repro.service so host "
+    "cost stays out of deterministic payloads",
 )
 SIM110 = register(
     "SIM110",
     "host-concurrency-import",
     "multiprocessing / concurrent.futures / threading / signal import "
-    "outside repro.service and repro.runtime; host concurrency anywhere "
-    "else lets scheduling nondeterminism leak into simulator code",
+    "outside repro.service; host concurrency anywhere else lets "
+    "scheduling nondeterminism leak into simulator code",
 )
 
 SIM111 = register(

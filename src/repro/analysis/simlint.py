@@ -11,8 +11,8 @@ happens to compare equal today — so this pass walks the source with
 ``SIM101``
     Wall-clock sources (``time.time``, ``time.monotonic``,
     ``datetime.now``, ...) anywhere in the model/simulator code.  Virtual
-    time comes from ``Engine.now``; the only package allowed to read the
-    wall clock is :mod:`repro.runtime` (the real threaded executor).
+    time comes from ``Engine.now``.  The scheduling service and the
+    analysis tooling are not simulator code and are exempt.
 ``SIM102``
     Module-level ``random`` / ``numpy.random`` calls and unseeded RNG
     constructors.  Randomness is allowed only through an explicitly seeded
@@ -40,15 +40,16 @@ happens to compare equal today — so this pass walks the source with
     Host-clock reads (``time.perf_counter``, ``time.time``, ...) in code
     that is *exempt* from SIM101 but is still not a sanctioned wall-clock
     reader.  Only :mod:`repro.obs.hostmetrics` (host self-metrics for the
-    campaign store) and the :mod:`repro.runtime` package may touch the
-    host clock; anywhere else, a stray wall-clock read is how
+    campaign store), :mod:`repro.obs.telemetry` and the
+    :mod:`repro.service` package may touch the host clock; anywhere
+    else, a stray wall-clock read is how
     non-determinism leaks into payloads that are supposed to be
     byte-identical.
 ``SIM110``
     Host-concurrency imports (``multiprocessing``, ``concurrent.futures``,
     ``threading``, ``signal``, ``_thread``) outside :mod:`repro.service`
-    (the worker pool and its CLI) and :mod:`repro.runtime` (the threaded
-    executor).  The simulator is single-threaded by construction; a
+    (the worker pool and its CLI).  The simulator is single-threaded by
+    construction; a
     worker pool spun up inside model code would make event order depend
     on host scheduling.
 ``SIM111``
@@ -82,17 +83,16 @@ from repro.units import KB, KiB
 # Zones.  Package = first path component under ``repro``; top-level modules
 # (errors.py, units.py) use their stem.
 # ---------------------------------------------------------------------------
-#: Packages exempt from the virtual-time rules: the threaded runtime really
-#: runs on the wall clock, the scheduling service manages host processes,
-#: and the analysis tooling is not simulator code.
-WALLCLOCK_EXEMPT_PACKAGES: Set[str] = {"runtime", "analysis", "service"}
+#: Packages exempt from the virtual-time rules: the scheduling service
+#: manages host processes, and the analysis tooling is not simulator code.
+WALLCLOCK_EXEMPT_PACKAGES: Set[str] = {"analysis", "service"}
 
-#: The sanctioned wall-clock readers (SIM109): the real threaded executor,
-#: the scheduling service (queue deadlines, retry backoff, cache-lookup
-#: timing), and the host self-metrics module feeding the campaign store.
+#: The sanctioned wall-clock readers (SIM109): the scheduling service
+#: (queue deadlines, retry backoff, cache-lookup timing), and the host
+#: self-metrics module feeding the campaign store.
 #: Everything else — including the rest of :mod:`repro.obs` and the
 #: SIM101-exempt analysis tooling — must not read the host clock.
-HOST_CLOCK_ALLOWED_PACKAGES: Set[str] = {"runtime", "service"}
+HOST_CLOCK_ALLOWED_PACKAGES: Set[str] = {"service"}
 HOST_CLOCK_ALLOWED_MODULES: Set[str] = {
     "repro.obs.hostmetrics",
     # The wall-clock telemetry plane (PR 7): registry timestamps, span
@@ -101,8 +101,8 @@ HOST_CLOCK_ALLOWED_MODULES: Set[str] = {
 }
 
 #: Where host-concurrency imports are sanctioned (SIM110): the service's
-#: worker pool / signal handling, and the real threaded executor.
-CONCURRENCY_ALLOWED_PACKAGES: Set[str] = {"service", "runtime"}
+#: worker pool and signal handling.
+CONCURRENCY_ALLOWED_PACKAGES: Set[str] = {"service"}
 
 #: Import roots that mean host concurrency (SIM110).
 _CONCURRENCY_MODULES: Set[str] = {
@@ -216,7 +216,7 @@ _HOTPATH_ALLOCATORS: Set[str] = {
 
 
 def _package_of(module: str) -> str:
-    """First component under ``repro`` ("sim", "runtime", "errors", ...)."""
+    """First component under ``repro`` ("sim", "obs", "errors", ...)."""
     parts = module.split(".")
     if "repro" in parts:
         index = parts.index("repro")
@@ -358,10 +358,8 @@ class _Linter(ast.NodeVisitor):
             self._emit(
                 "SIM110",
                 node,
-                f"host-concurrency import {module!r} outside "
-                "repro.service/repro.runtime",
-                "route parallelism through repro.service.pool.WorkerPool "
-                "(or move the code into repro.runtime)",
+                f"host-concurrency import {module!r} outside repro.service",
+                "route parallelism through repro.service.pool.WorkerPool",
             )
 
     # -- SIM101 / SIM102 / SIM105: calls -----------------------------------
@@ -429,8 +427,7 @@ class _Linter(ast.NodeVisitor):
                 "SIM109",
                 node,
                 f"host-clock call {resolved}() outside the sanctioned readers",
-                "measure host cost via repro.obs.hostmetrics.HostMeter "
-                "(or move the code into repro.runtime)",
+                "measure host cost via repro.obs.hostmetrics.HostMeter",
             )
 
     def _check_random(self, node: ast.Call, resolved: str) -> None:

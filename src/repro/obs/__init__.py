@@ -30,8 +30,8 @@ bandwidth fell below the model ceiling — flows through this package:
   (JSONL under ``campaigns/``) with content-hashed cell ids and a strict
   deterministic / host / provenance payload split.
 * :mod:`repro.obs.hostmetrics` — host-side self-metrics (wall clock, peak
-  RSS; allocation peak and cProfile hotspots under ``--profile``); a
-  sanctioned wall-clock reader outside :mod:`repro.runtime` (simlint
+  RSS; allocation peak and cProfile hotspots under ``--profile``); one
+  of the two sanctioned wall-clock readers in :mod:`repro.obs` (simlint
   SIM109).
 * :mod:`repro.obs.telemetry` — the wall-specific half of the scheduling
   service's telemetry: cross-process lifecycle spans with trace ids, the
@@ -90,7 +90,6 @@ from repro.obs.hostmetrics import (
     HostMetrics,
     aggregate_host_metrics,
     simulated_host_metrics,
-    threaded_host_metrics,
 )
 from repro.obs.manifest import RunManifest, build_manifest, calibration_hash
 from repro.obs.probes import Counter, Gauge, Histogram, LatencyHistogram, ProbeRegistry
@@ -155,7 +154,6 @@ __all__ = [
     "simulated_host_metrics",
     "span_records",
     "telemetry_snapshot",
-    "threaded_host_metrics",
     "to_json",
     "to_jsonl",
     "trace_makespans",

@@ -26,7 +26,6 @@ trajectory every subsequent optimization PR measures against).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +45,6 @@ from repro.obs.hostmetrics import (
     aggregate_host_metrics,
     host_metrics_from_record,
     simulated_host_metrics,
-    threaded_host_metrics,
 )
 from repro.obs.manifest import calibration_hash
 from repro.obs.store import (
@@ -553,49 +551,6 @@ def run_campaign(
     return run
 
 
-def append_emulated_run(
-    store: CampaignStore,
-    campaign: str,
-    spec: WorkflowSpec,
-    config: SchedulerConfig,
-    result: "Any",
-) -> StoredCell:
-    """Record a :mod:`repro.runtime.threaded` run as a campaign cell.
-
-    The deterministic payload carries only the run's identity (an emulated
-    run is wall-clock by nature, so its makespan lives in ``host``); the
-    host payload uses the exact record shape simulated cells use, which is
-    what makes the two kinds comparable in one store.
-    """
-    host = threaded_host_metrics(result)
-    deterministic = {
-        "family": spec.name,
-        "ranks": spec.ranks,
-        "workflow": spec.name,
-        "iterations": spec.iterations,
-        "stack": spec.stack_name,
-        "calibration_sha256": None,
-        "configs": {config.label: {"makespan": None, "emulated": True}},
-        "winner": config.label,
-        "paper_best": None,
-        "figure": None,
-        "paper_hit": None,
-        "emulated": True,
-    }
-    digest = hashlib.sha256(
-        f"emulated|{spec.name}|{spec.ranks}|{spec.iterations}|{config.label}".encode()
-    )
-    cell = StoredCell(
-        cell_id=digest.hexdigest()[:16],
-        key=f"{spec.name}@{spec.ranks}",
-        deterministic=deterministic,
-        host=host.as_record(),
-        provenance={},
-    )
-    store.append_cell(campaign, cell)
-    return cell
-
-
 # ----------------------------------------------------------------------
 # Rehydration: stored campaign -> comparable view.
 # ----------------------------------------------------------------------
@@ -933,11 +888,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
         ]
         for cell in run.cells:
             configs = cell.deterministic.get("configs", {})
-            makespans = {
-                label: entry.get("makespan")
-                for label, entry in configs.items()
-                if entry.get("makespan") is not None
-            }
+            makespans = {label: entry["makespan"] for label, entry in configs.items()}
             best = min(makespans.values()) if makespans else 0.0
             row = [cell.key]
             for label in config_labels:
@@ -1006,11 +957,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
     lines.append(header + f"  {'winner':>8}  paper")
     for cell in run.cells:
         configs = cell.deterministic.get("configs", {})
-        makespans = {
-            label: entry.get("makespan")
-            for label, entry in configs.items()
-            if entry.get("makespan") is not None
-        }
+        makespans = {label: entry["makespan"] for label, entry in configs.items()}
         best = min(makespans.values()) if makespans else 0.0
         row = f"{cell.key:<22}"
         for label in config_labels:

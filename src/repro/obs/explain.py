@@ -619,7 +619,7 @@ def config_attribution(entry: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
 
     Prefers the precise critical-path record written since this module
     existed; falls back to the phase estimator for older cells; returns
-    None when the entry has neither (emulated runs).
+    None when the entry has neither.
     """
     attribution = entry.get("attribution")
     if isinstance(attribution, dict) and "buckets" in attribution:

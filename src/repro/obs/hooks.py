@@ -8,8 +8,8 @@ implementations, which translate raw simulator events into probe
 instruments:
 
 * :class:`EngineHooks` — event-queue depth over virtual time;
-* :class:`NetworkHooks` — active flows, per-resource occupancy, achieved
-  vs. model bandwidth, per-resource/per-direction bytes moved, per-flow
+* :class:`NetworkHooks` — active flows, per-resource occupancy and
+  achieved bandwidth, per-resource/per-direction bytes moved, per-flow
   achieved-rate histograms;
 * :class:`ChannelHooks` — versions published/consumed, payload bytes,
   version-wait counts, reader lag, retention pressure.
@@ -52,7 +52,6 @@ class NetworkHooks:
         "_completed",
         "_occupancy",
         "_achieved",
-        "_model",
         "_bytes",
         "_rate_hist",
     )
@@ -66,7 +65,6 @@ class NetworkHooks:
         # Per-resource instrument caches (avoid registry lookups per event).
         self._occupancy: Dict[str, Gauge] = {}
         self._achieved: Dict[str, Gauge] = {}
-        self._model: Dict[str, Gauge] = {}
         self._bytes: Dict[Tuple[str, str, bool], Counter] = {}
         self._rate_hist: Dict[str, object] = {}
 
@@ -95,26 +93,12 @@ class NetworkHooks:
         for name, gauge in self._achieved.items():
             if name not in seen:
                 gauge.set(now, 0.0)
-        for name, gauge in self._model.items():
-            if name not in seen:
-                gauge.set(now, 0.0)
         # One pass over the flows; per-resource sums stay in flow order.
-        # share() runs once per (resource, projection) group: the share
-        # contract makes it identical across the group.  It runs after
-        # observe(), so the model rate reads the just-updated device state.
         achieved = dict.fromkeys(loads, 0.0)
-        model = dict.fromkeys(loads, 0.0)
-        shares: Dict[Tuple["CapacityResource", object], float] = {}
         for flow in flows:
             rate = flow.rate
             for resource in flow.resources:
                 achieved[resource] += rate
-                key = (resource, resource.share_projector(flow))
-                share = shares.get(key)
-                if share is None:
-                    share = resource.share(loads[resource], flow)
-                    shares[key] = share
-                model[resource] += share
         for resource, load in sorted(loads.items(), key=lambda kv: kv[0].name):
             self._resource_gauge(
                 self._occupancy, "resource.occupancy", resource.name
@@ -122,9 +106,6 @@ class NetworkHooks:
             self._resource_gauge(
                 self._achieved, "resource.rate_achieved", resource.name
             ).set(now, achieved[resource])
-            self._resource_gauge(
-                self._model, "resource.rate_model", resource.name
-            ).set(now, model[resource])
 
     def on_solve(self, now: float, iterations: int) -> None:
         """Called after every rate solve with the fixed-point iteration count.

@@ -1,17 +1,17 @@
 """Host-side self-metrics: what a run costs *this* machine.
 
 Everything else in :mod:`repro.obs` is clocked on virtual time and is
-byte-identical across reruns; this module is the one sanctioned wall-clock
-reader outside :mod:`repro.runtime` (enforced by simlint rule SIM109).  It
-measures the simulator itself — wall-clock seconds and the process's peak
-resident memory by default; the tracemalloc allocation peak and cProfile
-hotspots only when profiling — and pairs those with the deterministic
-work counters the engine and flow network already track (events executed,
-rate recomputations, solver iterations), yielding one
+byte-identical across reruns; this module and :mod:`repro.obs.telemetry`
+are its only sanctioned wall-clock readers (enforced by simlint rule
+SIM109).  It measures the simulator itself — wall-clock seconds and the
+process's peak resident memory by default; the tracemalloc allocation
+peak and cProfile hotspots only when profiling — and pairs those with the
+deterministic work counters the engine and flow network already track
+(events executed, rate recomputations, solver iterations), yielding one
 :class:`HostMetrics` record per campaign cell.
 
 The record shape is shared between *simulated* cells (discrete-event runs)
-and *emulated* cells (:mod:`repro.runtime.threaded` wall-clock runs), so a
+and *cached* cells (service cache hits, where nothing was simulated), so a
 campaign store can hold both and a dashboard can compare them in one
 table.  The headline derived rate is ``sim_seconds_per_wall_second`` —
 how much virtual time the simulator produces per second of host time —
@@ -44,7 +44,6 @@ except ImportError:  # pragma: no cover - platforms without the module
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.capture import Observation
-    from repro.runtime.threaded import RealRunResult
 
 #: Hotspot rows kept per profiled cell.
 PROFILE_TOP_DEFAULT = 10
@@ -54,9 +53,6 @@ _MAXRSS_SCALE = 1 if sys.platform == "darwin" else KiB
 
 #: Record-shape marker for discrete-event (virtual-time) runs.
 KIND_SIMULATED = "simulated"
-
-#: Record-shape marker for threaded wall-clock (emulated) runs.
-KIND_EMULATED = "emulated"
 
 #: Record-shape marker for service cache hits: nothing was simulated, the
 #: wall cost is the cache lookup itself.
@@ -83,7 +79,7 @@ class Hotspot:
 
 @dataclass
 class HostMetrics:
-    """Host-side cost of one campaign cell (or one emulated run).
+    """Host-side cost of one campaign cell (simulated or served from cache).
 
     ``wall_seconds`` and ``peak_rss_bytes`` come from the host clock and
     the kernel's resident-memory high-water mark; ``peak_tracemalloc_bytes``
@@ -91,7 +87,7 @@ class HostMetrics:
     event/recompute/solver counters are
     deterministic simulator totals copied here because they are *cost*
     signals, not results.  The record deliberately mirrors the same keys
-    for simulated and emulated runs so both kinds live in one store.
+    for simulated and cached cells so both kinds live in one store.
     """
 
     kind: str
@@ -104,7 +100,7 @@ class HostMetrics:
     flows_completed: float = 0.0
     #: Solver fast-path accounting (PR-5): equivalence classes solved,
     #: converged-state memo hits/misses, and recompute requests absorbed
-    #: by coalescing.  Zero for emulated/cached runs and for the
+    #: by coalescing.  Zero for cached cells and for the
     #: reference solver.
     solver_classes: float = 0.0
     solver_memo_hits: float = 0.0
@@ -120,7 +116,7 @@ class HostMetrics:
 
     @property
     def sim_seconds_per_wall_second(self) -> float:
-        """Virtual seconds produced per host second (0 for emulated runs)."""
+        """Virtual seconds produced per host second (0 with no wall time)."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.simulated_seconds / self.wall_seconds
@@ -325,21 +321,6 @@ def cached_host_metrics(wall_seconds: float, simulated_seconds: float = 0.0) -> 
         wall_seconds=wall_seconds,
         simulated_seconds=simulated_seconds,
         runs=0,
-    )
-
-
-def threaded_host_metrics(result: "RealRunResult") -> HostMetrics:
-    """The same record shape for a :mod:`repro.runtime.threaded` run.
-
-    Emulated runs have no virtual clock and no flow network, so the
-    simulator counters are zero; the wall-clock fields carry the real
-    measurement.  This is what makes emulated and simulated runs
-    comparable rows in one campaign store.
-    """
-    return HostMetrics(
-        kind=KIND_EMULATED,
-        wall_seconds=result.makespan_seconds,
-        runs=1,
     )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -133,6 +134,14 @@ _CELL_REQUIRED = ("record", "campaign", "cell_id", "key", "deterministic", "host
 _DETERMINISTIC_REQUIRED = ("family", "ranks", "configs", "winner")
 
 
+def _is_finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_record(record: Any, index: int = 0) -> List[str]:
     """Problems with one store record; empty list means valid."""
     prefix = f"line {index + 1}"
@@ -167,11 +176,18 @@ def validate_record(record: Any, index: int = 0) -> List[str]:
                         problems.append(
                             f"{prefix}: config {label!r} missing 'makespan'"
                         )
+                    elif not _is_finite_number(entry["makespan"]):
+                        problems.append(
+                            f"{prefix}: config {label!r} makespan "
+                            f"{entry['makespan']!r} is not a finite number"
+                        )
                 winner = deterministic.get("winner")
                 if winner is not None and winner not in configs:
                     problems.append(
                         f"{prefix}: winner {winner!r} not among configs"
                     )
+            elif "configs" in deterministic:
+                problems.append(f"{prefix}: 'configs' must be an object")
         elif "deterministic" in record:
             problems.append(f"{prefix}: 'deterministic' must be an object")
         host = record.get("host")

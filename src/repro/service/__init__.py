@@ -26,8 +26,8 @@ service (the shape Balsam gives HPC workflow campaigns):
 * ``python -m repro.service`` — the ``submit | run | status | metrics |
   drain | cache`` command line (:mod:`repro.service.cli`).
 
-The host-side concurrency lives *only* here and in :mod:`repro.runtime`
-(enforced by simlint rule SIM110); the simulator each worker drives stays
+The host-side concurrency lives *only* here (enforced by simlint rule
+SIM110); the simulator each worker drives stays
 single-threaded and deterministic, and completed cells are sorted by cell
 id before persisting so the stored results are byte-identical regardless
 of worker completion order.

@@ -1,11 +1,10 @@
 """Worker pool: parallel execution of service tasks with host-side limits.
 
-This is one of the two sanctioned homes of host concurrency (simlint rule
-SIM110; the other is :mod:`repro.runtime`).  The pool never touches the
-simulator's determinism: each worker process runs an ordinary
-single-threaded simulation, and callers sort completed results by cell id
-before persisting, so the stored bytes are independent of completion
-order.
+This package is the only sanctioned home of host concurrency (simlint
+rule SIM110).  The pool never touches the simulator's determinism: each
+worker process runs an ordinary single-threaded simulation, and callers
+sort completed results by cell id before persisting, so the stored bytes
+are independent of completion order.
 
 Design points:
 

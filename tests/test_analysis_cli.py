@@ -7,7 +7,6 @@ import time
 import pytest
 
 from repro.analysis.cli import main
-from repro.analysis.sarif import validate_sarif
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -68,33 +67,6 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main([str(tmp_path), "--select", prefix])
         assert excinfo.value.code == 2
-
-
-class TestSarifFormat:
-    def test_sarif_output_validates(self, capsys):
-        assert main([SRC, "--format", "sarif"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert validate_sarif(document) == []
-
-    def test_sarif_carries_findings(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "sim" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("CHUNK = 4096\n")
-        assert main([str(bad), "--format", "sarif"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert validate_sarif(document) == []
-        assert document["runs"][0]["results"][0]["ruleId"] == "SIM106"
-
-
-class TestFixFlag:
-    def test_fix_rewrites_then_passes(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "sim" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("CHUNK = 4096\n")
-        assert main([str(tmp_path), "--fix"]) == 0
-        out = capsys.readouterr().out
-        assert "fixed 1 magic literal(s)" in out
-        assert "KiB" in bad.read_text()
 
 
 class TestAnalysisRuntime:

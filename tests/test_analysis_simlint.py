@@ -48,15 +48,12 @@ class TestSIM101WallClock:
     def test_engine_now_not_flagged(self):
         assert codes("def f(engine):\n    return engine.now") == []
 
-    def test_runtime_package_exempt(self):
-        snippet = "import time\nstamp = time.time()"
-        assert (
-            codes(
-                snippet,
-                module="repro.runtime.fixture",
-                path="src/repro/runtime/fixture.py",
-            )
-            == []
+    def test_runtime_package_not_exempt(self):
+        # No package named runtime is exempt from the virtual-time rules.
+        assert "SIM101" in codes(
+            "import time\nstamp = time.time()",
+            module="repro.runtime.fixture",
+            path="src/repro/runtime/fixture.py",
         )
 
 
@@ -277,15 +274,15 @@ class TestSIM109StrayHostClock:
             == []
         )
 
-    def test_runtime_package_sanctioned(self):
-        assert (
-            codes(
-                self.SNIPPET,
-                module="repro.runtime.threaded",
-                path="src/repro/runtime/threaded.py",
-            )
-            == []
+    def test_runtime_package_not_sanctioned(self):
+        # A runtime package is neither a sanctioned host-clock reader nor
+        # exempt from the virtual-time rules, so its clock read is SIM101.
+        found = codes(
+            self.SNIPPET,
+            module="repro.runtime.threaded",
+            path="src/repro/runtime/threaded.py",
         )
+        assert "SIM101" in found and "SIM109" not in found
 
     def test_other_obs_modules_still_sim101(self):
         # The rest of repro.obs stays in the wall-clock zone: a stray
@@ -341,14 +338,11 @@ class TestSIM110ConcurrencyImport:
             == []
         )
 
-    def test_runtime_package_sanctioned(self):
-        assert (
-            codes(
-                "import threading",
-                module="repro.runtime.threaded",
-                path="src/repro/runtime/threaded.py",
-            )
-            == []
+    def test_runtime_package_not_sanctioned(self):
+        assert "SIM110" in codes(
+            "import threading",
+            module="repro.runtime.threaded",
+            path="src/repro/runtime/threaded.py",
         )
 
     def test_similarly_named_modules_not_flagged(self):

@@ -557,3 +557,27 @@ class TestRateGauges:
         observe_workflow(build_workflow("micro-2k", 8, iterations=2), P_LOCR)
         assert len(expected) > 10
         assert achieved == expected
+
+    def test_observation_adds_no_share_calls(self, monkeypatch):
+        """Observing a run evaluates no ``share()`` beyond the solver's own."""
+        from repro.apps.suite import build_workflow
+        from repro.core.configs import P_LOCR
+        from repro.obs.capture import observe_workflow
+        from repro.platform.interconnect import UpiLink
+        from repro.workflow.runner import run_workflow
+
+        calls = []
+        for rtype in (CapacityResource, OptaneDeviceResource, UpiLink):
+
+            def counting(resource, load, flow, original=rtype.share):
+                calls.append(resource)
+                return original(resource, load, flow)
+
+            monkeypatch.setattr(rtype, "share", counting)
+        spec = build_workflow("micro-2k", 8)
+        run_workflow(spec, P_LOCR)
+        plain = len(calls)
+        del calls[:]
+        observe_workflow(spec, P_LOCR)
+        assert plain > 0
+        assert len(calls) == plain

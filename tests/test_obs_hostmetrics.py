@@ -1,4 +1,4 @@
-"""Host-side self-metrics: the meter, profiling, and record-shape parity."""
+"""Host-side self-metrics: the meter, profiling, and the record shape."""
 
 import tracemalloc
 
@@ -9,7 +9,7 @@ from repro.errors import SimulationError
 from repro.obs.campaign import run_cell
 from repro.obs.capture import observe_workflow
 from repro.obs.hostmetrics import (
-    KIND_EMULATED,
+    KIND_CACHED,
     KIND_SIMULATED,
     HostMeter,
     HostMetrics,
@@ -17,10 +17,8 @@ from repro.obs.hostmetrics import (
     aggregate_host_metrics,
     host_metrics_from_record,
     simulated_host_metrics,
-    threaded_host_metrics,
 )
 from repro.apps.suite import build_workflow
-from repro.runtime.threaded import RealRunResult
 
 
 def tiny_observation():
@@ -141,36 +139,6 @@ class TestSimulatedMetrics:
         assert loaded.wall_seconds == 1.5
 
 
-class TestThreadedParity:
-    def result(self):
-        return RealRunResult(
-            config_label="P-LocR",
-            makespan_seconds=1.25,
-            writer_seconds=0.75,
-            reader_seconds=1.25,
-            iterations_completed=2,
-        )
-
-    def test_same_record_keys_as_simulated(self):
-        with HostMeter() as meter:
-            observation = tiny_observation()
-        simulated = simulated_host_metrics(meter, [observation]).as_record()
-        emulated = threaded_host_metrics(self.result()).as_record()
-        assert set(simulated) == set(emulated)
-
-    def test_emulated_values(self):
-        metrics = threaded_host_metrics(self.result())
-        assert metrics.kind == KIND_EMULATED
-        assert metrics.wall_seconds == 1.25
-        assert metrics.runs == 1
-        assert metrics.sim_seconds_per_wall_second == 0.0
-
-    def test_host_record_method_on_result(self):
-        record = self.result().host_record()
-        assert record["kind"] == KIND_EMULATED
-        assert record["wall_seconds"] == 1.25
-
-
 class TestAggregate:
     def test_sums_and_peak(self):
         a = HostMetrics(
@@ -206,7 +174,7 @@ class TestAggregate:
 
     def test_mixed_kinds(self):
         a = HostMetrics(kind=KIND_SIMULATED, wall_seconds=1.0)
-        b = HostMetrics(kind=KIND_EMULATED, wall_seconds=1.0)
+        b = HostMetrics(kind=KIND_CACHED, wall_seconds=1.0)
         assert aggregate_host_metrics([a, b]).kind == "mixed"
 
     def test_zero_wall_rates_are_zero(self):

@@ -1,6 +1,7 @@
 """Campaign store semantics: cell ids, append-only, schema validation."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.obs.store import (
     validate_campaign_lines,
     validate_record,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def manifest(config="S-LocW", **overrides):
@@ -166,6 +169,44 @@ class TestSchemaValidation:
         assert any(
             "winner" in p for p in validate_record(record)
         )
+
+    def test_configs_list_rejected(self, tmp_path):
+        # A list of labels used to validate, then crash the report.
+        store = CampaignStore(str(tmp_path))
+        store.create("camp", {"suite": "micro"})
+        bad = cell()
+        bad.deterministic["configs"] = ["S-LocW"]
+        store.append_cell("camp", bad)
+        assert any("'configs' must be an object" in p for p in store.validate("camp"))
+
+    def test_configs_string_rejected(self):
+        record = cell().as_record("camp")
+        record["deterministic"]["configs"] = "S-LocW"
+        assert any("'configs' must be an object" in p for p in validate_record(record))
+
+    def test_config_entry_not_object_rejected(self):
+        record = cell().as_record("camp")
+        record["deterministic"]["configs"] = {"S-LocW": 1.0}
+        assert any("missing 'makespan'" in p for p in validate_record(record))
+
+    @pytest.mark.parametrize(
+        "makespan",
+        [None, True, "1.0", [1.0], float("nan"), float("inf"), -float("inf")],
+        ids=["none", "bool", "string", "list", "nan", "inf", "neg-inf"],
+    )
+    def test_makespan_must_be_finite_number(self, makespan):
+        record = cell().as_record("camp")
+        record["deterministic"]["configs"]["S-LocW"]["makespan"] = makespan
+        assert any("not a finite number" in p for p in validate_record(record))
+
+    def test_integer_makespan_accepted(self):
+        record = cell().as_record("camp")
+        record["deterministic"]["configs"]["S-LocW"]["makespan"] = 3
+        assert validate_record(record) == []
+
+    def test_committed_baseline_validates(self):
+        store = CampaignStore(os.path.join(REPO_ROOT, "campaigns"))
+        assert store.validate("baseline-micro") == []
 
     def test_invalid_json_detected(self):
         problems = validate_campaign_lines(["{not json"])
