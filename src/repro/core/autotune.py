@@ -64,10 +64,9 @@ class ExhaustiveTuner:
     With a :class:`~repro.service.cache.ResultCache` attached, ``tune()``
     first looks the workflow up by its content id — a hit rebuilds the
     per-config results from the stored cell without simulating anything,
-    and a miss populates the cache for the next caller.  ``jobs > 1``
-    evaluates the configurations in parallel worker processes.  Tracing
-    needs live tracer objects, so ``trace=True`` always takes the direct
-    serial path (no cache, no pool).
+    and a miss populates the cache for the next caller.  Tracing needs
+    live tracer objects, so ``trace=True`` always takes the direct path
+    (no cache).
     """
 
     def __init__(
@@ -76,21 +75,17 @@ class ExhaustiveTuner:
         configs: Sequence[SchedulerConfig] = ALL_CONFIGS,
         trace: bool = False,
         cache: Optional["ResultCache"] = None,
-        jobs: int = 1,
     ) -> None:
         if not configs:
             raise ConfigurationError("tuner needs at least one configuration")
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.cal = cal
         self.configs = tuple(configs)
         self.trace = trace
         self.cache = cache
-        self.jobs = jobs
 
     def tune(self, spec: WorkflowSpec) -> TuningReport:
         """Evaluate *spec* under every configuration."""
-        if not self.trace and (self.cache is not None or self.jobs > 1):
+        if not self.trace and self.cache is not None:
             return self._tune_via_cell(spec)
         results = [
             run_workflow(spec, config, cal=self.cal, trace=self.trace)
@@ -101,25 +96,20 @@ class ExhaustiveTuner:
         )
 
     def _tune_via_cell(self, spec: WorkflowSpec) -> TuningReport:
-        """Cache-aware / parallel path through the campaign cell machinery."""
+        """Cache-aware path through the campaign cell machinery."""
         from repro.obs.campaign import results_from_cell_payload, run_spec_cell
+        from repro.service.cache import cell_id_for_spec
 
-        if self.cache is not None:
-            from repro.service.cache import cell_id_for_spec
-
-            cached = self.cache.get(cell_id_for_spec(spec, self.configs, self.cal))
-            if cached is not None:
-                return TuningReport(
-                    workflow_name=spec.name,
-                    comparison=compare_configs(
-                        results_from_cell_payload(cached.deterministic)
-                    ),
-                )
-        cell = run_spec_cell(
-            spec, configs=self.configs, cal=self.cal, jobs=self.jobs
-        )
-        if self.cache is not None:
-            self.cache.put(cell.stored())
+        cached = self.cache.get(cell_id_for_spec(spec, self.configs, self.cal))
+        if cached is not None:
+            return TuningReport(
+                workflow_name=spec.name,
+                comparison=compare_configs(
+                    results_from_cell_payload(cached.deterministic)
+                ),
+            )
+        cell = run_spec_cell(spec, configs=self.configs, cal=self.cal)
+        self.cache.put(cell.stored())
         return TuningReport(
             workflow_name=spec.name,
             comparison=compare_configs(

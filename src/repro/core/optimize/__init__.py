@@ -4,7 +4,7 @@ Public surface:
 
 * :mod:`repro.core.optimize.model` — candidates, scenarios, limits;
 * :mod:`repro.core.optimize.pricing` — simulation/analytic pricers;
-* :mod:`repro.core.optimize.backends` — exact and flow optimizers, plans;
+* :mod:`repro.core.optimize.backends` — the exact optimizer, plans;
 * :mod:`repro.core.optimize.pareto` — ε-dominance frontier enumeration;
 * ``python -m repro.core.optimize`` — solve / pareto / validate / compare.
 """
@@ -12,10 +12,7 @@ Public surface:
 from repro.core.optimize.backends import (
     PLAN_SCHEMA,
     BranchBoundOptimizer,
-    GreedyFlowOptimizer,
-    Optimizer,
     Plan,
-    optimizer_by_name,
 )
 from repro.core.optimize.model import (
     Candidate,
@@ -46,8 +43,6 @@ __all__ = [
     "BranchBoundOptimizer",
     "Candidate",
     "FrontierPoint",
-    "GreedyFlowOptimizer",
-    "Optimizer",
     "Plan",
     "Scenario",
     "ScenarioLimits",
@@ -56,7 +51,6 @@ __all__ = [
     "enumerate_frontier",
     "frontier_json",
     "frontier_payload",
-    "optimizer_by_name",
     "pareto_filter",
     "pricer_by_name",
     "retained_pmem_bytes",

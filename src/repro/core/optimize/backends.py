@@ -1,36 +1,26 @@
-"""Optimizer backends: exact branch-and-bound and a scaling relaxation.
+"""Optimizer backend: exact branch-and-bound over the joint assignment.
 
-Both backends minimize the scenario's **makespan** objective subject to
-the Σ-footprint PMEM budget (per-candidate gating — cores, DRAM — has
-already happened in :meth:`Scenario.feasible_candidates`), and both are
-fully deterministic: workflows are visited in key order, candidates in
+:class:`BranchBoundOptimizer` minimizes the scenario's **makespan**
+objective subject to the Σ-footprint PMEM budget (per-candidate gating —
+cores, DRAM — has already happened in
+:meth:`Scenario.feasible_candidates`) and is fully deterministic:
+workflows are visited in key order, candidates in
 :data:`~repro.core.optimize.model.CANDIDATE_ORDER`, and every tie is
 broken lexicographically.
 
-* :class:`BranchBoundOptimizer` — depth-first search over the joint
-  assignment with two admissible prunes: an optimistic makespan bound
-  (current cost + Σ of each remaining workflow's fastest candidate) and
-  a feasibility bound (current footprint + Σ of each remaining
-  workflow's *smallest* footprint).  Exact, and fast in practice: the
-  suite's 18 workflows x ≤7 candidates explore a few hundred nodes
-  because the makespan bound is tight.  Worst case is exponential — use
-  the flow backend past ~30 workflows.
-* :class:`GreedyFlowOptimizer` — the min-cost-flow-shaped relaxation.
-  Think of one unit of "footprint overrun" routed from the scenario's
-  budget node through per-workflow swap arcs, each priced at marginal
-  makespan per byte saved: start from the per-workflow makespan argmin
-  and repeatedly apply the cheapest footprint-saving swap (successive
-  shortest arcs) until the budget holds.  Runs in
-  ``O(workflows² x candidates)``; optimal whenever one swap per
-  workflow suffices (the common case), but — like any greedy flow
-  rounding — it can overpay when the budget forces coordinated
-  multi-workflow trades.  A plan records which backend produced it.
+The search is depth-first with two admissible prunes: an optimistic
+makespan bound (current cost + Σ of each remaining workflow's fastest
+candidate) and a feasibility bound (current footprint + Σ of each
+remaining workflow's *smallest* footprint).  Worst case is exponential,
+but the makespan bound is tight in practice: the suite's 18 workflows x
+≤7 candidates (colocation + DRAM, 300 GB budget) explore 91 nodes,
+guarded exactly as ``bb_nodes`` in ``BENCH_simcore.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Tuple
 
 from repro.core.optimize.model import Candidate, Scenario
 from repro.errors import ConfigurationError
@@ -43,7 +33,9 @@ PLAN_SCHEMA = "repro.optimize.plan/v1"
 class Plan:
     """A joint assignment: one candidate key per workflow key."""
 
-    backend: str
+    #: The ``backend`` the plan schema records: branch-and-bound is the
+    #: only optimizer, so every plan says ``"exact"``.
+    backend: ClassVar[str] = "exact"
     selections: Tuple[Tuple[str, str], ...]  # (workflow key, candidate key)
     makespan_seconds: float
     pmem_bytes: int
@@ -91,16 +83,9 @@ class Plan:
         }
 
 
-def _plan_from(
-    backend: str,
-    scenario: Scenario,
-    picks: Dict[str, Candidate],
-    feasible: bool,
-    nodes: int,
-) -> Plan:
+def _plan_from(picks: Dict[str, Candidate], feasible: bool, nodes: int) -> Plan:
     selections = tuple(sorted((key, c.key) for key, c in picks.items()))
     return Plan(
-        backend=backend,
         selections=selections,
         makespan_seconds=sum(c.makespan_seconds for c in picks.values()),
         pmem_bytes=sum(c.pmem_bytes for c in picks.values()),
@@ -110,19 +95,8 @@ def _plan_from(
     )
 
 
-class Optimizer:
-    """One-method interface both backends (and tests' fakes) implement."""
-
-    name = "abstract"
-
-    def solve(self, scenario: Scenario) -> Plan:
-        raise NotImplementedError
-
-
-class BranchBoundOptimizer(Optimizer):
+class BranchBoundOptimizer:
     """Exact minimum-makespan assignment under the PMEM budget."""
-
-    name = "exact"
 
     def solve(self, scenario: Scenario) -> Plan:
         order = sorted(scenario.keys)
@@ -193,61 +167,6 @@ class BranchBoundOptimizer(Optimizer):
                 )
                 for key, cands in zip(order, choice_sets)
             }
-            return _plan_from(self.name, scenario, picks, False, nodes["count"])
+            return _plan_from(picks, False, nodes["count"])
         picks = dict(zip(order, best["picks"]))
-        return _plan_from(self.name, scenario, picks, True, nodes["count"])
-
-
-class GreedyFlowOptimizer(Optimizer):
-    """Greedy successive-cheapest-swap relaxation (scales past B&B)."""
-
-    name = "flow"
-
-    def solve(self, scenario: Scenario) -> Plan:
-        order = sorted(scenario.keys)
-        choice_sets = {
-            key: scenario.feasible_candidates(scenario.choices_of(key))
-            for key in order
-        }
-        picks: Dict[str, Candidate] = {
-            key: min(
-                choice_sets[key],
-                key=lambda c: (c.makespan_seconds, c.key),
-            )
-            for key in order
-        }
-        budget = scenario.limits.pmem_budget_bytes
-        steps = 0
-        while budget is not None:
-            used = sum(c.pmem_bytes for c in picks.values())
-            if used <= budget:
-                break
-            # Cheapest arc: the swap with the lowest marginal makespan
-            # per footprint byte saved, over all (workflow, candidate).
-            best_arc: Optional[Tuple[Tuple, str, Candidate]] = None
-            for key in order:
-                current = picks[key]
-                for candidate in choice_sets[key]:
-                    saved = current.pmem_bytes - candidate.pmem_bytes
-                    if saved <= 0:
-                        continue
-                    delta = candidate.makespan_seconds - current.makespan_seconds
-                    arc_cost = (delta / saved, -saved, key, candidate.key)
-                    if best_arc is None or arc_cost < best_arc[0]:
-                        best_arc = (arc_cost, key, candidate)
-            if best_arc is None:
-                return _plan_from(self.name, scenario, picks, False, steps)
-            _, key, candidate = best_arc
-            picks[key] = candidate
-            steps += 1
-        return _plan_from(self.name, scenario, picks, True, steps)
-
-
-def optimizer_by_name(name: str) -> Optimizer:
-    if name == "exact":
-        return BranchBoundOptimizer()
-    if name == "flow":
-        return GreedyFlowOptimizer()
-    raise ConfigurationError(
-        f"unknown backend {name!r}; choices: exact, flow"
-    )
+        return _plan_from(picks, True, nodes["count"])

@@ -2,8 +2,8 @@
 
 The optimizer's four verbs:
 
-* ``solve`` — one plan (backend choice, budget constraints) for a
-  scenario; write it as ``repro.optimize.plan/v1`` JSON that
+* ``solve`` — the exact minimum-makespan plan under the budget
+  constraints for a scenario; write it as ``repro.optimize.plan/v1`` JSON that
   ``repro-service run --plan`` can consume.
 * ``pareto`` — the scenario's ε-dominance frontier as
   ``repro.optimize.frontier/v1`` JSON (byte-identical across runs),
@@ -30,7 +30,7 @@ from repro.apps.suite import (
     build_workflow,
     workflow_suite,
 )
-from repro.core.optimize.backends import optimizer_by_name
+from repro.core.optimize.backends import BranchBoundOptimizer
 from repro.core.optimize.model import Scenario, ScenarioLimits
 from repro.core.optimize.pareto import (
     enumerate_frontier,
@@ -155,7 +155,7 @@ def _print_point(scenario: Scenario, index: int, record, marker: str = ""):
 # ----------------------------------------------------------------------
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    plan = optimizer_by_name(args.backend).solve(scenario)
+    plan = BranchBoundOptimizer().solve(scenario)
     payload = plan.as_record(scenario)
     if args.out:
         import json
@@ -378,12 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     solve = sub.add_parser("solve", help="one plan for a scenario")
     _add_scenario_args(solve)
-    solve.add_argument(
-        "--backend",
-        choices=("exact", "flow"),
-        default="exact",
-        help="exact branch-and-bound or the greedy flow relaxation",
-    )
     solve.add_argument("--out", default=None, help="write plan JSON here")
     solve.set_defaults(func=cmd_solve)
 

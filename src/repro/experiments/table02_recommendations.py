@@ -48,18 +48,8 @@ def _why(result: RunResult) -> str:
     return why_line(attribution).replace(" (est.)", "")
 
 
-def run(
-    cal: Optional[OptaneCalibration] = None, engine: str = "heuristic"
-) -> ExperimentResult:
-    """Regenerate Table II.
-
-    ``engine`` selects the path that fills the recommendation column:
-    ``"heuristic"`` (the Table II rule engine — the paper artifact) or
-    ``"optimize"`` (the global optimizer's simulation-priced candidate
-    argmin, fed from the tuner results already computed for the oracle
-    column, so it costs nothing extra).  With ``"optimize"`` a diff
-    artifact lists every panel where the two paths disagree.
-    """
+def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+    """Regenerate Table II."""
     cal = cal or DEFAULT_CALIBRATION
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
@@ -67,14 +57,12 @@ def run(
     table_engine = RecommendationEngine(strategy="hybrid", cal=cal)
     model_engine = RecommendationEngine(strategy="model", cal=cal)
     tuner = ExhaustiveTuner(cal=cal)
-    optimize = engine == "optimize"
 
     rows = []
     table_hits = 0
     model_hits = 0
     oracle_hits = 0
     regrets = []
-    engine_diffs = []
     entries = workflow_suite()
     for entry in entries:
         table_rec = table_engine.recommend(entry.spec)
@@ -85,35 +73,11 @@ def run(
         pick_note = (
             f" (row {table_rec.matched_rule})" if table_rec.matched_rule else ""
         )
-        pick_config = table_rec.config
-        if optimize:
-            from repro.core.configs import SchedulerConfig
-            from repro.core.optimize.pricing import SimulationPricer
-
-            key = f"{entry.family}@{entry.ranks}"
-            pricer = SimulationPricer(
-                cal=cal,
-                precomputed={
-                    key: {
-                        label: run_result.makespan
-                        for label, run_result in report.results.items()
-                    }
-                },
-            )
-            best = pricer.price(entry.spec, entry.family, entry.ranks).makespan_best
-            if best.key != table_rec.config.label:
-                engine_diffs.append(
-                    f"{entry.spec.name}: heuristic {table_rec.config.label} "
-                    f"vs optimize {best.key} "
-                    f"({report.regret_of(table_rec.config):+.1%} makespan "
-                    f"left on the table)"
-                )
-            pick_label, pick_note = best.key, ""
-            pick_config = SchedulerConfig.from_label(best.key)
         table_hits += pick_label == entry.paper_best
         model_hits += model_rec.config.label == entry.paper_best
         oracle_hits += oracle_best == entry.paper_best
-        regrets.append(report.regret_of(pick_config))
+        regret = report.regret_of(table_rec.config)
+        regrets.append(regret)
         rows.append(
             (
                 entry.spec.name,
@@ -121,7 +85,7 @@ def run(
                 f"{pick_label}{pick_note}",
                 model_rec.config.label,
                 oracle_best,
-                f"{report.regret_of(pick_config):.1%}",
+                f"{regret:.1%}",
                 _why(report.results[oracle_best]),
             )
         )
@@ -130,7 +94,7 @@ def run(
             [
                 "workflow",
                 "paper",
-                "optimizer" if optimize else "Table II engine",
+                "Table II engine",
                 "cost model",
                 "oracle",
                 "engine regret",
@@ -139,15 +103,6 @@ def run(
             rows,
         )
     )
-    if optimize:
-        result.artifacts.append(
-            "engine diff (heuristic vs optimize):\n"
-            + (
-                "\n".join(f"  {line}" for line in engine_diffs)
-                if engine_diffs
-                else "  all 18 panels agree"
-            )
-        )
     n = len(entries)
     result.data["table_hits"] = table_hits
     result.data["model_hits"] = model_hits
@@ -157,11 +112,7 @@ def run(
     result.claims.append(
         Claim(
             claim_id=f"{EXPERIMENT_ID}.rule_engine",
-            description=(
-                "the optimizer re-derives the paper's configuration"
-                if optimize
-                else "the Table II rule engine picks the paper's configuration"
-            ),
+            description="the Table II rule engine picks the paper's configuration",
             paper_value="10/10 rows (18/18 suite workflows)",
             measured_value=f"{table_hits}/{n}",
             holds=table_hits >= n - 2,

@@ -259,16 +259,45 @@ def results_from_cell_payload(deterministic: Dict[str, Any]) -> List["Any"]:
     )
 
 
-def _assemble_cell(
+def run_spec_cell(
     spec: WorkflowSpec,
-    family: str,
-    ranks: int,
-    cal: OptaneCalibration,
-    config_payloads: Dict[str, Dict[str, Any]],
-    manifests: List[Dict[str, Any]],
-    host: HostMetrics,
+    configs: Sequence[SchedulerConfig] = ALL_CONFIGS,
+    cal: OptaneCalibration = DEFAULT_CALIBRATION,
+    family: Optional[str] = None,
+    ranks: Optional[int] = None,
+    profile: bool = False,
+    profile_top: Optional[int] = None,
+    on_observation: Optional[Callable[[Observation], None]] = None,
 ) -> CellResult:
-    """Build a :class:`CellResult` from per-config slices (any origin)."""
+    """Execute one cell for an already-built spec (suite member or not).
+
+    ``family``/``ranks`` default to the spec's own name and rank count —
+    pass the suite coordinate when the spec came from
+    :func:`~repro.apps.suite.build_workflow` so paper expectations attach.
+
+    ``on_observation`` fires after each configuration's run completes —
+    the service worker's telemetry hook.  The callback sees the finished
+    :class:`~repro.obs.capture.Observation`; nothing it does can alter the
+    deterministic payload.
+    """
+    if not configs:
+        raise ConfigurationError("a campaign cell needs at least one config")
+    family = family if family is not None else spec.name
+    ranks = ranks if ranks is not None else spec.ranks
+    meter_kwargs: Dict[str, Any] = {"profile": profile}
+    if profile_top is not None:
+        meter_kwargs["profile_top"] = profile_top
+    observations: List[Observation] = []
+    with HostMeter(**meter_kwargs) as meter:
+        for config in configs:
+            observation = observe_workflow(spec, config, cal=cal)
+            if on_observation is not None:
+                on_observation(observation)
+            observations.append(observation)
+    config_payloads = {
+        obs.manifest.config: _config_payload(obs) for obs in observations
+    }
+    manifests = [obs.manifest.as_dict() for obs in observations]
     winner = best_config(results_from_config_payloads(spec.name, config_payloads))
     expectation = PAPER_EXPECTATIONS.get((family, ranks))
     deterministic: Dict[str, Any] = {
@@ -291,91 +320,8 @@ def _assemble_cell(
         ranks=ranks,
         cell_id=cell_id_from_manifests(manifests),
         deterministic=deterministic,
-        host=host,
-        provenance=provenance,
-    )
-
-
-def run_spec_cell(
-    spec: WorkflowSpec,
-    configs: Sequence[SchedulerConfig] = ALL_CONFIGS,
-    cal: OptaneCalibration = DEFAULT_CALIBRATION,
-    family: Optional[str] = None,
-    ranks: Optional[int] = None,
-    profile: bool = False,
-    profile_top: Optional[int] = None,
-    jobs: int = 1,
-    on_observation: Optional[Callable[[Observation], None]] = None,
-) -> CellResult:
-    """Execute one cell for an already-built spec (suite member or not).
-
-    ``family``/``ranks`` default to the spec's own name and rank count —
-    pass the suite coordinate when the spec came from
-    :func:`~repro.apps.suite.build_workflow` so paper expectations attach.
-    With ``jobs > 1`` the configurations are evaluated in parallel worker
-    processes (the deterministic payload is byte-identical either way).
-
-    ``on_observation`` fires after each configuration's run completes
-    (serial path only) — the service worker's telemetry hook.  The
-    callback sees the finished :class:`~repro.obs.capture.Observation`;
-    nothing it does can alter the deterministic payload.
-    """
-    if not configs:
-        raise ConfigurationError("a campaign cell needs at least one config")
-    family = family if family is not None else spec.name
-    ranks = ranks if ranks is not None else spec.ranks
-    if jobs > 1 and not profile:
-        from repro.service.pool import TaskSpec, WorkerPool
-        from repro.service.tasks import execute_config
-
-        pool = WorkerPool(execute_config, jobs=jobs)
-        outcomes = pool.run(
-            [
-                TaskSpec(
-                    task_id=config.label,
-                    payload={"spec": spec, "config": config, "cal": cal},
-                )
-                for config in configs
-            ]
-        )
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise ConfigurationError(
-                f"{len(failed)} config worker(s) failed for {spec.name}: "
-                f"{failed[0].error}"
-            )
-        slices = [o.result for o in outcomes]
-        return _assemble_cell(
-            spec,
-            family,
-            ranks,
-            cal,
-            config_payloads={s["config"]: s["payload"] for s in slices},
-            manifests=[s["manifest"] for s in slices],
-            host=aggregate_host_metrics(
-                host_metrics_from_record(s["host"]) for s in slices
-            ),
-        )
-    meter_kwargs: Dict[str, Any] = {"profile": profile}
-    if profile_top is not None:
-        meter_kwargs["profile_top"] = profile_top
-    observations: List[Observation] = []
-    with HostMeter(**meter_kwargs) as meter:
-        for config in configs:
-            observation = observe_workflow(spec, config, cal=cal)
-            if on_observation is not None:
-                on_observation(observation)
-            observations.append(observation)
-    return _assemble_cell(
-        spec,
-        family,
-        ranks,
-        cal,
-        config_payloads={
-            obs.manifest.config: _config_payload(obs) for obs in observations
-        },
-        manifests=[obs.manifest.as_dict() for obs in observations],
         host=simulated_host_metrics(meter, observations),
+        provenance=provenance,
     )
 
 

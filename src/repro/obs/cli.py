@@ -46,6 +46,7 @@ from typing import List, Optional
 
 from repro.apps.suite import CONCURRENCY_LEVELS, FAMILIES, suite_entry
 from repro.core.configs import ALL_CONFIGS, SchedulerConfig
+from repro.errors import CalibrationError
 from repro.obs.capture import Observation, observe_workflow
 from repro.obs.export import (
     chrome_trace,
@@ -160,32 +161,49 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Campaign subcommands.
 # ----------------------------------------------------------------------
+def _cal_set_error(message: str) -> SystemExit:
+    print(f"error: --cal-set: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _calibration(settings: List[str]) -> OptaneCalibration:
-    """Apply repeatable ``--cal-set field=value`` overrides."""
+    """Apply repeatable ``--cal-set field=value`` overrides.
+
+    A malformed setting, an unknown field or a calibration that fails
+    :meth:`OptaneCalibration.validate` exits 2 before anything is run or
+    stored.
+    """
     if not settings:
         return DEFAULT_CALIBRATION
+    known = {spec.name for spec in dataclasses.fields(OptaneCalibration)}
     changes = {}
     for setting in settings:
         field, _, value = setting.partition("=")
         if not field or not value:
-            raise SystemExit(f"--cal-set wants field=value, got {setting!r}")
+            raise _cal_set_error(f"wants field=value, got {setting!r}")
+        if field not in known:
+            raise _cal_set_error(f"unknown calibration field {field!r}")
         try:
             changes[field] = float(value)
         except ValueError:
-            raise SystemExit(f"--cal-set value {value!r} is not a number")
-    return DEFAULT_CALIBRATION.replace(**changes)
+            raise _cal_set_error(f"value {value!r} is not a number") from None
+    try:
+        return DEFAULT_CALIBRATION.replace(**changes)
+    except CalibrationError as error:
+        raise _cal_set_error(str(error)) from None
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.obs.campaign import bench_record, campaign_report, run_campaign
 
+    cal = _calibration(args.cal_set)
     store = CampaignStore(args.dir)
     run = run_campaign(
         suite=args.suite,
         name=args.name,
         store=store,
         configs=_configs(args.config),
-        cal=_calibration(args.cal_set),
+        cal=cal,
         iterations=args.iterations,
         profile=args.profile,
         profile_top=args.profile_top,

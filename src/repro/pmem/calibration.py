@@ -207,6 +207,12 @@ class OptaneCalibration:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Sanity-check internal consistency; raises :class:`CalibrationError`."""
+        # Every ordering check below is false for NaN, so reject non-finite
+        # numbers first (the ``enable_*`` toggles are bools, not numbers).
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if not isinstance(value, bool) and not math.isfinite(value):
+                raise CalibrationError(f"{spec.name} must be finite, got {value}")
         if not (0 < self.local_write_peak <= self.local_read_peak):
             raise CalibrationError(
                 "expected 0 < write peak <= read peak (Optane is read-favoured), got "

@@ -104,26 +104,15 @@ class OptaneDeviceResource(CapacityResource):
             )
         self._held_occupancy = load.congestion_write_remote
 
-    def solver_state_token(self) -> object:
+    def share_state_token(self, kind: str, remote: bool) -> object:
         """Mutable state :meth:`share` reads, for the solver's memo key.
 
-        ``_write_share`` depends on the congestion EWMA and ``_read_share``
-        on the poller counts; ``_held_occupancy``/``_last_observed`` only
-        feed *future* EWMA updates via :meth:`observe` and are deliberately
-        excluded — they don't change what ``share`` returns now.
-        """
-        return (
-            self._remote_write_ewma,
-            self._pollers_local,
-            self._pollers_remote,
-        )
-
-    def share_state_token(self, kind: str, remote: bool) -> object:
-        """Per-(kind, remote) refinement of :meth:`solver_state_token`.
-
-        ``_read_share`` reads no mutable device state at all, so read
-        tokens are empty — a read-only component survives poller churn and
-        EWMA decay without re-solving.  ``_write_share`` reads the poller
+        ``_held_occupancy``/``_last_observed`` only feed *future* EWMA
+        updates via :meth:`observe` and are deliberately excluded — they
+        don't change what ``share`` returns now.  ``_read_share`` reads no
+        mutable device state at all, so read tokens are empty — a
+        read-only component survives poller churn and EWMA decay without
+        re-solving.  ``_write_share`` reads the poller
         counts (mix interference) for every write and additionally the
         congestion EWMA for remote writes.
         """

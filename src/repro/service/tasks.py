@@ -8,9 +8,9 @@ its parallel path, and these tasks call back into it).
 
 Two payload conventions coexist:
 
-* **object payloads** (:func:`execute_cell`, :func:`execute_config`) carry
-  real ``WorkflowSpec``/``SchedulerConfig``/``OptaneCalibration`` objects —
-  used when the parent process built them itself (campaign/tuner pools);
+* **object payloads** (:func:`execute_cell`) carry real
+  ``WorkflowSpec``/``SchedulerConfig``/``OptaneCalibration`` objects —
+  used when the parent process built them itself (the campaign pool);
 * **JSON payloads** (:func:`execute_cell_record`,
   :func:`execute_experiment`) carry only JSON types — used for jobs that
   round-trip through the persistent queue, where the payload must also be
@@ -34,31 +34,6 @@ def execute_cell(payload: Dict[str, Any]) -> Any:
     from repro.obs.campaign import run_cell
 
     return run_cell(**payload)
-
-
-def execute_config(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Observe one (spec, config) run -> its per-config cell slice.
-
-    Payload: ``{"spec": WorkflowSpec, "config": SchedulerConfig,
-    "cal": OptaneCalibration}``.  Returns the pieces
-    :func:`repro.obs.campaign._assemble_cell` reassembles in the parent:
-    the deterministic config payload, the run manifest, and this worker's
-    host metrics.
-    """
-    from repro.obs.campaign import _config_payload
-    from repro.obs.capture import observe_workflow
-    from repro.obs.hostmetrics import HostMeter, simulated_host_metrics
-
-    with HostMeter() as meter:
-        observation = observe_workflow(
-            payload["spec"], payload["config"], cal=payload["cal"]
-        )
-    return {
-        "config": observation.manifest.config,
-        "payload": _config_payload(observation),
-        "manifest": observation.manifest.as_dict(),
-        "host": simulated_host_metrics(meter, [observation]).as_record(),
-    }
 
 
 def cell_kwargs_from_json(payload: Dict[str, Any]) -> Dict[str, Any]:

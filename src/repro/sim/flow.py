@@ -80,9 +80,6 @@ MEMO_CAPACITY = 256
 #: Environment variable selecting the solver implementation per network.
 SOLVER_ENV = "REPRO_SOLVER"
 
-#: Environment variable disabling recompute coalescing ("0"/"off"/"false").
-COALESCE_ENV = "REPRO_COALESCE"
-
 #: Equivalence-class solver with converged-state memoization (the default).
 SOLVER_FAST = "fast"
 
@@ -288,8 +285,8 @@ class CapacityResource:
         this; the default resource is stateless.
         """
 
-    def solver_state_token(self) -> object:
-        """Hashable token covering all mutable state :meth:`share` reads.
+    def share_state_token(self, kind: str, remote: bool) -> object:
+        """Mutable state :meth:`share` reads for ``(kind, remote)`` flows.
 
         The converged-state memo (see :func:`solve_flow_set`) may only serve
         a cached solve when every resource on the path would hand out the
@@ -299,24 +296,14 @@ class CapacityResource:
           are treated as stateless (empty token);
         * resources that override :meth:`observe` are assumed stateful — the
           memo is bypassed unless they also override this method to expose
-          exactly the state :meth:`share` depends on (returning ``None``
-          forces the bypass explicitly for opaque state);
+          exactly the state :meth:`share` reads for each ``(kind, remote)``
+          combination (a device whose read path reads no mutable state can
+          return ``()`` for reads, so memo entries for read-only flow sets
+          survive write-side state churn);
+        * returning ``None`` marks the combination opaque (memo bypass);
         * state mutated through neither channel (e.g. a closure captured by
           ``capacity_fn``) must be announced via :meth:`FlowNetwork.poke`,
           which flushes the memo.
-        """
-        return None
-
-    def share_state_token(self, kind: str, remote: bool) -> object:
-        """Mutable state :meth:`share` reads for ``(kind, remote)`` flows.
-
-        A finer-grained refinement of :meth:`solver_state_token`: stateful
-        devices whose read path reads no mutable state can return ``()`` for
-        reads while still tokenising their write-side state, so memo entries
-        for read-only flow sets survive write-side state churn.  Returning
-        ``None`` marks the combination opaque (memo bypass).  Resources
-        that do not override this method fall back to the
-        :meth:`solver_state_token` protocol.
         """
         return None
 
@@ -464,27 +451,13 @@ class SolveResult:
     converged: bool = True
 
 
-def _state_token(resource: CapacityResource) -> object:
-    """Memo token for *resource*, or ``None`` when its state is opaque."""
-    rtype = type(resource)
-    if rtype.solver_state_token is not CapacityResource.solver_state_token:
-        return resource.solver_state_token()
-    if rtype.observe is not CapacityResource.observe:
-        # Stateful (it watches loads) but exposes no token: assume the
-        # worst and bypass the memo for any set that touches it.
-        return None
-    return ()
-
-
 def resource_share_token(
     resource: CapacityResource, combos: Sequence[Tuple[str, bool]]
 ) -> object:
     """Memo token covering the share state *resource* exposes to the
     ``(kind, remote)`` combinations in *combos*, or ``None`` when opaque.
 
-    Prefers the per-combination :meth:`CapacityResource.share_state_token`
-    protocol (so read-only sets are immune to write-side state churn) and
-    falls back to the whole-resource :func:`_state_token` protocol.
+    See :meth:`CapacityResource.share_state_token` for the protocol.
     """
     rtype = type(resource)
     if rtype.share_state_token is not CapacityResource.share_state_token:
@@ -495,7 +468,11 @@ def resource_share_token(
                 return None
             parts.append((combo, part))
         return tuple(parts)
-    return _state_token(resource)
+    if rtype.observe is not CapacityResource.observe:
+        # Stateful (it watches loads) but exposes no token: assume the
+        # worst and bypass the memo for any set that touches it.
+        return None
+    return ()
 
 
 def _memo_key(shapes: tuple, duties: tuple, combos: Dict[CapacityResource, set]):
@@ -929,10 +906,8 @@ class FlowNetwork:
     solver:
         ``"fast"`` (equivalence classes + memo, the default) or
         ``"reference"`` (per-flow oracle).  Defaults from ``REPRO_SOLVER``.
-    coalesce:
-        Whether to defer same-timestamp recomputes.  Defaults from
-        ``REPRO_COALESCE`` (coalescing is applied identically under both
-        solvers, so the fast-vs-reference oracle compares like with like).
+        Coalescing is applied identically under both solvers, so the
+        fast-vs-reference oracle compares like with like.
     """
 
     solver_components_skipped = 0  # retired; perfbench/tracing.py still reads it
@@ -942,7 +917,6 @@ class FlowNetwork:
         self,
         engine: "Engine",
         solver: Optional[str] = None,
-        coalesce: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self._flows: List[Flow] = []
@@ -970,17 +944,10 @@ class FlowNetwork:
         if solver not in (SOLVER_FAST, SOLVER_REFERENCE):
             raise _unknown_solver(solver)
         self.solver = solver
-        if coalesce is None:
-            coalesce = os.environ.get(COALESCE_ENV, "1").lower() not in (
-                "0",
-                "off",
-                "false",
-            )
-        self.coalesce = bool(coalesce)
         self._memo: "OrderedDict" = OrderedDict()
         self._dirty = False
-        #: Set when a deferred (coalescing) solve cancelled completion
-        #: timers; the flush re-schedules one timer per affected flow.
+        #: Set when a solve cancelled completion timers; the flush
+        #: re-schedules one timer per affected flow.
         self._timers_stale = False
         engine.add_flush_hook(self._flush_recompute)
 
@@ -1031,7 +998,6 @@ class FlowNetwork:
         """
         if not resources or any(
             type(r).share_state_token is CapacityResource.share_state_token
-            and type(r).solver_state_token is CapacityResource.solver_state_token
             for r in resources
         ):
             self._memo.clear()
@@ -1041,9 +1007,7 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     def _request_recompute(self) -> None:
         """Mark dirty for the end-of-timestamp flush (completions/idle)."""
-        if not self.coalesce:
-            self._recompute()
-        elif self._dirty:
+        if self._dirty:
             self.recomputes_coalesced += 1
         else:
             self._dirty = True
@@ -1113,7 +1077,6 @@ class FlowNetwork:
         for resource, load in loads.items():
             resource.observe(now, load)
         self._observed_resources = set(loads)
-        defer = self.coalesce
         for flow in flows:
             new_rate = rates[flow]
             if (
@@ -1134,32 +1097,20 @@ class FlowNetwork:
                     f"flow {flow.label!r} stalled with zero rate and "
                     f"{flow.remaining:.0f} bytes remaining"
                 )
-            if defer:
-                # Completion timers are (re)scheduled once per instant at
-                # the flush: intermediate cascade solves at the same
-                # timestamp would otherwise push a timer per flow per
-                # solve onto the heap only to cancel it microseconds
-                # later.  No virtual time passes before the flush, so the
-                # absolute fire times are unchanged.
-                self._timers_stale = True
-            else:
-                self._schedule_completion(flow)
+            # Completion timers are (re)scheduled once per instant at the
+            # flush: intermediate cascade solves at the same timestamp
+            # would otherwise push a timer per flow per solve onto the
+            # heap only to cancel it microseconds later.  No virtual time
+            # passes before the flush, so the absolute fire times are
+            # unchanged.
+            self._timers_stale = True
         if self.hooks is not None:
             # After the rates are assigned, so hooks see the converged state.
             self.hooks.on_recompute(now, flows, loads)
             self.hooks.on_solve(now, iterations)
 
-    def _schedule_completion(self, flow: Flow) -> None:
-        """Schedule *flow*'s completion timer from its current rate."""
-        if flow.rate > 0:
-            eta = flow.remaining / flow.rate
-            flow._timer = self.engine.schedule(eta, self._make_completion(flow))
-        else:
-            # Zero rate with (epsilon-)zero remaining: complete at once.
-            flow._timer = self.engine.schedule(0.0, self._make_completion(flow))
-
     def _flush_timers(self) -> bool:
-        """Schedule completion timers left stale by deferred solves.
+        """Schedule completion timers left stale by this instant's solves.
 
         Runs in ``self._flows`` order so heap tie-breaking (and therefore
         same-instant completion order) stays deterministic.
@@ -1169,7 +1120,9 @@ class FlowNetwork:
         for flow in self._flows:
             timer = flow._timer
             if timer is None or timer.cancelled:
-                self._schedule_completion(flow)
+                # A zero rate means (epsilon-)zero remaining: complete now.
+                eta = flow.remaining / flow.rate if flow.rate > 0 else 0.0
+                flow._timer = self.engine.schedule(eta, self._make_completion(flow))
                 scheduled = True
         return scheduled
 

@@ -21,13 +21,16 @@ def bench_guard():
     return module
 
 
-def _export(tmp_path, names, iterations=720.0):
+def _export(tmp_path, names, iterations=720.0, bb_nodes=91):
     raw = {
         "benchmarks": [
             {
                 "name": name,
                 "stats": {"median": 0.02},
-                "extra_info": {"solver_iterations": iterations},
+                "extra_info": {
+                    "solver_iterations": iterations,
+                    "bb_nodes": bb_nodes,
+                },
             }
             for name in names
         ]
@@ -62,3 +65,10 @@ def test_benchmark_missing_from_run_fails(bench_guard, tmp_path):
 
 def test_counter_drift_fails(bench_guard, tmp_path):
     assert _compare(bench_guard, tmp_path, ["a"], ["a"], iterations=721.0) == 1
+
+
+def test_bb_nodes_drift_fails(bench_guard, tmp_path, capsys):
+    # The optimizer's explored-node count is a work counter: one node more
+    # means the branch-and-bound search changed.
+    assert _compare(bench_guard, tmp_path, ["a"], ["a"], bb_nodes=92) == 1
+    assert "a: bb_nodes drifted 91.0 -> 92.0" in capsys.readouterr().err

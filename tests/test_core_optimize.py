@@ -1,4 +1,4 @@
-"""The global placement optimizer: model, backends, frontier, validation.
+"""The global placement optimizer: model, backend, frontier, validation.
 
 Three claim groups:
 
@@ -16,15 +16,13 @@ Three claim groups:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.apps.suite import build_workflow
 from repro.core.configs import ALL_CONFIGS
-from repro.core.optimize.backends import (
-    BranchBoundOptimizer,
-    GreedyFlowOptimizer,
-)
+from repro.core.optimize.backends import BranchBoundOptimizer
 from repro.core.optimize.cli import (
     VALIDATE_EPSILON,
     build_scenario,
@@ -196,7 +194,7 @@ def test_retained_bytes_semantics():
 
 
 # ----------------------------------------------------------------------
-# Backends.
+# Exact backend.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def budget_scenario(suite_reports):
@@ -208,15 +206,18 @@ def budget_scenario(suite_reports):
     )
 
 
-def test_backends_agree_under_budget(budget_scenario):
-    exact = BranchBoundOptimizer().solve(budget_scenario)
-    flow = GreedyFlowOptimizer().solve(budget_scenario)
-    assert exact.feasible and flow.feasible
-    assert exact.pmem_bytes <= budget_scenario.limits.pmem_budget_bytes
-    assert flow.pmem_bytes <= budget_scenario.limits.pmem_budget_bytes
-    # The exact backend is the floor; greedy may only be worse.
-    assert exact.makespan_seconds <= flow.makespan_seconds
-    assert exact.selections == flow.selections
+def test_exact_backend_feasible_under_budget(budget_scenario):
+    plan = BranchBoundOptimizer().solve(budget_scenario)
+    budget = budget_scenario.limits.pmem_budget_bytes
+    assert plan.feasible and plan.backend == "exact"
+    picks = [plan.candidate_of(budget_scenario, key) for key, _ in plan.selections]
+    assert [key for key, _ in plan.selections] == sorted(budget_scenario.keys)
+    assert plan.pmem_bytes == sum(c.pmem_bytes for c in picks) <= budget
+    # The budget binds: the per-workflow makespan argmin would overrun it.
+    unconstrained = sum(
+        choice.makespan_best.pmem_bytes for choice in budget_scenario.choices
+    )
+    assert unconstrained > budget
 
 
 def test_exact_backend_matches_frontier_optimum(budget_scenario):
@@ -352,8 +353,6 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
             "micro-64mb@8",
             "--pricer",
             "analytic",
-            "--backend",
-            "flow",
             "--out",
             str(plan_path),
         ]
@@ -363,6 +362,20 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
     assert plan["schema"] == "repro.optimize.plan/v1"
     assert "micro-64mb@8" in plan["assignments"]
     capsys.readouterr()
+
+
+def test_cli_compare_reports_agreement(capsys):
+    keys = ["micro-2k@8", "micro-64mb@8", "gtc+readonly@8"]
+    rc = optimize_main(["compare", "--workflows", *keys, "--pricer", "analytic"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = re.fullmatch(
+        r"optimizer vs heuristic \(analytic pricing\): (\d)/3 agree", lines[0]
+    )
+    assert summary
+    # One diff line per disagreeing workflow, each naming its key.
+    assert len(lines) - 1 == 3 - int(summary.group(1))
+    assert all(line.strip().split(":")[0] in keys for line in lines[1:])
 
 
 def test_cli_rejects_bad_workflow_key(capsys):

@@ -418,6 +418,22 @@ class TestCli:
         assert record["bench"] == "campaign"
         assert record["cells"] == 2
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["read_ramp_scale=nan", "write_decay=inf", "no_such_field=1"],
+    )
+    def test_invalid_cal_set_exits_2_before_storing(
+        self, tmp_path, capsys, setting
+    ):
+        store_dir = tmp_path / "campaigns"
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_cli(
+                "campaign", "run", "--dir", str(store_dir), "--cal-set", setting
+            )
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --cal-set: ")
+        assert not store_dir.exists() or not list(store_dir.iterdir())
+
     def test_bad_cal_set_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             self.run_cli(

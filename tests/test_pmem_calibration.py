@@ -1,12 +1,21 @@
 """Unit tests for the Optane calibration constants."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.errors import CalibrationError
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.units import GB, KiB, NANOSECOND
+
+#: Every calibration field that holds a number (the ``enable_*`` toggles
+#: are bools).
+NUMERIC_FIELDS = [
+    spec.name
+    for spec in dataclasses.fields(OptaneCalibration)
+    if not isinstance(getattr(DEFAULT_CALIBRATION, spec.name), bool)
+]
 
 
 class TestDefaults:
@@ -67,6 +76,13 @@ class TestValidation:
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(CalibrationError):
+            DEFAULT_CALIBRATION.replace(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_non_finite_field_rejected(self, field, value):
+        # NaN slips past every ordering check, so finiteness is its own rule.
+        with pytest.raises(CalibrationError, match=f"{field} must be finite"):
             DEFAULT_CALIBRATION.replace(**{field: value})
 
     def test_write_peak_above_read_peak_rejected(self):

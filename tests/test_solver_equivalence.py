@@ -262,7 +262,7 @@ class TestConvergedStateMemo:
                 super().__init__("tok", lambda load: self.cap)
                 self.cap = 10.0
 
-            def solver_state_token(self):
+            def share_state_token(self, kind, remote):
                 return (self.cap,)
 
         resource = Tokened()
@@ -339,16 +339,6 @@ class TestNetworkCountersAndCoalescing:
         assert net.recompute_count == 3
         assert net.flows_completed == 2
 
-    def test_coalescing_disabled_restores_per_event_solves(self):
-        _, net = self.drive(coalesce=False)
-        assert net.recomputes_coalesced == 0
-        assert net.recompute_count == 4  # two starts + two completions
-
-    def test_coalescing_preserves_completion_times(self):
-        engine_on, _ = self.drive()
-        engine_off, _ = self.drive(coalesce=False)
-        assert engine_on.now == engine_off.now == pytest.approx(10.0)
-
     def test_memo_counters_surface_on_network(self):
         _, net = self.drive()
         # Two flow-carrying solves (the coalesced flush solves an empty
@@ -389,10 +379,8 @@ class TestNetworkCountersAndCoalescing:
 
     def test_env_variables_configure_network(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", SOLVER_REFERENCE)
-        monkeypatch.setenv("REPRO_COALESCE", "0")
         net = FlowNetwork(Engine())
         assert net.solver == SOLVER_REFERENCE
-        assert net.coalesce is False
 
     def test_bad_solver_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER", "turbo")
