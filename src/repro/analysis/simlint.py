@@ -359,7 +359,7 @@ class _Linter(ast.NodeVisitor):
                 "SIM110",
                 node,
                 f"host-concurrency import {module!r} outside repro.service",
-                "route parallelism through repro.service.pool.WorkerPool",
+                "submit parallel work to repro.service.scheduler.ServiceScheduler",
             )
 
     # -- SIM101 / SIM102 / SIM105: calls -----------------------------------

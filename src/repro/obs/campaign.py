@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps.suite import (
     CONCURRENCY_LEVELS,
@@ -373,6 +373,49 @@ def _progress_line(cell: CellResult) -> str:
     )
 
 
+def _run_through_service(
+    cells: Sequence[CellKeyPair],
+    suite: str,
+    jobs: int,
+    configs: Sequence[SchedulerConfig],
+    cal: OptaneCalibration,
+    **cell_kwargs: Any,
+) -> List[CellResult]:
+    """Execute *cells* in one pass of a throwaway service with *jobs* workers.
+
+    The service is the repository's one parallel executor: it brings the
+    worker pool's timeouts, crash detection and retries.  Its queue, cache
+    and results campaign live in a temporary directory; only the cells come
+    back.  Raises :class:`ConfigurationError` with the last error of the
+    first job that ends ``failed``.
+    """
+    import tempfile
+
+    from repro.service.queue import STATE_FAILED
+    from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
+
+    with tempfile.TemporaryDirectory() as root:
+        scheduler = ServiceScheduler(root=root, jobs=jobs, cal=cal)
+        scheduler.submit_suite(
+            suite,
+            cells=cells,
+            configs=[config.label for config in configs],
+            calibration=dataclasses.asdict(cal),
+            **cell_kwargs,
+        )
+        scheduler.run()
+        for job in scheduler.queue.load():
+            if job.state == STATE_FAILED:
+                last_error = job.detail.get("last_error") or {}
+                raise ConfigurationError(
+                    f"campaign cell {job.payload['family']}@"
+                    f"{job.payload['ranks']} failed: "
+                    f"{last_error.get('error') or job.detail}"
+                )
+        stored = scheduler.store.read(RESULTS_CAMPAIGN).cells
+    return [_cell_from_stored(cell) for cell in stored]
+
+
 def run_campaign(
     suite: str = "micro",
     name: Optional[str] = None,
@@ -392,8 +435,9 @@ def run_campaign(
 
     ``suite`` picks a :data:`SUITE_PRESETS` entry; ``cells`` overrides the
     preset's cell list (for sweeps), ``iterations`` its iteration count.
-    With ``jobs > 1`` cells are executed in parallel worker processes
-    (via :mod:`repro.service`).
+    With ``jobs > 1`` the cells are submitted to a throwaway
+    :class:`~repro.service.scheduler.ServiceScheduler` and executed in one
+    service pass with *jobs* worker processes.
 
     Persistence is order-independent: cell ids are content hashes computed
     *before* running (from the run manifests), and cells are stored sorted
@@ -458,37 +502,23 @@ def run_campaign(
         profile_top=profile_top,
         **cell_kwargs,
     )
-    if jobs > 1:
-        from repro.service.pool import TaskSpec, WorkerPool
-        from repro.service.tasks import execute_cell
-
-        pool = WorkerPool(execute_cell, jobs=jobs)
-        outcomes = pool.run(
-            [
-                TaskSpec(
-                    task_id=cell_id,
-                    payload=dict(family=family, ranks=ranks, **run_cell_kwargs),
-                )
-                for cell_id, family, ranks in planned
-            ]
-        )
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise ConfigurationError(
-                f"{len(failed)} campaign worker(s) failed: {failed[0].error}"
-            )
+    if jobs > 1 and planned:
         # Completion order is nondeterministic; storage order is not.
-        run.cells.extend(
-            sorted((o.result for o in outcomes), key=lambda c: c.cell_id)
+        cells_done: Iterable[CellResult] = sorted(
+            _run_through_service(
+                [(family, ranks) for _cell_id, family, ranks in planned],
+                suite=suite,
+                jobs=jobs,
+                **run_cell_kwargs,
+            ),
+            key=lambda cell: cell.cell_id,
         )
-        for cell in run.cells:
-            if store is not None:
-                store.append_cell(name, cell.stored())
-            if progress is not None:
-                progress(_progress_line(cell))
-        return run
-    for _cell_id, family, ranks in planned:
-        cell = run_cell(family, ranks, **run_cell_kwargs)
+    else:
+        cells_done = (
+            run_cell(family, ranks, **run_cell_kwargs)
+            for _cell_id, family, ranks in planned
+        )
+    for cell in cells_done:
         run.cells.append(cell)
         if store is not None:
             store.append_cell(name, cell.stored())
@@ -502,23 +532,25 @@ def run_campaign(
 # ----------------------------------------------------------------------
 def campaign_from_store(stored: StoredCampaign) -> CampaignRun:
     """Rebuild a :class:`CampaignRun` view from a stored campaign."""
-    run = CampaignRun(
-        name=stored.name, suite=stored.header.get("suite", "custom")
+    return CampaignRun(
+        name=stored.name,
+        suite=stored.header.get("suite", "custom"),
+        cells=[_cell_from_stored(cell) for cell in stored.cells],
     )
-    for cell in stored.cells:
-        deterministic = cell.deterministic
-        run.cells.append(
-            CellResult(
-                key=cell.key,
-                family=deterministic.get("family", cell.key),
-                ranks=int(deterministic.get("ranks", 0)),
-                cell_id=cell.cell_id,
-                deterministic=deterministic,
-                host=host_metrics_from_record(cell.host),
-                provenance=cell.provenance,
-            )
-        )
-    return run
+
+
+def _cell_from_stored(cell: StoredCell) -> CellResult:
+    """Rebuild one :class:`CellResult` from its stored record."""
+    deterministic = cell.deterministic
+    return CellResult(
+        key=cell.key,
+        family=deterministic.get("family", cell.key),
+        ranks=int(deterministic.get("ranks", 0)),
+        cell_id=cell.cell_id,
+        deterministic=deterministic,
+        host=host_metrics_from_record(cell.host),
+        provenance=cell.provenance,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import List, Optional
 
 from repro.apps.suite import CONCURRENCY_LEVELS, FAMILIES, suite_entry
 from repro.core.configs import ALL_CONFIGS, SchedulerConfig
-from repro.errors import CalibrationError
+from repro.errors import CalibrationError, ReproError
 from repro.obs.capture import Observation, observe_workflow
 from repro.obs.export import (
     chrome_trace,
@@ -58,7 +58,7 @@ from repro.obs.export import (
 )
 from repro.obs.report import diff_report, hot_phase_report, utilization_report
 from repro.obs.store import DEFAULT_CAMPAIGN_DIR, CampaignStore
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
+from repro.pmem.calibration import OptaneCalibration, calibration_from_settings
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -161,11 +161,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Campaign subcommands.
 # ----------------------------------------------------------------------
-def _cal_set_error(message: str) -> SystemExit:
-    print(f"error: --cal-set: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
 def _calibration(settings: List[str]) -> OptaneCalibration:
     """Apply repeatable ``--cal-set field=value`` overrides.
 
@@ -173,24 +168,11 @@ def _calibration(settings: List[str]) -> OptaneCalibration:
     :meth:`OptaneCalibration.validate` exits 2 before anything is run or
     stored.
     """
-    if not settings:
-        return DEFAULT_CALIBRATION
-    known = {spec.name for spec in dataclasses.fields(OptaneCalibration)}
-    changes = {}
-    for setting in settings:
-        field, _, value = setting.partition("=")
-        if not field or not value:
-            raise _cal_set_error(f"wants field=value, got {setting!r}")
-        if field not in known:
-            raise _cal_set_error(f"unknown calibration field {field!r}")
-        try:
-            changes[field] = float(value)
-        except ValueError:
-            raise _cal_set_error(f"value {value!r} is not a number") from None
     try:
-        return DEFAULT_CALIBRATION.replace(**changes)
+        return calibration_from_settings(settings)
     except CalibrationError as error:
-        raise _cal_set_error(str(error)) from None
+        print(f"error: --cal-set: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -596,7 +578,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain_validate.set_defaults(func=_cmd_explain_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,8 +10,8 @@ timestamps; what is wall-specific lives here:
 * :func:`mint_trace_id`, :class:`SpanRecorder` + :class:`WallSpan` — a
   per-job lifecycle event stream.  A ``trace_id`` is minted at submit (a
   pure function of the job id so nothing new needs persisting), carried
-  through :class:`~repro.service.pool.WorkerPool` task payloads into the
-  worker process, and stitched back into one trace in the parent (the
+  in the task envelope the service scheduler dispatches into the worker
+  process, and stitched back into one trace in the parent (the
   Chrome trace itself is built by
   :func:`repro.obs.export.service_chrome_trace`);
 * the formats — JSONL snapshot records (:func:`telemetry_snapshot`:

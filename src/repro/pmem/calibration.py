@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import CalibrationError
 from repro.units import GB, KiB, NANOSECOND
@@ -295,3 +296,27 @@ class OptaneCalibration:
 #: The default first-generation Optane calibration used by the experiments.
 DEFAULT_CALIBRATION = OptaneCalibration()
 DEFAULT_CALIBRATION.validate()
+
+
+def calibration_from_settings(settings: Sequence[str]) -> OptaneCalibration:
+    """Apply ``field=value`` overrides (the CLIs' ``--cal-set``) to the default.
+
+    Raises :class:`~repro.errors.CalibrationError` for a malformed setting,
+    an unknown field, a value that is not a number, or a calibration that
+    :meth:`OptaneCalibration.validate` rejects (NaN and ±inf included).
+    """
+    if not settings:
+        return DEFAULT_CALIBRATION
+    known = {spec.name for spec in dataclasses.fields(OptaneCalibration)}
+    changes = {}
+    for setting in settings:
+        name, _, value = setting.partition("=")
+        if not name or not value:
+            raise CalibrationError(f"wants field=value, got {setting!r}")
+        if name not in known:
+            raise CalibrationError(f"unknown calibration field {name!r}")
+        try:
+            changes[name] = float(value)
+        except ValueError:
+            raise CalibrationError(f"value {value!r} is not a number") from None
+    return DEFAULT_CALIBRATION.replace(**changes)

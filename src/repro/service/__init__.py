@@ -1,8 +1,9 @@
 """``repro.service`` — a Balsam-style scheduling service for the simulator.
 
 Everything else in this repository evaluates cells serially in one
-process.  This package turns the reproduction into a long-lived scheduling
-service (the shape Balsam gives HPC workflow campaigns):
+process, and submits here when it wants them in parallel.  This package
+turns the reproduction into a long-lived scheduling service (the shape
+Balsam gives HPC workflow campaigns):
 
 * :mod:`repro.service.queue` — a persistent, append-only **job queue**
   (JSONL under ``service/``, same conventions as :mod:`repro.obs.store`)

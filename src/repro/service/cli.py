@@ -40,7 +40,8 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import CalibrationError, ReproError
+from repro.pmem.calibration import calibration_from_settings
 from repro.service.cache import ResultCache
 from repro.service.queue import DEFAULT_SERVICE_DIR, JobQueue
 from repro.service.scheduler import (
@@ -58,28 +59,15 @@ def _add_dir(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _calibration_fields(settings: List[str]) -> Optional[Dict[str, float]]:
-    """``--cal-set field=value`` overrides -> a full calibration payload."""
-    if not settings:
-        return None
-    from repro.pmem.calibration import DEFAULT_CALIBRATION
-
-    changes: Dict[str, float] = {}
-    for setting in settings:
-        name, _, value = setting.partition("=")
-        if not name or not value:
-            raise SystemExit(f"--cal-set wants field=value, got {setting!r}")
-        try:
-            changes[name] = float(value)
-        except ValueError:
-            raise SystemExit(f"--cal-set value {value!r} is not a number")
-    return dataclasses.asdict(DEFAULT_CALIBRATION.replace(**changes))
-
-
 # ----------------------------------------------------------------------
 # Subcommands.
 # ----------------------------------------------------------------------
 def _cmd_submit(args: argparse.Namespace) -> int:
+    try:
+        cal = calibration_from_settings(args.cal_set)
+    except CalibrationError as error:
+        print(f"error: --cal-set: {error}", file=sys.stderr)
+        return 2
     scheduler = ServiceScheduler(root=args.dir)
     jobs = []
     if args.experiment:
@@ -95,7 +83,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             configs=args.config or None,
             iterations=args.iterations,
             matmul_dim=args.matmul_dim,
-            calibration=_calibration_fields(args.cal_set),
+            calibration=dataclasses.asdict(cal) if args.cal_set else None,
             max_retries=args.max_retries,
             timeout_seconds=args.timeout,
             deadline_seconds=args.deadline,

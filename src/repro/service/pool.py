@@ -82,8 +82,10 @@ class WorkerPool:
     """Run tasks through *task_fn* with up to *jobs* worker processes.
 
     ``task_fn`` must be a module-level (picklable) callable taking one
-    payload dict and returning a JSON-serializable result — see
-    :mod:`repro.service.tasks`.
+    payload dict and returning a JSON-serializable result — in the
+    repository that is :func:`repro.service.tasks.execute_job`, run by
+    :meth:`repro.service.scheduler.ServiceScheduler.run`, the pool's one
+    caller.
     """
 
     def __init__(

@@ -21,8 +21,12 @@ One :meth:`ServiceScheduler.run` pass is the Balsam "service cycle":
    under ``service/campaigns/``.  Each cell's transition detail records
    the recommendation's regret vs the measured winner.
 
-Experiment jobs (``repro-experiments --service``) ride steps 1/4 only:
+Experiment jobs (``repro-experiments --service``) ride steps 1/4 only —
+queued after the cell misses, in the same pool and retry rounds — because
 their outputs are reports, not content-addressed cells.
+
+This pass is the one place the repository runs work in parallel: a
+parallel ``campaign run`` submits its cells here too.
 """
 
 from __future__ import annotations
@@ -30,14 +34,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.recommend import RecommendationEngine
 from repro.obs.explain import cell_bottleneck
 from repro.obs.store import CampaignStore, StoredCell
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.service.cache import ResultCache, cell_id_for_spec
-from repro.service.pool import STATUS_SKIPPED, TaskSpec, WorkerPool
+from repro.service.pool import STATUS_SKIPPED, TaskOutcome, TaskSpec, WorkerPool
 from repro.service.queue import (
     DEFAULT_SERVICE_DIR,
     KIND_CELL,
@@ -46,11 +50,7 @@ from repro.service.queue import (
     Job,
     JobQueue,
 )
-from repro.service.tasks import (
-    cell_kwargs_from_json,
-    execute_cell_record,
-    execute_experiment,
-)
+from repro.service.tasks import cell_kwargs_from_json, execute_job
 from repro.core.optimize.backends import PLAN_SCHEMA
 from repro.service.telemetry import ServiceTelemetry
 
@@ -180,9 +180,7 @@ class ServiceScheduler:
         self.queue = JobQueue(root, observer=self.telemetry)
         self.cache = ResultCache(root)
         self.store = CampaignStore(os.path.join(root, "campaigns"))
-        self._engine = RecommendationEngine(strategy="hybrid", cal=cal) if (
-            strategy == "oracle"
-        ) else RecommendationEngine(strategy=strategy, cal=cal)
+        self._engine = RecommendationEngine(strategy=strategy, cal=cal)
 
     # -- submission -----------------------------------------------------
     def submit_suite(
@@ -196,8 +194,15 @@ class ServiceScheduler:
         max_retries: int = 2,
         timeout_seconds: Optional[float] = None,
         deadline_seconds: Optional[float] = None,
+        cells: Optional[Sequence[Tuple[str, int]]] = None,
+        profile: bool = False,
+        profile_top: Optional[int] = None,
     ) -> List[Job]:
         """Submit one cell job per suite coordinate; returns the jobs.
+
+        ``cells`` replaces the preset's (family, ranks) list — the form a
+        parallel ``campaign run`` submits its planned cells in; the preset
+        then only supplies the default iteration count.
 
         The cell's content id is computed now (manifests only — nothing is
         simulated) and stored on the job, so ``status`` can show which jobs
@@ -208,12 +213,14 @@ class ServiceScheduler:
         from repro.errors import ConfigurationError
 
         preset = SUITE_PRESETS.get(suite)
-        if preset is None:
+        if preset is None and cells is None:
             raise ConfigurationError(
                 f"unknown suite {suite!r}; choices: {sorted(SUITE_PRESETS)}"
             )
         chosen_iterations = (
-            iterations if iterations is not None else preset.iterations
+            iterations
+            if iterations is not None
+            else (preset.iterations if preset else None)
         )
         deadline_epoch = (
             time.time() + deadline_seconds
@@ -221,7 +228,7 @@ class ServiceScheduler:
             else None
         )
         submitted = []
-        for family, ranks in preset.cells:
+        for family, ranks in cells if cells is not None else preset.cells:
             payload: Dict[str, Any] = {
                 "family": family,
                 "ranks": ranks,
@@ -230,8 +237,10 @@ class ServiceScheduler:
                 "stack_name": stack_name,
                 "matmul_dim": matmul_dim,
                 "calibration": calibration,
-                "profile": False,
+                "profile": profile,
             }
+            if profile_top is not None:
+                payload["profile_top"] = profile_top
             kwargs = cell_kwargs_from_json(payload)
             spec = build_workflow(
                 family,
@@ -392,6 +401,50 @@ class ServiceScheduler:
             appended += 1
         return appended
 
+    def _finish_cell(
+        self, job: Job, outcome: TaskOutcome, report: ServiceRunReport
+    ) -> StoredCell:
+        """Cache, score and complete one freshly executed cell job."""
+        record = outcome.result
+        # The worker's telemetry rides the result record but must never
+        # reach the cache/store: pop it first.
+        self.telemetry.absorb_worker_records(job, record.pop("telemetry", None))
+        cell = StoredCell(
+            cell_id=record["cell_id"],
+            key=record["key"],
+            deterministic=record["deterministic"],
+            host=record["host"],
+            provenance=record["provenance"],
+        )
+        if self.cache.put(cell):
+            self.telemetry.cache_stored(job, cell.cell_id)
+        report.executed += 1
+        self._complete_cell(
+            job,
+            cell,
+            report,
+            {"cache": "miss", "wall_seconds": outcome.wall_seconds},
+        )
+        return cell
+
+    def _complete_cell(
+        self,
+        job: Job,
+        cell: StoredCell,
+        report: ServiceRunReport,
+        detail: Dict[str, Any],
+    ) -> None:
+        """Score one finished cell job (regret, bottleneck); mark it done."""
+        regret = self._regret_entry(job, cell.deterministic)
+        if regret is not None:
+            report.regrets.append(regret)
+        bottleneck = cell_bottleneck(cell.deterministic)
+        if bottleneck is not None:
+            self.telemetry.note_bottleneck(cell.key, bottleneck)
+        self.queue.mark_done(
+            job, {**detail, "cell_id": cell.cell_id, "regret": regret}
+        )
+
     # -- the service pass -----------------------------------------------
     def run(
         self,
@@ -445,40 +498,29 @@ class ServiceScheduler:
                 wall_seconds=time.perf_counter() - lookup_t0,
                 simulated_seconds=avoided,
             )
-            key = f"{job.payload.get('family')}@{job.payload.get('ranks')}"
-            completed.append(
-                StoredCell(
-                    cell_id=cell_id,
-                    key=key,
-                    deterministic=cached.deterministic,
-                    host=host.as_record(),
-                    provenance=cached.provenance,
-                )
+            cell = StoredCell(
+                cell_id=cell_id,
+                key=f"{job.payload.get('family')}@{job.payload.get('ranks')}",
+                deterministic=cached.deterministic,
+                host=host.as_record(),
+                provenance=cached.provenance,
             )
+            completed.append(cell)
             self.queue.claim(job, {"cache": "hit"})
-            regret = self._regret_entry(job, cached.deterministic)
-            if regret is not None:
-                report.regrets.append(regret)
-            bottleneck = cell_bottleneck(cached.deterministic)
-            if bottleneck is not None:
-                self.telemetry.note_bottleneck(key, bottleneck)
-            self.queue.mark_done(
-                job, {"cache": "hit", "cell_id": cell_id, "regret": regret}
-            )
+            self._complete_cell(job, cell, report, {"cache": "hit"})
             say(f"{job.job_id}: cache hit ({cell_id})")
 
         # Predicted-best-first: shortest estimated makespan runs first, so
         # the pool drains the quick cells while the long ones occupy slots.
+        # Experiment jobs follow the cells in the same pool and rounds.
         predicted = {job.job_id: self._predict_seconds(job) for job in misses}
         misses.sort(key=lambda job: predicted[job.job_id])
         for order, job in enumerate(misses):
             self.telemetry.schedule_decided(job, order, predicted[job.job_id])
 
-        pool = WorkerPool(
-            execute_cell_record, jobs=self.jobs, observer=self.telemetry
-        )
+        pool = WorkerPool(execute_job, jobs=self.jobs, observer=self.telemetry)
         attempt_round = 0
-        pending = misses
+        pending = misses + exp_jobs
         while pending and not report.drained:
             if should_stop is not None and should_stop():
                 report.drained = True
@@ -492,15 +534,14 @@ class ServiceScheduler:
             for job in pending:
                 self.queue.claim(job, {"round": attempt_round})
                 by_id[job.job_id] = job
-                context = self.telemetry.worker_dispatch(job)
                 specs.append(
                     TaskSpec(
                         task_id=job.job_id,
-                        payload=(
-                            {**job.payload, "_telemetry": context}
-                            if context is not None
-                            else job.payload
-                        ),
+                        payload={
+                            "kind": job.kind,
+                            "payload": job.payload,
+                            "telemetry": self.telemetry.worker_dispatch(job),
+                        },
                         timeout_seconds=job.timeout_seconds,
                     )
                 )
@@ -508,40 +549,14 @@ class ServiceScheduler:
             retry_jobs: List[Job] = []
             for outcome in outcomes:
                 job = by_id[outcome.task_id]
-                if outcome.ok:
-                    record = outcome.result
-                    # The worker's telemetry rides the result record but
-                    # must never reach the cache/store: pop it first.
-                    self.telemetry.absorb_worker_records(
-                        job, record.pop("telemetry", None)
-                    )
-                    cell = StoredCell(
-                        cell_id=record["cell_id"],
-                        key=record["key"],
-                        deterministic=record["deterministic"],
-                        host=record["host"],
-                        provenance=record["provenance"],
-                    )
-                    if self.cache.put(cell):
-                        self.telemetry.cache_stored(job, cell.cell_id)
+                if outcome.ok and job.kind == KIND_EXPERIMENT:
+                    self.queue.mark_done(job, outcome.result)
+                    report.experiments += 1
+                    say(f"{job.job_id}: experiment done")
+                elif outcome.ok:
+                    cell = self._finish_cell(job, outcome, report)
                     completed.append(cell)
-                    report.executed += 1
-                    regret = self._regret_entry(job, cell.deterministic)
-                    if regret is not None:
-                        report.regrets.append(regret)
-                    bottleneck = cell_bottleneck(cell.deterministic)
-                    if bottleneck is not None:
-                        self.telemetry.note_bottleneck(cell.key, bottleneck)
-                    self.queue.mark_done(
-                        job,
-                        {
-                            "cache": "miss",
-                            "cell_id": cell.cell_id,
-                            "wall_seconds": outcome.wall_seconds,
-                            "regret": regret,
-                        },
-                    )
-                    say(f"{job.job_id}: {record['key']} done")
+                    say(f"{job.job_id}: {cell.key} done")
                 elif outcome.status == STATUS_SKIPPED:
                     self.queue.release(job, {"reason": "drained"})
                     report.skipped += 1
@@ -570,58 +585,11 @@ class ServiceScheduler:
                 wall_seconds=time.perf_counter() - t0,
             )
             self.telemetry.write_snapshot(extra={"round": attempt_round})
-
-        # Experiment jobs: pooled, retried, never cached.
-        exp_pool = WorkerPool(
-            execute_experiment, jobs=self.jobs, observer=self.telemetry
-        )
-        pending_exp = [] if report.drained else exp_jobs
-        if report.drained and exp_jobs:
-            report.skipped += len(exp_jobs)
-        attempt_round = 0
-        while pending_exp and not report.drained:
-            if should_stop is not None and should_stop():
-                report.drained = True
-                break
-            if attempt_round:
-                time.sleep(self.backoff_seconds * (2 ** (attempt_round - 1)))
-            by_id = {}
-            specs = []
-            for job in pending_exp:
-                self.queue.claim(job, {"round": attempt_round})
-                by_id[job.job_id] = job
-                specs.append(
-                    TaskSpec(
-                        task_id=job.job_id,
-                        payload=job.payload,
-                        timeout_seconds=job.timeout_seconds,
-                    )
-                )
-            outcomes = exp_pool.run(specs, should_stop=should_stop)
-            retry_jobs = []
-            for outcome in outcomes:
-                job = by_id[outcome.task_id]
-                if outcome.ok:
-                    self.queue.mark_done(job, outcome.result)
-                    report.experiments += 1
-                    say(f"{job.job_id}: experiment done")
-                elif outcome.status == STATUS_SKIPPED:
-                    self.queue.release(job, {"reason": "drained"})
-                    report.skipped += 1
-                    report.drained = True
-                else:
-                    job = self.queue.retry(
-                        job, {"status": outcome.status, "error": outcome.error}
-                    )
-                    if job.state == STATE_QUEUED:
-                        report.retried += 1
-                        self.telemetry.retry_scheduled(job, outcome.status)
-                        retry_jobs.append(job)
-                    else:
-                        report.failed += 1
-            pending_exp = retry_jobs
-            attempt_round += 1
-            self.telemetry.round_finished()
+        if report.drained and not attempt_round:
+            # Drained before the first dispatch: no experiment ever ran.
+            report.skipped += sum(
+                1 for job in pending if job.kind == KIND_EXPERIMENT
+            )
 
         report.cells_appended = self._persist_cells(completed)
         report.wall_seconds = time.perf_counter() - t0

@@ -1,39 +1,37 @@
-"""Picklable task functions executed inside worker processes.
+"""The service worker's task function and its JSON payload helpers.
 
-Every function here is module-level (so :mod:`multiprocessing` can pickle
-it by reference), takes a single payload dict, and imports the heavier
-layers lazily inside the call — partly to keep worker start cheap, partly
-to avoid import cycles (``repro.obs.campaign`` calls into this package for
-its parallel path, and these tasks call back into it).
+:func:`execute_job` is the one task the worker pool runs: module-level (so
+:mod:`multiprocessing` can pickle it by reference), one dispatch envelope
+in, one JSON record out.  It imports the heavier layers lazily inside the
+call — partly to keep worker start cheap, partly to avoid import cycles
+(``repro.obs.campaign`` submits its parallel cells to the service, and
+these tasks call back into it).
 
-Two payload conventions coexist:
-
-* **object payloads** (:func:`execute_cell`) carry real
-  ``WorkflowSpec``/``SchedulerConfig``/``OptaneCalibration`` objects —
-  used when the parent process built them itself (the campaign pool);
-* **JSON payloads** (:func:`execute_cell_record`,
-  :func:`execute_experiment`) carry only JSON types — used for jobs that
-  round-trip through the persistent queue, where the payload must also be
-  a readable, hashable record.
-
-Each worker meters its own host cost: the records it returns carry
-per-worker :mod:`repro.obs.hostmetrics` wall/memory readings, which is how
-a parallel campaign's dashboard shows the speedup.
+Payloads are plain JSON — the queue persists them and hashes them into
+job ids — so a worker and the scheduler never share objects.  Each worker
+meters its own host cost: the records it returns carry per-worker
+:mod:`repro.obs.hostmetrics` wall/memory readings, which is how a
+parallel campaign's dashboard shows the speedup.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
+
+from repro.service.queue import KIND_EXPERIMENT
 
 
-def execute_cell(payload: Dict[str, Any]) -> Any:
-    """Run one campaign cell (object payload) -> ``CellResult``.
+def execute_job(task: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one queued job -> its JSON result record.
 
-    Payload: the keyword arguments of :func:`repro.obs.campaign.run_cell`.
+    *task* is the dispatch envelope the scheduler builds for each attempt:
+    ``{"kind": <job kind>, "payload": <queued payload>, "telemetry":
+    <trace context or None>}``.  Experiment jobs return a claims summary;
+    cell jobs return a stored-cell record.
     """
-    from repro.obs.campaign import run_cell
-
-    return run_cell(**payload)
+    if task["kind"] == KIND_EXPERIMENT:
+        return execute_experiment(task["payload"])
+    return execute_cell_record(task["payload"], task.get("telemetry"))
 
 
 def cell_kwargs_from_json(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -63,27 +61,25 @@ def cell_kwargs_from_json(payload: Dict[str, Any]) -> Dict[str, Any]:
         stack_name=payload.get("stack_name", "nvstream"),
         matmul_dim=payload.get("matmul_dim"),
         profile=bool(payload.get("profile", False)),
+        profile_top=payload.get("profile_top"),
     )
 
 
-def execute_cell_record(payload: Dict[str, Any]) -> Dict[str, Any]:
+def execute_cell_record(
+    payload: Dict[str, Any], context: Optional[Dict[str, str]] = None
+) -> Dict[str, Any]:
     """Run one cell from a JSON job payload -> a JSON stored-cell record.
 
-    This is the service worker's entry point: payload in, record out, both
-    plain JSON, so the queue can persist the former and the scheduler can
-    cache/store the latter without the worker and parent sharing objects.
-
-    A ``_telemetry`` key in the payload (``{"trace_id", "parent_id"}``,
-    merged in by the scheduler at dispatch — never stored in the queue)
-    switches on per-config tracing: each configuration's run is timed on
-    the wall clock and returned as a ``simulate`` span, together with the
-    run's virtual-time span records, under ``record["telemetry"]``.  The
-    parent pops that key before caching/storing, so the deterministic
-    record is byte-identical with tracing on or off.
+    A trace *context* (``{"trace_id", "parent_id"}``, minted by the
+    scheduler at dispatch — never stored in the queue) switches on
+    per-config tracing: each configuration's run is timed on the wall
+    clock and returned as a ``simulate`` span, together with the run's
+    virtual-time span records, under ``record["telemetry"]``.  The parent
+    pops that key before caching/storing, so the deterministic record is
+    byte-identical with tracing on or off.
     """
     from repro.obs.campaign import run_cell
 
-    context = payload.get("_telemetry")
     kwargs = cell_kwargs_from_json(payload)
     telemetry: Dict[str, Any] = {}
     on_observation = None
@@ -138,18 +134,6 @@ def execute_cell_record(payload: Dict[str, Any]) -> Dict[str, Any]:
             "sim_runs": telemetry["sim_runs"],
         }
     return record
-
-
-def execute_experiment_object(payload: Dict[str, Any]) -> Any:
-    """Run one registered experiment -> its full ``ExperimentResult``.
-
-    The object-payload twin of :func:`execute_experiment`, for callers that
-    render the complete report (``repro-experiments --jobs N``) rather than
-    persisting a queue record.
-    """
-    from repro.experiments.registry import get_experiment
-
-    return get_experiment(payload["experiment"])(None)
 
 
 def execute_experiment(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -8,18 +8,21 @@ plugs into the service components as a passive observer:
 * :class:`~repro.service.queue.JobQueue` calls ``job_submitted`` /
   ``job_transition`` — queue depth, per-state transition rates,
   queue-wait and submit→result latency histograms, lifecycle spans;
-* :class:`~repro.service.pool.WorkerPool` calls ``task_started`` /
+* the worker pool of a service pass (:meth:`ServiceScheduler.run
+  <repro.service.scheduler.ServiceScheduler.run>` is the only code that
+  builds one, for cell and experiment jobs alike) calls ``task_started`` /
   ``task_settled`` / ``pool_rebuilt`` — worker utilization, busy seconds,
   timeout/crash/rebuild counts, per-attempt ``worker`` spans;
 * :class:`~repro.service.scheduler.ServiceScheduler` calls the rest —
   cache hits/misses/stores, schedule decisions, retries, backoff, rounds.
 
-Trace context crosses the process boundary through the task payload: the
-scheduler merges a ``_telemetry`` key (``trace_id`` + the parent ``worker``
-span id, both deterministic strings) into the payload it hands the pool,
-the worker (:func:`repro.service.tasks.execute_cell_record`) returns its
-wall spans and virtual-time run spans under ``record["telemetry"]``, and
-:meth:`ServiceTelemetry.absorb_worker_records` stitches them back in here.
+Trace context crosses the process boundary in the task envelope: the
+scheduler puts a ``telemetry`` entry (``trace_id`` + the parent ``worker``
+span id, both deterministic strings) beside the job payload it hands the
+pool, the cell worker (:func:`repro.service.tasks.execute_cell_record`)
+returns its wall spans and virtual-time run spans under
+``record["telemetry"]``, and :meth:`ServiceTelemetry.absorb_worker_records`
+stitches them back in here.
 
 Everything is strictly additive: every public hook of a disabled
 instance returns before touching its registry or recorder, so it records

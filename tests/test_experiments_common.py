@@ -86,3 +86,10 @@ class TestCli:
         assert main(["table01", "--markdown"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# EXPERIMENTS")
+
+
+def test_jobs_without_service_exits_2(capsys):
+    assert main(["table01", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--service DIR" in err
+    assert "repro-service submit --experiment" in err

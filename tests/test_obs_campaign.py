@@ -148,6 +148,25 @@ class TestRunCampaign:
         )
         assert [c.key for c in run.cells] == ["micro-2k@8"]
 
+    def test_parallel_matches_serial_with_profile_top(self):
+        kwargs = dict(
+            suite="sweep",
+            cells=[("micro-2k", 8)],
+            configs=TWO_CONFIGS,
+            iterations=1,
+            profile=True,
+            profile_top=2,
+        )
+        serial = run_campaign(**kwargs)
+        parallel = run_campaign(jobs=2, **kwargs)
+        assert [c.cell_id for c in parallel.cells] == [
+            c.cell_id for c in serial.cells
+        ]
+        assert canonical_json(parallel.cells[0].deterministic) == canonical_json(
+            serial.cells[0].deterministic
+        )
+        assert len(parallel.cells[0].host.hotspots) == 2
+
     def test_bench_record_shape(self):
         run = run_campaign(
             suite="sweep",
@@ -433,6 +452,32 @@ class TestCli:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("error: --cal-set: ")
         assert not store_dir.exists() or not list(store_dir.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--suite", "nosuch"], "unknown suite 'nosuch'"),
+            (["run", "--jobs", "0"], "jobs must be >= 1"),
+            (["show", "missing"], "no campaign 'missing'"),
+        ],
+    )
+    def test_library_errors_exit_1_without_traceback(
+        self, tmp_path, capsys, argv, message
+    ):
+        store_dir = str(tmp_path / "campaigns")
+        argv = ["campaign", argv[0], "--dir", store_dir, *argv[1:]]
+        assert self.run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_duplicate_campaign_name_exits_1(self, tmp_path, capsys):
+        common = ["campaign", "run", "--dir", str(tmp_path), "--name", "dup"]
+        common += ["--iterations", "1", "--config", "S-LocW"]
+        assert self.run_cli(*common) == 0
+        capsys.readouterr()
+        assert self.run_cli(*common) == 1
+        assert "error: campaign 'dup' already exists" in capsys.readouterr().err
 
     def test_bad_cal_set_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
 """End-to-end ``python -m repro.service`` CLI over the micro suite."""
 
 import json
+import os
 
 import pytest
 
@@ -86,3 +87,24 @@ def test_cli_submit_experiment_jobs(root, capsys):
     out = capsys.readouterr().out
     assert "(experiment)" in out
     assert "1 job(s) queued" in out
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["read_ramp_scale=nan", "write_decay=inf", "no_such_field=1", "nonsense"],
+)
+def test_invalid_cal_set_exits_2_before_queueing(root, capsys, setting):
+    assert main(["submit", "--dir", root, "--cal-set", setting]) == 2
+    assert capsys.readouterr().err.startswith("error: --cal-set: ")
+    assert not os.path.exists(os.path.join(root, "queue.jsonl"))
+
+
+def test_cal_set_reaches_the_job_payload(root, capsys):
+    assert main(["submit", "--dir", root, "--cal-set", "write_decay=0.5"]) == 0
+    capsys.readouterr()
+    from repro.service.queue import JobQueue
+
+    jobs = JobQueue(root).load()
+    assert jobs and all(
+        job.payload["calibration"]["write_decay"] == 0.5 for job in jobs
+    )

@@ -165,3 +165,71 @@ def test_campaign_jobs_parallel_matches_serial_bytes(tmp_path):
                 )
         digests.append("\n".join(stripped))
     assert digests[0] == digests[1]
+
+
+def test_experiment_jobs_share_the_cell_retry_loop(root):
+    """A failing experiment is retried with the same backoff cells get."""
+    from repro.service.telemetry import ServiceTelemetry
+
+    telemetry = ServiceTelemetry(root)
+    scheduler = ServiceScheduler(
+        root=root, backoff_seconds=0.0, telemetry=telemetry
+    )
+    good, bad = scheduler.submit_experiments(
+        ["table01", "no-such-experiment"], max_retries=1
+    )
+    report = scheduler.run()
+    assert report.experiments == 1
+    assert report.failed == 1
+    assert report.retried == 1
+    jobs = {job.job_id: job for job in JobQueue(root).load()}
+    assert jobs[good.job_id].state == "done"
+    assert jobs[good.job_id].detail["experiment"] == "table01"
+    assert jobs[bad.job_id].state == STATE_FAILED
+    assert jobs[bad.job_id].attempts == 2
+    backoffs = [span for span in telemetry.recorder.spans if span.name == "backoff"]
+    assert len(backoffs) == 1
+
+
+def test_drain_before_dispatch_counts_experiments_skipped(root):
+    scheduler = ServiceScheduler(root=root)
+    _submit_micro(scheduler)
+    scheduler.submit_experiments(["table01"])
+    report = scheduler.run(should_stop=lambda: True)
+    assert report.drained
+    assert report.skipped == 1
+    assert report.experiments == 0
+    assert len(JobQueue(root).queued()) == 3
+
+
+def test_submit_suite_explicit_cells(root):
+    scheduler = ServiceScheduler(root=root)
+    jobs = scheduler.submit_suite(
+        "adhoc", cells=[("micro-2k", 8)], iterations=1, profile_top=3
+    )
+    assert [job.payload["family"] for job in jobs] == ["micro-2k"]
+    assert jobs[0].payload["iterations"] == 1
+    assert jobs[0].payload["profile_top"] == 3
+
+
+def test_parallel_campaign_reports_failed_cell(monkeypatch):
+    """A cell that fails every attempt surfaces as ConfigurationError."""
+    from repro.core.configs import ALL_CONFIGS
+    from repro.errors import ConfigurationError
+    from repro.obs import campaign
+    from repro.pmem.calibration import DEFAULT_CALIBRATION
+
+    def boom(**_kwargs):
+        raise RuntimeError("simulated worker failure")
+
+    monkeypatch.setattr(campaign, "run_cell", boom)
+    with pytest.raises(ConfigurationError, match="simulated worker failure"):
+        # jobs=1 keeps the worker in this process, where the patch applies.
+        campaign._run_through_service(
+            [("micro-2k", 8)],
+            suite="adhoc",
+            jobs=1,
+            configs=ALL_CONFIGS,
+            cal=DEFAULT_CALIBRATION,
+            iterations=1,
+        )
