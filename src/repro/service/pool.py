@@ -6,6 +6,10 @@ worker process runs an ordinary single-threaded simulation, and callers
 sort completed results by cell id before persisting, so the stored bytes
 are independent of completion order.
 
+The service scheduler settles each job through ``on_outcome``: its
+cache put and ``done`` / ``retry`` / ``release`` transition happen as
+that task's worker returns, not after the whole batch.
+
 Design points:
 
 * **Manual dispatch** — at most ``jobs`` tasks are ever submitted to the
@@ -127,7 +131,11 @@ class WorkerPool:
 
         ``should_stop`` is the drain hook: polled before each dispatch (and
         each inline task); once true, nothing new starts.  ``on_outcome``
-        fires as each task settles, in completion order.
+        fires as each task settles, in completion order: exactly once per
+        spec (``skipped`` ones included), before ``run`` returns, with the
+        same outcome objects as the returned list.  It runs in this
+        process between dispatches, so an exception it raises ends the
+        run.
         """
         if self.jobs == 1:
             return self._run_inline(tasks, should_stop, on_outcome)

@@ -28,6 +28,7 @@ file is ever hashed into a cell id or compared byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -176,6 +177,16 @@ def validate_queue_lines(lines: Iterable[str]) -> List[str]:
     return problems
 
 
+def check_seconds(name: str, value: Optional[float]) -> None:
+    """Reject a time limit that is set but not finite and > 0.
+
+    A non-finite value would also reach the queue file as the non-JSON
+    tokens ``NaN`` / ``Infinity``.
+    """
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise StorageError(f"{name} must be finite and > 0, got {value}")
+
+
 # ----------------------------------------------------------------------
 # The queue.
 # ----------------------------------------------------------------------
@@ -231,6 +242,8 @@ class JobQueue:
             )
         if max_retries < 0:
             raise StorageError(f"max_retries must be >= 0, got {max_retries}")
+        check_seconds("timeout_seconds", timeout_seconds)
+        check_seconds("deadline_epoch", deadline_epoch)
         seq = len(self.load())
         import hashlib
 

@@ -12,14 +12,18 @@ One :meth:`ServiceScheduler.run` pass is the Balsam "service cycle":
    shortest-predicted-first using
    :meth:`repro.core.recommend.RecommendationEngine.estimate_makespan`
    (the §VIII placement prices double as makespan predictions);
-4. **execute** — the :class:`~repro.service.pool.WorkerPool` runs the
-   misses with per-job timeouts; failed attempts are retried through the
-   queue with exponential backoff until each job's budget runs out;
-5. **record** — fresh results go into the cache, and every completed cell
-   (hit or fresh) is appended — sorted by cell id, so the file is
-   byte-independent of completion order — to the ``results`` campaign
-   under ``service/campaigns/``.  Each cell's transition detail records
-   the recommendation's regret vs the measured winner.
+4. **execute and settle** — the :class:`~repro.service.pool.WorkerPool`
+   runs the misses with per-job timeouts and hands back each outcome as
+   its worker returns: a fresh result goes into the cache and its job is
+   marked ``done`` right then, with the recommendation's regret vs the
+   measured winner in the transition detail; failed attempts are retried
+   through the queue with exponential backoff until each job's budget
+   runs out;
+5. **record** — at the end of the pass every completed cell (hit or
+   fresh) is appended — sorted by cell id, so the file is byte-independent
+   of completion order — to the ``results`` campaign under
+   ``service/campaigns/``, together with any ``done`` cell an earlier,
+   killed pass never got to append.
 
 Experiment jobs (``repro-experiments --service``) ride steps 1/4 only —
 queued after the cell misses, in the same pool and retry rounds — because
@@ -46,9 +50,11 @@ from repro.service.queue import (
     DEFAULT_SERVICE_DIR,
     KIND_CELL,
     KIND_EXPERIMENT,
+    STATE_DONE,
     STATE_QUEUED,
     Job,
     JobQueue,
+    check_seconds,
 )
 from repro.service.tasks import cell_kwargs_from_json, execute_job
 from repro.core.optimize.backends import PLAN_SCHEMA
@@ -222,6 +228,7 @@ class ServiceScheduler:
             if iterations is not None
             else (preset.iterations if preset else None)
         )
+        check_seconds("deadline_seconds", deadline_seconds)
         deadline_epoch = (
             time.time() + deadline_seconds
             if deadline_seconds is not None
@@ -271,6 +278,7 @@ class ServiceScheduler:
         deadline_seconds: Optional[float] = None,
     ) -> List[Job]:
         """Submit one experiment job per id (``repro-experiments`` names)."""
+        check_seconds("deadline_seconds", deadline_seconds)
         deadline_epoch = (
             time.time() + deadline_seconds
             if deadline_seconds is not None
@@ -378,32 +386,75 @@ class ServiceScheduler:
             entry["why"] = bottleneck["why"]
         return entry
 
-    def _persist_cells(self, cells: List[StoredCell]) -> int:
+    def _cached_cell(
+        self, job: Job, cell_id: Optional[str]
+    ) -> Optional[StoredCell]:
+        """The job's cell read from the cache with a ``cached`` host
+        record, or None if the cache does not hold it."""
+        from repro.obs.hostmetrics import cached_host_metrics
+
+        lookup_t0 = time.perf_counter()
+        cached = self.cache.get(cell_id) if cell_id is not None else None
+        if cached is None:
+            return None
+        avoided = sum(
+            entry.get("makespan") or 0.0
+            for entry in cached.deterministic.get("configs", {}).values()
+        )
+        host = cached_host_metrics(
+            wall_seconds=time.perf_counter() - lookup_t0,
+            simulated_seconds=avoided,
+        )
+        return StoredCell(
+            cell_id=cell_id,
+            key=f"{job.payload.get('family')}@{job.payload.get('ranks')}",
+            deterministic=cached.deterministic,
+            host=host.as_record(),
+            provenance=cached.provenance,
+        )
+
+    def _persist_cells(
+        self, cells: List[StoredCell], done_jobs: Sequence[Job] = ()
+    ) -> int:
         """Append new cells — sorted by cell id — to the results campaign.
 
         The campaign store rejects duplicate cell ids, which is exactly the
         "zero new deterministic records on a fully-cached rerun" guarantee;
         already-recorded cells are skipped here rather than errored.
+
+        ``done_jobs`` are cell jobs an earlier pass completed.  A job is
+        ``done`` as soon as its worker returns, so a pass killed before it
+        got here leaves done cells the campaign lacks: those are read back
+        from the cache and appended, in the same sorted order, with the
+        rest.
         """
-        if not cells:
+        if not cells and not done_jobs:
             return 0
-        if not self.store.exists(RESULTS_CAMPAIGN):
-            self.store.create(RESULTS_CAMPAIGN, {"suite": "service"})
-        existing = {
-            cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells
-        }
-        appended = 0
-        for cell in sorted(cells, key=lambda cell: cell.cell_id):
-            if cell.cell_id in existing:
+        existing = (
+            {cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells}
+            if self.store.exists(RESULTS_CAMPAIGN)
+            else set()
+        )
+        new: Dict[str, StoredCell] = {}
+        for cell in cells:
+            if cell.cell_id not in existing:
+                new.setdefault(cell.cell_id, cell)
+        for job in done_jobs:
+            cell_id = job.detail.get("cell_id")
+            if cell_id in existing or cell_id in new:
                 continue
-            self.store.append_cell(RESULTS_CAMPAIGN, cell)
-            existing.add(cell.cell_id)
-            appended += 1
-        return appended
+            cell = self._cached_cell(job, cell_id)
+            if cell is not None:
+                new[cell_id] = cell
+        if new and not self.store.exists(RESULTS_CAMPAIGN):
+            self.store.create(RESULTS_CAMPAIGN, {"suite": "service"})
+        for cell_id in sorted(new):
+            self.store.append_cell(RESULTS_CAMPAIGN, new[cell_id])
+        return len(new)
 
     def _finish_cell(
-        self, job: Job, outcome: TaskOutcome, report: ServiceRunReport
-    ) -> StoredCell:
+        self, job: Job, outcome: TaskOutcome
+    ) -> Tuple[StoredCell, Optional[Dict[str, Any]]]:
         """Cache, score and complete one freshly executed cell job."""
         record = outcome.result
         # The worker's telemetry rides the result record but must never
@@ -418,32 +469,26 @@ class ServiceScheduler:
         )
         if self.cache.put(cell):
             self.telemetry.cache_stored(job, cell.cell_id)
-        report.executed += 1
-        self._complete_cell(
-            job,
-            cell,
-            report,
-            {"cache": "miss", "wall_seconds": outcome.wall_seconds},
+        regret = self._complete_cell(
+            job, cell, {"cache": "miss", "wall_seconds": outcome.wall_seconds}
         )
-        return cell
+        return cell, regret
 
     def _complete_cell(
-        self,
-        job: Job,
-        cell: StoredCell,
-        report: ServiceRunReport,
-        detail: Dict[str, Any],
-    ) -> None:
-        """Score one finished cell job (regret, bottleneck); mark it done."""
+        self, job: Job, cell: StoredCell, detail: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        """Score one finished cell job (regret, bottleneck); mark it done.
+
+        Returns the regret entry, which the caller files in the report.
+        """
         regret = self._regret_entry(job, cell.deterministic)
-        if regret is not None:
-            report.regrets.append(regret)
         bottleneck = cell_bottleneck(cell.deterministic)
         if bottleneck is not None:
             self.telemetry.note_bottleneck(cell.key, bottleneck)
         self.queue.mark_done(
             job, {**detail, "cell_id": cell.cell_id, "regret": regret}
         )
+        return regret
 
     # -- the service pass -----------------------------------------------
     def run(
@@ -460,8 +505,18 @@ class ServiceScheduler:
         if requeued:
             say(f"requeued {len(requeued)} stale running job(s)")
         now = time.time()
-        for job in self.queue.queued():
-            if job.deadline_epoch is not None and now > job.deadline_epoch:
+        loaded = self.queue.load()
+        done_before = [
+            job
+            for job in loaded
+            if job.kind == KIND_CELL and job.state == STATE_DONE
+        ]
+        for job in loaded:
+            if (
+                job.state == STATE_QUEUED
+                and job.deadline_epoch is not None
+                and now > job.deadline_epoch
+            ):
                 self.queue.mark_failed(job, {"reason": "deadline expired"})
                 self.telemetry.deadline_expired(job)
                 report.expired += 1
@@ -478,37 +533,20 @@ class ServiceScheduler:
             if should_stop is not None and should_stop():
                 report.drained = True
                 break
-            cell_id = self._cell_id_of(job)
-            lookup_t0 = time.perf_counter()
-            cached = self.cache.get(cell_id) if cell_id is not None else None
-            if cached is None:
+            cell = self._cached_cell(job, self._cell_id_of(job))
+            if cell is None:
                 report.cache_misses += 1
                 self.telemetry.cache_miss(job)
                 misses.append(job)
                 continue
             report.cache_hits += 1
-            self.telemetry.cache_hit(job, cell_id)
-            from repro.obs.hostmetrics import cached_host_metrics
-
-            avoided = sum(
-                entry.get("makespan") or 0.0
-                for entry in cached.deterministic.get("configs", {}).values()
-            )
-            host = cached_host_metrics(
-                wall_seconds=time.perf_counter() - lookup_t0,
-                simulated_seconds=avoided,
-            )
-            cell = StoredCell(
-                cell_id=cell_id,
-                key=f"{job.payload.get('family')}@{job.payload.get('ranks')}",
-                deterministic=cached.deterministic,
-                host=host.as_record(),
-                provenance=cached.provenance,
-            )
+            self.telemetry.cache_hit(job, cell.cell_id)
             completed.append(cell)
             self.queue.claim(job, {"cache": "hit"})
-            self._complete_cell(job, cell, report, {"cache": "hit"})
-            say(f"{job.job_id}: cache hit ({cell_id})")
+            regret = self._complete_cell(job, cell, {"cache": "hit"})
+            if regret is not None:
+                report.regrets.append(regret)
+            say(f"{job.job_id}: cache hit ({cell.cell_id})")
 
         # Predicted-best-first: shortest estimated makespan runs first, so
         # the pool drains the quick cells while the long ones occupy slots.
@@ -517,6 +555,43 @@ class ServiceScheduler:
         misses.sort(key=lambda job: predicted[job.job_id])
         for order, job in enumerate(misses):
             self.telemetry.schedule_decided(job, order, predicted[job.job_id])
+
+        # Each job settles as its worker returns: cache put, regret and
+        # its queue transition happen then, not after the whole round.
+        by_id: Dict[str, Job] = {}
+        regrets: Dict[str, Dict[str, Any]] = {}
+
+        def settle(outcome: TaskOutcome) -> None:
+            job = by_id[outcome.task_id]
+            if outcome.ok and job.kind == KIND_EXPERIMENT:
+                self.queue.mark_done(job, outcome.result)
+                report.experiments += 1
+                say(f"{job.job_id}: experiment done")
+            elif outcome.ok:
+                cell, regret = self._finish_cell(job, outcome)
+                report.executed += 1
+                completed.append(cell)
+                if regret is not None:
+                    regrets[job.job_id] = regret
+                say(f"{job.job_id}: {cell.key} done")
+            elif outcome.status == STATUS_SKIPPED:
+                self.queue.release(job, {"reason": "drained"})
+                report.skipped += 1
+                report.drained = True
+            else:
+                job = self.queue.retry(
+                    job, {"status": outcome.status, "error": outcome.error}
+                )
+                if job.state == STATE_QUEUED:
+                    report.retried += 1
+                    self.telemetry.retry_scheduled(job, outcome.status)
+                    say(
+                        f"{job.job_id}: {outcome.status}, retrying "
+                        f"(attempt {job.attempts}/{job.max_retries + 1})"
+                    )
+                else:
+                    report.failed += 1
+                    say(f"{job.job_id}: failed ({outcome.status})")
 
         pool = WorkerPool(execute_job, jobs=self.jobs, observer=self.telemetry)
         attempt_round = 0
@@ -529,7 +604,6 @@ class ServiceScheduler:
                 delay = self.backoff_seconds * (2 ** (attempt_round - 1))
                 self.telemetry.backoff(delay, attempt_round)
                 time.sleep(delay)
-            by_id: Dict[str, Job] = {}
             specs: List[TaskSpec] = []
             for job in pending:
                 self.queue.claim(job, {"round": attempt_round})
@@ -545,38 +619,22 @@ class ServiceScheduler:
                         timeout_seconds=job.timeout_seconds,
                     )
                 )
-            outcomes = pool.run(specs, should_stop=should_stop)
-            retry_jobs: List[Job] = []
-            for outcome in outcomes:
-                job = by_id[outcome.task_id]
-                if outcome.ok and job.kind == KIND_EXPERIMENT:
-                    self.queue.mark_done(job, outcome.result)
-                    report.experiments += 1
-                    say(f"{job.job_id}: experiment done")
-                elif outcome.ok:
-                    cell = self._finish_cell(job, outcome, report)
-                    completed.append(cell)
-                    say(f"{job.job_id}: {cell.key} done")
-                elif outcome.status == STATUS_SKIPPED:
-                    self.queue.release(job, {"reason": "drained"})
-                    report.skipped += 1
-                    report.drained = True
-                else:
-                    job = self.queue.retry(
-                        job, {"status": outcome.status, "error": outcome.error}
-                    )
-                    if job.state == STATE_QUEUED:
-                        report.retried += 1
-                        self.telemetry.retry_scheduled(job, outcome.status)
-                        retry_jobs.append(job)
-                        say(
-                            f"{job.job_id}: {outcome.status}, retrying "
-                            f"(attempt {job.attempts}/{job.max_retries + 1})"
-                        )
-                    else:
-                        report.failed += 1
-                        say(f"{job.job_id}: failed ({outcome.status})")
-            pending = retry_jobs
+            outcomes = pool.run(
+                specs, should_stop=should_stop, on_outcome=settle
+            )
+            # Regrets and the next round follow dispatch order, whatever
+            # order the workers returned in.
+            report.regrets.extend(
+                regrets.pop(outcome.task_id)
+                for outcome in outcomes
+                if outcome.task_id in regrets
+            )
+            pending = [
+                by_id[outcome.task_id]
+                for outcome in outcomes
+                if outcome.retryable
+                and by_id[outcome.task_id].state == STATE_QUEUED
+            ]
             attempt_round += 1
             self.telemetry.round_finished()
             self.telemetry.update_levels(
@@ -591,7 +649,7 @@ class ServiceScheduler:
                 1 for job in pending if job.kind == KIND_EXPERIMENT
             )
 
-        report.cells_appended = self._persist_cells(completed)
+        report.cells_appended = self._persist_cells(completed, done_before)
         report.wall_seconds = time.perf_counter() - t0
         self.telemetry.update_levels(
             counts=self.queue.counts(),

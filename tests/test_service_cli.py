@@ -108,3 +108,26 @@ def test_cal_set_reaches_the_job_payload(root, capsys):
     assert jobs and all(
         job.payload["calibration"]["write_decay"] == 0.5 for job in jobs
     )
+
+
+@pytest.mark.parametrize("flag", ["--timeout", "--deadline"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_nonpositive_or_nonfinite_limits_exit_1_before_queueing(
+    root, capsys, flag, value
+):
+    args = ["submit", "--dir", root, "--suite", "micro", flag, value]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(os.path.join(root, "queue.jsonl"))
+
+
+def test_experiment_deadline_is_checked_before_queueing(root, capsys):
+    args = ["submit", "--dir", root, "--experiment", "table01"]
+    assert main(args) == 0
+    path = os.path.join(root, "queue.jsonl")
+    with open(path, "rb") as handle:
+        before = handle.read()
+    assert main(args + ["--deadline", "-5"]) == 1
+    assert "deadline_seconds" in capsys.readouterr().err
+    with open(path, "rb") as handle:
+        assert handle.read() == before

@@ -41,6 +41,22 @@ def _specs(count):
     return [TaskSpec(task_id=f"t{i}", payload={"value": i}) for i in range(count)]
 
 
+def _run_recording(pool, specs, **kwargs):
+    """Run *specs*, checking the ``on_outcome`` contract on the way out.
+
+    The hook fires once per spec, before ``run`` returns, with the very
+    outcome objects ``run`` returns (in submission order).
+    """
+    seen = []
+    outcomes = pool.run(specs, on_outcome=seen.append, **kwargs)
+    order = [spec.task_id for spec in specs]
+    assert [o.task_id for o in outcomes] == order
+    assert sorted(o.task_id for o in seen) == sorted(order)
+    by_id = {o.task_id: o for o in seen}
+    assert all(by_id[o.task_id] is o for o in outcomes)
+    return outcomes
+
+
 def test_jobs_must_be_positive():
     with pytest.raises(ConfigurationError):
         WorkerPool(_double, jobs=0)
@@ -76,8 +92,7 @@ def test_inline_drain_skips_remaining():
 
 
 def test_parallel_preserves_submission_order():
-    pool = WorkerPool(_double, jobs=2)
-    outcomes = pool.run(_specs(5))
+    outcomes = _run_recording(WorkerPool(_double, jobs=2), _specs(5))
     assert [o.task_id for o in outcomes] == [f"t{i}" for i in range(5)]
     assert [o.result for o in outcomes] == [0, 2, 4, 6, 8]
     assert all(o.wall_seconds >= 0 for o in outcomes)
@@ -95,7 +110,7 @@ def test_worker_crash_reported_and_pool_recovers():
         TaskSpec(task_id="dead", payload={"value": 2, "crash": True}),
         TaskSpec(task_id="ok-b", payload={"value": 3}),
     ]
-    outcomes = WorkerPool(_crash_or_double, jobs=2).run(specs)
+    outcomes = _run_recording(WorkerPool(_crash_or_double, jobs=2), specs)
     by_id = {o.task_id: o for o in outcomes}
     assert by_id["dead"].status == STATUS_CRASH
     assert by_id["dead"].retryable
@@ -114,10 +129,27 @@ def test_timeout_kills_overdue_task_and_spares_innocents():
         TaskSpec(task_id="fast", payload={"seconds": 0.01}),
     ]
     t0 = time.perf_counter()
-    outcomes = WorkerPool(_sleep, jobs=2).run(specs)
+    outcomes = _run_recording(WorkerPool(_sleep, jobs=2), specs)
     elapsed = time.perf_counter() - t0
     by_id = {o.task_id: o for o in outcomes}
     assert by_id["slow"].status == STATUS_TIMEOUT
     assert "timeout" in by_id["slow"].error
     assert by_id["fast"].status == STATUS_DONE
     assert elapsed < 20.0  # nowhere near the 30s sleep
+
+
+def test_parallel_on_outcome_reports_drained_skips():
+    polls = []
+
+    def stop_after_first_dispatch():
+        polls.append(None)
+        return len(polls) > 1
+
+    outcomes = _run_recording(
+        WorkerPool(_double, jobs=2),
+        _specs(6),
+        should_stop=stop_after_first_dispatch,
+    )
+    # The first two tasks were in flight when the drain began: they finish.
+    statuses = [o.status for o in outcomes]
+    assert statuses == [STATUS_DONE] * 2 + [STATUS_SKIPPED] * 4

@@ -233,3 +233,80 @@ def test_parallel_campaign_reports_failed_cell(monkeypatch):
             cal=DEFAULT_CALIBRATION,
             iterations=1,
         )
+
+
+def test_report_independent_of_completion_order(tmp_path):
+    """Serial and two-worker passes report the same, regrets included."""
+    records = []
+    for jobs in (1, 2):
+        root = str(tmp_path / f"jobs{jobs}")
+        scheduler = ServiceScheduler(root=root, jobs=jobs)
+        _submit_micro(scheduler)
+        record = scheduler.run().as_record()
+        del record["wall_seconds"], record["jobs"]
+        records.append(record)
+    assert records[0] == records[1]
+    assert len(records[0]["regrets"]) == 2
+
+
+def _patch_task(monkeypatch, before_call):
+    """Wrap the scheduler's task function; *before_call(n)* runs first."""
+    from repro.service import scheduler as scheduler_module
+
+    real = scheduler_module.execute_job
+    calls = []
+
+    def wrapped(envelope):
+        calls.append(envelope)
+        before_call(len(calls))
+        return real(envelope)
+
+    monkeypatch.setattr(scheduler_module, "execute_job", wrapped)
+    return calls
+
+
+def test_jobs_settle_as_their_task_returns(root, monkeypatch):
+    """The first job is done and cached before the second task starts."""
+    scheduler = ServiceScheduler(root=root)
+    _submit_micro(scheduler)
+    seen = []
+
+    def check(call):
+        if call == 2:
+            jobs = JobQueue(root).load()
+            seen.extend(job.state for job in jobs)
+            done = [job for job in jobs if job.state == "done"]
+            assert len(done) == 1
+            assert done[0].cell_id in scheduler.cache
+
+    _patch_task(monkeypatch, check)
+    report = scheduler.run()
+    assert report.executed == 2
+    assert sorted(seen) == ["done", "running"]
+
+
+def test_killed_pass_keeps_finished_cells(root, monkeypatch):
+    """A pass aborted mid-round loses only the cell it was running."""
+    scheduler = ServiceScheduler(root=root)
+    jobs = _submit_micro(scheduler)
+
+    def interrupt_second(call):
+        if call == 2:
+            raise KeyboardInterrupt
+
+    calls = _patch_task(monkeypatch, interrupt_second)
+    with pytest.raises(KeyboardInterrupt):
+        scheduler.run()
+    assert len(calls) == 2
+
+    second = ServiceScheduler(root=root).run()
+    assert second.executed == 1
+    assert second.cells_appended == 2
+    cells = scheduler.store.read(RESULTS_CAMPAIGN).cells
+    cell_ids = [cell.cell_id for cell in cells]
+    assert cell_ids == sorted(job.cell_id for job in jobs)
+
+    third = ServiceScheduler(root=root).run()
+    assert third.executed == 0
+    assert third.cells_appended == 0
+    assert len(scheduler.store.read(RESULTS_CAMPAIGN).cells) == 2
