@@ -103,13 +103,15 @@ def _record_miss_solves(monkeypatch, spec, config):
 
 def _replay(misses):
     """Re-solve every recorded miss from its starting duties, memo off;
-    returns the total fixed-point iterations."""
-    iterations = 0
+    returns the total fixed-point iterations and duty classes."""
+    iterations = classes = 0
     for flows, duties in misses:
         for f, duty in zip(flows, duties):
             f.duty = duty
-        iterations += solve_flow_set(flows, solver=SOLVER_FAST, memo=None).iterations
-    return iterations
+        result = solve_flow_set(flows, solver=SOLVER_FAST, memo=None)
+        iterations += result.iterations
+        classes += result.classes
+    return iterations, classes
 
 
 def test_solver_miss_replay(benchmark, monkeypatch):
@@ -117,9 +119,11 @@ def test_solver_miss_replay(benchmark, monkeypatch):
     solve of gtc+readonly@24 under P-LocR.  Resources keep their end-of-run
     state, so the replay is deterministic but need not retrace the run's
     own solves.  ``share_calls`` is iterations x share groups summed over
-    the solves: it moves only if the kernel's grouping does."""
+    the solves: it moves only if the kernel's grouping does, as
+    ``solver_classes`` (duty classes summed over the solves) moves only if
+    the class partition does."""
     misses = _record_miss_solves(monkeypatch, build_workflow("gtc+readonly", 24), P_LOCR)
-    iterations = benchmark.pedantic(
+    iterations, classes = benchmark.pedantic(
         _replay, args=(misses,), rounds=5, iterations=1, warmup_rounds=1
     )
     calls = []
@@ -131,11 +135,12 @@ def test_solver_miss_replay(benchmark, monkeypatch):
             return original(resource, load, flow)
 
         monkeypatch.setattr(rtype, "share", counting)
-    assert _replay(misses) == iterations
+    assert _replay(misses) == (iterations, classes)
     benchmark.extra_info.update(
         {
             "solves": len(misses),
             "solver_iterations": iterations,
+            "solver_classes": classes,
             "share_calls": len(calls),
         }
     )

@@ -36,4 +36,8 @@ class UpiLink(CapacityResource):
         bandwidth = self.bandwidth
         if not bandwidth >= 0:  # negative or NaN: capacity() raises
             self.capacity(load)
-        return bandwidth / max(1.0, load.n_total)
+        # ``n_total`` folded as its properties fold it, without the calls.
+        n = (load.n_read_local + load.n_read_remote) + (
+            load.n_write_local + load.n_write_remote
+        )
+        return bandwidth / (n if n > 1.0 else 1.0)

@@ -375,6 +375,16 @@ class Flow:
     def __post_init__(self) -> None:
         if self.kind not in ("read", "write"):
             raise SimulationError(f"flow kind must be 'read' or 'write', got {self.kind!r}")
+        # Every comparison below (and in the solver) is false for NaN, so a
+        # NaN would surface later as a wrong rate or a blamed device.
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.nbytes)
+            and isfinite(self.op_bytes)
+            and isfinite(self.issue_weight)
+            and self.self_cap == self.self_cap
+        ):
+            raise self._non_finite_input()
         if self.nbytes < 0:
             raise SimulationError(f"flow payload must be non-negative, got {self.nbytes}")
         if self.self_cap <= 0:
@@ -392,6 +402,18 @@ class Flow:
             self.issue_weight,
         )
         self.done = SimEvent(name=f"flow:{self.label}.done")
+
+    def _non_finite_input(self) -> SimulationError:
+        """The error naming this flow's first non-finite (or NaN) input."""
+        for name in ("nbytes", "op_bytes", "issue_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                return SimulationError(
+                    f"flow {self.label!r}: {name} must be finite, got {value}"
+                )
+        return SimulationError(
+            f"flow {self.label!r}: self_cap must not be NaN (inf means unbounded)"
+        )
 
 
 def _build_loads(
@@ -572,8 +594,9 @@ def _in_flow_order(cls_of: List[int], classes: List[int], n_classes: int) -> Lis
 def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
     """Number *flows*' solver classes and lay out one miss's flat plan.
 
-    Classes are numbered by first appearance of ``(shape, duty)``.  Returns
-    ``(cls_of, reps, remote, loads, folds, groups, class_groups)``:
+    Classes are numbered by first appearance of ``(shape, duty)``, shapes
+    by the first appearance of their first class.  Returns
+    ``(cls_of, reps, remote, loads, folds, groups, shape_plans)``:
 
     * ``cls_of`` — each flow's class, in flow order; ``reps`` — one member
       flow per class; ``remote`` — each class's locality;
@@ -583,7 +606,9 @@ def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
       of each reading / writing flow on it, in flow order;
     * ``groups`` — ``(bound share, load, rep)`` per (resource,
       :attr:`CapacityResource.share_projector`) key, in creation order;
-      ``class_groups`` — each class's group indices, in path order.
+    * ``shape_plans`` — per shape, ``(index, members, slots, self_cap,
+      log_op, issue_weight)``: its classes in class order and its share
+      group indices in path order.
     """
     index: Dict[tuple, int] = {}
     cls_of: List[int] = []
@@ -601,26 +626,30 @@ def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
     members = {r: ([], []) for r in resources}
     groups: List[tuple] = []
     group_index: Dict[tuple, int] = {}
-    shape_groups: Dict[tuple, Tuple[int, ...]] = {}
-    class_groups: List[Tuple[int, ...]] = []
+    shape_index: Dict[tuple, int] = {}
+    shape_plans: List[tuple] = []
     for c, rep in enumerate(reps):
         writer = rep.kind == "write"
         for r in rep.resources:
             members[r][writer].append(c)
         # Share groups are a function of the shape: classes that differ
         # only in duty reuse one lookup.
-        slots = shape_groups.get(rep.shape)
-        if slots is None:
-            slots = []
-            for r in rep.resources:
-                gkey = (r, r.share_projector(rep))
-                g = group_index.get(gkey)
-                if g is None:
-                    g = group_index[gkey] = len(groups)
-                    groups.append((r.share, loads[r], rep))
-                slots.append(g)
-            slots = shape_groups[rep.shape] = tuple(slots)
-        class_groups.append(slots)
+        s = shape_index.get(rep.shape)
+        if s is not None:
+            shape_plans[s][1].append(c)
+            continue
+        slots = []
+        for r in rep.resources:
+            gkey = (r, r.share_projector(rep))
+            g = group_index.get(gkey)
+            if g is None:
+                g = group_index[gkey] = len(groups)
+                groups.append((r.share, loads[r], rep))
+            slots.append(g)
+        s = shape_index[rep.shape] = len(shape_plans)
+        shape_plans.append(
+            (s, [c], tuple(slots), rep.self_cap, rep.log_op, rep.issue_weight)
+        )
     folds = []
     for r, (read_classes, write_classes) in members.items():
         reads = _in_flow_order(cls_of, read_classes, n_classes)
@@ -632,7 +661,7 @@ def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
         load.raw_write_remote = sum(map(remote.__getitem__, writes))
         load.raw_write_local = len(writes) - load.raw_write_remote
         folds.append((load, reads, writes))
-    return cls_of, reps, remote, loads, folds, groups, class_groups
+    return cls_of, reps, remote, loads, folds, groups, shape_plans
 
 
 def _solve_classes(
@@ -642,18 +671,24 @@ def _solve_classes(
     # DUTY_ITERATIONS × recomputes; load fields are overwritten in place.
     """Equivalence-class duty-cycle fixed point with converged-state memo.
 
-    Byte-identity with :func:`_solve_reference` rests on three facts:
+    Byte-identity with :func:`_solve_reference` rests on four facts:
 
-    * per-class work (``share()`` calls, rate/duty updates) uses exactly the
-      arithmetic the reference applies to each member — identical operands
-      give identical IEEE-754 results, so one evaluation stands for all;
+    * per-class work uses exactly the arithmetic the reference applies to
+      each member — identical operands give identical IEEE-754 results, so
+      one evaluation stands for all;
     * per-resource *accumulation* stays in flow-list order.  Floating-point
       addition is order-sensitive, so each load field is a left fold from
       ``0.0`` over the per-class terms of its contributing flows, in flow
       order (see :func:`_build_plan`), never a per-class term × count;
     * ``share()`` is evaluated once per *share group* (resource × declared
       signature projection) per iteration: the share contract makes every
-      member class's operands identical, so one call stands for all.
+      member class's operands identical, so one call stands for all;
+    * the rate update (``new_rate``, ``new_duty``, the unbounded check and
+      the convergence term) runs once per *shape* per iteration: classes of
+      one shape read the same share groups and the same ``self_cap``, and
+      every class starts at rate ``0.0``, so their operands are equal at
+      every iteration.  Only the damped duty, which starts from each
+      class's own duty, is per class.
 
     The memo key is the per-flow :attr:`Flow.shape` and duty sequences plus
     each resource's share-state token; a hit replays per-flow rates and
@@ -693,20 +728,20 @@ def _solve_classes(
                 converged=converged,
             )
 
-    cls_of, reps, remote, loads, folds, groups, class_groups = _build_plan(
+    cls_of, reps, remote, loads, folds, groups, shape_plans = _build_plan(
         flows, shapes, duties, combos
     )
     n_classes = len(reps)
     cls_duty = [rep.duty for rep in reps]
-    cls_rate = [0.0] * n_classes
-    self_caps = [rep.self_cap for rep in reps]
-    log_ops = [rep.log_op for rep in reps]
-    issues = [rep.issue_weight for rep in reps]
+    shape_rate = [0.0] * len(shape_plans)
     # Per-class load terms, refreshed in place as each class's duty moves
     # (a damped duty is already clamped, so it *is* the next weight).
     weights = [MIN_DUTY if d < MIN_DUTY else d for d in cls_duty]
-    terms = [w * lo for w, lo in zip(weights, log_ops)]
-    congestion = [w if w < iw else iw for w, iw in zip(weights, issues)]
+    terms = [w * rep.log_op for w, rep in zip(weights, reps)]
+    congestion = [
+        w if w < rep.issue_weight else rep.issue_weight
+        for w, rep in zip(weights, reps)
+    ]
     exp = math.exp
     inf = math.inf
     iterations = 0
@@ -744,15 +779,14 @@ def _solve_classes(
                     load.write_op_bytes = exp(log / (local + far))
         shares = [share(load, rep) for share, load, rep in groups]
         max_rel_change = 0.0
-        for c in range(n_classes):
+        for s, members, slots, self_cap, log_op, issue in shape_plans:
             device_rate = inf
-            for g in class_groups[c]:
-                s = shares[g]
-                if s < device_rate:
-                    device_rate = s
-                elif s != s:
+            for g in slots:
+                rate = shares[g]
+                if rate < device_rate:
+                    device_rate = rate
+                elif rate != rate:
                     raise _nan_share(groups[g][0].__self__)
-            self_cap = self_caps[c]
             if device_rate == inf:
                 new_rate = self_cap
                 new_duty = 1.0 if self_cap == inf else MIN_DUTY
@@ -768,21 +802,21 @@ def _solve_classes(
                     new_duty = 1.0
             if new_rate == inf:
                 raise SimulationError(
-                    f"flow {reps[c].label!r} has unbounded rate: no resource "
-                    "or self cap constrains it"
+                    f"flow {reps[members[0]].label!r} has unbounded rate: no "
+                    "resource or self cap constrains it"
                 )
-            old_duty = cls_duty[c]
-            duty = old_duty + DUTY_DAMPING * (new_duty - old_duty)
-            if duty < MIN_DUTY:
-                duty = MIN_DUTY
-            elif duty > 1.0:
-                duty = 1.0
-            cls_duty[c] = weights[c] = duty
-            terms[c] = duty * log_ops[c]
-            issue = issues[c]
-            congestion[c] = duty if duty < issue else issue
-            rel = new_rate - cls_rate[c]
-            cls_rate[c] = new_rate
+            for c in members:
+                old_duty = cls_duty[c]
+                duty = old_duty + DUTY_DAMPING * (new_duty - old_duty)
+                if duty < MIN_DUTY:
+                    duty = MIN_DUTY
+                elif duty > 1.0:
+                    duty = 1.0
+                cls_duty[c] = weights[c] = duty
+                terms[c] = duty * log_op
+                congestion[c] = duty if duty < issue else issue
+            rel = new_rate - shape_rate[s]
+            shape_rate[s] = new_rate
             if rel < 0.0:
                 rel = -rel
             rel /= new_rate if new_rate > 1.0 else 1.0
@@ -791,6 +825,10 @@ def _solve_classes(
         if max_rel_change < RATE_TOLERANCE:
             converged = True
             break
+    cls_rate = [0.0] * n_classes
+    for s, members, *_ in shape_plans:
+        for c in members:
+            cls_rate[c] = shape_rate[s]
     flow_rates = tuple(map(cls_rate.__getitem__, cls_of))
     flow_duties = tuple(map(cls_duty.__getitem__, cls_of))
     for f, duty in zip(flows, flow_duties):
@@ -858,19 +896,6 @@ def solve_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     the analytic cross-check can call it without an engine.
     """
     return solve_flow_set(flows).rates
-
-
-def solve_rates_counted(
-    flows: Sequence[Flow],
-) -> Tuple[Dict[Flow, float], int]:
-    """:func:`solve_rates` plus the number of fixed-point iterations used.
-
-    The iteration count is the solver's own cost signal — the campaign
-    host-metrics layer aggregates it per run to track how hard the model
-    works as workload shape and calibration evolve.
-    """
-    result = solve_flow_set(flows)
-    return result.rates, result.iterations
 
 
 class FlowNetwork:

@@ -1,5 +1,7 @@
 """Unit and property tests for the fluid-flow network."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from repro.sim.flow import (
     CapacityResource,
     Flow,
     FlowNetwork,
+    solve_flow_set,
     solve_rates,
-    solve_rates_counted,
 )
 from tests.flow_capacity import checking_capacity
 
@@ -39,6 +41,21 @@ class TestFlowValidation:
         with pytest.raises(SimulationError):
             make_flow(self_cap=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in ("nbytes", "op_bytes", "issue_weight")
+            for value in (math.nan, math.inf, -math.inf)
+        ]
+        + [("self_cap", math.nan)],
+    )
+    def test_non_finite_input_rejected_naming_field_and_flow(self, field, value):
+        """A NaN or infinite solver input is refused where it enters, not
+        reported later as a device NaN or an early completion."""
+        with pytest.raises(SimulationError, match=rf"'probe'.*{field}"):
+            make_flow(resources=[fixed_resource(10.0)], label="probe", **{field: value})
+
     def test_op_bytes_defaults_to_payload(self):
         flow = make_flow(nbytes=500.0)
         assert flow.op_bytes == 500.0
@@ -65,12 +82,13 @@ class TestSolveRates:
     def test_counted_variant_matches_and_reports_iterations(self):
         r = fixed_resource(12.0)
         flows = [make_flow(resources=[r]) for _ in range(4)]
-        rates, iterations = solve_rates_counted(flows)
-        assert rates == solve_rates(flows)
-        assert iterations >= 1
+        result = solve_flow_set(flows)
+        assert result.rates == solve_rates(flows)
+        assert result.iterations >= 1
 
     def test_counted_variant_zero_iterations_for_no_flows(self):
-        assert solve_rates_counted([]) == ({}, 0)
+        result = solve_flow_set([])
+        assert (result.rates, result.iterations) == ({}, 0)
 
     def test_harmonic_combination_solo(self):
         # self cap == device capacity => achieved rate is half of either.

@@ -183,6 +183,55 @@ class TestByteIdentity:
         ]
         assert_results_identical(*solve_both(flows))
 
+    def test_start_cascade_duty_classes_of_one_shape_bit_identical(self):
+        """Flows started one solve at a time keep their warm duties, so
+        each shape splits into several duty classes; the per-shape rate
+        update must still match the per-flow oracle at every step."""
+        device = OptaneDeviceResource("pmem[0]", DEFAULT_CALIBRATION)
+        fast_flows, ref_flows = [], []
+        most_classes = 0
+        for i in range(8):
+            flows = [
+                make_flow(
+                    kind="write",
+                    remote=True,
+                    resources=[device],
+                    self_cap=2e9,
+                    op_bytes=256 * KiB,
+                    issue_weight=0.5,
+                    label=f"w{i}",
+                )
+            ]
+            if i % 3 == 0:
+                flows.append(
+                    make_flow(
+                        kind="read",
+                        resources=[device],
+                        self_cap=4e9,
+                        op_bytes=64 * KiB,
+                        label=f"r{i}",
+                    )
+                )
+            fast_flows += flows
+            ref_flows += [clone_flow(f) for f in flows]
+            fast = solve_flow_set(fast_flows, solver=SOLVER_FAST)
+            ref = solve_flow_set(ref_flows, solver=SOLVER_REFERENCE)
+            assert_results_identical(fast_flows, fast, ref_flows, ref)
+            most_classes = max(most_classes, fast.classes)
+        assert most_classes > 2  # more duty classes than the two shapes
+
+    def test_unbounded_shape_of_several_classes_names_its_first_flow(self):
+        """The unbounded-rate error names a flow label under both solvers:
+        the first unbounded flow, whichever class it warmed into."""
+        bounded = make_flow(resources=[fixed_resource(10.0)], label="bounded")
+        loose = [make_flow(resources=(), label=f"loose{i}") for i in range(3)]
+        loose[0].duty = 0.5
+        loose[2].duty = 0.25
+        for solver in (SOLVER_FAST, SOLVER_REFERENCE):
+            flows = [clone_flow(f) for f in [bounded] + loose]
+            with pytest.raises(SimulationError, match="'loose0' has unbounded"):
+                solve_flow_set(flows, solver=solver)
+
     def test_unbounded_flow_rejected_by_both(self):
         flow = make_flow(resources=())
         for solver in (SOLVER_FAST, SOLVER_REFERENCE):

@@ -14,8 +14,8 @@ and ``benchmarks/bench_headline.py``) into the committed
   events/s must stay above the baseline's absolute ``throughput_floors``
   (a ratchet recorded once and carried forward, so a slow creep across
   many PRs still trips it), and the deterministic work counters (solver
-  iterations, events, memo hit rate, ``share()`` calls, branch-and-bound
-  nodes, makespan) must not drift at all — a
+  iterations, events, memo hit rate, ``share()`` calls, solver classes,
+  branch-and-bound nodes, makespan) must not drift at all — a
   wall regression with unchanged counters is host noise or allocator
   churn, one *with* counter drift is a solver-strategy change and fails
   loudly either way.  Every benchmark in the run must have a baseline
@@ -52,6 +52,7 @@ COUNTER_FIELDS = (
     "memo_hit_rate",
     "solves_at_cap",
     "share_calls",
+    "solver_classes",
     "bb_nodes",
     "makespan",
 )
