@@ -3,9 +3,6 @@
 Examples::
 
     python -m repro.analysis src/                 # lint + platform tables
-    python -m repro.analysis src/ --format json   # machine-readable
-    python -m repro.analysis src/ --select SIM10,PLAT3
-    python -m repro.analysis src/ --ignore SIM106
     python -m repro.analysis --list-rules
     python -m repro.analysis --platform-only      # just the platform tables
 
@@ -30,21 +27,10 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.analysis.diagnostics import (
-    DiagnosticSink,
-    Severity,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import all_rules, resolve_codes
+from repro.analysis.diagnostics import DiagnosticSink, Severity, render_text
+from repro.analysis.rules import all_rules
 from repro.analysis.simlint import lint_paths
 from repro.analysis.validate import validate_calibration, validate_node
-
-
-def _split_codes(value: Optional[str]) -> Optional[List[str]]:
-    if value is None:
-        return None
-    return [part for part in value.replace(",", " ").split() if part]
 
 
 def run_analysis(
@@ -73,22 +59,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to analyze (default: src/ if present)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="only report these rule codes or prefixes (comma-separated)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="suppress these rule codes or prefixes (comma-separated)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every rule code with its summary and exit",
@@ -105,27 +75,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule.code}  [{rule.severity.value}]  {rule.name}: {rule.summary}")
         return 0
 
-    try:
-        select = resolve_codes(_split_codes(args.select))
-        ignore = resolve_codes(_split_codes(args.ignore)) or frozenset()
-    except ValueError as exc:
-        parser.error(str(exc))
-
     paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
     for path in paths:
         if not os.path.exists(path):
             parser.error(f"no such file or directory: {path}")
 
-    sink = DiagnosticSink(select=select, ignore=ignore)
+    sink = DiagnosticSink()
     run_analysis(paths, sink, platform_only=args.platform_only)
     diagnostics = sink.sorted()
-
-    if args.format == "json":
-        print(render_json(diagnostics))
-    elif diagnostics:
-        print(render_text(diagnostics))
-    else:
-        print("0 error(s), 0 warning(s)")
+    print(render_text(diagnostics))
     return 1 if any(d.severity is Severity.ERROR for d in diagnostics) else 0
 
 

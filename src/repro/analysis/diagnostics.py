@@ -4,16 +4,15 @@ Both analysis passes — the AST linter (:mod:`repro.analysis.simlint`) and
 the spec/platform validator (:mod:`repro.analysis.validate`) — report
 findings as :class:`Diagnostic` records: a stable rule code, a severity, an
 optional ``file:line:col`` anchor, a human-readable message, and a fix hint.
-The CLI renders them as text or JSON; the runtime hooks wrap error-severity
+The CLI renders them as text; the runtime hooks wrap error-severity
 diagnostics in :class:`repro.errors.ValidationError`.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 class Severity(enum.Enum):
@@ -37,7 +36,7 @@ class Diagnostic:
     Attributes
     ----------
     code:
-        Stable rule code ("SIM101", "SPEC201", "PLAT301", ...).
+        Stable rule code ("SIM103", "SPEC201", "PLAT301", ...).
     message:
         What is wrong, in prose, with the offending construct named.
     severity:
@@ -81,19 +80,6 @@ class Diagnostic:
             text += f" (fix: {self.hint})"
         return text
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (used by ``--format json``)."""
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "hint": self.hint,
-            "obj": self.obj,
-        }
-
     def sort_key(self) -> tuple:
         return (self.path or "", self.line or 0, self.col or 0, self.code)
 
@@ -112,42 +98,14 @@ def render_text(diagnostics: Sequence[Diagnostic]) -> str:
     return "\n".join(lines)
 
 
-def render_json(diagnostics: Sequence[Diagnostic]) -> str:
-    """JSON report: ``{"diagnostics": [...], "errors": N, "warnings": N}``."""
-    errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
-    return json.dumps(
-        {
-            "diagnostics": [d.to_dict() for d in diagnostics],
-            "errors": errors,
-            "warnings": len(diagnostics) - errors,
-        },
-        indent=2,
-    )
-
-
 @dataclass
 class DiagnosticSink:
-    """Mutable collector the passes append to.
+    """Mutable collector the passes append to."""
 
-    Keeps rule filtering (``--select`` / ``--ignore``) in one place so
-    individual checkers stay oblivious to CLI options.
-    """
-
-    select: Optional[frozenset] = None
-    ignore: frozenset = frozenset()
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     def emit(self, diagnostic: Diagnostic) -> None:
-        """Record *diagnostic* unless filtered out."""
-        if self.select is not None and diagnostic.code not in self.select:
-            return
-        if diagnostic.code in self.ignore:
-            return
         self.diagnostics.append(diagnostic)
-
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
 
     def sorted(self) -> List[Diagnostic]:
         return sort_diagnostics(self.diagnostics)

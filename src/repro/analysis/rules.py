@@ -2,19 +2,19 @@
 
 Codes are grouped by family:
 
-* ``SIM1xx`` — simulator-determinism lint rules (AST pass over source).
+* ``SIM1xx`` — simulator lint rules (AST pass over source).
 * ``SPEC2xx`` — workflow-spec structural validation (pre-run pass).
 * ``PLAT3xx`` — platform/calibration table validation (pre-run pass).
 
-The registry is the single source of truth for ``--select`` / ``--ignore``
-filtering, the ``--list-rules`` CLI output, and the rule-code section of the
-README.  Registering two rules under one code is a programming error.
+The registry is the single source of truth for the ``--list-rules`` CLI
+output and the rule-code section of the README.  Registering two rules under
+one code is a programming error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.analysis.diagnostics import Severity
 
@@ -53,60 +53,19 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def resolve_codes(spec: Optional[Iterable[str]]) -> Optional[FrozenSet[str]]:
-    """Expand a ``--select``/``--ignore`` list into a set of full codes.
-
-    Accepts full codes ("SIM101") and family prefixes ("SIM", "SPEC2");
-    unknown entries raise ``ValueError`` so typos fail loudly.
-    """
-    if spec is None:
-        return None
-    resolved = set()
-    for entry in spec:
-        entry = entry.strip().upper()
-        if not entry:
-            continue
-        matches = [code for code in _REGISTRY if code.startswith(entry)]
-        if not matches:
-            raise ValueError(
-                f"unknown rule or prefix {entry!r}; known codes: "
-                f"{', '.join(sorted(_REGISTRY))}"
-            )
-        resolved.update(matches)
-    return frozenset(resolved)
-
-
 # ---------------------------------------------------------------------------
-# SIM1xx — determinism lint (repro.analysis.simlint).
+# SIM1xx — simulator lint (repro.analysis.simlint).
 # ---------------------------------------------------------------------------
 SIM100 = register(
     "SIM100",
     "syntax-error",
     "file does not parse; nothing else can be checked",
 )
-SIM101 = register(
-    "SIM101",
-    "wall-clock-source",
-    "wall-clock call (time.time / time.monotonic / datetime.now / ...) in "
-    "simulator code; virtual time must come from Engine.now",
-)
-SIM102 = register(
-    "SIM102",
-    "unseeded-random",
-    "module-level random (random.random / numpy.random.*) or unseeded RNG "
-    "constructor in simulator code; seed an explicit Random(seed) instead",
-)
 SIM103 = register(
     "SIM103",
     "float-time-equality",
     "== / != on float virtual timestamps; exact comparison breaks once "
     "flow completions introduce rounding",
-)
-SIM104 = register(
-    "SIM104",
-    "mutable-default-argument",
-    "mutable default argument; the shared instance leaks state across "
-    "calls and across simulated runs",
 )
 SIM105 = register(
     "SIM105",
@@ -120,20 +79,12 @@ SIM106 = register(
     "raw byte/bandwidth magnitude literal; use the repro.units constants "
     "(KiB/MiB/GiB, KB/MB/GB, GIGA)",
 )
-SIM108 = register(
-    "SIM108",
-    "raw-trace-record-append",
-    "direct append to Tracer.records bypasses the timestamp validation in "
-    "Tracer.record(); only repro.sim.trace and repro.obs may touch the "
-    "record list",
-)
 SIM109 = register(
     "SIM109",
     "stray-host-clock",
-    "host-clock call (time.perf_counter / time.time / ...) outside the "
-    "sanctioned readers; wall-clock measurement belongs in "
-    "repro.obs.hostmetrics, repro.obs.telemetry or repro.service so host "
-    "cost stays out of deterministic payloads",
+    "host-clock call (time.perf_counter / time.time / ...) in repro.analysis; "
+    "a lint report or a pre-run validation verdict must not depend on when "
+    "it ran",
 )
 SIM110 = register(
     "SIM110",
@@ -142,7 +93,6 @@ SIM110 = register(
     "outside repro.service; host concurrency anywhere else lets "
     "scheduling nondeterminism leak into simulator code",
 )
-
 SIM111 = register(
     "SIM111",
     "hotpath-allocation",
@@ -219,8 +169,3 @@ PLAT304 = register(
     "calibration constants fail their own consistency checks",
 )
 
-
-#: Every (code, summary) pair, for docs and the CLI.
-RULE_TABLE: Tuple[Tuple[str, str], ...] = tuple(
-    (rule.code, rule.summary) for rule in all_rules()
-)

@@ -1,28 +1,17 @@
-"""simlint — AST lint pass enforcing simulator-determinism invariants.
+"""simlint — AST lint pass for the simulator invariants no runtime test sees.
 
 The scientific value of this reproduction rests on the discrete-event
 simulator being *deterministic*: the same spec, configuration, and
-calibration must produce byte-identical event traces.  That property is
-easy to break silently — one ``time.time()`` for a "harmless" timestamp, a
-module-level ``random.random()``, an ``==`` on a float virtual time that
-happens to compare equal today — so this pass walks the source with
-:mod:`ast` (stdlib only, no new dependencies) and flags:
+calibration must produce byte-identical event traces.  Most ways to break
+that fail a runtime test at once — a wall-clock value or an unseeded RNG
+in a payload, a mutable default shared across runs, a trace record that
+skips the tracer's checks (DESIGN §7a.1 has the injection study).  This
+pass walks the source with :mod:`ast` (stdlib only) and flags the classes
+that no runtime test catches:
 
-``SIM101``
-    Wall-clock sources (``time.time``, ``time.monotonic``,
-    ``datetime.now``, ...) anywhere in the model/simulator code.  Virtual
-    time comes from ``Engine.now``.  The scheduling service and the
-    analysis tooling are not simulator code and are exempt.
-``SIM102``
-    Module-level ``random`` / ``numpy.random`` calls and unseeded RNG
-    constructors.  Randomness is allowed only through an explicitly seeded
-    generator passed in by the caller.
 ``SIM103``
     ``==`` / ``!=`` on float virtual timestamps (``engine.now``, ``start``,
     ``end``, ``*_seconds``, ...).  Use :func:`repro.sim.engine.times_close`.
-``SIM104``
-    Mutable default arguments — the shared instance leaks state between
-    simulated runs.
 ``SIM105``
     Blocking I/O (``open``, ``time.sleep``, sockets, subprocesses) inside
     sim-process code (``repro.sim``, ``repro.workflow``, ``repro.storage``,
@@ -31,41 +20,24 @@ happens to compare equal today — so this pass walks the source with
 ``SIM106``
     Raw magic byte/bandwidth magnitude literals (powers of 1024, ``2**30``,
     ``1e9``...) where the :mod:`repro.units` constants exist.
-``SIM108``
-    Direct ``tracer.records.append(...)`` outside :mod:`repro.sim.trace`
-    and :mod:`repro.obs`.  :meth:`~repro.sim.trace.Tracer.record` validates
-    timestamps (finite, non-backwards); appending to the list bypasses
-    that and can corrupt every aggregate built on the trace.
 ``SIM109``
-    Host-clock reads (``time.perf_counter``, ``time.time``, ...) in code
-    that is *exempt* from SIM101 but is still not a sanctioned wall-clock
-    reader.  Only :mod:`repro.obs.hostmetrics` (host self-metrics for the
-    campaign store), :mod:`repro.obs.telemetry` and the
-    :mod:`repro.service` package may touch the host clock; anywhere
-    else, a stray wall-clock read is how
-    non-determinism leaks into payloads that are supposed to be
-    byte-identical.
+    Host-clock reads (``time.perf_counter``, ``time.time``, ...) in
+    :mod:`repro.analysis`: a lint report or a pre-run validation verdict
+    must not depend on when it ran.
 ``SIM110``
     Host-concurrency imports (``multiprocessing``, ``concurrent.futures``,
     ``threading``, ``signal``, ``_thread``) outside :mod:`repro.service`
     (the worker pool and its CLI).  The simulator is single-threaded by
-    construction; a
-    worker pool spun up inside model code would make event order depend
-    on host scheduling.
+    construction; a worker pool spun up inside model code would make event
+    order depend on host scheduling.
 ``SIM111``
-    ``dict()`` / ``{...}`` / ``ResourceLoad(...)`` / numpy array
-    allocators (``np.zeros``, ``np.empty``, ``np.array``, ``np.full``,
-    ``np.arange``, ``np.ones`` and their ``_like`` variants) constructed
-    inside a ``for``/``while`` loop of a function marked with a
+    ``dict()`` / ``{...}`` / ``ResourceLoad(...)`` constructed inside a
+    ``for``/``while`` loop of a function marked with a
     ``# simlint: hotpath`` comment.  Hot solver loops (the flow network's
-    fixed point) run millions of iterations per
-    campaign; per-iteration allocation churn is exactly the cost the fast
-    path removed, and this rule keeps future edits from silently
-    reintroducing it.  Allocate before the loop and reset in place.
-
-A finding can be suppressed with a ``# noqa`` or ``# noqa: SIM103`` comment
-on the offending line — but the default state of the tree is zero
-suppressions; prefer fixing the construct.
+    fixed point) run millions of iterations per campaign; per-iteration
+    allocation churn is exactly the cost the fast path removed, and this
+    rule keeps future edits from silently reintroducing it.  Allocate
+    before the loop and reset in place.
 """
 
 from __future__ import annotations
@@ -75,7 +47,6 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, sort_diagnostics
-from repro.analysis.noqa import filter_noqa
 from repro.analysis.rules import get_rule
 from repro.units import KB, KiB
 
@@ -83,22 +54,8 @@ from repro.units import KB, KiB
 # Zones.  Package = first path component under ``repro``; top-level modules
 # (errors.py, units.py) use their stem.
 # ---------------------------------------------------------------------------
-#: Packages exempt from the virtual-time rules: the scheduling service
-#: manages host processes, and the analysis tooling is not simulator code.
-WALLCLOCK_EXEMPT_PACKAGES: Set[str] = {"analysis", "service"}
-
-#: The sanctioned wall-clock readers (SIM109): the scheduling service
-#: (queue deadlines, retry backoff, cache-lookup timing), and the host
-#: self-metrics module feeding the campaign store.
-#: Everything else — including the rest of :mod:`repro.obs` and the
-#: SIM101-exempt analysis tooling — must not read the host clock.
-HOST_CLOCK_ALLOWED_PACKAGES: Set[str] = {"service"}
-HOST_CLOCK_ALLOWED_MODULES: Set[str] = {
-    "repro.obs.hostmetrics",
-    # The wall-clock telemetry plane (PR 7): registry timestamps, span
-    # recording, and uptime derivation are its contract.
-    "repro.obs.telemetry",
-}
+#: Where a host-clock call is flagged (SIM109): the analysis tooling.
+HOST_CLOCK_FREE_PACKAGES: Set[str] = {"analysis"}
 
 #: Where host-concurrency imports are sanctioned (SIM110): the service's
 #: worker pool and signal handling.
@@ -119,11 +76,6 @@ BLOCKING_IO_PACKAGES: Set[str] = {"sim", "workflow", "storage", "platform", "pme
 
 #: Module stems exempt from SIM106 (they *define* the unit constants).
 UNITS_MODULES: Set[str] = {"units"}
-
-#: Where appending to ``Tracer.records`` is legitimate (SIM108): the tracer
-#: itself, and the observability layer that post-processes record lists.
-TRACE_APPEND_ALLOWED_MODULES: Set[str] = {"repro.sim.trace"}
-TRACE_APPEND_ALLOWED_PACKAGES: Set[str] = {"obs"}
 
 # ---------------------------------------------------------------------------
 # Name tables.
@@ -163,15 +115,6 @@ _BLOCKING_CALLS: Set[str] = {
     "urllib.request.urlopen",
 }
 
-#: RNG constructors that are fine *with* an explicit seed argument.
-_SEEDABLE_CONSTRUCTORS: Set[str] = {
-    "random.Random",
-    "random.SystemRandom",  # never acceptable: re-seeds from the OS
-    "numpy.random.default_rng",
-    "numpy.random.RandomState",
-    "numpy.random.Generator",
-}
-
 #: Identifiers treated as float virtual timestamps in comparisons.
 _TIME_NAMES: Set[str] = {
     "now",
@@ -196,23 +139,9 @@ _POW10_MAGNITUDES: Set[int] = {10**k for k in range(6, 16)}
 HOTPATH_MARKER = "simlint: hotpath"
 
 #: Constructors that mean heap churn when called per loop iteration in a
-#: hotpath function (SIM111).  ``ResourceLoad`` is matched by terminal
-#: identifier so both plain and module-qualified spellings are caught;
-#: the numpy allocators are matched by resolved dotted origin only (a
-#: bare ``zeros()`` method on some other object is not an allocation),
-#: so any array buffers a hot loop needs are built once, before it.
-_HOTPATH_ALLOCATORS: Set[str] = {
-    "dict",
-    "ResourceLoad",
-    "numpy.arange",
-    "numpy.array",
-    "numpy.empty",
-    "numpy.empty_like",
-    "numpy.full",
-    "numpy.ones",
-    "numpy.zeros",
-    "numpy.zeros_like",
-}
+#: hotpath function (SIM111), matched by terminal identifier so plain and
+#: module-qualified spellings are both caught.
+_HOTPATH_ALLOCATORS: Set[str] = {"dict", "ResourceLoad"}
 
 
 def _package_of(module: str) -> str:
@@ -316,7 +245,7 @@ class _Linter(ast.NodeVisitor):
         self.package = _package_of(module)
         self.sink = sink
         self.imports = _Imports()
-        self.in_wallclock_zone = self.package not in WALLCLOCK_EXEMPT_PACKAGES
+        self.in_host_clock_free_zone = self.package in HOST_CLOCK_FREE_PACKAGES
         self.in_blocking_zone = self.package in BLOCKING_IO_PACKAGES
         self.check_units = module.split(".")[-1] not in UNITS_MODULES
         self.hotpath_lines = hotpath_lines or set()
@@ -362,94 +291,24 @@ class _Linter(ast.NodeVisitor):
                 "submit parallel work to repro.service.scheduler.ServiceScheduler",
             )
 
-    # -- SIM101 / SIM102 / SIM105: calls -----------------------------------
+    # -- SIM105 / SIM109: calls -------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
         resolved = self.imports.resolve(dotted) if dotted else None
         if resolved:
-            self._check_wall_clock(node, resolved)
-            self._check_random(node, resolved)
+            self._check_host_clock(node, resolved)
             self._check_blocking(node, resolved)
-        self._check_trace_append(node)
         self.generic_visit(node)
 
-    def _check_trace_append(self, node: ast.Call) -> None:
-        # SIM108: ``<anything>.records.append(...)`` — the attribute chain
-        # is matched structurally so aliasing the tracer doesn't hide it.
-        if self.package in TRACE_APPEND_ALLOWED_PACKAGES:
+    def _check_host_clock(self, node: ast.Call, resolved: str) -> None:
+        if not self.in_host_clock_free_zone:
             return
-        for allowed in TRACE_APPEND_ALLOWED_MODULES:
-            # Path-derived module names may carry a filesystem prefix
-            # ("src.repro.sim.trace"); match on the repro-anchored tail.
-            if self.module == allowed or self.module.endswith("." + allowed):
-                return
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "append"
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "records"
-        ):
-            self._emit(
-                "SIM108",
-                node,
-                "direct append to Tracer.records bypasses timestamp validation",
-                "call Tracer.record(...) so intervals are checked",
-            )
-
-    def _module_is_allowed_host_clock_reader(self) -> bool:
-        if self.package in HOST_CLOCK_ALLOWED_PACKAGES:
-            return True
-        for allowed in HOST_CLOCK_ALLOWED_MODULES:
-            # Path-derived module names may carry a filesystem prefix
-            # ("src.repro.obs.hostmetrics"); match on the anchored tail.
-            if self.module == allowed or self.module.endswith("." + allowed):
-                return True
-        return False
-
-    def _check_wall_clock(self, node: ast.Call, resolved: str) -> None:
-        if not (
-            resolved in _WALL_CLOCK_CALLS
-            or resolved.endswith(_WALL_CLOCK_SUFFIXES)
-        ):
-            return
-        if self._module_is_allowed_host_clock_reader():
-            return
-        if self.in_wallclock_zone:
-            self._emit(
-                "SIM101",
-                node,
-                f"wall-clock source {resolved}() in simulator code",
-                "read virtual time from Engine.now (repro.sim.engine)",
-            )
-        else:
+        if resolved in _WALL_CLOCK_CALLS or resolved.endswith(_WALL_CLOCK_SUFFIXES):
             self._emit(
                 "SIM109",
                 node,
-                f"host-clock call {resolved}() outside the sanctioned readers",
-                "measure host cost via repro.obs.hostmetrics.HostMeter",
-            )
-
-    def _check_random(self, node: ast.Call, resolved: str) -> None:
-        if not self.in_wallclock_zone:
-            return
-        if resolved in _SEEDABLE_CONSTRUCTORS:
-            if resolved == "random.SystemRandom" or not (
-                node.args or node.keywords
-            ):
-                self._emit(
-                    "SIM102",
-                    node,
-                    f"unseeded RNG constructor {resolved}()",
-                    "pass an explicit seed so runs are reproducible",
-                )
-            return
-        if resolved.startswith("random.") or resolved.startswith("numpy.random."):
-            self._emit(
-                "SIM102",
-                node,
-                f"module-level RNG call {resolved}() shares unseeded global state",
-                "use an explicitly seeded random.Random(seed) instance",
+                f"host-clock call {resolved}() in the analysis tooling",
+                "report and validate from the inputs alone",
             )
 
     def _check_blocking(self, node: ast.Call, resolved: str) -> None:
@@ -487,48 +346,13 @@ class _Linter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- SIM104: mutable defaults ------------------------------------------
-    def _check_defaults(self, node) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            mutable = isinstance(
-                default, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-            )
-            if isinstance(default, ast.Call):
-                dotted = _dotted_name(default.func)
-                resolved = self.imports.resolve(dotted) if dotted else ""
-                mutable = resolved in {
-                    "list",
-                    "dict",
-                    "set",
-                    "bytearray",
-                    "collections.defaultdict",
-                    "collections.Counter",
-                    "collections.deque",
-                    "collections.OrderedDict",
-                }
-            if mutable:
-                name = getattr(node, "name", "<lambda>")
-                self._emit(
-                    "SIM104",
-                    default,
-                    f"mutable default argument in {name}()",
-                    "default to None and construct inside the function",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_hotpath(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_hotpath(node)
-        self.generic_visit(node)
-
     # -- SIM111: allocation churn in marked hot loops ----------------------
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._check_hotpath(node)
+        self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
     def _check_hotpath(self, node) -> None:
         """Flag per-iteration dict/ResourceLoad allocation in marked functions.
 
@@ -555,13 +379,8 @@ class _Linter(ast.NodeVisitor):
                     if isinstance(sub, (ast.Dict, ast.DictComp)):
                         label = "dict literal"
                     elif isinstance(sub, ast.Call):
-                        dotted = _dotted_name(sub.func)
-                        resolved = self.imports.resolve(dotted) if dotted else None
                         terminal = _terminal_identifier(sub.func)
-                        if (
-                            resolved in _HOTPATH_ALLOCATORS
-                            or terminal in _HOTPATH_ALLOCATORS
-                        ):
+                        if terminal in _HOTPATH_ALLOCATORS:
                             label = f"{terminal}() call"
                     if label is not None:
                         flagged.add(id(sub))
@@ -573,10 +392,6 @@ class _Linter(ast.NodeVisitor):
                             "hoist the allocation out of the loop and reset "
                             "fields in place",
                         )
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
 
     # -- SIM106: magic magnitude literals ----------------------------------
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -643,9 +458,7 @@ def lint_source(
         if HOTPATH_MARKER in line.partition("#")[2]
     }
     _Linter(path, module, sink, hotpath_lines=hotpath_lines).visit(tree)
-    kept = filter_noqa(sink.diagnostics[before:], source)
-    del sink.diagnostics[before:]
-    sink.diagnostics.extend(sort_diagnostics(kept))
+    sink.diagnostics[before:] = sort_diagnostics(sink.diagnostics[before:])
     return sink.diagnostics[before:]
 
 

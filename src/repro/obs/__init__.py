@@ -31,8 +31,7 @@ bandwidth fell below the model ceiling — flows through this package:
   deterministic / host / provenance payload split.
 * :mod:`repro.obs.hostmetrics` — host-side self-metrics (wall clock, peak
   RSS; allocation peak and cProfile hotspots under ``--profile``); one
-  of the two sanctioned wall-clock readers in :mod:`repro.obs` (simlint
-  SIM109).
+  of the two wall-clock readers in :mod:`repro.obs`.
 * :mod:`repro.obs.telemetry` — the wall-specific half of the scheduling
   service's telemetry: cross-process lifecycle spans with trace ids, the
   JSONL snapshot (latency histograms with p50/p95/p99) and Prometheus

@@ -26,6 +26,7 @@ trajectory every subsequent optimization PR measures against).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -461,23 +462,10 @@ def run_campaign(
         if iterations is not None
         else (preset.iterations if preset else None)
     )
-    if store is not None:
-        if name is None:
-            name = store.next_name(suite)
-        store.create(
-            name,
-            {
-                "suite": suite,
-                "cells_planned": len(chosen_cells),
-                "configs": [config.label for config in configs],
-                "iterations_override": chosen_iterations,
-                "calibration_sha256": calibration_hash(cal),
-                "profiled": profile,
-            },
-        )
-    run = CampaignRun(name=name or f"{suite}-unsaved", suite=suite)
     # Pre-compute every cell's content id (manifests only, no simulation)
-    # and fix the storage order up front: sorted by cell id.
+    # and fix the storage order up front: sorted by cell id.  Planning
+    # builds every spec, so a bad argument fails here, before a campaign
+    # file (or an auto-name) is spent on it.
     from repro.service.cache import cell_id_for_spec
 
     cell_kwargs = dict(
@@ -495,6 +483,21 @@ def run_campaign(
         )
         for family, ranks in chosen_cells
     )
+    if store is not None:
+        if name is None:
+            name = store.next_name(suite)
+        store.create(
+            name,
+            {
+                "suite": suite,
+                "cells_planned": len(chosen_cells),
+                "configs": [config.label for config in configs],
+                "iterations_override": chosen_iterations,
+                "calibration_sha256": calibration_hash(cal),
+                "profiled": profile,
+            },
+        )
+    run = CampaignRun(name=name or f"{suite}-unsaved", suite=suite)
     run_cell_kwargs = dict(
         configs=tuple(configs),
         cal=cal,
@@ -718,6 +721,18 @@ class CampaignDiff:
         return "\n".join(lines)
 
 
+def check_drift_threshold(threshold: float) -> None:
+    """Raise :class:`ConfigurationError` unless *threshold* is finite and >= 0.
+
+    Every drift test is ``> threshold``, so NaN or +inf would report no
+    drift at all, and a negative value would count identical cells.
+    """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigurationError(
+            f"drift threshold must be finite and >= 0, got {threshold}"
+        )
+
+
 def diff_campaigns(
     a: CampaignRun,
     b: CampaignRun,
@@ -731,6 +746,7 @@ def diff_campaigns(
     """
     from repro.obs.explain import drift_explanation, flip_explanation
 
+    check_drift_threshold(threshold)
     diff = CampaignDiff(name_a=a.name, name_b=b.name, threshold=threshold)
     cells_a = {cell.key: cell for cell in a.cells}
     cells_b = {cell.key: cell for cell in b.cells}

@@ -46,7 +46,7 @@ from typing import List, Optional
 
 from repro.apps.suite import CONCURRENCY_LEVELS, FAMILIES, suite_entry
 from repro.core.configs import ALL_CONFIGS, SchedulerConfig
-from repro.errors import CalibrationError, ReproError
+from repro.errors import CalibrationError, ConfigurationError, ReproError
 from repro.obs.capture import Observation, observe_workflow
 from repro.obs.export import (
     chrome_trace,
@@ -228,8 +228,17 @@ def _cmd_campaign_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_diff(args: argparse.Namespace) -> int:
-    from repro.obs.campaign import campaign_from_store, diff_campaigns
+    from repro.obs.campaign import (
+        campaign_from_store,
+        check_drift_threshold,
+        diff_campaigns,
+    )
 
+    try:
+        check_drift_threshold(args.threshold)
+    except ConfigurationError as error:
+        print(f"error: --threshold: {error}", file=sys.stderr)
+        return 2
     store = CampaignStore(args.dir)
     run_a = campaign_from_store(store.read(args.campaign_a))
     run_b = campaign_from_store(store.read(args.campaign_b))

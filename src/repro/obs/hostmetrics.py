@@ -2,11 +2,12 @@
 
 Everything else in :mod:`repro.obs` is clocked on virtual time and is
 byte-identical across reruns; this module and :mod:`repro.obs.telemetry`
-are its only sanctioned wall-clock readers (enforced by simlint rule
-SIM109).  It measures the simulator itself — wall-clock seconds and the
-process's peak resident memory by default; the tracemalloc allocation
-peak and cProfile hotspots only when profiling — and pairs those with the
-deterministic work counters the engine and flow network already track
+are its only wall-clock readers (the clock-shifted run of the hash-seed
+oracle in ``tests/test_determinism.py`` fails if a host-clock value
+reaches a stored payload).  It measures the simulator itself — wall-clock
+seconds and the process's peak resident memory by default; the tracemalloc
+allocation peak and cProfile hotspots only when profiling — and pairs those
+with the deterministic work counters the engine and flow network already track
 (events executed, rate recomputations, solver iterations), yielding one
 :class:`HostMetrics` record per campaign cell.
 

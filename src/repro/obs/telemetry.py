@@ -23,10 +23,9 @@ timestamps; what is wall-specific lives here:
 
 Nothing in this module ever writes into a deterministic artifact — cell
 ids, campaign stores, and queue payloads are byte-identical with
-telemetry on or off (a regression test enforces this).  This module is a
-sanctioned host clock reader (simlint SIM109);
-wall-clock values it produces must never flow into trace/store/manifest
-sinks.
+telemetry on or off (a regression test enforces this).  This module reads
+the host clock; wall-clock values it produces must never flow into
+trace/store/manifest sinks.
 """
 
 from __future__ import annotations

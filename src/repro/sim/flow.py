@@ -389,6 +389,12 @@ class Flow:
             raise SimulationError(f"flow payload must be non-negative, got {self.nbytes}")
         if self.self_cap <= 0:
             raise SimulationError(f"flow self_cap must be positive, got {self.self_cap}")
+        if self.issue_weight <= 0:
+            # A non-positive weight would drive the congestion load negative.
+            raise SimulationError(
+                f"flow {self.label!r}: issue_weight must be positive, "
+                f"got {self.issue_weight}"
+            )
         if self.op_bytes <= 0:
             self.op_bytes = max(self.nbytes, 1.0)
         self.remaining = float(self.nbytes)

@@ -18,7 +18,9 @@ Two oracles enforce it:
   values and require every stored cell's id, key and deterministic
   payload to match byte for byte.  That catches what the first oracle
   cannot: ``set`` order or builtin ``hash()`` reaching a stored payload,
-  a manifest, or a cell id.
+  a manifest, or a cell id.  One more run at hash seed 0 starts with every
+  host clock shifted by a constant and must store the same bytes, so a
+  host timestamp in a payload fails even at one-second resolution.
 """
 
 import json
@@ -159,38 +161,62 @@ print(json.dumps({"stored": canonical_json(stored), "planned": planned}))
 """
 
 
+#: Shifts every host clock by a constant before ``repro`` is imported.  The
+#: four seed runs start together, so a coarse timestamp (``round(time.time())``)
+#: reads the same in all of them; this shift makes it differ.
+_CLOCK_SHIFT = """
+import datetime, time
+SHIFT = 10**8  # seconds, about three years
+for _name in ("time", "monotonic", "perf_counter"):
+    for _suffix, _offset in (("", SHIFT), ("_ns", SHIFT * 10**9)):
+        _clock = getattr(time, _name + _suffix)
+        setattr(time, _name + _suffix, lambda c=_clock, o=_offset: c() + o)
+
+class _ShiftedDatetime(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return super().now(tz) + datetime.timedelta(seconds=SHIFT)
+
+datetime.datetime = _ShiftedDatetime
+"""
+
+#: Probe runs: hash seed, host-clock shift.
+_PROBES = {seed: (seed, "") for seed in HASH_SEEDS}
+_PROBES["clock-shifted"] = (0, _CLOCK_SHIFT)
+
+
 def test_micro_campaign_bytes_independent_of_hash_seed():
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     procs = {}
-    for seed in HASH_SEEDS:
+    for probe, (seed, prelude) in _PROBES.items():
         env = dict(os.environ, PYTHONHASHSEED=str(seed))
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         )
-        procs[seed] = subprocess.Popen(
-            [sys.executable, "-c", _CAMPAIGN_PROBE],
+        procs[probe] = subprocess.Popen(
+            [sys.executable, "-c", prelude + _CAMPAIGN_PROBE],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
     outputs = {}
-    for seed, proc in procs.items():
+    for probe, proc in procs.items():
         out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}:\n{err}"
-        outputs[seed] = json.loads(out.splitlines()[-1])
+        assert proc.returncode == 0, f"probe {probe}:\n{err}"
+        outputs[probe] = json.loads(out.splitlines()[-1])
 
-    for seed, output in outputs.items():
+    for probe, output in outputs.items():
         stored = json.loads(output["stored"])
         assert len(stored) == 2
         for cell in stored:
             assert output["planned"][cell["key"]] == cell["cell_id"], (
-                f"PYTHONHASHSEED={seed}: planned id for {cell['key']} "
+                f"probe {probe}: planned id for {cell['key']} "
                 "differs from the id the run stored"
             )
     reference = outputs[HASH_SEEDS[0]]["stored"]
-    differing = [s for s in HASH_SEEDS if outputs[s]["stored"] != reference]
+    differing = [p for p in _PROBES if outputs[p]["stored"] != reference]
     assert not differing, (
-        f"stored cells under PYTHONHASHSEED={differing} differ from "
+        f"stored cells of probes {differing} differ from "
         f"PYTHONHASHSEED={HASH_SEEDS[0]}"
     )

@@ -139,6 +139,14 @@ class TestRunCampaign:
             canonical_json(c.deterministic) for c in a.cells
         ] == [canonical_json(c.deterministic) for c in b.cells]
 
+    def test_failed_planning_leaves_no_campaign_file(self, tmp_path):
+        # A spec that cannot be built must fail before the store spends a
+        # campaign file (or an auto-name) on the run.
+        store = CampaignStore(str(tmp_path))
+        with pytest.raises(ConfigurationError):
+            run_campaign(suite="micro", store=store, iterations=0)
+        assert store.list_campaigns() == []
+
     def test_cells_override(self):
         run = run_campaign(
             suite="sweep",
@@ -223,6 +231,12 @@ class TestDiff:
         diff = diff_campaigns(run, empty)
         assert diff.only_in_a == ["micro-2k@8"]
         assert diff.regressions == 0  # coverage loss is visible, not a flip
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.01])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        run = CampaignRun(name="a", suite="micro")
+        with pytest.raises(ConfigurationError, match="drift threshold"):
+            diff_campaigns(run, run, threshold=threshold)
 
 
 def synthetic_run():
@@ -470,6 +484,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.01"])
+    def test_invalid_diff_threshold_exits_2(self, tmp_path, capsys, threshold):
+        common = ["--dir", str(tmp_path)]
+        run = ["campaign", "run", *common, "--name", "t", "--iterations", "1"]
+        assert self.run_cli(*run, "--config", "S-LocW") == 0
+        capsys.readouterr()
+        diff = ["campaign", "diff", "t", "t", *common, "--fail-on", "regressions"]
+        assert self.run_cli(*diff, "--threshold", threshold) == 2
+        assert capsys.readouterr().err.startswith("error: --threshold: ")
 
     def test_duplicate_campaign_name_exits_1(self, tmp_path, capsys):
         common = ["campaign", "run", "--dir", str(tmp_path), "--name", "dup"]

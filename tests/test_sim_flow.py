@@ -56,6 +56,15 @@ class TestFlowValidation:
         with pytest.raises(SimulationError, match=rf"'probe'.*{field}"):
             make_flow(resources=[fixed_resource(10.0)], label="probe", **{field: value})
 
+    @pytest.mark.parametrize("weight", [0.0, -0.0, -5.0])
+    def test_non_positive_issue_weight_rejected_naming_field_and_flow(self, weight):
+        # A negative weight would make the remote-write congestion load
+        # negative, and the congestion EWMA with it.
+        with pytest.raises(SimulationError, match=r"'probe'.*issue_weight"):
+            make_flow(
+                resources=[fixed_resource(10.0)], label="probe", issue_weight=weight
+            )
+
     def test_op_bytes_defaults_to_payload(self):
         flow = make_flow(nbytes=500.0)
         assert flow.op_bytes == 500.0
