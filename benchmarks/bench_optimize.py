@@ -3,51 +3,46 @@
 ``repro.core.optimize`` runs inside CI (``validate`` re-derives Table II
 every push) and is meant to be cheap enough to call per service pass —
 an optimizer that costs more than the simulations it plans is useless.
-This file tracks the analytic end-to-end cost on the full 18-workflow
-suite (price every candidate, solve the exact backend, enumerate the
-ε-frontier) with a hard wall guard: the whole decision layer must stay
-**well under a second** so only the optional simulation pricing ever
-dominates a planning call.
+Every candidate price is a simulation result, so this file simulates the
+18-workflow suite once, outside the timed region, and then times the
+decision layer on it: price every candidate from those results, solve
+the exact backend under a 300 GB PMEM budget, and enumerate the
+ε-frontier.  A hard wall guard keeps that layer **well under a second**,
+so the simulations always dominate a planning call.
 
 Work counters (candidates, branch-and-bound nodes, frontier points)
 ride along as ``extra_info`` so a wall-time move is attributable: more
 nodes is a weaker bound, more candidates is a bigger decision space.
 """
 
-import os
-
+from repro.apps.suite import workflow_suite
+from repro.core.configs import ALL_CONFIGS
 from repro.core.optimize.backends import BranchBoundOptimizer
 from repro.core.optimize.cli import build_scenario
 from repro.core.optimize.pareto import enumerate_frontier
 from repro.units import GB
+from repro.workflow.runner import run_workflow
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO_ROOT, "src")
-
-#: Wall budget for one full plan-and-frontier pass (analytic pricing).
+#: Wall budget for one full price-plan-and-frontier pass over run results.
 WALL_BUDGET_SECONDS = 0.5
 
-_SUITE_KEYS = [
-    f"{family}@{ranks}"
-    for family in (
-        "micro-64mb",
-        "micro-2k",
-        "gtc+readonly",
-        "gtc+matmult",
-        "miniamr+readonly",
-        "miniamr+matmult",
-    )
-    for ranks in (8, 16, 24)
-]
+
+def _suite_results():
+    """``{"family@ranks": {label: RunResult}}`` for the whole suite."""
+    return {
+        f"{entry.family}@{entry.ranks}": {
+            config.label: run_workflow(entry.spec, config)
+            for config in ALL_CONFIGS
+        }
+        for entry in workflow_suite()
+    }
 
 
-def _full_pass():
+def _full_pass(results):
     scenario = build_scenario(
-        _SUITE_KEYS,
-        pricer_name="analytic",
-        allow_colocation=True,
-        allow_dram=True,
+        sorted(results),
         pmem_budget_bytes=int(300 * GB),
+        precomputed=results,
     )
     plan = BranchBoundOptimizer().solve(scenario)
     points, _truncated = enumerate_frontier(scenario, epsilon=0.02)
@@ -56,8 +51,10 @@ def _full_pass():
 
 def test_optimize_full_pass_under_wall_budget(benchmark):
     """Price + solve + frontier on the whole suite — the planning cost."""
+    results = _suite_results()  # simulated once, outside the timed region
     scenario, plan, points = benchmark.pedantic(
         _full_pass,
+        args=(results,),
         rounds=3,
         iterations=1,
         warmup_rounds=1,

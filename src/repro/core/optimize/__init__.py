@@ -3,7 +3,7 @@
 Public surface:
 
 * :mod:`repro.core.optimize.model` — candidates, scenarios, limits;
-* :mod:`repro.core.optimize.pricing` — simulation/analytic pricers;
+* :mod:`repro.core.optimize.pricing` — the simulation pricer;
 * :mod:`repro.core.optimize.backends` — the exact optimizer, plans;
 * :mod:`repro.core.optimize.pareto` — ε-dominance frontier enumeration;
 * ``python -m repro.core.optimize`` — solve / pareto / validate / compare.
@@ -30,16 +30,11 @@ from repro.core.optimize.pareto import (
     pareto_filter,
     validate_frontier,
 )
-from repro.core.optimize.pricing import (
-    AnalyticPricer,
-    SimulationPricer,
-    pricer_by_name,
-)
+from repro.core.optimize.pricing import SimulationPricer
 
 __all__ = [
     "PLAN_SCHEMA",
     "FRONTIER_SCHEMA",
-    "AnalyticPricer",
     "BranchBoundOptimizer",
     "Candidate",
     "FrontierPoint",
@@ -52,7 +47,6 @@ __all__ = [
     "frontier_json",
     "frontier_payload",
     "pareto_filter",
-    "pricer_by_name",
     "retained_pmem_bytes",
     "validate_frontier",
 ]

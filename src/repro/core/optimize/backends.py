@@ -1,20 +1,19 @@
 """Optimizer backend: exact branch-and-bound over the joint assignment.
 
 :class:`BranchBoundOptimizer` minimizes the scenario's **makespan**
-objective subject to the Σ-footprint PMEM budget (per-candidate gating —
-cores, DRAM — has already happened in
-:meth:`Scenario.feasible_candidates`) and is fully deterministic:
-workflows are visited in key order, candidates in
-:data:`~repro.core.optimize.model.CANDIDATE_ORDER`, and every tie is
-broken lexicographically.
+objective subject to the Σ-footprint PMEM budget and is fully
+deterministic: workflows are visited in key order, candidates in
+:data:`~repro.core.configs.ALL_CONFIGS` order, and every tie is broken
+lexicographically.
 
 The search is depth-first with two admissible prunes: an optimistic
 makespan bound (current cost + Σ of each remaining workflow's fastest
 candidate) and a feasibility bound (current footprint + Σ of each
-remaining workflow's *smallest* footprint).  Worst case is exponential,
-but the makespan bound is tight in practice: the suite's 18 workflows x
-≤7 candidates (colocation + DRAM, 300 GB budget) explore 91 nodes,
-guarded exactly as ``bb_nodes`` in ``BENCH_simcore.json``.
+remaining workflow's *smallest* footprint).  Worst case is exponential.
+Unbudgeted, the makespan bound leads straight to the per-workflow argmin.
+Under a binding budget it is weak: the suite's 18 workflows x 4 Table I
+candidates under a 300 GB budget explore 72,981 nodes, guarded exactly as
+``bb_nodes`` in ``BENCH_simcore.json``.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ class Plan:
     feasible: bool
     nodes_explored: int = 0
 
-    @property
-    def objectives(self) -> Tuple[float, int, int]:
-        return (self.makespan_seconds, self.pmem_bytes, self.remote_bytes)
-
     def candidate_of(self, scenario: Scenario, key: str) -> Candidate:
         for wf_key, cand_key in self.selections:
             if wf_key == key:
@@ -60,9 +55,8 @@ class Plan:
             candidate = scenario.choices_of(wf_key).candidate(cand_key)
             assignments[wf_key] = {
                 "candidate": cand_key,
-                "config": candidate.config_label,
+                "config": candidate.key,
                 "mode": candidate.mode,
-                "tier": candidate.tier,
                 "predicted_seconds": candidate.makespan_seconds,
                 "pmem_bytes": candidate.pmem_bytes,
                 "remote_bytes": candidate.remote_bytes,
@@ -100,10 +94,7 @@ class BranchBoundOptimizer:
 
     def solve(self, scenario: Scenario) -> Plan:
         order = sorted(scenario.keys)
-        choice_sets = [
-            scenario.feasible_candidates(scenario.choices_of(key))
-            for key in order
-        ]
+        choice_sets = [scenario.choices_of(key).candidates for key in order]
         budget = scenario.limits.pmem_budget_bytes
         # Suffix bounds: the best any completion of a partial assignment
         # can do (makespan) / must pay (footprint).

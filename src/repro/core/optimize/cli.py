@@ -1,9 +1,10 @@
 """``python -m repro.core.optimize`` — solve / pareto / validate / compare.
 
-The optimizer's four verbs:
+Every verb prices the four Table I configurations of each workflow by
+simulating them.  The optimizer's four verbs:
 
 * ``solve`` — the exact minimum-makespan plan under the budget
-  constraints for a scenario; write it as ``repro.optimize.plan/v1`` JSON that
+  constraint for a scenario; write it as ``repro.optimize.plan/v1`` JSON that
   ``repro-service run --plan`` can consume.
 * ``pareto`` — the scenario's ε-dominance frontier as
   ``repro.optimize.frontier/v1`` JSON (byte-identical across runs),
@@ -21,8 +22,9 @@ The optimizer's four verbs:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.apps.suite import (
     CONCURRENCY_LEVELS,
@@ -38,8 +40,9 @@ from repro.core.optimize.pareto import (
     frontier_payload,
     validate_frontier,
 )
-from repro.core.optimize.pricing import pricer_by_name
+from repro.core.optimize.pricing import SimulationPricer
 from repro.errors import ConfigurationError
+from repro.metrics.results import RunResult
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.platform.builder import paper_testbed
 from repro.units import GB, fmt_bytes
@@ -77,29 +80,24 @@ def parse_workflow_key(key: str) -> Tuple[str, int]:
 
 def build_scenario(
     keys: List[str],
-    pricer_name: str = "analytic",
-    allow_colocation: bool = False,
-    allow_dram: bool = False,
     pmem_budget_bytes: Optional[int] = None,
     cal=DEFAULT_CALIBRATION,
-    precomputed: Optional[Dict[str, Dict[str, float]]] = None,
+    precomputed: Optional[Mapping[str, Mapping[str, RunResult]]] = None,
 ) -> Scenario:
-    """Price every workflow of *keys* and wrap them with platform limits."""
+    """Price every workflow of *keys* and wrap them with platform limits.
+
+    *precomputed* (``{"family@ranks": {label: RunResult}}``) supplies run
+    results a sweep already has; every other workflow is simulated.
+    """
     node = paper_testbed(cal)
     limits = ScenarioLimits.from_node(node, pmem_budget_bytes)
-    pricer = pricer_by_name(
-        pricer_name,
-        cal=cal,
-        allow_colocation=allow_colocation,
-        allow_dram=allow_dram,
-        precomputed=precomputed,
-    )
+    pricer = SimulationPricer(cal=cal, precomputed=precomputed)
     choices = []
     for key in keys:
         family, ranks = parse_workflow_key(key)
         spec = build_workflow(family, ranks)
         choices.append(pricer.price(spec, family, ranks))
-    return Scenario(choices=tuple(choices), limits=limits, pricer=pricer.name)
+    return Scenario(choices=tuple(choices), limits=limits)
 
 
 def _scenario_keys(args: argparse.Namespace) -> List[str]:
@@ -116,13 +114,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     budget = (
         int(args.pmem_budget * GB) if args.pmem_budget is not None else None
     )
-    return build_scenario(
-        _scenario_keys(args),
-        pricer_name=args.pricer,
-        allow_colocation=args.allow_colocation,
-        allow_dram=args.allow_dram,
-        pmem_budget_bytes=budget,
-    )
+    return build_scenario(_scenario_keys(args), pmem_budget_bytes=budget)
 
 
 def _heuristic_summary(scenario: Scenario) -> Dict[str, object]:
@@ -192,7 +184,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         return 1
     print(
         f"frontier: {len(points)} non-dominated point(s) "
-        f"(epsilon {args.epsilon}, pricer {scenario.pricer})"
+        f"(epsilon {args.epsilon})"
         + ("  [truncated]" if truncated else "")
     )
     for index, record in enumerate(payload["points"]):
@@ -225,7 +217,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    pricer = pricer_by_name("simulation")
+    pricer = SimulationPricer()
     entries = workflow_suite()
     strict_hits = 0
     eps_hits = 0
@@ -268,13 +260,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for line in beats:
         print(line)
 
-    # Frontier self-check: schema-valid and byte-deterministic.
+    # Frontier self-check: schema-valid and byte-deterministic, priced
+    # from the runs the re-derivation above already simulated.
     def _demo_frontier() -> str:
         scenario = build_scenario(
             ["micro-64mb@8", "micro-2k@8", "miniamr+matmult@8"],
-            pricer_name="analytic",
-            allow_colocation=True,
-            allow_dram=True,
+            precomputed=pricer.precomputed,
         )
         points, truncated = enumerate_frontier(scenario, epsilon=0.01)
         payload = frontier_payload(
@@ -322,16 +313,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{best.key} ({gap:+.1%} makespan) — {best.why}"
         )
     total = len(scenario.choices)
-    print(
-        f"optimizer vs heuristic ({scenario.pricer} pricing): "
-        f"{agreements}/{total} agree"
-    )
+    print(f"optimizer vs heuristic: {agreements}/{total} agree")
     for line in diffs:
         print(line)
     return 0
 
 
 # ----------------------------------------------------------------------
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, so NaN/inf exit 2 before pricing."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workflows",
@@ -341,31 +340,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         help="scenario workflows (default: the full 18-workflow suite)",
     )
     parser.add_argument(
-        "--pricer",
-        choices=("analytic", "simulation"),
-        default="analytic",
-        help="candidate pricing: analytic (fast, relaxed) or simulation "
-        "(measurement-grade, ~0.5s per workflow)",
-    )
-    parser.add_argument(
         "--pmem-budget",
-        type=float,
+        type=_finite_float,
         default=None,
         metavar="GB",
         help="scenario-wide retained-footprint budget in decimal GB "
         "(default: the testbed's full PMEM capacity)",
-    )
-    parser.add_argument(
-        "--allow-colocation",
-        action="store_true",
-        help="add colocated candidates (both components one socket; "
-        "needs 2 x ranks cores)",
-    )
-    parser.add_argument(
-        "--allow-dram",
-        action="store_true",
-        help="add the DRAM-staged candidate (zero PMEM footprint, "
-        "bounded by socket DRAM)",
     )
 
 
@@ -385,7 +365,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_scenario_args(pareto)
     pareto.add_argument(
         "--epsilon",
-        type=float,
+        type=_finite_float,
         default=0.0,
         help="ε-coalescing grid (0 = exact frontier)",
     )

@@ -2,9 +2,9 @@
 
 The heuristic recommenders answer "which Table I configuration for *this*
 workflow?".  The optimizer generalizes the question to a whole suite: per
-(workflow, component) it chooses a memory tier — DRAM, socket-local PMEM,
-or remote PMEM — and an execution mode, subject to the platform's capacity
-limits, and scores each joint choice on three additive objectives:
+workflow it chooses one of the four Table I configurations (execution
+mode x channel placement), subject to a PMEM capacity budget, and scores
+each joint choice on three additive objectives:
 
 * **makespan** — Σ of per-workflow makespans (workflows execute one at a
   time; a campaign is a serial queue over the suite);
@@ -13,18 +13,12 @@ limits, and scores each joint choice on three additive objectives:
   objects), so footprints add even though compute is time-shared.  Serial
   execution retains the full stream; parallel streaming retains only a
   two-snapshot producer/consumer window;
-* **remote traffic** — Σ of bytes that cross the UPI link (the placement
-  decision's interconnect cost; zero for colocated or DRAM-staged runs).
+* **remote traffic** — Σ of bytes that cross the UPI link.  Every Table I
+  configuration pins the two components to opposite sockets, so one of
+  them moves the whole stream across the link.
 
-Each workflow's choice set is a small candidate list: the four Table I
-configurations (components pinned to opposite sockets, channel local to
-one of them) plus — capacity permitting — colocated candidates (both
-components on one socket, channel local to both, zero remote traffic) and
-a DRAM-staged candidate.  Colocation needs ``2 x ranks`` cores on one
-socket, so it only exists at low concurrency; DRAM staging must fit the
-socket's DRAM.  That is exactly the {DRAM, PMEM-local, PMEM-remote} x
-{serial, parallel} decision space, encoded as the per-component
-``placements`` tuple on every candidate.
+Each workflow's choice set is its four Table I candidates, every one
+priced by simulation (:mod:`repro.core.optimize.pricing`).
 """
 
 from __future__ import annotations
@@ -34,95 +28,26 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.platform.topology import Node
-from repro.units import GB
 from repro.workflow.spec import WorkflowSpec
-
-#: Memory tiers a component's channel endpoint can live in.
-TIER_PMEM = "pmem"
-TIER_DRAM = "dram"
-
-#: Per-component placement labels (the raw decision-variable values).
-PLACE_PMEM_LOCAL = "pmem-local"
-PLACE_PMEM_REMOTE = "pmem-remote"
-PLACE_DRAM = "dram"
-
-#: Candidate keys, in deterministic enumeration order: the four Table I
-#: configurations first (paper row order), then the off-table candidates.
-CANDIDATE_ORDER: Tuple[str, ...] = (
-    "S-LocW",
-    "S-LocR",
-    "P-LocW",
-    "P-LocR",
-    "S-Coloc",
-    "P-Coloc",
-    "S-DRAM",
-)
-
-#: Six-channel DDR4-2666 per-socket stream bandwidth (same measurement
-#: literature the PMEM calibration quotes).  Module constants rather than
-#: :class:`~repro.pmem.calibration.OptaneCalibration` fields: the
-#: calibration fingerprint keys cache identity and must not change shape.
-DRAM_READ_BANDWIDTH: float = 105.0 * GB
-DRAM_WRITE_BANDWIDTH: float = 85.0 * GB
 
 #: Snapshots a parallel (streaming) channel retains: the producer's
 #: in-flight snapshot plus the consumer's in-read snapshot.
 PARALLEL_WINDOW_SNAPSHOTS = 2
 
 
-def candidate_sort_key(key: str) -> Tuple[int, str]:
-    """Deterministic candidate ordering: Table I order, then lexicographic."""
-    try:
-        return (CANDIDATE_ORDER.index(key), key)
-    except ValueError:
-        return (len(CANDIDATE_ORDER), key)
-
-
 @dataclass(frozen=True)
 class Candidate:
-    """One joint (placement, mode) choice for one workflow, fully priced.
+    """One Table I configuration for one workflow, priced by simulation.
 
-    ``config_label`` is the Table I label when the candidate *is* a paper
-    configuration (simulatable); colocated and DRAM candidates have none.
-    ``price_source`` records whether ``makespan_seconds`` came from the
-    simulator or from the analytic relaxation — frontier consumers must
-    know which points carry measurement-grade prices.
+    ``key`` is the configuration's Table I label (``"S-LocW"`` ...).
     """
 
     key: str
     mode: str  # "serial" | "parallel"
-    tier: str  # TIER_PMEM | TIER_DRAM
-    colocated: bool
-    config_label: Optional[str]
-    placements: Tuple[Tuple[str, str], ...]
     makespan_seconds: float
     pmem_bytes: int
     remote_bytes: int
-    dram_bytes: int
-    cores_per_socket: int
     why: str
-    price_source: str  # "simulation" | "analytic"
-
-    @property
-    def objectives(self) -> Tuple[float, int, int]:
-        return (self.makespan_seconds, self.pmem_bytes, self.remote_bytes)
-
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "mode": self.mode,
-            "tier": self.tier,
-            "colocated": self.colocated,
-            "config": self.config_label,
-            "placements": {role: where for role, where in self.placements},
-            "makespan_seconds": self.makespan_seconds,
-            "pmem_bytes": self.pmem_bytes,
-            "remote_bytes": self.remote_bytes,
-            "dram_bytes": self.dram_bytes,
-            "cores_per_socket": self.cores_per_socket,
-            "why": self.why,
-            "price_source": self.price_source,
-        }
 
 
 def retained_pmem_bytes(spec: WorkflowSpec, mode: str) -> int:
@@ -142,7 +67,11 @@ def retained_pmem_bytes(spec: WorkflowSpec, mode: str) -> int:
 
 @dataclass(frozen=True)
 class WorkflowChoices:
-    """One workflow's priced candidate list plus the heuristic's pick."""
+    """One workflow's priced candidates plus the heuristic's pick.
+
+    ``candidates`` are in :data:`~repro.core.configs.ALL_CONFIGS` order,
+    which breaks every makespan tie.
+    """
 
     key: str  # "family@ranks"
     family: str
@@ -161,11 +90,8 @@ class WorkflowChoices:
 
     @property
     def makespan_best(self) -> Candidate:
-        """Fastest candidate (ties: CANDIDATE_ORDER, then key)."""
-        return min(
-            self.candidates,
-            key=lambda c: (c.makespan_seconds,) + candidate_sort_key(c.key),
-        )
+        """Fastest candidate (ties: the first in Table I order)."""
+        return min(self.candidates, key=lambda c: c.makespan_seconds)
 
     @property
     def heuristic_candidate(self) -> Candidate:
@@ -174,20 +100,13 @@ class WorkflowChoices:
 
 @dataclass(frozen=True)
 class ScenarioLimits:
-    """Capacity constraints derived from the platform model.
+    """The scenario's Σ-footprint PMEM budget.
 
-    ``pmem_budget_bytes`` is the scenario's Σ-footprint budget — by
-    default the node's total PMEM, tightened via ``--pmem-budget`` to
-    model sharing the device with other tenants.  ``dram_budget_bytes``
-    and ``cores_per_socket`` gate individual candidates (DRAM staging and
-    colocation); ``upi_bandwidth`` is carried for provenance (remote
-    seconds are already priced into makespans by the calibration).
+    By default the node's total PMEM, tightened via ``--pmem-budget`` to
+    model sharing the device with other tenants.
     """
 
     pmem_budget_bytes: Optional[int]
-    dram_budget_bytes: int
-    cores_per_socket: int
-    upi_bandwidth: float
 
     @staticmethod
     def from_node(
@@ -199,39 +118,10 @@ class ScenarioLimits:
             raise ConfigurationError(
                 f"pmem budget must be positive, got {budget}"
             )
-        return ScenarioLimits(
-            pmem_budget_bytes=budget,
-            dram_budget_bytes=max(s.dram_bytes for s in node.sockets),
-            cores_per_socket=max(s.n_cores for s in node.sockets),
-            upi_bandwidth=min(
-                (
-                    node.upi(a, b).bandwidth
-                    for a in range(node.n_sockets)
-                    for b in range(a + 1, node.n_sockets)
-                ),
-                default=float("inf"),
-            ),
-        )
-
-    def candidate_feasible(self, candidate: Candidate) -> bool:
-        """Single-candidate feasibility (budget Σ-checks happen later)."""
-        if candidate.cores_per_socket > self.cores_per_socket:
-            return False
-        if candidate.dram_bytes > self.dram_budget_bytes:
-            return False
-        return True
+        return ScenarioLimits(pmem_budget_bytes=budget)
 
     def as_record(self) -> Dict[str, Any]:
-        return {
-            "pmem_budget_bytes": self.pmem_budget_bytes,
-            "dram_budget_bytes": self.dram_budget_bytes,
-            "cores_per_socket": self.cores_per_socket,
-            "upi_bandwidth": (
-                None
-                if self.upi_bandwidth == float("inf")
-                else self.upi_bandwidth
-            ),
-        }
+        return {"pmem_budget_bytes": self.pmem_budget_bytes}
 
 
 @dataclass(frozen=True)
@@ -240,7 +130,6 @@ class Scenario:
 
     choices: Tuple[WorkflowChoices, ...]
     limits: ScenarioLimits
-    pricer: str = "analytic"
 
     def __post_init__(self) -> None:
         keys = [c.key for c in self.choices]
@@ -257,25 +146,8 @@ class Scenario:
                 return choice
         raise ConfigurationError(f"no workflow {key!r} in scenario")
 
-    def feasible_candidates(self, choice: WorkflowChoices) -> Tuple[Candidate, ...]:
-        """The choice set after per-candidate capacity gating, in
-        deterministic order."""
-        feasible = tuple(
-            candidate
-            for candidate in sorted(
-                choice.candidates, key=lambda c: candidate_sort_key(c.key)
-            )
-            if self.limits.candidate_feasible(candidate)
-        )
-        if not feasible:
-            raise ConfigurationError(
-                f"{choice.key}: no candidate fits the platform limits"
-            )
-        return feasible
-
     def as_record(self) -> Dict[str, Any]:
         return {
             "workflows": list(self.keys),
             "limits": self.limits.as_record(),
-            "pricer": self.pricer,
         }

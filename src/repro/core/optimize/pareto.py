@@ -107,16 +107,18 @@ def enumerate_frontier(
     scenario: Scenario, epsilon: float = 0.0
 ) -> Tuple[List[FrontierPoint], bool]:
     """The scenario's (ε-)Pareto frontier; returns (points, truncated)."""
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ConfigurationError(
+            f"epsilon must be finite and >= 0, got {epsilon}"
+        )
     budget = scenario.limits.pmem_budget_bytes
     partials: List[FrontierPoint] = [FrontierPoint(0.0, 0, 0, ())]
     truncated = False
     for key in sorted(scenario.keys):
-        choice = scenario.choices_of(key)
+        candidates = scenario.choices_of(key).candidates
         extended: List[FrontierPoint] = []
         for partial in partials:
-            for candidate in scenario.feasible_candidates(choice):
+            for candidate in candidates:
                 pmem = partial.pmem_bytes + candidate.pmem_bytes
                 if budget is not None and pmem > budget:
                     continue

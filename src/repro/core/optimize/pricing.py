@@ -1,84 +1,33 @@
 """Candidate pricing: turn one workflow into a priced choice list.
 
-Two pricers share one contract (``price(spec, family, ranks)`` returns a
-:class:`~repro.core.optimize.model.WorkflowChoices`):
-
-* :class:`SimulationPricer` — prices the four Table I configurations by
-  actually simulating them (or from an injected, precomputed makespan
-  table when a tuner already ran).  Measurement-grade, ~0.5 s per
-  workflow; the backend ``validate`` and the "beats the paper"
-  demonstrations use this one.
-* :class:`AnalyticPricer` — prices everything from the recommendation
-  engine's :class:`~repro.core.recommend.PlacementPrice` breakdowns.
-  Serial prices are the §VIII placement formulas; parallel prices are a
-  documented *pipeline relaxation* (``iterations x max(writer, reader)``
-  per-iteration bound, which ignores the simulator's ramp/contention
-  modelling and can deviate noticeably).  Milliseconds per workflow; use
-  it for large sweeps and frontier shape exploration, not for verdicts.
-
-Candidates outside Table I — colocated and DRAM-staged — cannot be
-simulated (the simulator deploys components to opposite sockets by
-construction), so both pricers price them analytically and mark them
-``price_source="analytic"``.
+:class:`SimulationPricer` prices the four Table I configurations by
+simulating them, or from an injected table of run results when a sweep
+already ran (the Table II and service paths).  Every price is a
+simulation result: the optimizer prices nothing the simulator cannot
+run.  Simulating one workflow's four configurations takes about 0.14 s
+on a shared 2-core x86-64 host, about 2.6 s for the 18-workflow suite.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from repro.core.configs import ALL_CONFIGS
 from repro.core.optimize.model import (
-    DRAM_READ_BANDWIDTH,
-    DRAM_WRITE_BANDWIDTH,
-    PLACE_DRAM,
-    PLACE_PMEM_LOCAL,
-    PLACE_PMEM_REMOTE,
-    TIER_DRAM,
-    TIER_PMEM,
     Candidate,
     WorkflowChoices,
     retained_pmem_bytes,
 )
 from repro.core.recommend import RecommendationEngine
+from repro.metrics.results import RunResult
 from repro.obs.explain import attribution_from_phases, why_line
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
+from repro.workflow.runner import run_workflow
 from repro.workflow.spec import WorkflowSpec
 
-#: Paper configuration -> (writer placement, reader placement, channel socket).
-_PAPER_PLACEMENTS: Dict[str, Tuple[str, str, int]] = {
-    "S-LocW": (PLACE_PMEM_LOCAL, PLACE_PMEM_REMOTE, 0),
-    "S-LocR": (PLACE_PMEM_REMOTE, PLACE_PMEM_LOCAL, 1),
-    "P-LocW": (PLACE_PMEM_LOCAL, PLACE_PMEM_REMOTE, 0),
-    "P-LocR": (PLACE_PMEM_REMOTE, PLACE_PMEM_LOCAL, 1),
-}
 
-
-def _estimated_why(
-    compute: float, drain: float, remote: float, channel_socket: int
-) -> str:
-    """An explain-style why line from an analytic price breakdown."""
-    total = compute + drain + remote
-    if total <= 0:
-        return "-"
-    buckets = {
-        "compute": compute,
-        "drain": drain,
-        "remote": remote,
-    }
-    dominant = max(("compute", "drain", "remote"), key=lambda b: (buckets[b],))
-    return why_line(
-        {
-            "dominant": dominant,
-            "dominant_fraction": buckets[dominant] / total,
-            "buckets": buckets,
-            "channel_socket": channel_socket,
-            "estimated": True,
-        }
-    )
-
-
-def _measured_why(result) -> str:
+def _measured_why(result: RunResult) -> str:
     """The explain attribution of a simulated run (phase estimator)."""
     attribution = attribution_from_phases(
         result.config_label,
@@ -91,334 +40,52 @@ def _measured_why(result) -> str:
     return why_line(attribution).replace(" (est.)", "")
 
 
-class _PricerBase:
-    """Shared candidate assembly: bytes, cores, placements, extras."""
-
-    def __init__(
-        self,
-        cal: OptaneCalibration = DEFAULT_CALIBRATION,
-        allow_colocation: bool = False,
-        allow_dram: bool = False,
-        engine: Optional[RecommendationEngine] = None,
-    ) -> None:
-        self.cal = cal
-        self.allow_colocation = allow_colocation
-        self.allow_dram = allow_dram
-        self.engine = engine or RecommendationEngine(strategy="hybrid", cal=cal)
-
-    name = "base"
-
-    # -- paper-config candidates ---------------------------------------
-    def _paper_candidate(
-        self,
-        spec: WorkflowSpec,
-        label: str,
-        makespan: float,
-        why: str,
-        price_source: str,
-    ) -> Candidate:
-        writer_place, reader_place, _socket = _PAPER_PLACEMENTS[label]
-        mode = "parallel" if label.startswith("P") else "serial"
-        return Candidate(
-            key=label,
-            mode=mode,
-            tier=TIER_PMEM,
-            colocated=False,
-            config_label=label,
-            placements=(
-                ("simulation", writer_place),
-                ("analytics", reader_place),
-            ),
-            makespan_seconds=makespan,
-            pmem_bytes=retained_pmem_bytes(spec, mode),
-            remote_bytes=spec.total_data_bytes(),
-            dram_bytes=0,
-            cores_per_socket=spec.ranks,
-            why=why,
-            price_source=price_source,
-        )
-
-    # -- off-table candidates (always analytic) ------------------------
-    def _extra_candidates(self, spec: WorkflowSpec) -> List[Candidate]:
-        if not (self.allow_colocation or self.allow_dram):
-            return []
-        f = self.engine.features_of(spec)
-        iters = spec.iterations
-        w, r = f.sim_profile, f.analytics_profile
-        extras: List[Candidate] = []
-        if self.allow_colocation:
-            compute = iters * (w.compute_seconds + r.compute_seconds)
-            drain = iters * (w.io_seconds + r.io_seconds)
-            extras.append(
-                Candidate(
-                    key="S-Coloc",
-                    mode="serial",
-                    tier=TIER_PMEM,
-                    colocated=True,
-                    config_label=None,
-                    placements=(
-                        ("simulation", PLACE_PMEM_LOCAL),
-                        ("analytics", PLACE_PMEM_LOCAL),
-                    ),
-                    makespan_seconds=compute + drain,
-                    pmem_bytes=retained_pmem_bytes(spec, "serial"),
-                    remote_bytes=0,
-                    dram_bytes=0,
-                    cores_per_socket=2 * spec.ranks,
-                    why=_estimated_why(compute, drain, 0.0, 0),
-                    price_source="analytic",
-                )
-            )
-            # Parallel-colocated: compute phases overlap, but the shared
-            # local device serializes the two I/O streams.
-            compute_p = iters * max(w.compute_seconds, r.compute_seconds)
-            extras.append(
-                Candidate(
-                    key="P-Coloc",
-                    mode="parallel",
-                    tier=TIER_PMEM,
-                    colocated=True,
-                    config_label=None,
-                    placements=(
-                        ("simulation", PLACE_PMEM_LOCAL),
-                        ("analytics", PLACE_PMEM_LOCAL),
-                    ),
-                    makespan_seconds=compute_p + drain,
-                    pmem_bytes=retained_pmem_bytes(spec, "parallel"),
-                    remote_bytes=0,
-                    dram_bytes=0,
-                    cores_per_socket=2 * spec.ranks,
-                    why=_estimated_why(compute_p, drain, 0.0, 0),
-                    price_source="analytic",
-                )
-            )
-        if self.allow_dram:
-            # DRAM staging: the software-bound share of each I/O phase is
-            # unchanged (stack overheads don't shrink with faster memory);
-            # the media-bound share — approximated by the component's
-            # device utilization — scales by the bandwidth ratio.
-            wu = min(1.0, f.write_utilization)
-            ru = min(1.0, f.read_utilization)
-            w_io = w.io_seconds * (
-                (1.0 - wu)
-                + wu * (self.cal.local_write_peak / DRAM_WRITE_BANDWIDTH)
-            )
-            r_io = r.io_seconds * (
-                (1.0 - ru)
-                + ru * (self.cal.local_read_peak / DRAM_READ_BANDWIDTH)
-            )
-            compute = iters * (w.compute_seconds + r.compute_seconds)
-            drain = iters * (w_io + r_io)
-            extras.append(
-                Candidate(
-                    key="S-DRAM",
-                    mode="serial",
-                    tier=TIER_DRAM,
-                    colocated=True,
-                    config_label=None,
-                    placements=(
-                        ("simulation", PLACE_DRAM),
-                        ("analytics", PLACE_DRAM),
-                    ),
-                    makespan_seconds=compute + drain,
-                    pmem_bytes=0,
-                    remote_bytes=0,
-                    dram_bytes=spec.total_data_bytes(),
-                    cores_per_socket=2 * spec.ranks,
-                    why=_estimated_why(compute, drain, 0.0, 0),
-                    price_source="analytic",
-                )
-            )
-        return extras
-
-    def _choices(
-        self,
-        spec: WorkflowSpec,
-        family: str,
-        ranks: int,
-        paper: List[Candidate],
-    ) -> WorkflowChoices:
-        return WorkflowChoices(
-            key=f"{family}@{ranks}",
-            family=family,
-            ranks=ranks,
-            heuristic_label=self.engine.recommend(spec).config.label,
-            candidates=tuple(paper + self._extra_candidates(spec)),
-        )
-
-
-class AnalyticPricer(_PricerBase):
-    """Price every candidate from the §VIII placement breakdowns."""
-
-    name = "analytic"
-
-    def price(
-        self, spec: WorkflowSpec, family: str, ranks: int
-    ) -> WorkflowChoices:
-        f = self.engine.features_of(spec)
-        estimates = self.engine.placement_estimates(f)
-        iters = spec.iterations
-        paper: List[Candidate] = []
-        for label, (writer_place, _reader_place, socket) in sorted(
-            _PAPER_PLACEMENTS.items()
-        ):
-            local_write = writer_place == PLACE_PMEM_LOCAL
-            price = estimates.breakdown(local_write=local_write)
-            if label.startswith("S"):
-                makespan = price.total_seconds
-                why = _estimated_why(
-                    price.compute_seconds,
-                    price.drain_seconds,
-                    price.remote_seconds,
-                    socket,
-                )
-            else:
-                # Pipeline relaxation: writer and reader iterations fully
-                # overlap, but the single channel device serializes the
-                # two I/O streams — per iteration the stream is paced by
-                # the slowest of (writer, reader, combined device time).
-                # Optimistic vs the simulator (no ramp/collision model),
-                # pessimistic about nothing: a documented lower-bound
-                # shape, not a measurement.
-                if local_write:
-                    writer, remote_side = f.sim_profile, "reader"
-                    reader = f.analytics_remote_profile
-                else:
-                    writer, remote_side = f.sim_remote_profile, "writer"
-                    reader = f.analytics_profile
-                w_iter = writer.compute_seconds + writer.io_seconds
-                r_iter = reader.compute_seconds + reader.io_seconds
-                device = writer.io_seconds + reader.io_seconds
-                bound = max(w_iter, r_iter, device)
-                makespan = iters * bound
-                if bound == device:
-                    remote_io = (
-                        reader.io_seconds
-                        if remote_side == "reader"
-                        else writer.io_seconds
-                    )
-                    why = _estimated_why(
-                        0.0,
-                        iters * (device - remote_io),
-                        iters * remote_io,
-                        socket,
-                    )
-                else:
-                    slower = writer if w_iter >= r_iter else reader
-                    slower_is_remote = (
-                        remote_side == "writer"
-                        if slower is writer
-                        else remote_side == "reader"
-                    )
-                    remote = iters * slower.io_seconds if slower_is_remote else 0.0
-                    why = _estimated_why(
-                        iters * slower.compute_seconds,
-                        iters * slower.io_seconds - remote,
-                        remote,
-                        socket,
-                    )
-            paper.append(
-                self._paper_candidate(spec, label, makespan, why, "analytic")
-            )
-        return self._choices(spec, family, ranks, paper)
-
-
-class SimulationPricer(_PricerBase):
+class SimulationPricer:
     """Price the Table I candidates with the simulator itself.
 
     ``precomputed`` maps ``"family@ranks"`` to ``{config label:
-    makespan}`` — inject it when an exhaustive tuner already evaluated
-    the suite (the Table II path) to price at zero additional cost; the
-    why lines then fall back to the analytic estimator.
+    RunResult}`` — inject it when a sweep already simulated the suite to
+    price at zero additional cost.  Workflows it does not name are
+    simulated on demand and their results kept in :attr:`precomputed`.
     """
-
-    name = "simulation"
 
     def __init__(
         self,
         cal: OptaneCalibration = DEFAULT_CALIBRATION,
-        allow_colocation: bool = False,
-        allow_dram: bool = False,
-        engine: Optional[RecommendationEngine] = None,
-        precomputed: Optional[Mapping[str, Mapping[str, float]]] = None,
+        precomputed: Optional[Mapping[str, Mapping[str, RunResult]]] = None,
     ) -> None:
-        super().__init__(
-            cal=cal,
-            allow_colocation=allow_colocation,
-            allow_dram=allow_dram,
-            engine=engine,
-        )
+        self.cal = cal
+        self.engine = RecommendationEngine(strategy="hybrid", cal=cal)
         self.precomputed = dict(precomputed or {})
-
-    def _analytic_why(self, spec: WorkflowSpec, label: str) -> str:
-        f = self.engine.features_of(spec)
-        price = self.engine.placement_estimates(f).breakdown(
-            local_write=label.endswith("LocW")
-        )
-        return _estimated_why(
-            price.compute_seconds,
-            price.drain_seconds,
-            price.remote_seconds,
-            _PAPER_PLACEMENTS[label][2],
-        )
 
     def price(
         self, spec: WorkflowSpec, family: str, ranks: int
     ) -> WorkflowChoices:
         key = f"{family}@{ranks}"
-        paper: List[Candidate] = []
-        table = self.precomputed.get(key)
-        if table is not None:
-            for config in ALL_CONFIGS:
-                paper.append(
-                    self._paper_candidate(
-                        spec,
-                        config.label,
-                        float(table[config.label]),
-                        self._analytic_why(spec, config.label),
-                        "simulation",
-                    )
+        results = self.precomputed.get(key)
+        if results is None:
+            results = self.precomputed[key] = {
+                config.label: run_workflow(spec, config, cal=self.cal)
+                for config in ALL_CONFIGS
+            }
+        candidates = []
+        for config in ALL_CONFIGS:
+            result = results[config.label]
+            mode = config.mode.value
+            candidates.append(
+                Candidate(
+                    key=config.label,
+                    mode=mode,
+                    makespan_seconds=result.makespan,
+                    pmem_bytes=retained_pmem_bytes(spec, mode),
+                    remote_bytes=spec.total_data_bytes(),
+                    why=_measured_why(result),
                 )
-        else:
-            from repro.workflow.runner import run_workflow
-
-            for config in ALL_CONFIGS:
-                result = run_workflow(spec, config, cal=self.cal)
-                paper.append(
-                    self._paper_candidate(
-                        spec,
-                        config.label,
-                        result.makespan,
-                        _measured_why(result),
-                        "simulation",
-                    )
-                )
-        return self._choices(spec, family, ranks, paper)
-
-
-def pricer_by_name(
-    name: str,
-    cal: OptaneCalibration = DEFAULT_CALIBRATION,
-    allow_colocation: bool = False,
-    allow_dram: bool = False,
-    precomputed: Optional[Mapping[str, Mapping[str, float]]] = None,
-):
-    """Factory the CLI and the experiments share."""
-    if name == "analytic":
-        return AnalyticPricer(
-            cal=cal,
-            allow_colocation=allow_colocation,
-            allow_dram=allow_dram,
+            )
+        return WorkflowChoices(
+            key=key,
+            family=family,
+            ranks=ranks,
+            heuristic_label=self.engine.recommend(spec).config.label,
+            candidates=tuple(candidates),
         )
-    if name == "simulation":
-        return SimulationPricer(
-            cal=cal,
-            allow_colocation=allow_colocation,
-            allow_dram=allow_dram,
-            precomputed=precomputed,
-        )
-    from repro.errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"unknown pricer {name!r}; choices: analytic, simulation"
-    )

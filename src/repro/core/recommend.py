@@ -52,59 +52,6 @@ class Recommendation:
 
 
 @dataclass(frozen=True)
-class PlacementPrice:
-    """Structured price of one channel placement (per-run seconds).
-
-    The scalar serial estimate decomposes into three blame-style terms —
-    the same vocabulary :mod:`repro.obs.explain` uses for measured runs —
-    so both the heuristic recommender and the global optimizer can say
-    *why* a placement costs what it does, not just how much:
-
-    * ``compute_seconds`` — both components' pure-compute phases;
-    * ``drain_seconds`` — the channel-local component's I/O phase
-      (draining into socket-local PMEM at full local bandwidth);
-    * ``remote_seconds`` — the channel-remote component's I/O phase
-      (every byte crosses the UPI link).
-    """
-
-    compute_seconds: float
-    drain_seconds: float
-    remote_seconds: float
-    #: Which component pays the remote penalty under this placement.
-    remote_component: str
-
-    @property
-    def total_seconds(self) -> float:
-        return self.compute_seconds + self.drain_seconds + self.remote_seconds
-
-    def fractions(self) -> Dict[str, float]:
-        """Blame-bucket shares of the total (compute / drain / remote)."""
-        total = self.total_seconds
-        if total <= 0:
-            return {"compute": 0.0, "drain": 0.0, "remote": 0.0}
-        return {
-            "compute": self.compute_seconds / total,
-            "drain": self.drain_seconds / total,
-            "remote": self.remote_seconds / total,
-        }
-
-    @property
-    def dominant(self) -> str:
-        """The largest blame bucket (ties: compute > drain > remote)."""
-        shares = self.fractions()
-        return max(("compute", "drain", "remote"), key=lambda k: shares[k])
-
-    def as_record(self) -> Dict[str, float]:
-        return {
-            "compute_seconds": self.compute_seconds,
-            "drain_seconds": self.drain_seconds,
-            "remote_seconds": self.remote_seconds,
-            "total_seconds": self.total_seconds,
-            "remote_component": self.remote_component,
-        }
-
-
-@dataclass(frozen=True)
 class PlacementEstimates:
     """The §VIII serial-runtime estimates under each channel placement.
 
@@ -112,16 +59,11 @@ class PlacementEstimates:
     because they double as a *predicted makespan* — which is what lets the
     service scheduler order jobs shortest-predicted-first without running
     anything.  ``t_locw_seconds`` / ``t_locr_seconds`` keep the original
-    scalar formulas bit-for-bit (Table II output depends on them); the
-    ``locw`` / ``locr`` breakdowns expose the same price split into
-    compute / drain / remote components for consumers that need to know
-    *where* the seconds go (the optimizer's objective terms).
+    scalar formulas bit-for-bit (Table II output depends on them).
     """
 
     t_locw_seconds: float
     t_locr_seconds: float
-    locw: Optional[PlacementPrice] = None
-    locr: Optional[PlacementPrice] = None
 
     @property
     def local_write_preferred(self) -> bool:
@@ -131,10 +73,6 @@ class PlacementEstimates:
     def best_seconds(self) -> float:
         """The cheaper placement's serial estimate (a makespan proxy)."""
         return min(self.t_locw_seconds, self.t_locr_seconds)
-
-    def breakdown(self, local_write: bool) -> Optional[PlacementPrice]:
-        """The structured price of one placement (None on legacy instances)."""
-        return self.locw if local_write else self.locr
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +410,8 @@ class RecommendationEngine:
         """Serial-runtime estimate under each placement (§VIII pricing).
 
         Total runtime if the two components ran serially, from the
-        analytic local/remote standalone profiles.  The scalar estimates
-        keep their original float expressions exactly; the structured
-        breakdowns split the same profiles into compute / drain / remote
-        seconds for the optimizer's objective terms.
+        analytic local/remote standalone profiles.  The estimates keep
+        their original float expressions exactly.
         """
         iters = f.iterations
         return PlacementEstimates(
@@ -488,26 +424,6 @@ class RecommendationEngine:
             * (
                 f.sim_remote_profile.iteration_seconds
                 + f.analytics_profile.iteration_seconds
-            ),
-            locw=PlacementPrice(
-                compute_seconds=iters
-                * (
-                    f.sim_profile.compute_seconds
-                    + f.analytics_remote_profile.compute_seconds
-                ),
-                drain_seconds=iters * f.sim_profile.io_seconds,
-                remote_seconds=iters * f.analytics_remote_profile.io_seconds,
-                remote_component="analytics",
-            ),
-            locr=PlacementPrice(
-                compute_seconds=iters
-                * (
-                    f.sim_remote_profile.compute_seconds
-                    + f.analytics_profile.compute_seconds
-                ),
-                drain_seconds=iters * f.analytics_profile.io_seconds,
-                remote_seconds=iters * f.sim_remote_profile.io_seconds,
-                remote_component="simulation",
             ),
         )
 

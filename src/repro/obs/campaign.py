@@ -53,6 +53,7 @@ from repro.obs.store import (
     CampaignStore,
     StoredCampaign,
     StoredCell,
+    canonical_json,
     cell_id_from_manifests,
     manifest_determinism_payload,
 )
@@ -620,7 +621,11 @@ class CampaignDiff:
     winner_flips: List[WinnerFlip] = field(default_factory=list)
     claim_changes: List[ClaimChange] = field(default_factory=list)
     calibration_changed: List[str] = field(default_factory=list)
+    #: Cells whose deterministic payloads are byte-equal.
     identical_cells: int = 0
+    #: Cells that changed, but by no more than the threshold and without
+    #: a winner flip, claim change or calibration change.
+    within_threshold_cells: int = 0
 
     @property
     def regressions(self) -> int:
@@ -665,6 +670,7 @@ class CampaignDiff:
                 lines.append(f"   why: {drift.explanation}")
         lines.append(
             f"{self.identical_cells} identical cell(s), "
+            f"{self.within_threshold_cells} within-threshold cell(s), "
             f"{self.regressions} regression(s)"
         )
         return "\n".join(lines)
@@ -675,7 +681,8 @@ class CampaignDiff:
             "",
             f"Drift threshold {self.threshold:.1%} — "
             f"**{self.regressions} regression(s)**, "
-            f"{self.identical_cells} identical cell(s).",
+            f"{self.identical_cells} identical cell(s), "
+            f"{self.within_threshold_cells} within-threshold cell(s).",
             "",
         ]
         if self.winner_flips:
@@ -742,7 +749,9 @@ def diff_campaigns(
 
     Cells are matched by suite coordinate, *not* cell id, so a calibration
     change shows up as drift/flips on the same cells (plus a calibration
-    note) rather than as wholesale removal + addition.
+    note) rather than as wholesale removal + addition.  A cell with no
+    reported change counts as identical only when its deterministic
+    payload is byte-equal; otherwise it counts as within the threshold.
     """
     from repro.obs.explain import drift_explanation, flip_explanation
 
@@ -800,8 +809,14 @@ def diff_campaigns(
                 )
             )
             changed = True
-        if not changed:
+        if changed:
+            continue
+        if canonical_json(cell_a.deterministic) == canonical_json(
+            cell_b.deterministic
+        ):
             diff.identical_cells += 1
+        else:
+            diff.within_threshold_cells += 1
     return diff
 
 

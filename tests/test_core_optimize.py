@@ -51,10 +51,7 @@ BEATS_PAPER_KEY = "miniamr+matmult@16"
 
 def _precomputed(suite_reports):
     return {
-        f"{family}@{ranks}": {
-            label: result.makespan
-            for label, result in report.results.items()
-        }
+        f"{family}@{ranks}": dict(report.results)
         for (family, ranks), report in suite_reports.items()
     }
 
@@ -104,7 +101,6 @@ def test_frontier_json_is_byte_identical_and_schema_valid(suite_reports):
     def build():
         scenario = build_scenario(
             ["micro-64mb@16", "miniamr+matmult@16", "gtc+readonly@16"],
-            pricer_name="simulation",
             precomputed=_precomputed(suite_reports),
         )
         points, truncated = enumerate_frontier(scenario, epsilon=0.0)
@@ -176,12 +172,15 @@ def test_precomputed_prices_round_trip(suite_reports):
     spec = build_workflow("gtc+readonly", ranks=8)
     table = _precomputed(suite_reports)
     priced = SimulationPricer(precomputed=table).price(spec, "gtc+readonly", 8)
+    fresh = SimulationPricer().price(spec, "gtc+readonly", 8)
     for config in ALL_CONFIGS:
         assert (
             priced.candidate(config.label).makespan_seconds
-            == table["gtc+readonly@8"][config.label]
+            == table["gtc+readonly@8"][config.label].makespan
         )
-        assert priced.candidate(config.label).price_source == "simulation"
+    # Injected results price exactly like a fresh simulation, why lines
+    # included.
+    assert priced.candidates == fresh.candidates
 
 
 def test_retained_bytes_semantics():
@@ -200,7 +199,6 @@ def test_retained_bytes_semantics():
 def budget_scenario(suite_reports):
     return build_scenario(
         ["micro-64mb@16", "micro-64mb@24", "miniamr+matmult@16"],
-        pricer_name="simulation",
         pmem_budget_bytes=int(300 * GB),
         precomputed=_precomputed(suite_reports),
     )
@@ -227,23 +225,28 @@ def test_exact_backend_matches_frontier_optimum(budget_scenario):
     assert plan.makespan_seconds == min(p.makespan_seconds for p in points)
 
 
-def test_exact_backend_unconstrained_is_per_workflow_argmin(suite_reports):
-    scenario = build_scenario(
-        ["micro-2k@8", "gtc+matmult@16"],
-        pricer_name="simulation",
-        precomputed=_precomputed(suite_reports),
-    )
-    plan = BranchBoundOptimizer().solve(scenario)
+@pytest.fixture(scope="module")
+def suite_scenario(suite_reports):
+    """The whole 18-workflow suite, unbudgeted, priced from the oracle."""
+    table = _precomputed(suite_reports)
+    return build_scenario(sorted(table), precomputed=table)
+
+
+def test_exact_backend_unconstrained_is_per_workflow_argmin(
+    suite_scenario, suite_reports
+):
+    plan = BranchBoundOptimizer().solve(suite_scenario)
     expected = {
-        choice.key: choice.makespan_best.key for choice in scenario.choices
+        f"{family}@{ranks}": report.best_config.label
+        for (family, ranks), report in suite_reports.items()
     }
+    assert len(expected) == 18
     assert dict(plan.selections) == expected
 
 
 def test_infeasible_budget_reported_not_raised(suite_reports):
     scenario = build_scenario(
         ["micro-64mb@16"],
-        pricer_name="simulation",
         pmem_budget_bytes=1,
         precomputed=_precomputed(suite_reports),
     )
@@ -304,21 +307,6 @@ def test_engine_cache_does_not_change_results(suite_entries):
     assert cached.cache_info()["entries"] == 0
 
 
-def test_price_breakdown_consistent_with_scalars(suite_entries):
-    engine = RecommendationEngine()
-    for entry in suite_entries:
-        estimates = engine.placement_estimates(engine.features_of(entry.spec))
-        for local_write, scalar in (
-            (True, estimates.t_locw_seconds),
-            (False, estimates.t_locr_seconds),
-        ):
-            price = estimates.breakdown(local_write=local_write)
-            assert price.total_seconds == pytest.approx(scalar, rel=1e-12)
-            fractions = price.fractions()
-            assert sum(fractions.values()) == pytest.approx(1.0)
-            assert price.dominant in fractions
-
-
 # ----------------------------------------------------------------------
 # CLI smoke.
 # ----------------------------------------------------------------------
@@ -330,10 +318,6 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
             "--workflows",
             "micro-64mb@8",
             "micro-2k@8",
-            "--pricer",
-            "analytic",
-            "--allow-colocation",
-            "--allow-dram",
             "--epsilon",
             "0.01",
             "--out",
@@ -351,8 +335,6 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
             "solve",
             "--workflows",
             "micro-64mb@8",
-            "--pricer",
-            "analytic",
             "--out",
             str(plan_path),
         ]
@@ -366,11 +348,11 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
 
 def test_cli_compare_reports_agreement(capsys):
     keys = ["micro-2k@8", "micro-64mb@8", "gtc+readonly@8"]
-    rc = optimize_main(["compare", "--workflows", *keys, "--pricer", "analytic"])
+    rc = optimize_main(["compare", "--workflows", *keys])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     summary = re.fullmatch(
-        r"optimizer vs heuristic \(analytic pricing\): (\d)/3 agree", lines[0]
+        r"optimizer vs heuristic: (\d)/3 agree", lines[0]
     )
     assert summary
     # One diff line per disagreeing workflow, each naming its key.
@@ -384,27 +366,52 @@ def test_cli_rejects_bad_workflow_key(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--pmem-budget", "nan"],
+        ["solve", "--pmem-budget", "inf"],
+        ["pareto", "--epsilon", "nan"],
+        ["pareto", "--epsilon", "inf"],
+    ],
+    ids=lambda argv: f"{argv[1]}={argv[2]}",
+)
+def test_cli_rejects_non_finite_numbers_before_simulating(
+    argv, monkeypatch, capsys
+):
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("simulated before rejecting the input")
+
+    monkeypatch.setattr(
+        "repro.core.optimize.pricing.run_workflow", no_simulation
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        optimize_main(argv + ["--workflows", "micro-2k@8"])
+    assert exit_info.value.code == 2
+    assert f"error: argument {argv[1]}: must be finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Service plan consumption.
 # ----------------------------------------------------------------------
-def test_service_scheduler_consumes_plan(tmp_path, suite_reports):
-    from repro.core.optimize.backends import BranchBoundOptimizer
+def test_service_scheduler_consumes_plan(tmp_path, suite_scenario):
     from repro.service.scheduler import ServiceScheduler
 
-    scenario = build_scenario(
-        ["micro-64mb@8", "micro-2k@8"],
-        pricer_name="simulation",
-        precomputed=_precomputed(suite_reports),
+    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
+        suite_scenario
     )
-    plan = BranchBoundOptimizer().solve(scenario).as_record(scenario)
     scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
-    scheduler.submit_suite("micro")
+    # Full-size cells: the plan priced the suite's own iteration counts.
+    scheduler.submit_suite(
+        "full", cells=[("micro-64mb", 8), ("micro-2k", 8)]
+    )
     report = scheduler.run()
     assert report.executed == 2
     planned = {entry["key"]: entry for entry in report.regrets}
     for key in ("micro-64mb@8", "micro-2k@8"):
         assert planned[key]["plan"] == plan["assignments"][key]["config"]
-        assert "plan_regret" in planned[key]
+        # Simulation-priced plans pick the cell's simulated winner.
+        assert planned[key]["plan_regret"] == 0.0
     rendered = report.render_text()
     assert "plan " in rendered
 

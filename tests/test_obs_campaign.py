@@ -220,6 +220,25 @@ class TestDiff:
         assert "## Winner flips" in markdown
         assert "## Makespan drift" in markdown
 
+    def test_sub_threshold_drift_is_not_identical(self):
+        before = synthetic_run()
+        after = synthetic_run()
+        after.name = "golden-002"
+        configs = after.cells[0].deterministic["configs"]
+        configs["P-LocR"]["makespan"] *= 1 - 0.0087  # well under 2 %
+        diff = diff_campaigns(before, after)
+        assert diff.regressions == 0 and not diff.drifts
+        assert diff.identical_cells == 0
+        assert diff.within_threshold_cells == 1
+        assert diff.render_text().endswith(
+            "0 identical cell(s), 1 within-threshold cell(s), 0 regression(s)"
+        )
+        assert "0 identical cell(s), 1 within-threshold cell(s)." in (
+            diff.render_markdown()
+        )
+        same = diff_campaigns(before, synthetic_run())
+        assert (same.identical_cells, same.within_threshold_cells) == (1, 0)
+
     def test_coverage_changes_reported(self):
         run = run_campaign(
             suite="sweep",

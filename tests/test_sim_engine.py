@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import TIME_EPSILON, Engine
 from repro.sim.events import SimEvent, Timeout
 
 
@@ -284,6 +284,39 @@ class TestFlushHooks:
         engine.schedule(5.0, lambda: order.append(("head", engine.now)))
         engine.run()
         assert order == [("hooked", 1.0), ("head", 5.0)]
+
+    def test_timers_within_epsilon_share_one_flush(self):
+        """Timers a rounding error apart are one instant: no flush between.
+
+        t1 and t2 are 0.9 ε apart and dispatch as one batch; t3 is 1.8 ε
+        after t1 but only 0.9 ε after t2, so it still counts as the same
+        instant and the flush waits until all three ran.
+        """
+        engine = Engine()
+        log = []
+        dirty = [False]
+
+        def hook():
+            if dirty[0]:
+                dirty[0] = False
+                log.append("flush")
+                return True
+            return False
+
+        engine.add_flush_hook(hook)
+
+        def mark(name):
+            def callback():
+                dirty[0] = True
+                log.append(name)
+
+            return callback
+
+        for name, factor in (("t1", 0.0), ("t2", 0.9), ("t3", 1.8)):
+            engine.schedule_at(2.0 * (1 + factor * TIME_EPSILON), mark(name))
+        engine.run()
+        assert log == ["t1", "t2", "t3", "flush"]
+        assert engine.events_executed == 3
 
     def test_idle_hook_does_not_block_progress(self):
         engine = Engine()
