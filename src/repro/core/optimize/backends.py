@@ -24,8 +24,9 @@ from typing import Any, ClassVar, Dict, List, Tuple
 from repro.core.optimize.model import Candidate, Scenario
 from repro.errors import ConfigurationError
 
-#: Schema marker for serialized plans.
-PLAN_SCHEMA = "repro.optimize.plan/v1"
+#: Schema marker for serialized plans.  v2 records each assignment's
+#: ``cell_id``, the one campaign cell its price holds for.
+PLAN_SCHEMA = "repro.optimize.plan/v2"
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,16 @@ class Plan:
         raise ConfigurationError(f"plan has no assignment for {key!r}")
 
     def as_record(self, scenario: Scenario) -> Dict[str, Any]:
-        """The ``repro.optimize.plan/v1`` payload (service-consumable)."""
+        """The ``repro.optimize.plan/v2`` payload (service-consumable)."""
         assignments = {}
         for wf_key, cand_key in self.selections:
-            candidate = scenario.choices_of(wf_key).candidate(cand_key)
+            choice = scenario.choices_of(wf_key)
+            candidate = choice.candidate(cand_key)
             assignments[wf_key] = {
                 "candidate": cand_key,
                 "config": candidate.key,
+                "iterations": choice.iterations,
+                "cell_id": choice.cell_id,
                 "mode": candidate.mode,
                 "predicted_seconds": candidate.makespan_seconds,
                 "pmem_bytes": candidate.pmem_bytes,

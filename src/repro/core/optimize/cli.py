@@ -4,7 +4,7 @@ Every verb prices the four Table I configurations of each workflow by
 simulating them.  The optimizer's four verbs:
 
 * ``solve`` — the exact minimum-makespan plan under the budget
-  constraint for a scenario; write it as ``repro.optimize.plan/v1`` JSON that
+  constraint for a scenario; write it as ``repro.optimize.plan/v2`` JSON that
   ``repro-service run --plan`` can consume.
 * ``pareto`` — the scenario's ε-dominance frontier as
   ``repro.optimize.frontier/v1`` JSON (byte-identical across runs),

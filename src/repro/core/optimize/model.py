@@ -70,12 +70,17 @@ class WorkflowChoices:
     """One workflow's priced candidates plus the heuristic's pick.
 
     ``candidates`` are in :data:`~repro.core.configs.ALL_CONFIGS` order,
-    which breaks every makespan tie.
+    which breaks every makespan tie.  The prices hold for one workload
+    only: ``iterations`` is the iteration count it was simulated at, and
+    ``cell_id`` the id of the campaign cell that runs exactly it (the
+    same spec, all four configurations, the same calibration).
     """
 
     key: str  # "family@ranks"
     family: str
     ranks: int
+    iterations: int
+    cell_id: str
     heuristic_label: str
     candidates: Tuple[Candidate, ...]
 

@@ -61,6 +61,8 @@ class SimulationPricer:
     def price(
         self, spec: WorkflowSpec, family: str, ranks: int
     ) -> WorkflowChoices:
+        from repro.service.cache import cell_id_for_spec
+
         key = f"{family}@{ranks}"
         results = self.precomputed.get(key)
         if results is None:
@@ -86,6 +88,8 @@ class SimulationPricer:
             key=key,
             family=family,
             ranks=ranks,
+            iterations=spec.iterations,
+            cell_id=cell_id_for_spec(spec, ALL_CONFIGS, self.cal),
             heuristic_label=self.engine.recommend(spec).config.label,
             candidates=tuple(candidates),
         )

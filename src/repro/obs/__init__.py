@@ -40,7 +40,7 @@ bandwidth fell below the model ceiling — flows through this package:
   the regression diff engine (makespan drift, winner flips, paper-claim
   changes) and the markdown/terminal dashboards.
 * :mod:`repro.obs.explain` — the trace-analytics engine: critical-path
-  extraction through the span tree, blame attribution decomposing
+  extraction over the trace records, blame attribution decomposing
   makespan into compute/barrier/drain/pmem/remote/dram buckets per
   resource and coupling, explainable campaign diffs ("flipped because
   pmem drain on socket 1 grew 38%") and per-campaign bottleneck ranking.
@@ -65,6 +65,7 @@ from repro.obs.explain import (
     BUCKETS,
     PathSegment,
     RunExplanation,
+    attribute,
     attribution_from_phases,
     attribution_record,
     campaign_bottlenecks,
@@ -126,6 +127,7 @@ __all__ = [
     "StoredCampaign",
     "StoredCell",
     "aggregate_host_metrics",
+    "attribute",
     "attribution_from_phases",
     "attribution_record",
     "bench_record",

@@ -183,14 +183,16 @@ def _config_payload(observation: Observation) -> Dict[str, Any]:
     Includes the compact critical-path attribution summary
     (:func:`repro.obs.explain.attribution_record`) so stored campaigns
     stay explainable after the full trace is gone — cell ids are hashed
-    from manifests alone, so the extra key never perturbs identity.
+    from manifests alone, so the extra key never perturbs identity.  The
+    summary comes from :func:`repro.obs.explain.attribute`, which walks
+    the trace records: no span tree and no utilization table is built.
     """
-    from repro.obs.explain import attribution_record, explain_observation
+    from repro.obs.explain import attribute, attribution_record
 
     result = observation.result
     probes = observation.probes
     return {
-        "attribution": attribution_record(explain_observation(observation)),
+        "attribution": attribution_record(attribute(observation)),
         "makespan": result.makespan,
         "writer_runtime": result.writer_runtime,
         "reader_runtime": result.reader_runtime,

@@ -3,15 +3,17 @@
 The campaign layer answers *which* Table I configuration wins each cell;
 this module answers *why* — the evidence a PMEM-aware workflow scheduler
 needs before it can act on the recommendation.  Everything here is a pure,
-deterministic function of already-recorded observability state (span
-trees, probe series, run manifests): no new instrumentation, no wall
+deterministic function of already-recorded observability state (trace
+records, probe series, run manifests): no new instrumentation, no wall
 clock, byte-identical output for identical runs.
 
 Three layers:
 
-**Critical path** — :func:`critical_path` walks backward from the
-last-finishing leaf phase span and chains each span to the activity that
-gated its start: the previous phase on the same rank when the track is
+**Critical path** — :func:`critical_path` walks the run's
+:class:`~repro.sim.trace.TraceRecord` leaves (one per phase interval:
+the leaves of the span tree, without building it) backward from the
+last-finishing one and chains each leaf to the activity that gated its
+start: the previous phase on the same rank when the track is
 contiguous, or — across a gap — the latest-ending leaf anywhere in the
 run (how a serial reader chains to ``writers-complete``).  The resulting
 segments tile ``[0, makespan]`` exactly, so their durations *sum to the
@@ -34,8 +36,9 @@ makespan by construction* (the acceptance invariant
 * ``idle``    — path gaps (should stay ~0; a non-zero value flags a trace
   hole, not a scheduling effect).
 
-:func:`attribution_record` compresses an explanation into the compact
-per-config summary the campaign store persists, and
+:func:`attribute` folds the path into buckets and per-resource seconds;
+:func:`attribution_record` compresses that into the compact per-config
+summary the campaign store persists, and
 :func:`attribution_from_phases` derives the same record shape from the
 phase breakdowns alone — the estimator used for cells stored before
 attribution existed and for rehydrated cache entries.
@@ -53,13 +56,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.configs import SchedulerConfig
 from repro.errors import SimulationError
 from repro.obs.probes import step_fraction_above
-from repro.obs.spans import Span, last_finishing_leaf, leaf_spans, leaf_tracks
+from repro.obs.spans import record_order
 from repro.sim.engine import TIME_EPSILON
+from repro.sim.trace import TraceRecord
 from repro.units import fmt_time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -178,66 +193,101 @@ def path_context(
     )
 
 
-def _classify(span: Span, context: _PathContext) -> Tuple[str, Tuple[str, ...]]:
-    """(bucket, resources) for one leaf span on the critical path."""
-    if span.name == "compute":
-        return "compute", context.cpu_resource(span.component)
-    if span.name == "barrier":
-        return "barrier", context.cpu_resource(span.component)
-    if span.name == "wait":
+def leaf_tracks(
+    records: Iterable[TraceRecord],
+) -> Dict[Tuple[str, int], List[TraceRecord]]:
+    """Leaf records grouped per ``(component, rank)`` track, time-ordered.
+
+    The grouping the critical-path walker chains through: records are
+    taken in :func:`~repro.obs.spans.record_order`, each track is then
+    stably sorted by ``(start, end, phase)``, and the mapping iterates
+    tracks in sorted key order — all deterministic functions of the
+    trace contents.
+    """
+    tracks: Dict[Tuple[str, int], List[TraceRecord]] = {}
+    for record in sorted(records, key=record_order):
+        tracks.setdefault((record.component, record.rank), []).append(record)
+    by_time = attrgetter("start", "end", "phase")
+    return {key: sorted(tracks[key], key=by_time) for key in sorted(tracks)}
+
+
+def last_finishing_leaf(records: Iterable[TraceRecord]) -> Optional[TraceRecord]:
+    """The leaf whose completion defines the makespan.
+
+    Ties on the end timestamp break toward the lexicographically largest
+    ``(component, rank)`` — in practice the highest reader rank, the
+    track whose finish the paper's makespan measurement observes; a tie
+    within one track keeps the first leaf in record order.
+    """
+    leaves = sorted(records, key=record_order)
+    if not leaves:
+        return None
+    return max(leaves, key=attrgetter("end", "component", "rank"))
+
+
+def _classify(
+    record: TraceRecord, context: _PathContext
+) -> Tuple[str, Tuple[str, ...]]:
+    """(bucket, resources) for one leaf record on the critical path."""
+    if record.phase == "compute":
+        return "compute", context.cpu_resource(record.component)
+    if record.phase == "barrier":
+        return "barrier", context.cpu_resource(record.component)
+    if record.phase == "wait":
         # The reader stalls until the channel drains the version it needs:
         # blame the channel's PMEM (and the UPI link feeding it, when the
         # producing writer is remote).
         return "drain", context.io_resources("writer")
-    if span.name in ("write", "read"):
+    if record.phase in ("write", "read"):
         remote = (
             context.writer_remote
-            if span.component == "writer"
+            if record.component == "writer"
             else context.reader_remote
         )
         return ("remote" if remote else "pmem"), context.io_resources(
-            span.component
+            record.component
         )
     # Future phases default to compute: they consume the critical rank's
     # time without touching the channel.
-    return "compute", context.cpu_resource(span.component)
+    return "compute", context.cpu_resource(record.component)
 
 
-def _describe(span: Optional[Span]) -> str:
-    if span is None:
+def _describe(record: Optional[TraceRecord]) -> str:
+    if record is None:
         return "t=0"
-    suffix = f" v{span.iteration}" if span.iteration >= 0 else ""
-    return f"{span.component}[{span.rank}] {span.name}{suffix}"
+    suffix = f" v{record.iteration}" if record.iteration >= 0 else ""
+    return f"{record.component}[{record.rank}] {record.phase}{suffix}"
 
 
 def _gate(
-    span: Span,
-    tracks: Mapping[Tuple[str, int], List[Span]],
-    ordered: Sequence[Span],
+    record: TraceRecord,
+    tracks: Mapping[Tuple[str, int], List[TraceRecord]],
+    ordered: Sequence[TraceRecord],
     boundary: float,
-) -> Optional[Span]:
-    """The leaf whose completion gated *span*'s start (None at t=0).
+) -> Optional[TraceRecord]:
+    """The leaf whose completion gated *record*'s start (None at t=0).
 
     Same-rank chaining wins while the track is contiguous; across a gap
-    (the span's track has nothing ending at its start — a serial reader's
-    first read, gated on ``writers-complete``) the chain jumps to the
-    latest-ending leaf anywhere in the run that finished by the boundary.
+    (the record's track has nothing ending at its start — a serial
+    reader's first read, gated on ``writers-complete``) the chain jumps
+    to the latest-ending leaf anywhere in the run that finished by the
+    boundary.
     """
     if boundary <= TIME_EPSILON:
         return None
-    track = tracks[(span.component, span.rank)]
-    previous: Optional[Span] = None
+    track = tracks[(record.component, record.rank)]
+    previous: Optional[TraceRecord] = None
     for candidate in track:
-        if candidate is span:
+        if candidate is record:
             break
         if candidate.end <= boundary + TIME_EPSILON:
             previous = candidate
     if previous is not None and previous.end >= boundary - TIME_EPSILON:
         return previous
     # Cross-track jump: latest-ending leaf that finished by the boundary.
-    best: Optional[Span] = None
+    best: Optional[TraceRecord] = None
     for candidate in ordered:
-        if candidate is span:
+        if candidate is record:
             continue
         if candidate.end > boundary + TIME_EPSILON:
             continue
@@ -247,27 +297,27 @@ def _gate(
 
 
 def critical_path(
-    spans: Sequence[Span], makespan: float, context: _PathContext
+    records: Iterable[TraceRecord], makespan: float, context: _PathContext
 ) -> List[PathSegment]:
-    """Extract the gating chain of leaf spans, tiling ``[0, makespan]``.
+    """Extract the gating chain of leaf records, tiling ``[0, makespan]``.
 
+    *records* are a run's trace records (``observation.tracer.records``).
     The walk starts at the last-finishing leaf (ties broken by the
     deterministic ``(component, rank)`` order) and follows :func:`_gate`
     backward.  Chain gaps become explicit ``idle`` segments, so the
     returned durations always sum to the makespan exactly — attribution
     never silently loses time.
     """
-    span_list = list(spans)
-    leaves = leaf_spans(span_list)
+    leaves = list(records)
     if not leaves or makespan <= 0:
         return (
             [PathSegment(start=0.0, end=makespan, bucket="idle")]
             if makespan > 0
             else []
         )
-    tracks = leaf_tracks(span_list)
+    tracks = leaf_tracks(leaves)
     ordered = [leaf for track in tracks.values() for leaf in track]
-    current: Optional[Span] = last_finishing_leaf(span_list)
+    current: Optional[TraceRecord] = last_finishing_leaf(leaves)
     segments: List[PathSegment] = []
     cursor = makespan
     # Each step consumes at least one leaf or closes a gap; 2n+2 bounds it.
@@ -296,7 +346,7 @@ def critical_path(
                     bucket=bucket,
                     component=current.component,
                     rank=current.rank,
-                    phase=current.name,
+                    phase=current.phase,
                     iteration=current.iteration,
                     resources=resources,
                     gated_by=_describe(gate),
@@ -310,14 +360,21 @@ def critical_path(
     return segments
 
 
+def _leaf_records(observation: "Observation") -> List[TraceRecord]:
+    """The finalized run's leaf trace records (one per phase interval)."""
+    if observation.tracer is None or observation.result is None:
+        raise SimulationError("observation has no finalized trace to explain")
+    return observation.tracer.records
+
+
 # ----------------------------------------------------------------------
 # Utilization (shared by `summary` and `explain`).
 # ----------------------------------------------------------------------
 def utilization_rows(observation: "Observation") -> List[Dict[str, Any]]:
     """Busy/wait/idle fractions per component and per resource.
 
-    Component rows come from the leaf spans (busy = compute + channel
-    I/O, wait = barriers + version waits, averaged over ranks); resource
+    Component rows come from the leaf trace records (busy = compute +
+    channel I/O, wait = barriers + version waits, averaged over ranks); resource
     rows come from the ``resource.occupancy`` gauges (busy = any flow or
     poller active, wait = contended, i.e. more than one occupant).
     Everything is measured on virtual time over ``[0, makespan]``.
@@ -327,15 +384,16 @@ def utilization_rows(observation: "Observation") -> List[Dict[str, Any]]:
     busy_time: Dict[str, float] = {}
     wait_time: Dict[str, float] = {}
     ranks: Dict[str, set] = {}
-    for span in leaf_spans(observation.spans()):
-        ranks.setdefault(span.component, set()).add(span.rank)
-        if span.name in ("wait", "barrier"):
-            wait_time[span.component] = (
-                wait_time.get(span.component, 0.0) + span.duration
+    # The canonical leaf order fixes the float summation order.
+    for record in sorted(_leaf_records(observation), key=record_order):
+        ranks.setdefault(record.component, set()).add(record.rank)
+        if record.phase in ("wait", "barrier"):
+            wait_time[record.component] = (
+                wait_time.get(record.component, 0.0) + record.duration
             )
         else:
-            busy_time[span.component] = (
-                busy_time.get(span.component, 0.0) + span.duration
+            busy_time[record.component] = (
+                busy_time.get(record.component, 0.0) + record.duration
             )
     for component in sorted(ranks):
         denominator = makespan * max(len(ranks[component]), 1)
@@ -490,8 +548,13 @@ class RunExplanation:
         return "\n".join(lines)
 
 
-def explain_observation(observation: "Observation") -> RunExplanation:
-    """Root-cause one observed run (critical path + blame + utilization)."""
+def attribute(observation: "Observation") -> RunExplanation:
+    """Critical path, buckets and per-resource seconds of one observed run.
+
+    Walks the run's trace records directly — no span tree, no
+    utilization — so this is all a stored campaign cell pays for its
+    :func:`attribution_record`.
+    """
     if observation.result is None or observation.manifest is None:
         raise SimulationError("explain needs a finalized observation")
     manifest = observation.manifest
@@ -501,7 +564,7 @@ def explain_observation(observation: "Observation") -> RunExplanation:
         reader_socket=manifest.reader_socket,
     )
     makespan = observation.result.makespan
-    segments = critical_path(observation.spans(), makespan, context)
+    segments = critical_path(_leaf_records(observation), makespan, context)
     buckets = {bucket: 0.0 for bucket in BUCKETS}
     resource_seconds: Dict[str, float] = {}
     for segment in segments:
@@ -527,8 +590,14 @@ def explain_observation(observation: "Observation") -> RunExplanation:
         critical_track=critical_track,
         coupling=f"writer->reader via pmem[{context.channel_socket}]",
         channel_socket=context.channel_socket,
-        utilization=utilization_rows(observation),
     )
+
+
+def explain_observation(observation: "Observation") -> RunExplanation:
+    """Root-cause one observed run: :func:`attribute` plus utilization."""
+    explanation = attribute(observation)
+    explanation.utilization = utilization_rows(observation)
+    return explanation
 
 
 def explain_spec(spec, config, cal=None, **run_kwargs) -> RunExplanation:

@@ -105,7 +105,9 @@ class RunManifest:
     python_version: str
 
     def as_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        # Every field is a scalar, so a flat copy equals dataclasses.asdict
+        # without its per-value deepcopy (a stored cell calls this 8 times).
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=indent)

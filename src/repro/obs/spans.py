@@ -20,7 +20,8 @@ set, so two identical runs build byte-identical span tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Optional
 
 from repro.sim.trace import Tracer
 
@@ -66,6 +67,14 @@ class Span:
         return self.end - self.start
 
 
+#: The canonical leaf order, as a sort key: ``(component, rank,
+#: iteration, start, end, phase)``.  :func:`build_spans` lays leaves out
+#: depth-first in this order, and the critical-path walker in
+#: :mod:`repro.obs.explain` reads the trace records in it, so both see
+#: the same leaf sequence.
+record_order = attrgetter("component", "rank", "iteration", "start", "end", "phase")
+
+
 def build_spans(
     tracer: Tracer, run_name: str = "run", makespan: Optional[float] = None
 ) -> List[Span]:
@@ -75,10 +84,7 @@ def build_spans(
     (component, rank, iteration, start) — a deterministic function of the
     trace contents.
     """
-    records = sorted(
-        tracer.records,
-        key=lambda r: (r.component, r.rank, r.iteration, r.start, r.end, r.phase),
-    )
+    records = sorted(tracer.records, key=record_order)
     run_start, run_end = tracer.span()
     if makespan is not None:
         run_end = max(run_end, makespan)
@@ -156,33 +162,3 @@ def build_spans(
 def leaf_spans(spans: List[Span]) -> List[Span]:
     """The phase-level leaves of a span tree."""
     return [span for span in spans if span.category == "phase"]
-
-
-def leaf_tracks(spans: List[Span]) -> Dict[Tuple[str, int], List[Span]]:
-    """Leaf spans grouped per ``(component, rank)`` track, time-ordered.
-
-    The grouping the critical-path walker chains through: within a track
-    spans are sorted by ``(start, end, name)``, and the mapping iterates
-    tracks in sorted key order — both deterministic functions of the
-    trace contents.
-    """
-    tracks: Dict[Tuple[str, int], List[Span]] = {}
-    for span in leaf_spans(spans):
-        tracks.setdefault((span.component, span.rank), []).append(span)
-    return {
-        key: sorted(tracks[key], key=lambda s: (s.start, s.end, s.name))
-        for key in sorted(tracks)
-    }
-
-
-def last_finishing_leaf(spans: List[Span]) -> Optional[Span]:
-    """The leaf whose completion defines the makespan.
-
-    Ties on the end timestamp break toward the lexicographically largest
-    ``(component, rank)`` — in practice the highest reader rank, the
-    track whose finish the paper's makespan measurement observes.
-    """
-    leaves = leaf_spans(spans)
-    if not leaves:
-        return None
-    return max(leaves, key=lambda s: (s.end, s.component, s.rank))

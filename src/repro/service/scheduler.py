@@ -162,7 +162,7 @@ class ServiceScheduler:
         self.jobs = jobs
         self.cal = cal
         self.backoff_seconds = backoff_seconds
-        # An optimizer plan (repro.optimize.plan/v1) overrides per-job SJF
+        # An optimizer plan (repro.optimize.plan/v2) overrides per-job SJF
         # prices for the cells it covers, and regret entries gain the
         # plan's pick so `status` can show regret vs the plan.
         self.plan = plan
@@ -173,7 +173,8 @@ class ServiceScheduler:
             schema = plan.get("schema")
             if schema != PLAN_SCHEMA:
                 raise ConfigurationError(
-                    f"plan schema is {schema!r}, expected {PLAN_SCHEMA!r}"
+                    f"plan schema is {schema!r}, expected {PLAN_SCHEMA!r}; "
+                    "re-run `python -m repro.core.optimize solve` to write one"
                 )
             self._plan_assignments = dict(plan.get("assignments", {}))
         # A disabled instance is the default: every hook below becomes a
@@ -326,11 +327,23 @@ class ServiceScheduler:
             return None
 
     def _plan_assignment(self, job: Job) -> Optional[Dict[str, Any]]:
-        """The optimizer plan's entry for this cell job, if any."""
+        """The optimizer plan's entry for this cell job, if any.
+
+        A plan prices one workload per ``family@ranks``; a job that runs
+        another (other iterations, stack, calibration or config list) has
+        another cell id, and the plan's pick and price do not apply to
+        it.  Cell ids do not see the kernel's ``matmul_dim``, and plans
+        price the default kernel, so a job that sets it gets no plan.
+        """
         if not self._plan_assignments or job.kind != KIND_CELL:
             return None
+        if job.payload.get("matmul_dim") is not None:
+            return None
         key = f"{job.payload.get('family')}@{job.payload.get('ranks')}"
-        return self._plan_assignments.get(key)
+        assignment = self._plan_assignments.get(key)
+        if assignment is None or assignment.get("cell_id") != self._cell_id_of(job):
+            return None
+        return assignment
 
     def _predict_seconds(self, job: Job) -> float:
         """SJF sort key; unpredictable jobs sort last instead of crashing.

@@ -341,7 +341,7 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
     )
     assert rc == 0
     plan = json.loads(plan_path.read_text())
-    assert plan["schema"] == "repro.optimize.plan/v1"
+    assert plan["schema"] == "repro.optimize.plan/v2"
     assert "micro-64mb@8" in plan["assignments"]
     capsys.readouterr()
 
@@ -416,6 +416,76 @@ def test_service_scheduler_consumes_plan(tmp_path, suite_scenario):
     assert "plan " in rendered
 
 
+def test_service_scheduler_ignores_plan_priced_at_other_iterations(
+    tmp_path, suite_scenario
+):
+    from repro.apps.suite import build_workflow
+    from repro.service.scheduler import ServiceScheduler
+
+    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
+        suite_scenario
+    )
+    assignment = plan["assignments"]["micro-64mb@8"]
+    assert assignment["iterations"] == build_workflow("micro-64mb", 8).iterations
+    scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
+    # The micro preset runs 2 iterations, not the suite's count the plan
+    # priced: its cells are other workloads, so the plan must not apply.
+    jobs = scheduler.submit_suite("micro")
+    for job in jobs:
+        assert scheduler._plan_assignment(job) is None
+        assert scheduler._predict_seconds(job) == (
+            scheduler._engine.estimate_makespan(scheduler._build_spec(job))
+        )
+    report = scheduler.run()
+    assert report.executed == 2
+    for entry in report.regrets:
+        assert "plan" not in entry
+        assert "plan_regret" not in entry
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"matmul_dim": 512},
+        {"stack_name": "novafs"},
+        {"calibration": {"upi_bandwidth": 20 * GB}},
+        {"configs": ["S-LocW", "P-LocR"]},
+    ],
+    ids=["matmul_dim", "stack_name", "calibration", "configs"],
+)
+def test_service_scheduler_ignores_plan_for_other_workloads(
+    tmp_path, suite_scenario, override
+):
+    import dataclasses
+
+    from repro.pmem.calibration import DEFAULT_CALIBRATION
+    from repro.service.scheduler import ServiceScheduler
+
+    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
+        suite_scenario
+    )
+    scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
+    cells = [("miniamr+matmult", 8)]
+    # The cell the plan priced (full size, defaults) gets its assignment.
+    (priced,) = scheduler.submit_suite("full", cells=cells)
+    assert scheduler._plan_assignment(priced) == (
+        plan["assignments"]["miniamr+matmult@8"]
+    )
+    if "calibration" in override:
+        override = {
+            "calibration": {
+                **dataclasses.asdict(DEFAULT_CALIBRATION),
+                **override["calibration"],
+            }
+        }
+    # Same family@ranks and iterations, another workload: no plan.
+    (other,) = scheduler.submit_suite("full", cells=cells, **override)
+    assert scheduler._plan_assignment(other) is None
+    assert scheduler._predict_seconds(other) == (
+        scheduler._engine.estimate_makespan(scheduler._build_spec(other))
+    )
+
+
 def test_service_scheduler_rejects_bad_plan_schema(tmp_path):
     from repro.errors import ConfigurationError
     from repro.service.scheduler import ServiceScheduler
@@ -424,3 +494,11 @@ def test_service_scheduler_rejects_bad_plan_schema(tmp_path):
         ServiceScheduler(
             root=str(tmp_path / "svc"), plan={"schema": "bogus/v0"}
         )
+    # A v1 plan records no cell ids, so it could match no job: refuse it
+    # and say how to get a current one.
+    old_plan = {
+        "schema": "repro.optimize.plan/v1",
+        "assignments": {"micro-2k@8": {"config": "S-LocW"}},
+    }
+    with pytest.raises(ConfigurationError, match="re-run"):
+        ServiceScheduler(root=str(tmp_path / "svc"), plan=old_plan)

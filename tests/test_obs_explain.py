@@ -12,6 +12,7 @@ from repro.obs.campaign import (
     campaign_from_store,
     diff_campaigns,
     run_campaign,
+    run_spec_cell,
 )
 from repro.obs.capture import observe_workflow
 from repro.obs.cli import main as obs_main
@@ -30,15 +31,17 @@ from repro.obs.explain import (
     explain_report,
     explain_shift,
     flip_explanation,
+    last_finishing_leaf,
+    leaf_tracks,
     path_context,
     utilization_rows,
     validate_explain_report,
     why_line,
 )
 from repro.obs.probes import step_fraction_above
-from repro.obs.spans import last_finishing_leaf, leaf_tracks
 from repro.obs.store import CampaignStore
 from repro.sim.engine import TIME_EPSILON
+from repro.sim.trace import TraceRecord
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +349,38 @@ def test_config_payload_stores_attribution(observations):
     ) <= max(TIME_EPSILON, 1e-12 * payload["makespan"])
 
 
+def test_stored_attribution_equals_explain_attribution(observations):
+    # `explain run` and the store path share one walker: the stored record
+    # is exactly what explain_observation reports for every config.
+    assert len(observations) == len(ALL_CONFIGS)
+    for label, observation in observations.items():
+        stored = _config_payload(observation)["attribution"]
+        explained = attribution_record(explain_observation(observation))
+        assert json.dumps(explained, sort_keys=True) == json.dumps(
+            stored, sort_keys=True
+        ), label
+
+
+def test_cell_run_builds_no_span_tree_or_utilization(monkeypatch):
+    import repro.obs.capture as capture_module
+    import repro.obs.explain as explain_module
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a stored cell must not build this")
+
+    monkeypatch.setattr(capture_module, "build_spans", forbidden)
+    monkeypatch.setattr(explain_module, "utilization_rows", forbidden)
+    seen = []
+    cell = run_spec_cell(
+        build_workflow("micro-2k", ranks=8, iterations=2),
+        on_observation=seen.append,
+    )
+    assert len(seen) == len(ALL_CONFIGS)
+    assert all(observation._spans is None for observation in seen)
+    for entry in cell.deterministic["configs"].values():
+        assert set(entry["attribution"]["buckets"]) == set(BUCKETS)
+
+
 def test_cell_bottleneck_and_campaign_ranking(micro_campaign):
     _, run = micro_campaign
     for cell in run.cells:
@@ -453,17 +488,39 @@ def test_step_fraction_helpers():
     assert step_fraction_above(samples, 0.0, 0.0) == 0.0
 
 
-def test_span_track_helpers(observations):
-    spans = observations["S-LocW"].spans()
-    tracks = leaf_tracks(spans)
+def test_record_track_helpers(observations):
+    records = observations["S-LocW"].tracer.records
+    tracks = leaf_tracks(records)
     assert list(tracks) == sorted(tracks)
     for track in tracks.values():
-        starts = [span.start for span in track]
+        starts = [record.start for record in track]
         assert starts == sorted(starts)
-    last = last_finishing_leaf(spans)
+    last = last_finishing_leaf(records)
     assert last is not None
-    assert last.end == max(s.end for s in tracks[(last.component, last.rank)])
+    assert last.end == max(r.end for r in tracks[(last.component, last.rank)])
     assert last_finishing_leaf([]) is None
+
+
+def test_record_helpers_tie_breaks():
+    # Same track, same end: the first leaf in (component, rank, iteration,
+    # start, end, phase) order wins, even though the track's own
+    # (start, end, phase) order puts the other one first.
+    late_iteration = TraceRecord("reader", 1, "read", 0.0, 2.0, iteration=1)
+    early_iteration = TraceRecord("reader", 1, "wait", 1.0, 2.0, iteration=0)
+    assert last_finishing_leaf([late_iteration, early_iteration]) is early_iteration
+    # Across tracks an end tie goes to the largest (component, rank).
+    writer = TraceRecord("writer", 0, "write", 1.5, 2.0, iteration=0)
+    reader_0 = TraceRecord("reader", 0, "read", 0.0, 2.0, iteration=0)
+    records = [writer, late_iteration, reader_0, early_iteration]
+    assert last_finishing_leaf(records) is writer
+    # Tracks iterate in sorted key order; within a track a full
+    # (start, end, phase) tie keeps record order (lower iteration first).
+    twin_1 = TraceRecord("reader", 0, "compute", 3.0, 4.0, iteration=1)
+    twin_0 = TraceRecord("reader", 0, "compute", 3.0, 4.0, iteration=0)
+    tracks = leaf_tracks(records + [twin_1, twin_0])
+    assert list(tracks) == [("reader", 0), ("reader", 1), ("writer", 0)]
+    assert tracks[("reader", 0)] == [reader_0, twin_0, twin_1]
+    assert tracks[("reader", 1)] == [late_iteration, early_iteration]
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ from repro.platform.interconnect import UpiLink
 from repro.platform.topology import CorePool, Node, Socket
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.pmem.device import OptaneDevice
-from repro.sim.flow import CapacityResource, Flow, ResourceLoad
-from repro.units import GiB
+from repro.sim.flow import CapacityResource, Flow, ResourceLoad, solve_flow_set
+from repro.units import MB, GiB
 
 
 class TestCorePool:
@@ -167,3 +167,60 @@ class TestUpiShare:
             link.share(ResourceLoad(n_read_remote=1.0), flow)
         with pytest.raises(SimulationError, match="upi"):
             link.capacity(ResourceLoad())
+
+
+class TestUpiBinding:
+    """``upi_bandwidth`` is what a pooled cross-socket read load gets.
+
+    No paper cell drives the link into its limit, because every Table I
+    configuration moves data one way.  16 readers on socket 1 reading
+    ``pmem[0]`` plus 16 on socket 0 reading ``pmem[1]`` (4 MB operations)
+    do: each device could serve a reader ~1.69 GB/s, but the pooled link
+    splits its capacity over all 32.  MEMSYS19 puts that capacity at
+    30 GB/s (decimal), so a 10 % change of the constant, or a binary
+    ``30 * 2**30``, fails here.
+    """
+
+    READERS_PER_DIRECTION = 16
+    MEMSYS19_UPI_BYTES_PER_SECOND = 30e9
+
+    def _solve(self):
+        node = paper_testbed()
+        flows = []
+        for cpu_socket, pmem_socket in ((1, 0), (0, 1)):
+            path, remote = node.flow_path(cpu_socket, pmem_socket)
+            for index in range(self.READERS_PER_DIRECTION):
+                flows.append(
+                    Flow(
+                        nbytes=1e12,
+                        kind="read",
+                        remote=remote,
+                        resources=path,
+                        op_bytes=4 * MB,
+                        label=f"read pmem[{pmem_socket}] from cpu[{cpu_socket}] #{index}",
+                    )
+                )
+        return node, flows, solve_flow_set(flows)
+
+    def test_pooled_link_rate_is_memsys19_bandwidth(self):
+        _, flows, result = self._solve()
+        assert result.converged
+        aggregate = sum(result.rates[flow] for flow in flows)
+        assert aggregate == pytest.approx(
+            self.MEMSYS19_UPI_BYTES_PER_SECOND, rel=1e-9
+        )
+        for flow in flows:
+            assert result.rates[flow] == pytest.approx(
+                self.MEMSYS19_UPI_BYTES_PER_SECOND / len(flows), rel=1e-9
+            )
+
+    def test_link_not_device_binds(self):
+        node, flows, result = self._solve()
+        link = node.upi(0, 1)
+        for flow in flows:
+            device = flow.resources[0]
+            device_share = device.share(result.loads[device], flow)
+            link_share = link.share(result.loads[link], flow)
+            assert device_share == pytest.approx(1.69e9, rel=5e-3)
+            assert link_share < device_share
+            assert result.rates[flow] == pytest.approx(link_share, rel=1e-9)
