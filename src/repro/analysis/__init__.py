@@ -1,47 +1,43 @@
-"""Static analysis for the reproduction: determinism lint + spec validation.
+"""Pre-run validation of workflow specs, placements and platform tables.
 
-Two passes keep the simulator trustworthy:
+:mod:`repro.analysis.validate` checks the ``SPEC2xx`` (workflow specs and
+placements) and ``PLAT3xx`` (platform and calibration tables) rules
+before any simulated event executes.  It is wired into
+:func:`repro.workflow.runner.run_workflow`, so a bad configuration is
+rejected with structured diagnostics instead of producing a
+plausible-but-wrong runtime.
 
-* :mod:`repro.analysis.simlint` — an AST linter (``SIM1xx`` rules) for
-  the simulator invariants no runtime test catches: no float-time
-  equality, no blocking I/O in sim-process code, no magic size literals,
-  no host clock in the analysis tooling, no host concurrency outside the
-  service, no allocation in marked hot loops.  Wall clocks, unseeded
-  randomness and shared state that reach a result are caught at runtime
-  (``tests/test_determinism.py``).
-* :mod:`repro.analysis.validate` — a pre-simulation structural validator
-  (``SPEC2xx`` / ``PLAT3xx`` rules) for workflow specs, placements, and
-  platform/calibration tables, wired into
-  :func:`repro.workflow.runner.run_workflow` so a bad configuration is
-  rejected with structured diagnostics before any simulated event executes.
+Determinism is guarded at run time, not here: ``tests/test_determinism.py``
+runs the micro campaign under several hash seeds, with shifted host
+clocks, and in a sandbox that records blocking I/O in model code and
+threads started outside :mod:`repro.service`.
 
-Run both from the command line with ``python -m repro.analysis src/``.
+``python -m repro.analysis`` validates the default platform tables;
+``--list-rules`` prints every rule code.
 """
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticSink, Severity, render_text
+from repro.analysis.diagnostics import Diagnostic, Severity, render_text
 from repro.analysis.rules import Rule, all_rules, get_rule
-from repro.analysis.simlint import lint_paths, lint_source
 from repro.analysis.validate import (
     validate_calibration,
     validate_node,
     validate_placement,
+    validate_platform_tables,
     validate_run,
     validate_workflow,
 )
 
 __all__ = [
     "Diagnostic",
-    "DiagnosticSink",
     "Rule",
     "Severity",
     "all_rules",
     "get_rule",
-    "lint_paths",
-    "lint_source",
     "render_text",
     "validate_calibration",
     "validate_node",
     "validate_placement",
+    "validate_platform_tables",
     "validate_run",
     "validate_workflow",
 ]

@@ -1,10 +1,9 @@
-"""Rule registry: every diagnostic code the analysis passes can emit.
+"""Rule registry: every diagnostic code the validator can emit.
 
 Codes are grouped by family:
 
-* ``SIM1xx`` — simulator lint rules (AST pass over source).
-* ``SPEC2xx`` — workflow-spec structural validation (pre-run pass).
-* ``PLAT3xx`` — platform/calibration table validation (pre-run pass).
+* ``SPEC2xx`` — workflow-spec and placement validation.
+* ``PLAT3xx`` — platform/calibration table validation.
 
 The registry is the single source of truth for the ``--list-rules`` CLI
 output and the rule-code section of the README.  Registering two rules under
@@ -52,54 +51,6 @@ def all_rules() -> List[Rule]:
     """Every registered rule, sorted by code."""
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
-
-# ---------------------------------------------------------------------------
-# SIM1xx — simulator lint (repro.analysis.simlint).
-# ---------------------------------------------------------------------------
-SIM100 = register(
-    "SIM100",
-    "syntax-error",
-    "file does not parse; nothing else can be checked",
-)
-SIM103 = register(
-    "SIM103",
-    "float-time-equality",
-    "== / != on float virtual timestamps; exact comparison breaks once "
-    "flow completions introduce rounding",
-)
-SIM105 = register(
-    "SIM105",
-    "blocking-io-in-sim",
-    "blocking I/O (open / time.sleep / sockets / subprocess) inside "
-    "sim-process code; simulated processes must only yield events",
-)
-SIM106 = register(
-    "SIM106",
-    "magic-size-literal",
-    "raw byte/bandwidth magnitude literal; use the repro.units constants "
-    "(KiB/MiB/GiB, KB/MB/GB, GIGA)",
-)
-SIM109 = register(
-    "SIM109",
-    "stray-host-clock",
-    "host-clock call (time.perf_counter / time.time / ...) in repro.analysis; "
-    "a lint report or a pre-run validation verdict must not depend on when "
-    "it ran",
-)
-SIM110 = register(
-    "SIM110",
-    "host-concurrency-import",
-    "multiprocessing / concurrent.futures / threading / signal import "
-    "outside repro.service; host concurrency anywhere else lets "
-    "scheduling nondeterminism leak into simulator code",
-)
-SIM111 = register(
-    "SIM111",
-    "hotpath-allocation",
-    "dict / ResourceLoad constructed inside a loop of a function marked "
-    "'# simlint: hotpath'; per-iteration allocation churn is exactly what "
-    "the solver fast path exists to avoid — reset objects in place",
-)
 
 # ---------------------------------------------------------------------------
 # SPEC2xx — workflow-spec validation (repro.analysis.validate).

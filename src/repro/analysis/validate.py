@@ -329,6 +329,17 @@ def validate_node(node, cal) -> List[Diagnostic]:
     return diagnostics
 
 
+def validate_platform_tables() -> List[Diagnostic]:
+    """The default calibration and the paper testbed, which every
+    experiment runs on (``python -m repro.analysis`` checks these)."""
+    from repro.platform.builder import paper_testbed
+    from repro.pmem.calibration import DEFAULT_CALIBRATION
+
+    return validate_calibration(DEFAULT_CALIBRATION) + validate_node(
+        paper_testbed(), DEFAULT_CALIBRATION
+    )
+
+
 # ---------------------------------------------------------------------------
 # Aggregate pre-run hook.
 # ---------------------------------------------------------------------------

@@ -112,13 +112,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # depends on these, and a bad table produces plausible-but-wrong
     # runtimes rather than crashes (see repro.analysis.validate).
     from repro.analysis.diagnostics import Severity, render_text
-    from repro.analysis.validate import validate_calibration, validate_node
-    from repro.platform.builder import paper_testbed
-    from repro.pmem.calibration import DEFAULT_CALIBRATION
+    from repro.analysis.validate import validate_platform_tables
 
-    diagnostics = validate_calibration(DEFAULT_CALIBRATION) + validate_node(
-        paper_testbed(), DEFAULT_CALIBRATION
-    )
+    diagnostics = validate_platform_tables()
     if any(d.severity is Severity.ERROR for d in diagnostics):
         print(render_text(diagnostics), file=sys.stderr)
         return 1

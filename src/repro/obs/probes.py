@@ -383,13 +383,16 @@ class ProbeRegistry:
         direction="write")`` sums the write counters of every socket.
         """
         wanted = set(attrs.items())
+        # Only the matching keys are sorted; they differ in attributes
+        # alone, so the sum runs in the order instruments() lists them.
+        matching = sorted(
+            key
+            for key in self._instruments
+            if key[0] == "counter" and key[1] == name and not wanted - set(key[2])
+        )
         total = 0.0
-        for instrument in self.instruments():
-            if instrument.kind != "counter" or instrument.name != name:
-                continue
-            if wanted - set(instrument.attrs):
-                continue
-            total += instrument.total  # type: ignore[attr-defined]
+        for key in matching:
+            total += self._instruments[key].total  # type: ignore[attr-defined]
         return total
 
     def as_records(self) -> Iterable[Dict[str, Any]]:

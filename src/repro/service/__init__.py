@@ -27,8 +27,9 @@ Balsam gives HPC workflow campaigns):
 * ``python -m repro.service`` — the ``submit | run | status | metrics |
   drain | cache`` command line (:mod:`repro.service.cli`).
 
-The host-side concurrency lives *only* here (enforced by simlint rule
-SIM110); the simulator each worker drives stays
+The host-side concurrency lives *only* here (the sandbox probe in
+``tests/test_determinism.py`` fails on a thread or process started
+anywhere else); the simulator each worker drives stays
 single-threaded and deterministic, and completed cells are sorted by cell
 id before persisting so the stored results are byte-identical regardless
 of worker completion order.

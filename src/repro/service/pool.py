@@ -1,10 +1,12 @@
 """Worker pool: parallel execution of service tasks with host-side limits.
 
-This package is the only sanctioned home of host concurrency (simlint
-rule SIM110).  The pool never touches the simulator's determinism: each
-worker process runs an ordinary single-threaded simulation, and callers
-sort completed results by cell id before persisting, so the stored bytes
-are independent of completion order.
+This package is the only sanctioned home of host concurrency: the
+sandbox probe in ``tests/test_determinism.py`` fails on any thread or
+process started with no ``repro.service`` frame on its stack.  The pool
+never touches the simulator's determinism: each worker process runs an
+ordinary single-threaded simulation, and callers sort completed results
+by cell id before persisting, so the stored bytes are independent of
+completion order.
 
 The service scheduler settles each job through ``on_outcome``: its
 cache put and ``done`` / ``retry`` / ``release`` transition happen as

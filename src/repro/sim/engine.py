@@ -28,7 +28,9 @@ from repro.sim.process import Process
 #: Tolerance for comparing float virtual timestamps.  Flow completions are
 #: computed by dividing remaining bytes by fluid rates, so two events that
 #: are simultaneous *in the model* can differ by rounding in the last few
-#: ulps; exact ``==`` on virtual times is therefore a bug (simlint SIM103).
+#: ulps; exact ``==`` on virtual times is therefore a bug.  The one place the
+#: engine compares timestamps, the flush check in :meth:`Engine._dispatch`, is
+#: pinned by ``TestFlushHooks::test_timers_within_epsilon_share_one_flush``.
 TIME_EPSILON: float = 1e-9
 
 
@@ -171,26 +173,20 @@ class Engine:
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, until: Optional[float], batch: bool = True
-    ) -> Optional[bool]:
-        """Pop and execute the next timestamp *cluster* through one heap path.
+    def _dispatch(self, until: Optional[float]) -> Optional[bool]:
+        """Pop and execute the next live timer: the one path of step() and run().
 
-        All timers whose times are :func:`times_close` to the pending head
-        are executed in one sweep (*batch* mode, used by :meth:`run`):
+        Flush hooks run first when the head lies beyond the current instant.
+        Timers :func:`times_close` to ``now`` belong to the same instant, so
         completions that are simultaneous in the model but ulp-staggered by
-        fluid-rate rounding dispatch together, and the flush hooks —
-        deferred until the clock is about to leave the epsilon cluster —
-        then run a single deferred solve for the whole burst instead of one
-        per ulp.  :meth:`step` passes ``batch=False`` for single-timer
-        granularity; both paths share the exact counter accounting
-        (``events_executed`` per executed callback,
-        ``timers_cancelled_skipped`` per discarded timer, ``on_step`` per
-        callback with the live queue depth).
+        fluid-rate rounding run back to back, and the flush hooks then run a
+        single deferred solve for the whole burst instead of one per ulp.
+        Each call counts ``events_executed`` once, ``timers_cancelled_skipped``
+        per discarded timer, and fires ``on_step`` with the live queue depth.
 
-        Returns ``True`` after executing at least one callback, ``False``
-        when the queue is exhausted (flush hooks included), and ``None``
-        when the next event lies beyond the *until* horizon.
+        Returns ``True`` after executing a callback, ``False`` when the
+        queue is exhausted (flush hooks included), and ``None`` when the
+        next event lies beyond the *until* horizon.
         """
         queue = self._queue
         while True:
@@ -213,34 +209,17 @@ class Engine:
                 continue
             if until is not None and head_time > until:
                 return None
-            executed = 0
-            while queue:
-                time = queue[0][0]
-                if not times_close(time, head_time):
-                    break
-                if until is not None and time > until:
-                    break
-                _time, _seq, timer = heapq.heappop(queue)
-                if timer.cancelled:
-                    self.timers_cancelled_skipped += 1
-                    continue
-                if time < self._now:  # pragma: no cover - guarded by schedule()
-                    raise SimulationError("event queue went backwards in time")
-                self._now = time
-                timer.callback()
-                executed += 1
-                self.events_executed += 1
-                if self.hooks is not None:
-                    self.hooks.on_step(self._now, len(queue))
-                if not batch:
-                    break
-            if executed:
-                return True
-            # The entire cluster was cancelled under us — start over.
+            timer = heapq.heappop(queue)[2]
+            self._now = head_time
+            timer.callback()
+            self.events_executed += 1
+            if self.hooks is not None:
+                self.hooks.on_step(self._now, len(queue))
+            return True
 
     def step(self) -> bool:
         """Execute the next non-cancelled timer; return ``False`` if none remain."""
-        return bool(self._dispatch(None, batch=False))
+        return bool(self._dispatch(None))
 
     def run(self, until: Optional[float] = None, check_deadlock: bool = True) -> float:
         """Run until the queue drains (or virtual time *until* is reached).

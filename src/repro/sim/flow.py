@@ -673,8 +673,9 @@ def _build_plan(flows: Sequence[Flow], shapes: tuple, duties: tuple, resources):
 def _solve_classes(
     flows: Sequence[Flow], memo: Optional["OrderedDict"] = None
 ) -> SolveResult:
-    # simlint: hotpath — allocations here multiply by flows × resources ×
-    # DUTY_ITERATIONS × recomputes; load fields are overwritten in place.
+    # Hot path: allocations here multiply by flows × resources ×
+    # DUTY_ITERATIONS × recomputes; load fields are overwritten in place
+    # (tests/test_sim_flow.py::test_solve_kernel_loops_allocate_no_dicts).
     """Equivalence-class duty-cycle fixed point with converged-state memo.
 
     Byte-identity with :func:`_solve_reference` rests on four facts:
@@ -1046,8 +1047,8 @@ class FlowNetwork:
     def _flush_recompute(self) -> bool:
         """Engine flush hook: run the one deferred solve for this instant.
 
-        With epsilon-batched dispatch the flush may run a few ulps after
-        the completions that marked the network dirty, so progress is
+        Timers within ``TIME_EPSILON`` of the clock share an instant, so
+        the flush may run a few ulps after the completions that marked the network dirty, so progress is
         advanced explicitly before solving.  Completion timers parked by
         deferred solves are scheduled here, after the solve, so each
         active flow pushes one timer per instant however many cascade

@@ -121,6 +121,25 @@ class TestProbeRegistry:
         assert probes.counter_total("bytes", socket=0, direction="read") == 3.0
         assert probes.counter_total("missing") == 0.0
 
+    def test_counter_total_sums_in_instruments_order(self):
+        # Float addition is order-sensitive: 1e16 + 1 + 1 is 1e16, but
+        # 1 + 1 + 1e16 (registration order) is 1e16 + 2.
+        probes = ProbeRegistry()
+        for socket, value in ((2, 1.0), (1, 1.0), (0, 1e16)):
+            probes.counter("bytes", socket=socket, direction="write").add(0.0, value)
+            probes.counter("bytes", socket=socket, direction="read").add(0.0, 7.0)
+        probes.gauge("bytes", socket=0).set(0.0, 5.0)
+        for attrs in ({}, {"direction": "write"}, {"socket": 1}):
+            expected = 0.0
+            for instrument in probes.instruments():
+                if (
+                    instrument.kind == "counter"
+                    and instrument.name == "bytes"
+                    and set(attrs.items()) <= set(instrument.attrs)
+                ):
+                    expected += instrument.total
+            assert probes.counter_total("bytes", **attrs) == expected
+
     def test_as_records_roundtrip_shape(self):
         probes = ProbeRegistry()
         probes.counter("bytes").add(1.0, 2.0)

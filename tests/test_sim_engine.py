@@ -288,9 +288,9 @@ class TestFlushHooks:
     def test_timers_within_epsilon_share_one_flush(self):
         """Timers a rounding error apart are one instant: no flush between.
 
-        t1 and t2 are 0.9 ε apart and dispatch as one batch; t3 is 1.8 ε
-        after t1 but only 0.9 ε after t2, so it still counts as the same
-        instant and the flush waits until all three ran.
+        t1 and t2 are 0.9 ε apart and share an instant; t3 is 1.8 ε after
+        t1 but only 0.9 ε after t2, so it still counts as the same instant
+        and the flush waits until all three ran.
         """
         engine = Engine()
         log = []

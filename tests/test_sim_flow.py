@@ -1,12 +1,16 @@
 """Unit and property tests for the fluid-flow network."""
 
+import ast
+import inspect
 import math
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.sim import flow as flow_module
 from repro.sim.engine import Engine
 from repro.sim.flow import (
     CapacityResource,
@@ -292,3 +296,28 @@ class TestFlowNetwork:
         engine.run()
         # Final observation shows the resource idle.
         assert observed[-1][1] == 0
+
+
+def test_solve_kernel_loops_allocate_no_dicts():
+    """``_solve_classes`` reuses its state inside its loops.
+
+    A dict or ``ResourceLoad`` built per iteration multiplies by flows x
+    resources x ``DUTY_ITERATIONS`` x recomputes.  Timing cannot see one
+    stray allocation: an extra ``dict()`` per duty iteration moves the
+    miss-replay benchmark less than its run-to-run noise, so the source
+    itself is checked.
+    """
+    tree = ast.parse(textwrap.dedent(inspect.getsource(flow_module._solve_classes)))
+    allocations = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for stmt in loop.body + loop.orelse:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Dict, ast.DictComp)):
+                    allocations.add((node.lineno, "dict literal"))
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("dict", "ResourceLoad"):
+                        allocations.add((node.lineno, f"{name}() call"))
+    assert not allocations, sorted(allocations)
