@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.analytics import (
+    MINIAMR_MATMUL_DIM,
     gtc_matrixmult_kernel,
     miniamr_matrixmult_kernel,
     read_only_kernel,
@@ -106,7 +107,9 @@ def build_workflow(
         faster; used by reduced CI campaigns).
     matmul_dim:
         Optional matrix dimension for the miniAMR MatrixMult kernel —
-        the knob calibration sweeps turn; ignored by other families.
+        the knob calibration sweeps turn; ignored by other families.  A
+        dimension other than ``MINIAMR_MATMUL_DIM`` is named in the spec
+        (``miniamr+matmult@8/dim24``), so its cell id differs.
     """
     if family == "micro-64mb":
         spec = micro_workflow(LARGE_OBJECT_BYTES, ranks, stack_name=stack_name)
@@ -123,12 +126,13 @@ def build_workflow(
             read_only_kernel(), ranks=ranks, stack_name=stack_name
         )
     elif family == "miniamr+matmult":
-        kernel = (
-            miniamr_matrixmult_kernel(MINIAMR_OBJECTS_PER_RANK, dim=matmul_dim)
-            if matmul_dim is not None
-            else miniamr_matrixmult_kernel(MINIAMR_OBJECTS_PER_RANK)
-        )
+        dim = MINIAMR_MATMUL_DIM if matmul_dim is None else matmul_dim
+        kernel = miniamr_matrixmult_kernel(MINIAMR_OBJECTS_PER_RANK, dim=dim)
         spec = miniamr_workflow(kernel, ranks=ranks, stack_name=stack_name)
+        if dim != MINIAMR_MATMUL_DIM:
+            # The name is what run manifests (and so cell ids) record of
+            # the workload; the default kernel keeps the plain name.
+            spec = dataclasses.replace(spec, name=f"{spec.name}/dim{dim}")
     else:
         raise ConfigurationError(f"unknown workload family {family!r}")
     if iterations is not None:

@@ -34,8 +34,8 @@ bandwidth fell below the model ceiling — flows through this package:
   of the two wall-clock readers in :mod:`repro.obs`.
 * :mod:`repro.obs.telemetry` — the wall-specific half of the scheduling
   service's telemetry: cross-process lifecycle spans with trace ids, the
-  JSONL snapshot (latency histograms with p50/p95/p99) and Prometheus
-  text exposition formats, and their validators.
+  JSONL snapshot format (latency histograms with p50/p95/p99) and its
+  validator.
 * :mod:`repro.obs.campaign` — the campaign runner over the paper suite,
   the regression diff engine (makespan drift, winner flips, paper-claim
   changes) and the markdown/terminal dashboards.
@@ -53,7 +53,6 @@ from repro.obs.campaign import (
     CampaignDiff,
     CampaignRun,
     SUITE_PRESETS,
-    bench_record,
     campaign_from_store,
     campaign_report,
     diff_campaigns,
@@ -99,9 +98,7 @@ from repro.obs.store import CampaignStore, StoredCampaign, StoredCell
 from repro.obs.telemetry import (
     SpanRecorder,
     mint_trace_id,
-    prometheus_exposition,
     telemetry_snapshot,
-    validate_exposition,
     validate_snapshot,
 )
 
@@ -130,7 +127,6 @@ __all__ = [
     "attribute",
     "attribution_from_phases",
     "attribution_record",
-    "bench_record",
     "build_manifest",
     "build_spans",
     "calibration_hash",
@@ -148,7 +144,6 @@ __all__ = [
     "metrics_records",
     "mint_trace_id",
     "observe_workflow",
-    "prometheus_exposition",
     "run_campaign",
     "run_cell",
     "service_chrome_trace",
@@ -161,6 +156,5 @@ __all__ = [
     "utilization_rows",
     "validate_chrome_trace",
     "validate_explain_report",
-    "validate_exposition",
     "validate_snapshot",
 ]

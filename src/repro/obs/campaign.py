@@ -17,10 +17,9 @@ persistent :class:`~repro.obs.store.CampaignStore`.  Each cell:
 
 On top of the store sit the analyses Balsam-style campaign databases make
 routine: :func:`diff_campaigns` (makespan drift, winner flips, paper-claim
-status changes between two campaigns), :func:`campaign_report` (markdown
-dashboard: config × workflow heatmap, hit rate vs the paper, host cost)
-and :func:`bench_record` (the ``BENCH_campaign.json`` performance
-trajectory every subsequent optimization PR measures against).
+status changes between two campaigns) and :func:`campaign_report`
+(markdown dashboard: config × workflow heatmap, hit rate vs the paper,
+host cost).
 """
 
 from __future__ import annotations
@@ -1002,31 +1001,3 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
         )
     return "\n".join(lines)
 
-
-def bench_record(run: CampaignRun) -> Dict[str, Any]:
-    """The ``BENCH_campaign.json`` payload: the recorded perf trajectory."""
-    host = run.host_total()
-    record: Dict[str, Any] = {
-        "bench": "campaign",
-        "campaign": run.name,
-        "suite": run.suite,
-        "cells": len(run.cells),
-        "runs": host.runs,
-        "wall_seconds_total": host.wall_seconds,
-        "simulated_seconds_total": host.simulated_seconds,
-        "sim_seconds_per_wall_second": host.sim_seconds_per_wall_second,
-        "events_executed": host.events_executed,
-        "events_per_wall_second": host.events_per_wall_second,
-        "flow_recomputes": host.flow_recomputes,
-        "solver_iterations": host.solver_iterations,
-        "solver_classes": host.solver_classes,
-        "solver_memo_hits": host.solver_memo_hits,
-        "solver_memo_misses": host.solver_memo_misses,
-        "memo_hit_rate": host.memo_hit_rate,
-        "recomputes_coalesced": host.recomputes_coalesced,
-        "solves_at_cap": host.solves_at_cap,
-        "peak_rss_bytes": host.peak_rss_bytes,
-    }
-    if host.profiled:
-        record["peak_tracemalloc_bytes"] = host.peak_tracemalloc_bytes
-    return record

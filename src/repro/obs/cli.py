@@ -176,7 +176,7 @@ def _calibration(settings: List[str]) -> OptaneCalibration:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.obs.campaign import bench_record, campaign_report, run_campaign
+    from repro.obs.campaign import campaign_report, run_campaign
 
     cal = _calibration(args.cal_set)
     store = CampaignStore(args.dir)
@@ -195,9 +195,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     print(f"recorded campaign {run.name!r} in {store.path(run.name)}")
     print()
     print(campaign_report(run, markdown=False))
-    if args.bench_out:
-        _write(args.bench_out, to_json(bench_record(run)))
-        print(f"wrote {args.bench_out}")
     return 0
 
 
@@ -458,11 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         help="hotspot rows kept per cell (default: 10)",
-    )
-    run.add_argument(
-        "--bench-out",
-        default=None,
-        help="also write the BENCH_campaign.json host-cost record",
     )
     run.add_argument(
         "--jobs",

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 import repro
 from repro.pmem.calibration import OptaneCalibration
@@ -41,21 +40,8 @@ SCHEMA_VERSION = 1
 
 
 def calibration_hash(cal: OptaneCalibration) -> str:
-    """SHA-256 of the calibration table's sorted field/value JSON.
-
-    Memoised per process on the field ``repr``s, which are exactly what the
-    hash covers.  Calibration equality would not do: ``4 == 4.0`` and
-    ``0.0 == False``, yet their tables print, and so hash, differently.
-    """
-    return _field_reprs_hash(
-        tuple([(f.name, repr(getattr(cal, f.name))) for f in dataclasses.fields(cal)])
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _field_reprs_hash(items: Tuple[Tuple[str, str], ...]) -> str:
-    payload = json.dumps(dict(items), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """SHA-256 of the calibration table (:attr:`OptaneCalibration.sha256`)."""
+    return cal.sha256
 
 
 @functools.lru_cache(maxsize=None)

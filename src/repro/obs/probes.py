@@ -71,8 +71,8 @@ def _check_identity(name: str, attrs: AttrItems) -> None:
 class Instrument:
     """Common identity/bookkeeping of one named metric stream.
 
-    *help_text* is the Prometheus ``# HELP`` line of a wall metric; probe
-    exports do not carry it.
+    *help_text* is the ``help`` entry of a wall metric's telemetry
+    snapshot; probe exports do not carry it.
     """
 
     kind = "instrument"

@@ -1,7 +1,7 @@
 """Text reports over observed runs: hot phases and run-to-run diffs.
 
 ``hot_phase_report`` answers "where did the virtual time go" without
-leaving the terminal: leaf phase spans are aggregated per
+leaving the terminal: leaf phases (trace records) are aggregated per
 ``component;phase`` stack (flamegraph convention) and rendered as a
 sorted bar chart with totals, call counts and share of makespan.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs.capture import Observation
-from repro.obs.spans import leaf_spans
+from repro.obs.spans import record_order
 from repro.units import fmt_time
 
 #: Width of the textual bar in the hot-phase report.
@@ -28,12 +28,16 @@ DIFF_EPSILON = 1e-9
 
 
 def _phase_totals(observation: Observation) -> Dict[str, Tuple[float, int]]:
-    """``component;phase`` stack -> (total seconds, span count)."""
+    """``component;phase`` stack -> (total seconds, span count).
+
+    Each trace record is one leaf phase span; summing in record order
+    gives the span tree's float sums without building it.
+    """
     totals: Dict[str, Tuple[float, int]] = {}
-    for span in leaf_spans(observation.spans()):
-        stack = f"{span.component};{span.name}"
+    for record in sorted(observation.tracer.records, key=record_order):
+        stack = f"{record.component};{record.phase}"
         seconds, count = totals.get(stack, (0.0, 0))
-        totals[stack] = (seconds + span.duration, count + 1)
+        totals[stack] = (seconds + (record.end - record.start), count + 1)
     return totals
 
 

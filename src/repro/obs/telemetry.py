@@ -14,12 +14,10 @@ timestamps; what is wall-specific lives here:
   process, and stitched back into one trace in the parent (the
   Chrome trace itself is built by
   :func:`repro.obs.export.service_chrome_trace`);
-* the formats — JSONL snapshot records (:func:`telemetry_snapshot`:
+* the snapshot format — JSONL records (:func:`telemetry_snapshot`:
   counters and gauges as values, latency histograms as cumulative
-  buckets plus p50/p95/p99) and the Prometheus text exposition format
-  (:func:`prometheus_exposition`);
-* in-tree validators for both (:func:`validate_exposition`,
-  :func:`validate_snapshot`) — used by the tests and the CI service job.
+  buckets plus p50/p95/p99) — and its validator
+  (:func:`validate_snapshot`), used by the tests and the CI service job.
 
 Nothing in this module ever writes into a deterministic artifact — cell
 ids, campaign stores, and queue payloads are byte-identical with
@@ -75,7 +73,7 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 #: Quantiles every histogram snapshot derives.
 DERIVED_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: Prometheus metric-name grammar (applied to snapshot names).
+#: Metric-name grammar every snapshot name must match.
 METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 
@@ -229,180 +227,6 @@ def validate_snapshot(record: Any) -> List[str]:
                     )
                 if not _is_number(entry.get("sum")):
                     problems.append(f"{prefix}: 'sum' must be a number")
-    return problems
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition (version 0.0.4).
-# ----------------------------------------------------------------------
-def _format_value(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def _sample(name: str, labels: Dict[str, str], value: float) -> str:
-    if labels:
-        inner = ",".join(
-            f'{k}="{v}"' for k, v in sorted(labels.items())
-        )
-        return f"{name}{{{inner}}} {_format_value(value)}"
-    return f"{name} {_format_value(value)}"
-
-
-def prometheus_exposition(snapshot: Dict[str, Any]) -> str:
-    """Render a snapshot record as Prometheus text exposition format.
-
-    Working from the snapshot (not the live registry) means the same code
-    path serves live scrapes and the offline ``repro-service metrics``
-    command replaying a persisted snapshot.
-    """
-    lines: List[str] = []
-    typed: set = set()
-
-    def _header(name: str, kind: str, help_text: str) -> None:
-        if name in typed:
-            return
-        typed.add(name)
-        if help_text:
-            lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-
-    for entry in snapshot.get("counters", []):
-        _header(entry["name"], "counter", entry.get("help", ""))
-        lines.append(_sample(entry["name"], entry.get("labels", {}), entry["value"]))
-    for entry in snapshot.get("gauges", []):
-        _header(entry["name"], "gauge", entry.get("help", ""))
-        lines.append(_sample(entry["name"], entry.get("labels", {}), entry["value"]))
-    for entry in snapshot.get("histograms", []):
-        name = entry["name"]
-        labels = entry.get("labels", {})
-        _header(name, "histogram", entry.get("help", ""))
-        cumulative = 0
-        for bound, cum in entry.get("buckets", []):
-            cumulative = cum
-            lines.append(
-                _sample(
-                    name + "_bucket",
-                    {**labels, "le": _format_value(bound)},
-                    cum,
-                )
-            )
-        count = entry.get("count", cumulative)
-        lines.append(
-            _sample(name + "_bucket", {**labels, "le": "+Inf"}, count)
-        )
-        lines.append(_sample(name + "_sum", labels, entry.get("sum", 0.0)))
-        lines.append(_sample(name + "_count", labels, count))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>[^\s]+)$"
-)
-_LABEL_PAIR_RE = re.compile(r'^([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"$')
-
-
-def validate_exposition(text: str) -> List[str]:
-    """Problems with Prometheus exposition text; empty list means valid."""
-    problems: List[str] = []
-    declared: Dict[str, str] = {}
-    histogram_buckets: Dict[str, List[Tuple[float, float]]] = {}
-    histogram_counts: Dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            if len(parts) != 4 or parts[3] not in (
-                "counter",
-                "gauge",
-                "histogram",
-                "summary",
-                "untyped",
-            ):
-                problems.append(f"line {lineno}: malformed TYPE line")
-                continue
-            if parts[2] in declared:
-                problems.append(
-                    f"line {lineno}: duplicate TYPE for {parts[2]!r}"
-                )
-            declared[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            problems.append(f"line {lineno}: unknown comment directive")
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            problems.append(f"line {lineno}: unparseable sample line")
-            continue
-        name = match.group("name")
-        labels: Dict[str, str] = {}
-        raw_labels = match.group("labels")
-        if raw_labels:
-            for pair in raw_labels.split(","):
-                pair_match = _LABEL_PAIR_RE.match(pair.strip())
-                if not pair_match:
-                    problems.append(
-                        f"line {lineno}: malformed label pair {pair!r}"
-                    )
-                    break
-                labels[pair_match.group(1)] = pair_match.group(2)
-        raw_value = match.group("value")
-        try:
-            value = float(raw_value.replace("+Inf", "inf"))
-        except ValueError:
-            problems.append(f"line {lineno}: non-numeric value {raw_value!r}")
-            continue
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[: -len(suffix)] in declared:
-                base = name[: -len(suffix)]
-                break
-        if base not in declared:
-            problems.append(
-                f"line {lineno}: sample {name!r} has no preceding TYPE"
-            )
-            continue
-        if declared[base] == "histogram":
-            series = base + "|" + ",".join(
-                f"{k}={v}" for k, v in sorted(labels.items()) if k != "le"
-            )
-            if name.endswith("_bucket"):
-                if "le" not in labels:
-                    problems.append(
-                        f"line {lineno}: histogram bucket without 'le'"
-                    )
-                    continue
-                bound = float(labels["le"].replace("+Inf", "inf"))
-                histogram_buckets.setdefault(series, []).append((bound, value))
-            elif name.endswith("_count"):
-                histogram_counts[series] = value
-    for series, buckets in histogram_buckets.items():
-        bounds = [b for b, _ in buckets]
-        if bounds != sorted(bounds):
-            problems.append(f"histogram {series}: 'le' bounds out of order")
-        counts = [c for _, c in buckets]
-        if any(b > a for a, b in zip(counts[1:], counts)):
-            problems.append(f"histogram {series}: buckets not cumulative")
-        if bounds and bounds[-1] != float("inf"):
-            problems.append(f"histogram {series}: missing '+Inf' bucket")
-        declared_count = histogram_counts.get(series)
-        if (
-            declared_count is not None
-            and counts
-            and abs(declared_count - counts[-1]) > 0
-        ):
-            problems.append(
-                f"histogram {series}: _count {declared_count} != +Inf bucket "
-                f"{counts[-1]}"
-            )
     return problems
 
 

@@ -21,6 +21,9 @@ off to show which paper observation each term is responsible for.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -206,6 +209,20 @@ class OptaneCalibration:
     enable_size_effects: bool = True
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def sha256(self) -> str:
+        """SHA-256 of the table's sorted field/value-``repr`` JSON.
+
+        Computed once per object (the table is frozen) and kept in the
+        instance, never memoised on equality: ``4 == 4.0`` and
+        ``0.0 == False``, yet their tables print, and so hash, differently.
+        """
+        payload = json.dumps(
+            {f.name: repr(getattr(self, f.name)) for f in dataclasses.fields(self)},
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
     def validate(self) -> None:
         """Sanity-check internal consistency; raises :class:`CalibrationError`."""
         # Every ordering check below is false for NaN, so reject non-finite

@@ -22,10 +22,10 @@ Balsam gives HPC workflow campaigns):
 * :mod:`repro.service.telemetry` — the **live telemetry plane**: queue /
   pool / scheduler observers feeding wall-clock metrics (depth, rates,
   utilization, latency histograms), per-job lifecycle spans stitched
-  across worker processes, JSONL snapshots, Prometheus exposition, and
-  the combined wall-time/virtual-time Chrome trace;
-* ``python -m repro.service`` — the ``submit | run | status | metrics |
-  drain | cache`` command line (:mod:`repro.service.cli`).
+  across worker processes, JSONL snapshots, and the combined
+  wall-time/virtual-time Chrome trace;
+* ``python -m repro.service`` — the ``submit | run | status | drain |
+  cache`` command line (:mod:`repro.service.cli`).
 
 The host-side concurrency lives *only* here (the sandbox probe in
 ``tests/test_determinism.py`` fails on a thread or process started

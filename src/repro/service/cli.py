@@ -6,7 +6,6 @@ Subcommands::
     run      one service pass: cache, schedule, execute, record
     status   queue counts, per-job states, cache and campaign summary
              (``--watch`` turns it into a refreshing terminal dashboard)
-    metrics  Prometheus text exposition of the latest telemetry snapshot
     drain    requeue stale running jobs, then fail everything queued
     cache    list / validate / clear the content-addressed result cache
 
@@ -21,8 +20,7 @@ A typical campaign rerun::
 ``<dir>/telemetry.jsonl``; disable with ``--no-telemetry``) and can
 additionally emit a stitched Chrome trace (``--trace-out``) in which each
 job's wall-time service spans nest above the virtual-time simulation
-spans its workers produced, plus a Prometheus exposition
-(``--metrics-out``).
+spans its workers produced.  ``status`` reads the latest snapshot.
 
 ``run`` installs a SIGINT handler: the first Ctrl-C drains gracefully
 (running cells finish, nothing new starts, queued jobs stay queued), a
@@ -138,15 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.trace_out:
             telemetry.write_trace(args.trace_out)
             print(f"[service trace -> {args.trace_out}]")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(telemetry.exposition())
-            print(f"[prometheus metrics -> {args.metrics_out}]")
-    elif args.trace_out or args.metrics_out:
-        print(
-            "[--trace-out/--metrics-out ignored: telemetry is disabled]",
-            file=sys.stderr,
-        )
+    elif args.trace_out:
+        print("[--trace-out ignored: telemetry is disabled]", file=sys.stderr)
     return 1 if report.failed else 0
 
 
@@ -336,49 +327,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Re-expose the latest telemetry snapshot in Prometheus text format.
-
-    Working from the persisted snapshot means ``metrics`` needs no live
-    service — a scrape script or CI step can run it after (or during)
-    any ``repro-service run``.
-    """
-    from repro.obs.telemetry import (
-        prometheus_exposition,
-        validate_exposition,
-        validate_snapshot,
-    )
-
-    path = os.path.join(args.dir, TELEMETRY_FILENAME)
-    snapshot = _latest_snapshot(path)
-    if snapshot is None:
-        print(
-            f"no telemetry snapshots in {path} "
-            "(run `repro-service run` without --no-telemetry first)",
-            file=sys.stderr,
-        )
-        return 1
-    problems = validate_snapshot(snapshot)
-    text = prometheus_exposition(snapshot)
-    problems += validate_exposition(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"[prometheus metrics -> {args.out}]")
-    else:
-        sys.stdout.write(text)
-    if args.check:
-        for problem in problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        print(
-            "telemetry snapshot + exposition: "
-            + ("OK" if not problems else f"{len(problems)} problem(s)"),
-            file=sys.stderr,
-        )
-        return 1 if problems else 0
-    return 0
-
-
 def _cmd_drain(args: argparse.Namespace) -> int:
     queue = JobQueue(args.dir)
     drained = queue.drain()
@@ -516,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the stitched Chrome trace (service spans over "
         "simulation spans, linked by trace_id)",
     )
-    run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the final Prometheus text exposition",
-    )
     run.set_defaults(func=_cmd_run)
 
     status = sub.add_parser("status", help="queue / cache / campaign summary")
@@ -545,20 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop --watch after N frames (0 = until interrupted)",
     )
     status.set_defaults(func=_cmd_status)
-
-    metrics = sub.add_parser(
-        "metrics", help="Prometheus exposition of the latest snapshot"
-    )
-    _add_dir(metrics)
-    metrics.add_argument(
-        "--out", default=None, metavar="PATH", help="write instead of print"
-    )
-    metrics.add_argument(
-        "--check",
-        action="store_true",
-        help="validate the snapshot and the exposition text",
-    )
-    metrics.set_defaults(func=_cmd_metrics)
 
     drain = sub.add_parser("drain", help="fail everything still queued")
     _add_dir(drain)

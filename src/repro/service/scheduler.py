@@ -332,12 +332,10 @@ class ServiceScheduler:
         A plan prices one workload per ``family@ranks``; a job that runs
         another (other iterations, stack, calibration or config list) has
         another cell id, and the plan's pick and price do not apply to
-        it.  Cell ids do not see the kernel's ``matmul_dim``, and plans
-        price the default kernel, so a job that sets it gets no plan.
+        it.  A non-default ``matmul_dim`` is part of the spec name, so
+        it changes the cell id too.
         """
         if not self._plan_assignments or job.kind != KIND_CELL:
-            return None
-        if job.payload.get("matmul_dim") is not None:
             return None
         key = f"{job.payload.get('family')}@{job.payload.get('ranks')}"
         assignment = self._plan_assignments.get(key)

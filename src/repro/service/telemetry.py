@@ -28,8 +28,7 @@ Everything is strictly additive: every public hook of a disabled
 instance returns before touching its registry or recorder, so it records
 nothing and writes nothing, and the queue/cache/store bytes it watches
 are identical with or without it (wall-clock values live only in
-telemetry artifacts — ``telemetry.jsonl`` snapshots, Prometheus
-expositions, trace files).
+telemetry artifacts — ``telemetry.jsonl`` snapshots and trace files).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.obs.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     SpanRecorder,
     mint_trace_id,
-    prometheus_exposition,
     telemetry_snapshot,
 )
 
@@ -455,10 +453,6 @@ class ServiceTelemetry:
         with open(self.snapshot_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         return record
-
-    def exposition(self) -> str:
-        """The registry's current state in Prometheus text format."""
-        return prometheus_exposition(self.snapshot())
 
     def trace_document(self) -> Dict[str, Any]:
         """The stitched Chrome trace of every job this process touched."""

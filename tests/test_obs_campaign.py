@@ -12,8 +12,6 @@ The PR's acceptance criteria made executable:
 * the ``python -m repro.obs campaign`` CLI works end to end in a tmp dir.
 """
 
-import json
-
 import pytest
 
 from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
@@ -22,7 +20,6 @@ from repro.obs.campaign import (
     SUITE_PRESETS,
     CampaignRun,
     CellResult,
-    bench_record,
     campaign_from_store,
     campaign_report,
     cell_key,
@@ -175,22 +172,22 @@ class TestRunCampaign:
         )
         assert len(parallel.cells[0].host.hotspots) == 2
 
-    def test_bench_record_shape(self):
+    def test_host_total_shape(self):
         run = run_campaign(
             suite="sweep",
             cells=[("micro-2k", 8)],
             configs=TWO_CONFIGS,
             iterations=1,
         )
-        record = bench_record(run)
-        assert record["bench"] == "campaign"
-        assert record["cells"] == 1
-        assert record["runs"] == 2
-        assert record["wall_seconds_total"] > 0
-        assert record["sim_seconds_per_wall_second"] > 0
-        assert record["peak_rss_bytes"] > 0
+        host = run.host_total()
+        assert len(run.cells) == 1
+        assert host.runs == 2
+        assert host.wall_seconds > 0
+        assert host.sim_seconds_per_wall_second > 0
+        assert host.peak_rss_bytes > 0
         # Allocation tracing is a profiling tool; unprofiled runs omit it.
-        assert "peak_tracemalloc_bytes" not in record
+        assert not host.profiled
+        assert host.peak_tracemalloc_bytes == 0
 
 
 class TestDiff:
@@ -346,7 +343,6 @@ class TestReport:
             text = campaign_report(run, markdown=markdown)
             assert "peak RSS" in text
             assert "tracemalloc" not in text
-        assert "peak_tracemalloc_bytes" not in bench_record(run)
 
     def test_memo_hit_rate_in_header_and_gtc_warning(self):
         run = synthetic_run()
@@ -445,30 +441,6 @@ class TestCli:
         )
         assert "## Runtime heatmap" in report_path.read_text(encoding="utf-8")
         capsys.readouterr()  # drain
-
-    def test_bench_out(self, tmp_path):
-        store_dir = str(tmp_path / "campaigns")
-        bench_path = tmp_path / "BENCH_campaign.json"
-        assert (
-            self.run_cli(
-                "campaign",
-                "run",
-                "--dir",
-                store_dir,
-                "--suite",
-                "micro",
-                "--iterations",
-                "1",
-                "--config",
-                "S-LocW",
-                "--bench-out",
-                str(bench_path),
-            )
-            == 0
-        )
-        record = json.loads(bench_path.read_text(encoding="utf-8"))
-        assert record["bench"] == "campaign"
-        assert record["cells"] == 2
 
     @pytest.mark.parametrize(
         "setting",

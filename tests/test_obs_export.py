@@ -10,7 +10,6 @@ These are the PR's acceptance criteria made executable:
 * two identical runs export byte-identical trace JSON.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -46,6 +45,28 @@ def observed():
 @pytest.fixture(scope="module")
 def document(observed):
     return chrome_trace([observed])
+
+
+def test_hot_phase_report_builds_no_span_tree(monkeypatch):
+    import repro.obs.capture as capture_module
+    from repro.obs.report import _phase_totals, hot_phase_report
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the hot-phase report must not build spans")
+
+    observation = observe_workflow(small_spec(), S_LOCW)
+    with monkeypatch.context() as patch:
+        patch.setattr(capture_module, "build_spans", forbidden)
+        assert "writer;write" in hot_phase_report([observation])
+        totals = _phase_totals(observation)
+    assert observation._spans is None
+    # The record sums are the leaf-span sums, float for float.
+    from_spans = {}
+    for span in leaf_spans(observation.spans()):
+        stack = f"{span.component};{span.name}"
+        seconds, count = from_spans.get(stack, (0.0, 0))
+        from_spans[stack] = (seconds + span.duration, count + 1)
+    assert totals == from_spans
 
 
 class TestChromeTraceSchema:

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 
-from repro.obs import manifest as manifest_module
 from repro.obs.manifest import (
     SCHEMA_VERSION,
     build_manifest,
@@ -121,26 +120,38 @@ class TestManifest:
         assert calibration_hash(tweaked) != base
         assert calibration_hash(DEFAULT_CALIBRATION) == base
 
-    def test_cached_calibration_hash_equals_fresh(self):
+    def test_cached_calibration_hash_equals_fresh(self, monkeypatch):
         def fresh(cal):
             fields = sorted(dataclasses.asdict(cal).items())
             payload = json.dumps({k: repr(v) for k, v in fields}, sort_keys=True)
             return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+        def no_rehash(*args, **kwargs):
+            raise AssertionError("calibration hashed twice")
+
         replaced = dataclasses.replace(
             DEFAULT_CALIBRATION, read_ramp_scale=7.5, enable_size_effects=False
         )
-        cache = manifest_module._field_reprs_hash
         for cal in (DEFAULT_CALIBRATION, replaced):
             first = calibration_hash(cal)
-            hits = cache.cache_info().hits
-            assert calibration_hash(cal) == first == fresh(cal)
-            assert cache.cache_info().hits == hits + 1
+            expected = fresh(cal)
+            # Memoised on the object: a second call hashes nothing.
+            with monkeypatch.context() as patch:
+                patch.setattr(hashlib, "sha256", no_rehash)
+                assert calibration_hash(cal) == first == expected
         # Equal calibrations that print differently keep distinct hashes.
         as_float = dataclasses.replace(DEFAULT_CALIBRATION, xpline_bytes=256.0)
         assert as_float == DEFAULT_CALIBRATION
         assert calibration_hash(as_float) == fresh(as_float)
         assert calibration_hash(as_float) != calibration_hash(DEFAULT_CALIBRATION)
+
+    def test_int_and_float_fields_hash_differently(self):
+        as_int = DEFAULT_CALIBRATION.replace(write_peak_threads=4)
+        as_float = DEFAULT_CALIBRATION.replace(write_peak_threads=4.0)
+        assert as_int == as_float
+        # Hash the float table first: a memo keyed on equality would then
+        # hand its digest to the int table.
+        assert calibration_hash(as_float) != calibration_hash(as_int)
 
     def test_to_json_deterministic(self):
         manifest = build_manifest(self.spec(), S_LOCW, DEFAULT_CALIBRATION)

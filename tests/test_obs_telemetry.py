@@ -1,4 +1,4 @@
-"""Wall-clock telemetry core: instruments, exposition, spans, traces."""
+"""Wall-clock telemetry core: instruments, snapshots, spans, traces."""
 
 import json
 
@@ -12,9 +12,7 @@ from repro.obs.telemetry import (
     SpanRecorder,
     WallSpan,
     mint_trace_id,
-    prometheus_exposition,
     telemetry_snapshot,
-    validate_exposition,
     validate_snapshot,
 )
 
@@ -152,57 +150,6 @@ def test_validate_snapshot_catches_tampering():
     )
     assert validate_snapshot({"record": "wrong"})
     assert validate_snapshot([]) == ["snapshot: not a JSON object"]
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition + its validator.
-# ----------------------------------------------------------------------
-def test_exposition_round_trip_validates():
-    registry = ProbeRegistry()
-    registry.counter("repro_jobs_total", "Jobs.", state="done").add(0.0, 2)
-    registry.counter("repro_jobs_total", "Jobs.", state="failed").add(0.0)
-    registry.gauge("repro_depth", "Depth.").set(0.0, 4)
-    histogram = registry.histogram(
-        "repro_wait_seconds", "Waits.", bounds=(0.1, 1.0)
-    )
-    histogram.observe(0.0, 0.05)
-    histogram.observe(0.0, 5.0)
-    text = prometheus_exposition(telemetry_snapshot(registry, 0.0, 0.0))
-    assert validate_exposition(text) == []
-    lines = text.splitlines()
-    assert "# TYPE repro_jobs_total counter" in lines
-    # One TYPE header even with two labelled series.
-    assert lines.count("# TYPE repro_jobs_total counter") == 1
-    assert 'repro_jobs_total{state="done"} 2' in lines
-    assert 'repro_wait_seconds_bucket{le="0.1"} 1' in lines
-    assert 'repro_wait_seconds_bucket{le="+Inf"} 2' in lines
-    assert "repro_wait_seconds_count 2" in lines
-
-
-def test_validate_exposition_catches_format_errors():
-    assert any(
-        "no preceding TYPE" in problem
-        for problem in validate_exposition("repro_x_total 1\n")
-    )
-    bad_hist = (
-        "# TYPE repro_w_seconds histogram\n"
-        'repro_w_seconds_bucket{le="1"} 3\n'
-        'repro_w_seconds_bucket{le="2"} 2\n'
-        'repro_w_seconds_bucket{le="+Inf"} 3\n'
-        "repro_w_seconds_sum 1\n"
-        "repro_w_seconds_count 4\n"
-    )
-    problems = validate_exposition(bad_hist)
-    assert any("not cumulative" in problem for problem in problems)
-    assert any("_count" in problem for problem in problems)
-    no_inf = (
-        "# TYPE repro_w_seconds histogram\n"
-        'repro_w_seconds_bucket{le="1"} 3\n'
-    )
-    assert any(
-        "+Inf" in problem for problem in validate_exposition(no_inf)
-    )
-    assert validate_exposition("") == []
 
 
 # ----------------------------------------------------------------------

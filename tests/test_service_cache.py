@@ -90,6 +90,23 @@ def test_pre_run_cell_id_matches_post_run_cell_id(tmp_path):
     assert predicted == cell.cell_id
 
 
+@pytest.mark.parametrize("dim", [None, 12])
+def test_default_matmul_dim_keeps_the_default_cell_id(dim):
+    spec = build_workflow("miniamr+matmult", 8, matmul_dim=dim)
+    assert spec.name == "miniamr+matmult@8"
+    assert cell_id_for_spec(spec, ALL_CONFIGS, DEFAULT_CALIBRATION) == (
+        "fd7178becdb4ac38"
+    )
+
+
+def test_other_matmul_dim_gets_its_own_cell_id():
+    spec = build_workflow("miniamr+matmult", 8, matmul_dim=24)
+    assert spec.name == "miniamr+matmult@8/dim24"
+    assert cell_id_for_spec(spec, ALL_CONFIGS, DEFAULT_CALIBRATION) != (
+        "fd7178becdb4ac38"
+    )
+
+
 def test_tuner_served_from_cache_matches_direct_tuning(tmp_path):
     spec = build_workflow("micro-64mb", 8, iterations=2)
     cache = ResultCache(str(tmp_path))

@@ -59,6 +59,27 @@ def test_first_run_executes_second_run_hits_cache(root):
     }
 
 
+def test_other_matmul_dim_misses_the_default_cells_cache(root):
+    scheduler = ServiceScheduler(root=root)
+    cells = [("miniamr+matmult", 8)]
+    kwargs = {"cells": cells, "iterations": 1, "configs": ["P-LocR"]}
+    (default,) = scheduler.submit_suite("adhoc", **kwargs)
+    assert scheduler.run().executed == 1
+    # The kernel differs, so the result cached for the default cell must
+    # not be served to this job.
+    (wider,) = scheduler.submit_suite("adhoc", matmul_dim=24, **kwargs)
+    assert wider.cell_id != default.cell_id
+    report = ServiceScheduler(root=root).run()
+    assert report.cache_hits == 0
+    assert report.cache_misses == 1
+    assert report.executed == 1
+    cells = CampaignStore(scheduler.store.root).read(RESULTS_CAMPAIGN).cells
+    assert [cell.deterministic["workflow"] for cell in cells] == [
+        "miniamr+matmult@8",
+        "miniamr+matmult@8/dim24",
+    ]
+
+
 def test_report_record_shape(root):
     scheduler = ServiceScheduler(root=root)
     _submit_micro(scheduler)

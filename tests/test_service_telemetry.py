@@ -2,17 +2,15 @@
 
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.export import validate_chrome_trace
 from repro.obs.store import CampaignStore
-from repro.obs.telemetry import (
-    mint_trace_id,
-    validate_exposition,
-    validate_snapshot,
-)
+from repro.obs.telemetry import mint_trace_id, validate_snapshot
+from repro.service.cli import main as service_main
 from repro.service.pool import TaskOutcome
 from repro.service.queue import JobQueue
 from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
@@ -83,14 +81,49 @@ def test_run_produces_metrics_spans_and_snapshots(tmp_path):
     assert not any(snapshot["final"] for snapshot in snapshots[:-1])
 
 
-def test_exposition_of_live_run_validates(tmp_path):
+def _entry(snapshot, section, name, **labels):
+    return next(
+        entry for entry in snapshot[section]
+        if entry["name"] == name and entry["labels"] == labels
+    )
+
+
+def test_final_snapshot_of_live_run_feeds_status(tmp_path, capsys):
     root = str(tmp_path / "svc")
-    _, telemetry, _ = _run_micro(root)
-    text = telemetry.exposition()
-    assert validate_exposition(text) == []
-    assert "# TYPE repro_service_jobs_submitted_total counter" in text
-    assert 'repro_service_transitions_total{state="done"} 2' in text
-    assert "repro_service_submit_result_latency_seconds_bucket" in text
+    _run_micro(root)
+    with open(os.path.join(root, TELEMETRY_FILENAME), encoding="utf-8") as handle:
+        final = json.loads(handle.readlines()[-1])
+    assert final["final"] is True
+    assert validate_snapshot(final) == []
+    counter = _entry(final, "counters", "repro_service_jobs_submitted_total")
+    assert counter["value"] == 2
+    done = _entry(
+        final, "counters", "repro_service_transitions_total", state="done"
+    )
+    assert done["value"] == 2
+    latency = _entry(final, "histograms", LATENCY_METRIC)
+    assert latency["count"] == 2
+    assert latency["buckets"][-1][1] <= latency["count"]
+
+    # `status` is the snapshot's reader: its text frame summarises the
+    # final record and names the pass's top bottleneck.
+    capsys.readouterr()
+    assert service_main(["status", "--dir", root]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "queue: 0 queued, 0 running, 2 done, 0 failed"
+    telemetry_lines = [line for line in lines if line.startswith("telemetry")]
+    assert len(telemetry_lines) == 1
+    assert re.fullmatch(
+        r"telemetry \(final\): depth 0, \d+\.\d\d jobs/s, "
+        r"p99 latency \d+\.\d{3}s, cache hit rate 0%",
+        telemetry_lines[0],
+    ), telemetry_lines[0]
+    bottlenecks = [line for line in lines if line.startswith("top bottleneck: ")]
+    assert len(bottlenecks) == 1
+    assert re.fullmatch(
+        r"top bottleneck: micro-(2k|64mb)@8 — .+ \(winner [SP]-Loc[RW]\)",
+        bottlenecks[0],
+    ), bottlenecks[0]
 
 
 def test_trace_document_nests_sim_spans_inside_wall_windows(tmp_path):
@@ -237,7 +270,7 @@ def test_disabled_telemetry_hooks_are_inert(tmp_path):
     root = str(tmp_path / "svc")
     telemetry = ServiceTelemetry(root, enabled=False)
     assert telemetry.write_snapshot(final=True) is None
-    assert telemetry.exposition() == ""
+    assert telemetry.snapshot()["counters"] == []
     scheduler = ServiceScheduler(root=root, telemetry=telemetry)
     job = scheduler.submit_suite(suite="micro")[0]
     assert telemetry.worker_dispatch(job) is None
@@ -365,102 +398,6 @@ EXPECTED_SNAPSHOT = """\
 {"buckets": [[0.001, 0], [0.0025, 0], [0.005, 0], [0.01, 0], [0.025, 0], [0.05, 0], [0.1, 0], [0.25, 1], [0.5, 1], [1.0, 1], [2.5, 1], [5.0, 3], [10.0, 3], [30.0, 3], [60.0, 3], [120.0, 3], [300.0, 3]], "count": 3, "help": "Seconds from job submission to its terminal result.", "labels": {}, "name": "repro_service_submit_result_latency_seconds", "p50": 3.125, "p95": 4.8125, "p99": 4.9624999999999995, "sum": 6.75}
 """
 
-EXPECTED_EXPOSITION = """\
-# HELP repro_service_cache_hits_total Cell jobs served straight from the result cache.
-# TYPE repro_service_cache_hits_total counter
-repro_service_cache_hits_total 1
-# HELP repro_service_cache_misses_total Cell jobs whose content id was not cached.
-# TYPE repro_service_cache_misses_total counter
-repro_service_cache_misses_total 2
-# HELP repro_service_cache_stores_total Fresh cell results written into the cache.
-# TYPE repro_service_cache_stores_total counter
-repro_service_cache_stores_total 1
-# HELP repro_service_jobs_submitted_total Jobs appended to the queue by this process.
-# TYPE repro_service_jobs_submitted_total counter
-repro_service_jobs_submitted_total 3
-# HELP repro_service_retries_total Failed attempts sent back to the queue for another try.
-# TYPE repro_service_retries_total counter
-repro_service_retries_total 1
-# HELP repro_service_rounds_total Worker-pool dispatch rounds completed.
-# TYPE repro_service_rounds_total counter
-repro_service_rounds_total 1
-# HELP repro_service_tasks_settled_total Task outcomes, by status.
-# TYPE repro_service_tasks_settled_total counter
-repro_service_tasks_settled_total{status="done"} 2
-repro_service_tasks_settled_total{status="error"} 1
-# HELP repro_service_tasks_started_total Tasks handed to a worker (inline or pooled).
-# TYPE repro_service_tasks_started_total counter
-repro_service_tasks_started_total 3
-# HELP repro_service_transitions_total Queue state transitions, by target state.
-# TYPE repro_service_transitions_total counter
-repro_service_transitions_total{state="done"} 3
-repro_service_transitions_total{state="queued"} 1
-repro_service_transitions_total{state="running"} 3
-# HELP repro_service_worker_busy_seconds_total Wall seconds workers spent on settled tasks.
-# TYPE repro_service_worker_busy_seconds_total counter
-repro_service_worker_busy_seconds_total 3.5
-# HELP repro_service_cache_hit_rate Cache hits / lookups for the current pass.
-# TYPE repro_service_cache_hit_rate gauge
-repro_service_cache_hit_rate 0.5
-# HELP repro_service_jobs Jobs by lifecycle state (replayed from the log).
-# TYPE repro_service_jobs gauge
-repro_service_jobs{state="done"} 3
-# HELP repro_service_jobs_per_second Jobs reaching done per wall second this pass.
-# TYPE repro_service_jobs_per_second gauge
-repro_service_jobs_per_second 0.75
-# HELP repro_service_queue_depth Jobs currently in the queued state.
-# TYPE repro_service_queue_depth gauge
-repro_service_queue_depth 0
-# HELP repro_service_worker_utilization Busy worker-seconds / available worker-seconds.
-# TYPE repro_service_worker_utilization gauge
-repro_service_worker_utilization 0.875
-# HELP repro_service_queue_wait_seconds Seconds jobs spent queued before being claimed.
-# TYPE repro_service_queue_wait_seconds histogram
-repro_service_queue_wait_seconds_bucket{le="0.001"} 0
-repro_service_queue_wait_seconds_bucket{le="0.0025"} 0
-repro_service_queue_wait_seconds_bucket{le="0.005"} 0
-repro_service_queue_wait_seconds_bucket{le="0.01"} 0
-repro_service_queue_wait_seconds_bucket{le="0.025"} 0
-repro_service_queue_wait_seconds_bucket{le="0.05"} 0
-repro_service_queue_wait_seconds_bucket{le="0.1"} 0
-repro_service_queue_wait_seconds_bucket{le="0.25"} 0
-repro_service_queue_wait_seconds_bucket{le="0.5"} 2
-repro_service_queue_wait_seconds_bucket{le="1"} 3
-repro_service_queue_wait_seconds_bucket{le="2.5"} 3
-repro_service_queue_wait_seconds_bucket{le="5"} 3
-repro_service_queue_wait_seconds_bucket{le="10"} 3
-repro_service_queue_wait_seconds_bucket{le="30"} 3
-repro_service_queue_wait_seconds_bucket{le="60"} 3
-repro_service_queue_wait_seconds_bucket{le="120"} 3
-repro_service_queue_wait_seconds_bucket{le="300"} 3
-repro_service_queue_wait_seconds_bucket{le="+Inf"} 3
-repro_service_queue_wait_seconds_sum 2
-repro_service_queue_wait_seconds_count 3
-# HELP repro_service_submit_result_latency_seconds Seconds from job submission to its terminal result.
-# TYPE repro_service_submit_result_latency_seconds histogram
-repro_service_submit_result_latency_seconds_bucket{le="0.001"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.0025"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.005"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.01"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.025"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.05"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.1"} 0
-repro_service_submit_result_latency_seconds_bucket{le="0.25"} 1
-repro_service_submit_result_latency_seconds_bucket{le="0.5"} 1
-repro_service_submit_result_latency_seconds_bucket{le="1"} 1
-repro_service_submit_result_latency_seconds_bucket{le="2.5"} 1
-repro_service_submit_result_latency_seconds_bucket{le="5"} 3
-repro_service_submit_result_latency_seconds_bucket{le="10"} 3
-repro_service_submit_result_latency_seconds_bucket{le="30"} 3
-repro_service_submit_result_latency_seconds_bucket{le="60"} 3
-repro_service_submit_result_latency_seconds_bucket{le="120"} 3
-repro_service_submit_result_latency_seconds_bucket{le="300"} 3
-repro_service_submit_result_latency_seconds_bucket{le="+Inf"} 3
-repro_service_submit_result_latency_seconds_sum 6.75
-repro_service_submit_result_latency_seconds_count 3
-"""
-
-
 def _snapshot_lines(snapshot):
     """The snapshot as JSON lines: the header, then one line per entry."""
     sections = ("counters", "gauges", "histograms")
@@ -475,9 +412,7 @@ def test_wall_formats_are_pinned(tmp_path):
     telemetry = _drive_synthetic_jobs(str(tmp_path / "svc"))
     snapshot = telemetry.snapshot(final=True)
     assert _snapshot_lines(snapshot) == EXPECTED_SNAPSHOT
-    assert telemetry.exposition() == EXPECTED_EXPOSITION
     assert validate_snapshot(snapshot) == []
-    assert validate_exposition(EXPECTED_EXPOSITION) == []
 
 
 # ----------------------------------------------------------------------
