@@ -87,13 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "as JSONL",
     )
     parser.add_argument(
-        "--campaign-out",
-        default=None,
-        metavar="PATH",
-        help="observe every simulated run and write a BENCH_campaign.json "
-        "host-cost record (wall clock, events/s, peak RSS)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -130,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ids = [args.experiment]
 
     results = []
-    observing = args.trace_out or args.metrics_out or args.campaign_out
+    observing = args.trace_out or args.metrics_out
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
@@ -146,8 +139,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Observation capture hooks run_workflow through an in-process
         # context variable; worker processes never see it.
         print(
-            "error: --trace-out/--metrics-out/--campaign-out capture "
-            "in-process and cannot combine with --service",
+            "error: --trace-out/--metrics-out capture in-process and "
+            "cannot combine with --service",
             file=sys.stderr,
         )
         return 2
@@ -169,9 +162,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # gets an Observation without threading a parameter through the
         # whole experiment registry.
         from repro.obs.capture import capture_runs
-        from repro.obs.hostmetrics import HostMeter
 
-        with HostMeter() as meter, capture_runs() as session:
+        with capture_runs() as session:
             for experiment_id in ids:
                 results.append(get_experiment(experiment_id)(None))
         observations = session.finalized
@@ -193,22 +185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(to_jsonl(metrics_records(observations)))
             print(f"[metrics -> {args.metrics_out}]", file=sys.stderr)
-        if args.campaign_out:
-            import json as json_module
-
-            from repro.obs.hostmetrics import simulated_host_metrics
-
-            host = simulated_host_metrics(meter, observations)
-            record = {"bench": "experiments", "experiments": ids}
-            record.update(host.as_record())
-            with open(args.campaign_out, "w", encoding="utf-8") as handle:
-                handle.write(json_module.dumps(record, indent=1, sort_keys=True))
-            print(
-                f"[host metrics: {host.wall_seconds:.2f}s wall, "
-                f"{host.sim_seconds_per_wall_second:.1f} sim-s/wall-s "
-                f"-> {args.campaign_out}]",
-                file=sys.stderr,
-            )
     else:
         for experiment_id in ids:
             results.append(get_experiment(experiment_id)(None))

@@ -16,7 +16,7 @@ from repro.metrics.analysis import (
     slowdown_of,
 )
 from repro.metrics.report import ascii_bar_chart, format_table
-from repro.metrics.timeline import phase_summary, render_timeline
+from repro.metrics.timeline import render_timeline
 from repro.metrics.results import PhaseBreakdown, RunResult
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "compare_configs",
     "format_table",
     "normalized_runtimes",
-    "phase_summary",
     "render_timeline",
     "slowdown_of",
 ]

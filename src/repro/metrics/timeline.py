@@ -9,7 +9,7 @@ the interleaved bands of a parallel one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import Tracer
@@ -72,11 +72,3 @@ def render_timeline(
                 row.append(glyph)
             lines.append(f"{component[:6]:>6}[{rank:2d}] {''.join(row)}")
     return "\n".join(lines)
-
-
-def phase_summary(tracer: Tracer, component: str) -> Dict[str, float]:
-    """Total seconds per phase for *component* (across all ranks)."""
-    totals: Dict[str, float] = {}
-    for record in tracer.by_component(component):
-        totals[record.phase] = totals.get(record.phase, 0.0) + record.duration
-    return totals

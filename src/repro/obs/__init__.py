@@ -38,7 +38,8 @@ bandwidth fell below the model ceiling — flows through this package:
   validator.
 * :mod:`repro.obs.campaign` — the campaign runner over the paper suite,
   the regression diff engine (makespan drift, winner flips, paper-claim
-  changes) and the markdown/terminal dashboards.
+  changes) and the markdown suite dashboard (heatmap columns in Table I
+  order).
 * :mod:`repro.obs.explain` — the trace-analytics engine: critical-path
   extraction over the trace records, blame attribution decomposing
   makespan into compute/barrier/drain/pmem/remote/dram buckets per

@@ -676,58 +676,6 @@ class CampaignDiff:
         )
         return "\n".join(lines)
 
-    def render_markdown(self) -> str:
-        lines = [
-            f"# Campaign diff: `{self.name_a}` → `{self.name_b}`",
-            "",
-            f"Drift threshold {self.threshold:.1%} — "
-            f"**{self.regressions} regression(s)**, "
-            f"{self.identical_cells} identical cell(s), "
-            f"{self.within_threshold_cells} within-threshold cell(s).",
-            "",
-        ]
-        if self.winner_flips:
-            lines += [
-                "## Winner flips",
-                "",
-                "| cell | before | after | vs paper | why |",
-                "|---|---|---|---|---|",
-            ]
-            lines += [
-                f"| {flip.key} | {flip.before} | {flip.after} "
-                f"| {flip.vs_paper} | {flip.explanation} |"
-                for flip in self.winner_flips
-            ]
-            lines.append("")
-        if self.claim_changes:
-            lines += ["## Paper-claim status changes", "", "| cell | before | after |", "|---|---|---|"]
-            lines += [
-                f"| {change.key} | {change.before_hit} | {change.after_hit} |"
-                for change in self.claim_changes
-            ]
-            lines.append("")
-        if self.drifts:
-            lines += [
-                "## Makespan drift",
-                "",
-                "| cell | config | before | after | drift | why |",
-                "|---|---|---|---|---|---|",
-            ]
-            lines += [
-                f"| {d.key} | {d.config} | {fmt_time(d.before)} "
-                f"| {fmt_time(d.after)} | {d.relative:+.1%} "
-                f"| {d.explanation or '-'} |"
-                for d in self.drifts
-            ]
-            lines.append("")
-        if self.only_in_a or self.only_in_b:
-            lines.append("## Coverage changes")
-            lines.append("")
-            lines += [f"- `{key}` only in `{self.name_a}`" for key in self.only_in_a]
-            lines += [f"- `{key}` only in `{self.name_b}`" for key in self.only_in_b]
-            lines.append("")
-        return "\n".join(lines)
-
 
 def check_drift_threshold(threshold: float) -> None:
     """Raise :class:`ConfigurationError` unless *threshold* is finite and >= 0.
@@ -855,149 +803,105 @@ def _memo_warnings(run: CampaignRun) -> List[str]:
     return warnings
 
 
-def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
-    """The suite dashboard: heatmap, paper hit rate, host cost summary."""
-    config_labels: List[str] = []
-    for cell in run.cells:
-        for label in cell.deterministic.get("configs", {}):
-            if label not in config_labels:
-                config_labels.append(label)
-    lines: List[str] = []
+def _heatmap_columns(run: CampaignRun) -> List[str]:
+    """Config labels in Table I (:data:`ALL_CONFIGS`) order, others sorted after.
+
+    A stored payload's keys come back sorted (``canonical_json``), so the
+    order must not come from the cells, or a campaign read back from the
+    store would print other columns than the run that wrote it.
+    """
+    labels = {
+        label for cell in run.cells for label in cell.deterministic.get("configs", {})
+    }
+    table_one = [config.label for config in ALL_CONFIGS if config.label in labels]
+    return table_one + sorted(labels - set(table_one))
+
+
+def campaign_report(run: CampaignRun) -> str:
+    """The markdown suite dashboard: heatmap, paper hit rate, host cost."""
+    config_labels = _heatmap_columns(run)
     hits, expected = run.hit_rate
     host = run.host_total()
     memo_warnings = _memo_warnings(run)
     memo_lookups = host.solver_memo_hits + host.solver_memo_misses
-    # Synthetic/imported runs without solver counters skip the memo note.
-    memo_line = (
-        f"solver memo hit rate {host.memo_hit_rate:.1%} "
-        f"({host.solver_memo_hits:.0f}/{memo_lookups:.0f})"
-        if memo_lookups
-        else ""
-    )
-    if markdown:
-        head = f"{len(run.cells)} cell(s)"
-        if expected:
-            head += f"; paper-winner hit rate **{hits}/{expected}**"
-        if memo_line:
-            head += f"; {memo_line}"
-        lines += [
-            f"# Campaign `{run.name}` ({run.suite} suite)",
-            "",
-            head + ".",
-            "",
-        ]
-        for warning in memo_warnings:
-            lines.append(f"> **Warning:** {warning}")
-        if memo_warnings:
-            lines.append("")
-        lines += [
-            "## Runtime heatmap (normalized to each cell's best config)",
-            "",
-            "| cell | " + " | ".join(config_labels) + " | winner | paper |",
-            "|---|" + "---|" * (len(config_labels) + 2),
-        ]
-        for cell in run.cells:
-            configs = cell.deterministic.get("configs", {})
-            makespans = {label: entry["makespan"] for label, entry in configs.items()}
-            best = min(makespans.values()) if makespans else 0.0
-            row = [cell.key]
-            for label in config_labels:
-                makespan = makespans.get(label)
-                row.append(
-                    _heatmap_cell(makespan, best, label == cell.winner)
-                    if makespan is not None
-                    else "-"
-                )
-            paper = cell.paper_best or "-"
-            if cell.paper_hit is True:
-                paper += " ✓"
-            elif cell.paper_hit is False:
-                paper += " ✗"
-            row += [cell.winner, paper]
-            lines.append("| " + " | ".join(row) + " |")
-        lines += [
-            "",
-            "## Host cost",
-            "",
-            "| metric | value |",
-            "|---|---|",
-            f"| wall seconds (total) | {host.wall_seconds:.2f} |",
-            f"| simulated seconds (total) | {host.simulated_seconds:.2f} |",
-            f"| sim-seconds / wall-second | {host.sim_seconds_per_wall_second:.1f} |",
-            f"| engine events | {host.events_executed:.0f} |",
-            f"| events / wall-second | {host.events_per_wall_second:.0f} |",
-            f"| flow recomputations | {host.flow_recomputes:.0f} |",
-            f"| solver iterations | {host.solver_iterations:.0f} |",
-            f"| solver classes (summed) | {host.solver_classes:.0f} |",
-            f"| memo hit rate | {host.memo_hit_rate:.1%} "
-            f"({host.solver_memo_hits:.0f}/"
-            f"{host.solver_memo_hits + host.solver_memo_misses:.0f}) |",
-            f"| recomputes coalesced | {host.recomputes_coalesced:.0f} |",
-            f"| solves at iteration cap | {host.solves_at_cap:.0f} |",
-            f"| peak RSS | {fmt_bytes(host.peak_rss_bytes)} |",
-        ]
-        if host.profiled:
-            lines.append(
-                f"| peak tracemalloc bytes | {host.peak_tracemalloc_bytes} |"
-            )
-        lines.append("")
-        if host.hotspots:
-            lines += [
-                "## Hotspots (aggregated cProfile, by cumulative time)",
-                "",
-                "| function | calls | tottime (s) | cumtime (s) |",
-                "|---|---|---|---|",
-            ]
-            lines += [
-                f"| `{spot.function}` | {spot.calls} "
-                f"| {spot.tottime:.3f} | {spot.cumtime:.3f} |"
-                for spot in host.hotspots
-            ]
-            lines.append("")
-        return "\n".join(lines)
-    # Terminal rendering: compact fixed-width table.
-    lines.append(f"== campaign {run.name} ({run.suite} suite) ==")
+    head = f"{len(run.cells)} cell(s)"
     if expected:
-        lines.append(f"paper-winner hit rate: {hits}/{expected}")
-    if memo_line:
-        lines.append(memo_line)
+        head += f"; paper-winner hit rate **{hits}/{expected}**"
+    # Synthetic/imported runs without solver counters skip the memo note.
+    if memo_lookups:
+        head += (
+            f"; solver memo hit rate {host.memo_hit_rate:.1%} "
+            f"({host.solver_memo_hits:.0f}/{memo_lookups:.0f})"
+        )
+    lines = [
+        f"# Campaign `{run.name}` ({run.suite} suite)",
+        "",
+        head + ".",
+        "",
+    ]
     for warning in memo_warnings:
-        lines.append(f"WARNING: {warning}")
-    header = f"{'cell':<22}" + "".join(f"{label:>9}" for label in config_labels)
-    lines.append(header + f"  {'winner':>8}  paper")
+        lines.append(f"> **Warning:** {warning}")
+    if memo_warnings:
+        lines.append("")
+    lines += [
+        "## Runtime heatmap (normalized to each cell's best config)",
+        "",
+        "| cell | " + " | ".join(config_labels) + " | winner | paper |",
+        "|---|" + "---|" * (len(config_labels) + 2),
+    ]
     for cell in run.cells:
         configs = cell.deterministic.get("configs", {})
         makespans = {label: entry["makespan"] for label, entry in configs.items()}
         best = min(makespans.values()) if makespans else 0.0
-        row = f"{cell.key:<22}"
+        row = [cell.key]
         for label in config_labels:
             makespan = makespans.get(label)
-            if makespan is None or best <= 0:
-                row += f"{'-':>9}"
-            else:
-                row += f"{makespan / best:>9.2f}"
+            row.append(
+                _heatmap_cell(makespan, best, label == cell.winner)
+                if makespan is not None
+                else "-"
+            )
         paper = cell.paper_best or "-"
         if cell.paper_hit is True:
-            paper += " hit"
+            paper += " ✓"
         elif cell.paper_hit is False:
-            paper += " MISS"
-        lines.append(row + f"  {cell.winner:>8}  {paper}")
-    allocations = (
-        f", peak tracemalloc {host.peak_tracemalloc_bytes} bytes"
-        if host.profiled
-        else ""
-    )
-    lines.append(
-        f"host: {host.wall_seconds:.2f}s wall, "
-        f"{host.sim_seconds_per_wall_second:.1f} sim-s/wall-s, "
-        f"{host.events_executed:.0f} events, "
-        f"{host.solves_at_cap:.0f} solves at cap, "
-        f"peak RSS {fmt_bytes(host.peak_rss_bytes)}{allocations}"
-    )
-    for spot in host.hotspots:
-        lines.append(
-            f"  hot {spot.function}  x{spot.calls}  "
-            f"tot {spot.tottime:.3f}s  cum {spot.cumtime:.3f}s"
-        )
+            paper += " ✗"
+        row += [cell.winner, paper]
+        lines.append("| " + " | ".join(row) + " |")
+    lines += [
+        "",
+        "## Host cost",
+        "",
+        "| metric | value |",
+        "|---|---|",
+        f"| wall seconds (total) | {host.wall_seconds:.2f} |",
+        f"| simulated seconds (total) | {host.simulated_seconds:.2f} |",
+        f"| sim-seconds / wall-second | {host.sim_seconds_per_wall_second:.1f} |",
+        f"| engine events | {host.events_executed:.0f} |",
+        f"| events / wall-second | {host.events_per_wall_second:.0f} |",
+        f"| flow recomputations | {host.flow_recomputes:.0f} |",
+        f"| solver iterations | {host.solver_iterations:.0f} |",
+        f"| solver classes (summed) | {host.solver_classes:.0f} |",
+        f"| memo hit rate | {host.memo_hit_rate:.1%} "
+        f"({host.solver_memo_hits:.0f}/{memo_lookups:.0f}) |",
+        f"| recomputes coalesced | {host.recomputes_coalesced:.0f} |",
+        f"| solves at iteration cap | {host.solves_at_cap:.0f} |",
+        f"| peak RSS | {fmt_bytes(host.peak_rss_bytes)} |",
+    ]
+    if host.profiled:
+        lines.append(f"| peak tracemalloc bytes | {host.peak_tracemalloc_bytes} |")
+    lines.append("")
+    if host.hotspots:
+        lines += [
+            "## Hotspots (aggregated cProfile, by cumulative time)",
+            "",
+            "| function | calls | tottime (s) | cumtime (s) |",
+            "|---|---|---|---|",
+        ]
+        lines += [
+            f"| `{spot.function}` | {spot.calls} "
+            f"| {spot.tottime:.3f} | {spot.cumtime:.3f} |"
+            for spot in host.hotspots
+        ]
+        lines.append("")
     return "\n".join(lines)
-

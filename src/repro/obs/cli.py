@@ -22,7 +22,6 @@ Examples::
     # Campaigns: persistent suite runs, regression diffs, dashboards.
     python -m repro.obs campaign run --suite micro
     python -m repro.obs campaign list
-    python -m repro.obs campaign show micro-001
     python -m repro.obs campaign diff micro-001 micro-002 --fail-on flips
     python -m repro.obs campaign report micro-001 --out report.md
     python -m repro.obs campaign validate micro-001
@@ -194,7 +193,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     print(f"recorded campaign {run.name!r} in {store.path(run.name)}")
     print()
-    print(campaign_report(run, markdown=False))
+    print(campaign_report(run))
     return 0
 
 
@@ -215,15 +214,6 @@ def _cmd_campaign_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign_show(args: argparse.Namespace) -> int:
-    from repro.obs.campaign import campaign_from_store, campaign_report
-
-    store = CampaignStore(args.dir)
-    run = campaign_from_store(store.read(args.name))
-    print(campaign_report(run, markdown=args.markdown))
-    return 0
-
-
 def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     from repro.obs.campaign import (
         campaign_from_store,
@@ -240,7 +230,7 @@ def _cmd_campaign_diff(args: argparse.Namespace) -> int:
     run_a = campaign_from_store(store.read(args.campaign_a))
     run_b = campaign_from_store(store.read(args.campaign_b))
     diff = diff_campaigns(run_a, run_b, threshold=args.threshold)
-    print(diff.render_markdown() if args.markdown else diff.render_text())
+    print(diff.render_text())
     if args.fail_on == "flips" and diff.winner_flips:
         return 1
     if args.fail_on == "regressions" and diff.regressions:
@@ -253,7 +243,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
     store = CampaignStore(args.dir)
     run = campaign_from_store(store.read(args.name))
-    report = campaign_report(run, markdown=True)
+    report = campaign_report(run)
     if args.out:
         _write(args.out, report + "\n")
         print(f"wrote {args.out}")
@@ -297,8 +287,6 @@ def _cmd_explain_run(args: argparse.Namespace) -> int:
                 print(problem, file=sys.stderr)
             return 1
         payload = to_json(document)
-    elif args.format == "markdown":
-        payload = "\n".join(e.render_markdown() for e in explanations)
     else:
         payload = "\n".join(
             e.render_text(segments=args.segments) for e in explanations
@@ -322,7 +310,7 @@ def _cmd_explain_top(args: argparse.Namespace) -> int:
 
     store = CampaignStore(args.dir)
     rows = campaign_bottlenecks(_explain_cells(store, args.name))
-    print(render_top(rows, markdown=args.markdown))
+    print(render_top(rows))
     return 0
 
 
@@ -339,7 +327,7 @@ def _cmd_explain_diff(args: argparse.Namespace) -> int:
         for cell in _explain_cells(store, args.campaign_b)
     }
     rows = diff_attribution_rows(cells_a, cells_b)
-    print(render_diff_rows(rows, markdown=args.markdown))
+    print(render_diff_rows(rows))
     return 0
 
 
@@ -471,16 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_dir(listing)
     listing.set_defaults(func=_cmd_campaign_list)
 
-    show = campaign_commands.add_parser(
-        "show", help="print a stored campaign's dashboard"
-    )
-    _add_dir(show)
-    show.add_argument("name")
-    show.add_argument(
-        "--markdown", action="store_true", help="markdown instead of terminal"
-    )
-    show.set_defaults(func=_cmd_campaign_show)
-
     campaign_diff = campaign_commands.add_parser(
         "diff", help="regression-diff two stored campaigns"
     )
@@ -492,9 +470,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=0.02,
         help="relative makespan drift reported as regression (default: 0.02)",
-    )
-    campaign_diff.add_argument(
-        "--markdown", action="store_true", help="markdown instead of terminal"
     )
     campaign_diff.add_argument(
         "--fail-on",
@@ -537,7 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_spec_arguments(explain_run)
     explain_run.add_argument(
         "--format",
-        choices=("text", "markdown", "json"),
+        choices=("text", "json"),
         default="text",
         help="output renderer (default: text)",
     )
@@ -556,9 +531,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_dir(explain_top)
     explain_top.add_argument("name")
-    explain_top.add_argument(
-        "--markdown", action="store_true", help="markdown instead of terminal"
-    )
     explain_top.set_defaults(func=_cmd_explain_top)
 
     explain_diff = explain_commands.add_parser(
@@ -567,9 +539,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_dir(explain_diff)
     explain_diff.add_argument("campaign_a")
     explain_diff.add_argument("campaign_b")
-    explain_diff.add_argument(
-        "--markdown", action="store_true", help="markdown instead of terminal"
-    )
     explain_diff.set_defaults(func=_cmd_explain_diff)
 
     explain_validate = explain_commands.add_parser(

@@ -529,24 +529,6 @@ class RunExplanation:
                 )
         return "\n".join(lines)
 
-    def render_markdown(self) -> str:
-        lines = [
-            f"### `{self.run_id}` — makespan {fmt_time(self.makespan)}",
-            "",
-            f"Critical track `{self.critical_track or '(none)'}`, coupling "
-            f"`{self.coupling}`, dominant **{self.dominant}** "
-            f"({self.dominant_fraction:.1%}).",
-            "",
-            "| bucket | seconds | share |",
-            "|---|---|---|",
-        ]
-        for bucket in BUCKETS:
-            seconds = self.buckets.get(bucket, 0.0)
-            share = seconds / self.makespan if self.makespan else 0.0
-            lines.append(f"| {bucket} | {fmt_time(seconds)} | {share:.1%} |")
-        lines.append("")
-        return "\n".join(lines)
-
 
 def attribute(observation: "Observation") -> RunExplanation:
     """Critical path, buckets and per-resource seconds of one observed run.
@@ -857,25 +839,9 @@ def diff_attribution_rows(
     return rows
 
 
-def render_diff_rows(rows: Sequence[Mapping[str, Any]], markdown: bool = False) -> str:
+def render_diff_rows(rows: Sequence[Mapping[str, Any]]) -> str:
     if not rows:
-        return (
-            "no attribution shifts between the campaigns"
-            if not markdown
-            else "No attribution shifts between the campaigns.\n"
-        )
-    if markdown:
-        lines = [
-            "| cell | config | bucket | resource | before | after | delta |",
-            "|---|---|---|---|---|---|---|",
-        ]
-        for row in rows:
-            lines.append(
-                f"| {row['key']} | {row['config']} | {row['bucket']} "
-                f"| {row['resource']} | {fmt_time(row['before'])} "
-                f"| {fmt_time(row['after'])} | {row['delta']:+.3g} s |"
-            )
-        return "\n".join(lines) + "\n"
+        return "no attribution shifts between the campaigns"
     lines = []
     for row in rows:
         lines.append(
@@ -928,26 +894,10 @@ def campaign_bottlenecks(cells: Sequence[Any]) -> List[Dict[str, Any]]:
     return rows
 
 
-def render_top(rows: Sequence[Mapping[str, Any]], markdown: bool = False) -> str:
+def render_top(rows: Sequence[Mapping[str, Any]]) -> str:
     """The ranked bottleneck table of one campaign."""
     if not rows:
-        return (
-            "no attributed cells in the campaign"
-            if not markdown
-            else "No attributed cells in the campaign.\n"
-        )
-    if markdown:
-        lines = [
-            "| cell | winner | bottleneck | share | resource |",
-            "|---|---|---|---|---|",
-        ]
-        for row in rows:
-            bucket = row["dominant"] + (" (est.)" if row["estimated"] else "")
-            lines.append(
-                f"| {row['key']} | {row['winner']} | {bucket} "
-                f"| {row['fraction']:.1%} | {row['resource']} |"
-            )
-        return "\n".join(lines) + "\n"
+        return "no attributed cells in the campaign"
     width = max(len(row["key"]) for row in rows)
     lines = [
         f"{'cell':<{width}}  {'winner':<8}  {'bottleneck':<12}  "

@@ -16,7 +16,7 @@ and *cached* cells (service cache hits, where nothing was simulated), so a
 campaign store can hold both and a dashboard can compare them in one
 table.  The headline derived rate is ``sim_seconds_per_wall_second`` —
 how much virtual time the simulator produces per second of host time —
-the repo's first recorded performance trajectory (``BENCH_campaign.json``).
+printed in the "Host cost" table of ``campaign report``.
 
 Host metrics are *never* part of a deterministic payload: the campaign
 store segregates them under a ``"host"`` key that every diff and

@@ -157,8 +157,3 @@ def build_spans(
                 )
                 next_id += 1
     return spans
-
-
-def leaf_spans(spans: List[Span]) -> List[Span]:
-    """The phase-level leaves of a span tree."""
-    return [span for span in spans if span.category == "phase"]

@@ -7,7 +7,7 @@ from repro.core.configs import P_LOCR, S_LOCW
 from repro.core.launch import render_launch_plan
 from repro.core.pinning import plan_pinning
 from repro.errors import ConfigurationError
-from repro.metrics.timeline import phase_summary, render_timeline
+from repro.metrics.timeline import render_timeline
 from repro.platform.builder import paper_testbed
 from repro.sim.trace import Tracer
 from repro.units import MiB
@@ -99,6 +99,7 @@ class TestTimeline:
             render_timeline(traced_run.tracer, width=5)
 
     def test_phase_summary(self, traced_run):
-        summary = phase_summary(traced_run.tracer, "writer")
-        assert summary["write"] > 0
-        assert summary["compute"] == pytest.approx(2 * 2 * 0.2, rel=0.05)
+        tracer = traced_run.tracer
+        assert tracer.total_time("writer", "write") > 0
+        compute = tracer.total_time("writer", "compute")
+        assert compute == pytest.approx(2 * 2 * 0.2, rel=0.05)

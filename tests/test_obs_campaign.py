@@ -211,11 +211,9 @@ class TestDiff:
         assert diff.claim_changes
         assert set(diff.calibration_changed) == {c.key for c in base.cells}
         assert diff.regressions > 0
-        text = diff.render_text()
-        assert "winner" in text and "makespan" in text
-        markdown = diff.render_markdown()
-        assert "## Winner flips" in markdown
-        assert "## Makespan drift" in markdown
+        lines = diff.render_text().splitlines()
+        assert any(x.startswith("!! ") and ": winner " in x for x in lines)
+        assert any(x.startswith(">> ") and "]: makespan " in x for x in lines)
 
     def test_sub_threshold_drift_is_not_identical(self):
         before = synthetic_run()
@@ -229,9 +227,6 @@ class TestDiff:
         assert diff.within_threshold_cells == 1
         assert diff.render_text().endswith(
             "0 identical cell(s), 1 within-threshold cell(s), 0 regression(s)"
-        )
-        assert "0 identical cell(s), 1 within-threshold cell(s)." in (
-            diff.render_markdown()
         )
         same = diff_campaigns(before, synthetic_run())
         assert (same.identical_cells, same.within_threshold_cells) == (1, 0)
@@ -326,41 +321,39 @@ GOLDEN_MARKDOWN = """\
 
 class TestReport:
     def test_markdown_golden(self):
-        assert campaign_report(synthetic_run(), markdown=True) == GOLDEN_MARKDOWN
+        assert campaign_report(synthetic_run()) == GOLDEN_MARKDOWN
 
-    def test_terminal_render(self):
-        text = campaign_report(synthetic_run(), markdown=False)
-        assert "golden-001" in text
-        assert "hit rate: 1/1" in text
-        assert "P-LocR" in text
-        assert "3 solves at cap" in text
-        assert "peak RSS 47.6 MiB, peak tracemalloc 1000 bytes" in text
+    def test_heatmap_columns_follow_table_one(self):
+        run = synthetic_run()
+        configs = run.cells[0].deterministic["configs"]
+        # Stored payloads come back with sorted keys; unknown labels go last.
+        configs["X-Extra"] = {"makespan": 9.0}
+        configs["P-LocW"] = {"makespan": 10.0}
+        run.cells[0].deterministic["configs"] = dict(sorted(configs.items()))
+        header = "| cell | S-LocW | P-LocW | P-LocR | X-Extra | winner | paper |"
+        assert header in campaign_report(run).splitlines()
 
     def test_unprofiled_run_omits_tracemalloc(self):
         run = synthetic_run()
         run.cells[0].host.peak_tracemalloc_bytes = 0
-        for markdown in (True, False):
-            text = campaign_report(run, markdown=markdown)
-            assert "peak RSS" in text
-            assert "tracemalloc" not in text
+        text = campaign_report(run)
+        assert "| peak RSS | 47.6 MiB |" in text
+        assert "tracemalloc" not in text
 
     def test_memo_hit_rate_in_header_and_gtc_warning(self):
         run = synthetic_run()
         cell = run.cells[0]
         cell.host.solver_memo_hits = 30.0
         cell.host.solver_memo_misses = 10.0
-        for markdown in (True, False):
-            text = campaign_report(run, markdown=markdown)
-            assert "solver memo hit rate 75.0% (30/40)" in text
-            assert "Warning" not in text and "WARNING" not in text
+        text = campaign_report(run)
+        assert "solver memo hit rate 75.0% (30/40)" in text
+        assert "Warning" not in text
         # A GTC-class cell where the solver reuses *nothing* — misses but
         # no memo hits — gets called out loudly.
         cell.key = "gtc-8@8"
         cell.host.solver_memo_hits = 0.0
-        markdown_text = campaign_report(run, markdown=True)
-        assert "> **Warning:** gtc-8@8: solver reused no work" in markdown_text
-        terminal_text = campaign_report(run, markdown=False)
-        assert "WARNING: gtc-8@8: solver reused no work" in terminal_text
+        text = campaign_report(run)
+        assert "> **Warning:** gtc-8@8: solver reused no work" in text
 
     def test_gtc_warning_demoted_by_any_reuse_signal(self):
         """Memo hits are the solver's reuse signal: any hit silences the
@@ -370,14 +363,12 @@ class TestReport:
         cell.key = "gtc-8@8"
         cell.host.solver_memo_misses = 40.0
         cell.host.solver_memo_hits = 5.0
-        for markdown in (True, False):
-            text = campaign_report(run, markdown=markdown)
-            assert "Warning" not in text and "WARNING" not in text
+        assert "Warning" not in campaign_report(run)
 
     def test_memo_line_omitted_without_lookups(self):
         # synthetic_run has no memo counters: the header stays clean.
         assert "solver memo hit rate" not in campaign_report(
-            synthetic_run(), markdown=True
+            synthetic_run()
         ).splitlines()[2]
 
 
@@ -403,7 +394,7 @@ class TestCli:
         assert self.run_cli("campaign", "list", "--dir", store_dir) == 0
         assert self.run_cli("campaign", "validate", "--dir", store_dir) == 0
         assert (
-            self.run_cli("campaign", "show", "micro-001", "--dir", store_dir)
+            self.run_cli("campaign", "report", "micro-001", "--dir", store_dir)
             == 0
         )
         # The perturbation flips winners -> diff exits 1 under --fail-on flips.
@@ -442,6 +433,31 @@ class TestCli:
         assert "## Runtime heatmap" in report_path.read_text(encoding="utf-8")
         capsys.readouterr()  # drain
 
+    def test_run_prints_the_stored_report(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "campaigns")
+        run = ["campaign", "run", "--suite", "micro", "--iterations", "1"]
+        assert self.run_cli(*run, "--dir", store_dir) == 0
+        printed = capsys.readouterr().out
+        recorded = printed.index("recorded campaign 'micro-001'")
+        dashboard = printed[printed.index("\n", recorded) + 1 :]
+        assert self.run_cli("campaign", "report", "micro-001", "--dir", store_dir) == 0
+        assert dashboard == "\n" + capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "show", "x"],
+            ["campaign", "diff", "a", "b", "--markdown"],
+            ["explain", "top", "x", "--markdown"],
+            ["explain", "diff", "a", "b", "--markdown"],
+            ["explain", "run", "--format", "markdown"],
+        ],
+    )
+    def test_removed_renderer_options_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_cli(*argv)
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize(
         "setting",
         ["read_ramp_scale=nan", "write_decay=inf", "no_such_field=1"],
@@ -463,7 +479,7 @@ class TestCli:
         [
             (["run", "--suite", "nosuch"], "unknown suite 'nosuch'"),
             (["run", "--jobs", "0"], "jobs must be >= 1"),
-            (["show", "missing"], "no campaign 'missing'"),
+            (["report", "missing"], "no campaign 'missing'"),
         ],
     )
     def test_library_errors_exit_1_without_traceback(

@@ -420,8 +420,6 @@ def test_diff_emits_explanation_for_every_flip(micro_campaign):
         assert "drain" in flip.explanation
     text = diff.render_text()
     assert text.count("why: ") >= len(diff.winner_flips)
-    markdown = diff.render_markdown()
-    assert "| why |" in markdown
     for drift in diff.drifts:
         assert drift.explanation
 

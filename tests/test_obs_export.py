@@ -28,8 +28,11 @@ from repro.obs.export import (
     trace_makespans,
     validate_chrome_trace,
 )
-from repro.obs.spans import leaf_spans
 from repro.units import MICROSECOND
+
+
+def phase_spans(observation):
+    return [s for s in observation.spans() if s.category == "phase"]
 
 
 def small_spec(ranks=4, iterations=2):
@@ -62,7 +65,7 @@ def test_hot_phase_report_builds_no_span_tree(monkeypatch):
     assert observation._spans is None
     # The record sums are the leaf-span sums, float for float.
     from_spans = {}
-    for span in leaf_spans(observation.spans()):
+    for span in phase_spans(observation):
         stack = f"{span.component};{span.name}"
         seconds, count = from_spans.get(stack, (0.0, 0))
         from_spans[stack] = (seconds + span.duration, count + 1)
@@ -100,7 +103,7 @@ class TestChromeTraceSchema:
         assert "[S-LocW]" in process["args"]["name"]
 
     def test_timestamps_are_microseconds(self, observed, document):
-        writes = [s for s in leaf_spans(observed.spans()) if s.name == "write"]
+        writes = [s for s in phase_spans(observed) if s.name == "write"]
         first = min(writes, key=lambda s: (s.start, s.rank))
         matches = [
             e
@@ -185,7 +188,7 @@ class TestReconciliation:
     def test_span_durations_match_tracer_total_time(self, observed):
         tracer = observed.tracer
         totals = {}
-        for span in leaf_spans(observed.spans()):
+        for span in phase_spans(observed):
             key = (span.component, span.name)
             totals[key] = totals.get(key, 0.0) + span.duration
         for (component, phase), total in totals.items():

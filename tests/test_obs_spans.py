@@ -9,7 +9,7 @@ from repro.obs.manifest import (
     build_manifest,
     calibration_hash,
 )
-from repro.obs.spans import ROOT_SPAN_ID, build_spans, leaf_spans
+from repro.obs.spans import ROOT_SPAN_ID, build_spans
 from repro.apps.microbench import SMALL_OBJECT_BYTES, micro_workflow
 from repro.core.configs import S_LOCW
 from repro.pmem.calibration import DEFAULT_CALIBRATION
@@ -84,9 +84,10 @@ class TestBuildSpans:
 
     def test_leaf_spans_are_phases(self):
         spans = build_spans(make_tracer())
-        leaves = leaf_spans(spans)
+        parents = {s.parent_id for s in spans}
+        leaves = [s for s in spans if s.span_id not in parents]
         assert len(leaves) == 6
-        assert all(s.category == "phase" for s in leaves)
+        assert leaves == [s for s in spans if s.category == "phase"]
 
 
 class TestManifest:
