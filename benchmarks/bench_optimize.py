@@ -6,18 +6,18 @@ an optimizer that costs more than the simulations it plans is useless.
 Every candidate price is a simulation result, so this file simulates the
 18-workflow suite once, outside the timed region, and then times the
 decision layer on it: price every candidate from those results, solve
-the exact backend under a 300 GB PMEM budget, and enumerate the
-ε-frontier.  A hard wall guard keeps that layer **well under a second**,
+for the cheapest exact-frontier plan under a 300 GB PMEM budget, and
+enumerate the ε-frontier.  A hard wall guard keeps that layer **well under a second**,
 so the simulations always dominate a planning call.
 
-Work counters (candidates, branch-and-bound nodes, frontier points)
-ride along as ``extra_info`` so a wall-time move is attributable: more
-nodes is a weaker bound, more candidates is a bigger decision space.
+Work counters (candidates, frontier points) ride along as ``extra_info``
+so a wall-time move is attributable: more candidates is a bigger
+decision space, more points a wider trade-off.
 """
 
 from repro.apps.suite import workflow_suite
 from repro.core.configs import ALL_CONFIGS
-from repro.core.optimize.backends import BranchBoundOptimizer
+from repro.core.optimize.backends import solve
 from repro.core.optimize.cli import build_scenario
 from repro.core.optimize.pareto import enumerate_frontier
 from repro.units import GB
@@ -44,7 +44,7 @@ def _full_pass(results):
         pmem_budget_bytes=int(300 * GB),
         precomputed=results,
     )
-    plan = BranchBoundOptimizer().solve(scenario)
+    plan = solve(scenario)
     points, _truncated = enumerate_frontier(scenario, epsilon=0.02)
     return scenario, plan, points
 
@@ -70,7 +70,6 @@ def test_optimize_full_pass_under_wall_budget(benchmark):
         {
             "workflows": len(scenario.choices),
             "candidates": sum(len(c.candidates) for c in scenario.choices),
-            "bb_nodes": plan.nodes_explored,
             "frontier_points": len(points),
         }
     )

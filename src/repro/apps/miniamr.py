@@ -10,7 +10,6 @@ stencil compute phase — a high simulation I/O index.
 from __future__ import annotations
 
 from repro.storage.objects import SnapshotSpec
-from repro.units import KiB
 from repro.workflow.kernels import ComputeKernel, NullKernel, StencilKernel
 from repro.workflow.spec import WorkflowSpec
 

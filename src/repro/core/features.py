@@ -16,11 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.pmem.bandwidth import (
-    access_efficiency,
-    read_bandwidth_total,
-    write_bandwidth_total,
-)
+from repro.pmem.bandwidth import access_efficiency
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.units import MiB
 from repro.workflow.iteration import IterationProfile, component_iteration_profile

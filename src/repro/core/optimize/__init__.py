@@ -4,16 +4,12 @@ Public surface:
 
 * :mod:`repro.core.optimize.model` — candidates, scenarios, limits;
 * :mod:`repro.core.optimize.pricing` — the simulation pricer;
-* :mod:`repro.core.optimize.backends` — the exact optimizer, plans;
+* :mod:`repro.core.optimize.backends` — plans and :func:`solve`;
 * :mod:`repro.core.optimize.pareto` — ε-dominance frontier enumeration;
 * ``python -m repro.core.optimize`` — solve / pareto / validate / compare.
 """
 
-from repro.core.optimize.backends import (
-    PLAN_SCHEMA,
-    BranchBoundOptimizer,
-    Plan,
-)
+from repro.core.optimize.backends import PLAN_SCHEMA, Plan, solve
 from repro.core.optimize.model import (
     Candidate,
     Scenario,
@@ -35,7 +31,6 @@ from repro.core.optimize.pricing import SimulationPricer
 __all__ = [
     "PLAN_SCHEMA",
     "FRONTIER_SCHEMA",
-    "BranchBoundOptimizer",
     "Candidate",
     "FrontierPoint",
     "Plan",
@@ -48,5 +43,6 @@ __all__ = [
     "frontier_payload",
     "pareto_filter",
     "retained_pmem_bytes",
+    "solve",
     "validate_frontier",
 ]

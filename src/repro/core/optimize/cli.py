@@ -3,11 +3,11 @@
 Every verb prices the four Table I configurations of each workflow by
 simulating them.  The optimizer's four verbs:
 
-* ``solve`` — the exact minimum-makespan plan under the budget
-  constraint for a scenario; write it as ``repro.optimize.plan/v2`` JSON that
-  ``repro-service run --plan`` can consume.
+* ``solve`` — the cheapest exact-frontier point under the budget
+  constraint for a scenario; write it as ``repro.optimize.plan/v3`` JSON
+  that ``repro-service run --plan`` can consume.
 * ``pareto`` — the scenario's ε-dominance frontier as
-  ``repro.optimize.frontier/v1`` JSON (byte-identical across runs),
+  ``repro.optimize.frontier/v2`` JSON (byte-identical across runs),
   with the heuristic plan located relative to the frontier.
 * ``validate`` — re-derive the paper's 18 Table II recommendations from
   first principles (simulation-priced candidate argmin) and self-check
@@ -32,7 +32,7 @@ from repro.apps.suite import (
     build_workflow,
     workflow_suite,
 )
-from repro.core.optimize.backends import BranchBoundOptimizer
+from repro.core.optimize.backends import solve
 from repro.core.optimize.model import Scenario, ScenarioLimits
 from repro.core.optimize.pareto import (
     enumerate_frontier,
@@ -127,15 +127,13 @@ def _heuristic_summary(scenario: Scenario) -> Dict[str, object]:
         "selections": {key: c.key for key, c in sorted(picks.items())},
         "makespan_seconds": sum(c.makespan_seconds for c in picks.values()),
         "pmem_bytes": sum(c.pmem_bytes for c in picks.values()),
-        "remote_bytes": sum(c.remote_bytes for c in picks.values()),
     }
 
 
 def _print_point(scenario: Scenario, index: int, record, marker: str = ""):
     print(
         f"  [{index}] {record['makespan_seconds']:.3f}s, "
-        f"{fmt_bytes(record['pmem_bytes'])} PMEM, "
-        f"{fmt_bytes(record['remote_bytes'])} remote{marker}"
+        f"{fmt_bytes(record['pmem_bytes'])} PMEM{marker}"
     )
     for key in sorted(record["selections"]):
         print(
@@ -147,7 +145,7 @@ def _print_point(scenario: Scenario, index: int, record, marker: str = ""):
 # ----------------------------------------------------------------------
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
-    plan = BranchBoundOptimizer().solve(scenario)
+    plan = solve(scenario)
     payload = plan.as_record(scenario)
     if args.out:
         import json
@@ -156,9 +154,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             handle.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"[plan -> {args.out}]", file=sys.stderr)
     print(
-        f"plan ({plan.backend}): {plan.makespan_seconds:.3f}s makespan, "
-        f"{fmt_bytes(plan.pmem_bytes)} PMEM, "
-        f"{fmt_bytes(plan.remote_bytes)} remote"
+        f"plan: {plan.makespan_seconds:.3f}s makespan, "
+        f"{fmt_bytes(plan.pmem_bytes)} PMEM"
         + ("" if plan.feasible else "  [INFEASIBLE: budget cannot be met]")
     )
     for key, cand_key in plan.selections:

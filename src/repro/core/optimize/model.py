@@ -4,18 +4,19 @@ The heuristic recommenders answer "which Table I configuration for *this*
 workflow?".  The optimizer generalizes the question to a whole suite: per
 workflow it chooses one of the four Table I configurations (execution
 mode x channel placement), subject to a PMEM capacity budget, and scores
-each joint choice on three additive objectives:
+each joint choice on two additive objectives:
 
 * **makespan** — Σ of per-workflow makespans (workflows execute one at a
   time; a campaign is a serial queue over the suite);
 * **PMEM footprint** — Σ of *retained* channel bytes.  Channels persist
   for the campaign (the paper's App-Direct channels are named, durable
-  objects), so footprints add even though compute is time-shared.  Serial
-  execution retains the full stream; parallel streaming retains only a
-  two-snapshot producer/consumer window;
-* **remote traffic** — Σ of bytes that cross the UPI link.  Every Table I
-  configuration pins the two components to opposite sockets, so one of
-  them moves the whole stream across the link.
+  objects), so footprints add even though compute is time-shared.  A
+  candidate's footprint is exactly what the simulator's channel reserves
+  (:meth:`~repro.workflow.spec.WorkflowSpec.retained_versions`).
+
+Remote traffic is no objective: every Table I configuration pins the two
+components to opposite sockets, so each candidate of a workflow moves its
+whole stream across the UPI link, and the axis never separates two plans.
 
 Each workflow's choice set is its four Table I candidates, every one
 priced by simulation (:mod:`repro.core.optimize.pricing`).
@@ -30,11 +31,6 @@ from repro.errors import ConfigurationError
 from repro.platform.topology import Node
 from repro.workflow.spec import WorkflowSpec
 
-#: Snapshots a parallel (streaming) channel retains: the producer's
-#: in-flight snapshot plus the consumer's in-read snapshot.
-PARALLEL_WINDOW_SNAPSHOTS = 2
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One Table I configuration for one workflow, priced by simulation.
@@ -46,23 +42,14 @@ class Candidate:
     mode: str  # "serial" | "parallel"
     makespan_seconds: float
     pmem_bytes: int
-    remote_bytes: int
     why: str
 
 
 def retained_pmem_bytes(spec: WorkflowSpec, mode: str) -> int:
-    """Channel bytes retained in PMEM for the campaign's duration.
-
-    Serial execution drains the whole stream before the reader starts, so
-    the channel holds every version; parallel streaming trims consumed
-    versions and holds only the producer/consumer window.
-    """
-    if mode == "serial":
-        return spec.total_data_bytes()
-    return min(
-        spec.total_data_bytes(),
-        PARALLEL_WINDOW_SNAPSHOTS * spec.ranks * spec.snapshot.snapshot_bytes,
-    )
+    """Channel bytes retained in PMEM for the campaign's duration: the
+    simulator's channel reservation for *spec* run in *mode*."""
+    versions = spec.retained_versions(parallel=mode == "parallel")
+    return spec.snapshot.snapshot_bytes * spec.ranks * versions
 
 
 @dataclass(frozen=True)

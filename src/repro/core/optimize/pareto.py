@@ -11,7 +11,7 @@ output stable:
   (cell ``floor(ln(v)/ln(1+ε))`` per axis); within one cell only the
   lexicographically smallest representative survives.  ε=0 disables
   coalescing (exact frontier).
-* **deterministic ordering** — points sort by (makespan, pmem, remote,
+* **deterministic ordering** — points sort by (makespan, pmem,
   selection tuple); JSON is dumped with sorted keys and fixed float
   repr, so a frontier file is byte-identical across runs and machines.
 """
@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.units import KiB
 
 #: Schema marker for serialized frontiers.
-FRONTIER_SCHEMA = "repro.optimize.frontier/v1"
+FRONTIER_SCHEMA = "repro.optimize.frontier/v2"
 
 #: Hard cap on surviving partials per fold: past this, the smallest
 #: (sorted order) survivors are kept and the frontier is marked truncated.
@@ -41,12 +41,11 @@ class FrontierPoint:
 
     makespan_seconds: float
     pmem_bytes: int
-    remote_bytes: int
     selections: Tuple[Tuple[str, str], ...]
 
     @property
-    def objectives(self) -> Tuple[float, int, int]:
-        return (self.makespan_seconds, self.pmem_bytes, self.remote_bytes)
+    def objectives(self) -> Tuple[float, int]:
+        return (self.makespan_seconds, self.pmem_bytes)
 
     @property
     def sort_key(self) -> Tuple:
@@ -92,12 +91,11 @@ def coalesce(
     """ε-coalescing: one representative per multiplicative grid cell."""
     if epsilon <= 0:
         return points
-    cells: Dict[Tuple[int, int, int], FrontierPoint] = {}
+    cells: Dict[Tuple[int, int], FrontierPoint] = {}
     for point in sorted(points, key=lambda p: p.sort_key):
         cell = (
             _cell(point.makespan_seconds, epsilon),
             _cell(float(point.pmem_bytes), epsilon),
-            _cell(float(point.remote_bytes), epsilon),
         )
         cells.setdefault(cell, point)
     return sorted(cells.values(), key=lambda p: p.sort_key)
@@ -112,7 +110,7 @@ def enumerate_frontier(
             f"epsilon must be finite and >= 0, got {epsilon}"
         )
     budget = scenario.limits.pmem_budget_bytes
-    partials: List[FrontierPoint] = [FrontierPoint(0.0, 0, 0, ())]
+    partials: List[FrontierPoint] = [FrontierPoint(0.0, 0, ())]
     truncated = False
     for key in sorted(scenario.keys):
         candidates = scenario.choices_of(key).candidates
@@ -127,8 +125,6 @@ def enumerate_frontier(
                         makespan_seconds=partial.makespan_seconds
                         + candidate.makespan_seconds,
                         pmem_bytes=pmem,
-                        remote_bytes=partial.remote_bytes
-                        + candidate.remote_bytes,
                         selections=partial.selections + ((key, candidate.key),),
                     )
                 )
@@ -149,14 +145,13 @@ def frontier_payload(
     truncated: bool,
     heuristic: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """The ``repro.optimize.frontier/v1`` payload."""
+    """The ``repro.optimize.frontier/v2`` payload."""
     records = []
     for point in sorted(points, key=lambda p: p.sort_key):
         records.append(
             {
                 "makespan_seconds": point.makespan_seconds,
                 "pmem_bytes": point.pmem_bytes,
-                "remote_bytes": point.remote_bytes,
                 "selections": {key: cand for key, cand in point.selections},
                 "why": {
                     key: scenario.choices_of(key).candidate(cand).why
@@ -197,7 +192,6 @@ def validate_frontier(payload: Mapping[str, Any]) -> List[str]:
         for field, kind in (
             ("makespan_seconds", (int, float)),
             ("pmem_bytes", int),
-            ("remote_bytes", int),
         ):
             if not isinstance(point.get(field), kind):
                 problems.append(f"{prefix}: bad {field}")
@@ -208,11 +202,7 @@ def validate_frontier(payload: Mapping[str, Any]) -> List[str]:
         elif set(point.get("why", {})) != set(point.get("selections", {})):
             problems.append(f"{prefix}: why keys differ from selections")
         vectors.append(
-            (
-                point.get("makespan_seconds", 0.0),
-                point.get("pmem_bytes", 0),
-                point.get("remote_bytes", 0),
-            )
+            (point.get("makespan_seconds", 0.0), point.get("pmem_bytes", 0))
         )
     for i, a in enumerate(vectors):
         for j, b in enumerate(vectors):

@@ -2,9 +2,9 @@
 
 :class:`SimulationPricer` prices the four Table I configurations by
 simulating them, or from an injected table of run results when a sweep
-already ran (the Table II and service paths).  Every price is a
-simulation result: the optimizer prices nothing the simulator cannot
-run.  Simulating one workflow's four configurations takes about 0.14 s
+already ran (``validate``'s frontier self-check reuses the runs of its
+Table II re-derivation this way).  Every price is a simulation result:
+the optimizer prices nothing the simulator cannot run.  Simulating one workflow's four configurations takes about 0.14 s
 on a shared 2-core x86-64 host, about 2.6 s for the 18-workflow suite.
 """
 
@@ -80,7 +80,6 @@ class SimulationPricer:
                     mode=mode,
                     makespan_seconds=result.makespan,
                     pmem_bytes=retained_pmem_bytes(spec, mode),
-                    remote_bytes=spec.total_data_bytes(),
                     why=_measured_why(result),
                 )
             )

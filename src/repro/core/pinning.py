@@ -10,7 +10,7 @@ channel on whichever socket the placement dictates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.configs import SchedulerConfig
 from repro.errors import PlacementError

@@ -8,7 +8,7 @@ modules; ``python -m repro.experiments <id>`` (or ``all``) runs them from
 the command line and can emit the EXPERIMENTS.md report.
 """
 
-from repro.experiments.common import Claim, ExperimentResult, run_suite_panel
+from repro.experiments.common import Claim, ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "ExperimentResult",
     "get_experiment",
     "list_experiments",
-    "run_suite_panel",
 ]

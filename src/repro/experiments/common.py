@@ -9,12 +9,11 @@ paper's quantified statements against the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from repro.apps.suite import SuiteEntry, suite_entry
-from repro.core.autotune import ExhaustiveTuner, TuningReport
+from repro.apps.suite import SuiteEntry
+from repro.core.autotune import TuningReport
 from repro.metrics.report import ascii_bar_chart
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.units import GiB
 
 
@@ -81,18 +80,6 @@ class ExperimentResult:
                     + (f" — {c.note}" if c.note else "")
                 )
         return "\n".join(lines)
-
-
-def run_suite_panel(
-    family: str,
-    ranks: int,
-    cal: Optional[OptaneCalibration] = None,
-    stack_name: str = "nvstream",
-) -> TuningReport:
-    """Run one suite workflow under all four configurations."""
-    cal = cal or DEFAULT_CALIBRATION
-    entry = suite_entry(family, ranks, stack_name)
-    return ExhaustiveTuner(cal=cal).tune(entry.spec)
 
 
 def panel_chart(entry: SuiteEntry, report: TuningReport) -> str:

@@ -8,7 +8,7 @@ and the figure-specific quantified claims.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.apps.suite import suite_entry
 from repro.core.autotune import ExhaustiveTuner, TuningReport

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from repro.core.autotune import TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.experiments.family_figure import run_family_figure
-from repro.metrics.analysis import gap_between
 from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "fig07"

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.apps.suite import workflow_suite
 from repro.core.autotune import ExhaustiveTuner
-from repro.experiments.common import Claim, ExperimentResult, gap_claim
+from repro.experiments.common import ExperimentResult, gap_claim
 from repro.metrics.report import format_table
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 

@@ -195,7 +195,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for result in results:
             print(result.render())
             print()
-    failed = sum(1 for r in results for c in r.claims if not c.holds)
     print(
         f"[{sum(r.claims_held for r in results)}/{sum(len(r.claims) for r in results)}"
         " claims reproduced]",

@@ -7,7 +7,7 @@ modules print text renderings of the same artifacts via these helpers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 

@@ -162,7 +162,7 @@ class ServiceScheduler:
         self.jobs = jobs
         self.cal = cal
         self.backoff_seconds = backoff_seconds
-        # An optimizer plan (repro.optimize.plan/v2) overrides per-job SJF
+        # An optimizer plan (repro.optimize.plan/v3) overrides per-job SJF
         # prices for the cells it covers, and regret entries gain the
         # plan's pick so `status` can show regret vs the plan.
         self.plan = plan

@@ -16,7 +16,7 @@ on, which is how a long-running workflow fits in finite App-Direct capacity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import StorageError
 from repro.sim.events import SimEvent

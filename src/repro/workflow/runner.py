@@ -155,7 +155,7 @@ class _WorkflowExecution:
             stack=stack,
             n_streams=spec.ranks,
             snapshot=spec.snapshot,
-            retained_versions=spec.iterations if not config.parallel else 2,
+            retained_versions=spec.retained_versions(config.parallel),
             hooks=channel_hooks,
         )
 

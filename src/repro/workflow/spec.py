@@ -94,6 +94,15 @@ class WorkflowSpec:
         """Data volume streamed through the channel over the full run."""
         return self.snapshot.total_bytes(self.ranks, self.iterations)
 
+    def retained_versions(self, parallel: bool) -> int:
+        """Versions per rank the channel keeps reserved in PMEM.
+
+        Serial execution drains the whole stream before the reader starts,
+        so the channel holds every version; parallel streaming holds only
+        the producer's in-flight and the consumer's in-read snapshot.
+        """
+        return 2 if parallel else self.iterations
+
     def with_ranks(self, ranks: int, name: Optional[str] = None) -> "WorkflowSpec":
         """A copy at a different concurrency level (weak scaling: per-rank
         snapshot and compute stay fixed, total data grows with ranks)."""

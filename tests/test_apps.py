@@ -28,7 +28,7 @@ from repro.apps.suite import (
     workflow_suite,
 )
 from repro.errors import ConfigurationError
-from repro.units import GiB, KiB, MiB
+from repro.units import GiB, MiB
 
 
 class TestMicrobench:

@@ -21,7 +21,7 @@ def bench_guard():
     return module
 
 
-def _export(tmp_path, names, iterations=720.0, bb_nodes=91):
+def _export(tmp_path, names, iterations=720.0, frontier_points=9):
     raw = {
         "benchmarks": [
             {
@@ -29,7 +29,7 @@ def _export(tmp_path, names, iterations=720.0, bb_nodes=91):
                 "stats": {"median": 0.02},
                 "extra_info": {
                     "solver_iterations": iterations,
-                    "bb_nodes": bb_nodes,
+                    "frontier_points": frontier_points,
                 },
             }
             for name in names
@@ -67,8 +67,8 @@ def test_counter_drift_fails(bench_guard, tmp_path):
     assert _compare(bench_guard, tmp_path, ["a"], ["a"], iterations=721.0) == 1
 
 
-def test_bb_nodes_drift_fails(bench_guard, tmp_path, capsys):
-    # The optimizer's explored-node count is a work counter: one node more
-    # means the branch-and-bound search changed.
-    assert _compare(bench_guard, tmp_path, ["a"], ["a"], bb_nodes=92) == 1
-    assert "a: bb_nodes drifted 91.0 -> 92.0" in capsys.readouterr().err
+def test_frontier_points_drift_fails(bench_guard, tmp_path, capsys):
+    # The optimizer's frontier size is a work counter: one point more
+    # means the pricing or the frontier's dominance rule changed.
+    assert _compare(bench_guard, tmp_path, ["a"], ["a"], frontier_points=10) == 1
+    assert "a: frontier_points drifted 9.0 -> 10.0" in capsys.readouterr().err

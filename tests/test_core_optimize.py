@@ -1,12 +1,15 @@
-"""The global placement optimizer: model, backend, frontier, validation.
+"""The global placement optimizer: model, solve, frontier, validation.
 
-Three claim groups:
+Four claim groups:
 
 * **Pareto-front properties** — no dominated points, deterministic
   (byte-identical) serialization, ε-coalescing only shrinks the set.
 * **Pricing agreement** — the simulation pricer's Table I candidate
   prices equal the reference-solver-backed simulator run for run;
-  injected (precomputed) prices round-trip exactly.
+  injected (precomputed) prices round-trip exactly; a priced footprint
+  is the simulator's channel reservation.
+* **Exact plans** — ``solve`` equals a brute-force enumeration of every
+  joint assignment at every budget where the answer changes.
 * **Table II re-derivation** — the optimizer's per-workflow argmin,
   priced from the session oracle reports, matches the paper on 17/18
   panels exactly and all 18 within the ε-band, with the one divergence
@@ -15,20 +18,22 @@ Three claim groups:
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import re
 
 import pytest
 
 from repro.apps.suite import build_workflow
-from repro.core.configs import ALL_CONFIGS
-from repro.core.optimize.backends import BranchBoundOptimizer
+from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
+from repro.core.optimize.backends import solve
 from repro.core.optimize.cli import (
     VALIDATE_EPSILON,
     build_scenario,
     main as optimize_main,
 )
-from repro.core.optimize.model import retained_pmem_bytes
+from repro.core.optimize.model import ScenarioLimits, retained_pmem_bytes
 from repro.core.optimize.pareto import (
     FrontierPoint,
     coalesce,
@@ -41,6 +46,8 @@ from repro.core.optimize.pareto import (
 )
 from repro.core.optimize.pricing import SimulationPricer
 from repro.core.recommend import RecommendationEngine
+from repro.errors import ConfigurationError
+from repro.storage.channel import StreamChannel
 from repro.units import GB
 from repro.workflow.runner import run_workflow
 
@@ -59,17 +66,17 @@ def _precomputed(suite_reports):
 # ----------------------------------------------------------------------
 # Pareto-front properties.
 # ----------------------------------------------------------------------
-def _point(makespan, pmem, remote, tag):
-    return FrontierPoint(makespan, pmem, remote, ((tag, tag),))
+def _point(makespan, pmem, tag):
+    return FrontierPoint(makespan, pmem, ((tag, tag),))
 
 
 def test_pareto_filter_removes_dominated_points():
     points = [
-        _point(1.0, 100, 10, "a"),
-        _point(2.0, 100, 10, "b"),  # dominated by a
-        _point(1.0, 50, 20, "c"),
-        _point(0.5, 200, 10, "d"),
-        _point(0.5, 200, 10, "e"),  # duplicate objectives of d
+        _point(1.0, 100, "a"),
+        _point(2.0, 100, "b"),  # dominated by a
+        _point(0.8, 150, "c"),
+        _point(0.5, 200, "d"),
+        _point(0.5, 200, "e"),  # duplicate objectives of d
     ]
     kept = pareto_filter(points)
     assert [p.selections[0][0] for p in kept] == ["d", "c", "a"]
@@ -80,14 +87,14 @@ def test_pareto_filter_removes_dominated_points():
 
 def test_pareto_filter_is_order_independent():
     points = [
-        _point(float(i), 100 - i, (i * 7) % 13, f"p{i}") for i in range(20)
+        _point(float(i), 100 - (i * 7) % 13, f"p{i}") for i in range(20)
     ]
     assert pareto_filter(points) == pareto_filter(list(reversed(points)))
 
 
 def test_epsilon_coalescing_shrinks_monotonically():
     points = pareto_filter(
-        [_point(1.0 + 0.001 * i, 1000 - i, 0, f"p{i}") for i in range(100)]
+        [_point(1.0 + 0.001 * i, 1000 - i, f"p{i}") for i in range(100)]
     )
     sizes = [
         len(coalesce(points, epsilon)) for epsilon in (0.0, 0.001, 0.01, 0.1)
@@ -129,19 +136,17 @@ def test_frontier_json_is_byte_identical_and_schema_valid(suite_reports):
 
 def test_validate_frontier_flags_dominated_and_unsorted():
     bad = {
-        "schema": "repro.optimize.frontier/v1",
+        "schema": "repro.optimize.frontier/v2",
         "points": [
             {
                 "makespan_seconds": 2.0,
                 "pmem_bytes": 10,
-                "remote_bytes": 5,
                 "selections": {"a@8": "S-LocW"},
                 "why": {"a@8": "-"},
             },
             {
                 "makespan_seconds": 1.0,
                 "pmem_bytes": 5,
-                "remote_bytes": 5,
                 "selections": {"a@8": "P-LocR"},
                 "why": {"a@8": "-"},
             },
@@ -183,17 +188,33 @@ def test_precomputed_prices_round_trip(suite_reports):
     assert priced.candidates == fresh.candidates
 
 
-def test_retained_bytes_semantics():
+def test_retained_bytes_semantics(monkeypatch):
     spec = build_workflow("micro-64mb", ranks=16)
     serial = retained_pmem_bytes(spec, "serial")
     parallel = retained_pmem_bytes(spec, "parallel")
     assert serial == spec.total_data_bytes()
     assert parallel == 2 * spec.ranks * spec.snapshot.snapshot_bytes
     assert parallel < serial
+    # The price is what the simulated channel reserves, also at one
+    # iteration, where a parallel channel still reserves two versions.
+    reserved = []
+    original_close = StreamChannel.close
+
+    def close(channel):
+        reserved.append(channel.reserved_bytes)
+        original_close(channel)
+
+    monkeypatch.setattr(StreamChannel, "close", close)
+    for workload in (spec, dataclasses.replace(spec, iterations=1)):
+        for config in (S_LOCW, P_LOCR):
+            run_workflow(workload, config)
+            assert reserved.pop() == retained_pmem_bytes(
+                workload, config.mode.value
+            )
 
 
 # ----------------------------------------------------------------------
-# Exact backend.
+# Exact plans.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def budget_scenario(suite_reports):
@@ -205,9 +226,9 @@ def budget_scenario(suite_reports):
 
 
 def test_exact_backend_feasible_under_budget(budget_scenario):
-    plan = BranchBoundOptimizer().solve(budget_scenario)
+    plan = solve(budget_scenario)
     budget = budget_scenario.limits.pmem_budget_bytes
-    assert plan.feasible and plan.backend == "exact"
+    assert plan.feasible
     picks = [plan.candidate_of(budget_scenario, key) for key, _ in plan.selections]
     assert [key for key, _ in plan.selections] == sorted(budget_scenario.keys)
     assert plan.pmem_bytes == sum(c.pmem_bytes for c in picks) <= budget
@@ -216,13 +237,6 @@ def test_exact_backend_feasible_under_budget(budget_scenario):
         choice.makespan_best.pmem_bytes for choice in budget_scenario.choices
     )
     assert unconstrained > budget
-
-
-def test_exact_backend_matches_frontier_optimum(budget_scenario):
-    plan = BranchBoundOptimizer().solve(budget_scenario)
-    points, _ = enumerate_frontier(budget_scenario)
-    assert points
-    assert plan.makespan_seconds == min(p.makespan_seconds for p in points)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +249,7 @@ def suite_scenario(suite_reports):
 def test_exact_backend_unconstrained_is_per_workflow_argmin(
     suite_scenario, suite_reports
 ):
-    plan = BranchBoundOptimizer().solve(suite_scenario)
+    plan = solve(suite_scenario)
     expected = {
         f"{family}@{ranks}": report.best_config.label
         for (family, ranks), report in suite_reports.items()
@@ -250,10 +264,65 @@ def test_infeasible_budget_reported_not_raised(suite_reports):
         pmem_budget_bytes=1,
         precomputed=_precomputed(suite_reports),
     )
-    plan = BranchBoundOptimizer().solve(scenario)
+    plan = solve(scenario)
     assert not plan.feasible
     points, _ = enumerate_frontier(scenario)
     assert points == []
+
+
+#: Six suite workflows: 4**6 = 4,096 joint assignments, few enough to
+#: enumerate.
+ORACLE_KEYS = [
+    "gtc+matmult@24",
+    "gtc+readonly@16",
+    "micro-2k@8",
+    "micro-64mb@16",
+    "micro-64mb@24",
+    "miniamr+matmult@16",
+]
+
+
+def test_solve_matches_brute_force_at_every_budget(suite_reports, monkeypatch):
+    scenario = build_scenario(ORACLE_KEYS, precomputed=_precomputed(suite_reports))
+    keys = sorted(scenario.keys)
+    assignments = []
+    for picks in itertools.product(
+        *(scenario.choices_of(key).candidates for key in keys)
+    ):
+        makespan = 0.0
+        for candidate in picks:  # summed in key order, as a plan is
+            makespan += candidate.makespan_seconds
+        selections = tuple((key, c.key) for key, c in zip(keys, picks))
+        assignments.append(
+            (makespan, sum(c.pmem_bytes for c in picks), selections)
+        )
+    assert len(assignments) == 4**6
+    # The answer can only change where the budget admits one more
+    # footprint sum, so these budgets cover every change.
+    footprints = sorted({pmem for _, pmem, _ in assignments})
+    answers = set()
+    for budget in footprints:
+        limited = dataclasses.replace(scenario, limits=ScenarioLimits(budget))
+        expected = min(a for a in assignments if a[1] <= budget)
+        plan = solve(limited)
+        assert plan.feasible
+        assert (plan.makespan_seconds, plan.pmem_bytes, plan.selections) == (
+            expected
+        )
+        answers.add(plan.selections)
+    assert len(answers) > 1
+    # Under the smallest footprint sum nothing fits: the plan is the
+    # footprint-minimal assignment, flagged infeasible.
+    limited = dataclasses.replace(
+        scenario, limits=ScenarioLimits(footprints[0] - 1)
+    )
+    plan = solve(limited)
+    assert not plan.feasible
+    assert plan.pmem_bytes == footprints[0]
+    # A truncated frontier may have lost the optimum: solve refuses.
+    monkeypatch.setattr("repro.core.optimize.pareto.MAX_PARTIALS", 1)
+    with pytest.raises(ConfigurationError, match="frontier"):
+        solve(scenario)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +410,7 @@ def test_cli_pareto_and_solve_smoke(tmp_path, capsys):
     )
     assert rc == 0
     plan = json.loads(plan_path.read_text())
-    assert plan["schema"] == "repro.optimize.plan/v2"
+    assert plan["schema"] == "repro.optimize.plan/v3"
     assert "micro-64mb@8" in plan["assignments"]
     capsys.readouterr()
 
@@ -397,9 +466,7 @@ def test_cli_rejects_non_finite_numbers_before_simulating(
 def test_service_scheduler_consumes_plan(tmp_path, suite_scenario):
     from repro.service.scheduler import ServiceScheduler
 
-    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
-        suite_scenario
-    )
+    plan = solve(suite_scenario).as_record(suite_scenario)
     scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
     # Full-size cells: the plan priced the suite's own iteration counts.
     scheduler.submit_suite(
@@ -422,9 +489,7 @@ def test_service_scheduler_ignores_plan_priced_at_other_iterations(
     from repro.apps.suite import build_workflow
     from repro.service.scheduler import ServiceScheduler
 
-    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
-        suite_scenario
-    )
+    plan = solve(suite_scenario).as_record(suite_scenario)
     assignment = plan["assignments"]["micro-64mb@8"]
     assert assignment["iterations"] == build_workflow("micro-64mb", 8).iterations
     scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
@@ -461,9 +526,7 @@ def test_service_scheduler_ignores_plan_for_other_workloads(
     from repro.pmem.calibration import DEFAULT_CALIBRATION
     from repro.service.scheduler import ServiceScheduler
 
-    plan = BranchBoundOptimizer().solve(suite_scenario).as_record(
-        suite_scenario
-    )
+    plan = solve(suite_scenario).as_record(suite_scenario)
     scheduler = ServiceScheduler(root=str(tmp_path / "svc"), plan=plan)
     cells = [("miniamr+matmult", 8)]
     # The cell the plan priced (full size, defaults) gets its assignment.
@@ -487,18 +550,19 @@ def test_service_scheduler_ignores_plan_for_other_workloads(
 
 
 def test_service_scheduler_rejects_bad_plan_schema(tmp_path):
-    from repro.errors import ConfigurationError
     from repro.service.scheduler import ServiceScheduler
 
     with pytest.raises(ConfigurationError):
         ServiceScheduler(
             root=str(tmp_path / "svc"), plan={"schema": "bogus/v0"}
         )
-    # A v1 plan records no cell ids, so it could match no job: refuse it
-    # and say how to get a current one.
-    old_plan = {
-        "schema": "repro.optimize.plan/v1",
-        "assignments": {"micro-2k@8": {"config": "S-LocW"}},
-    }
-    with pytest.raises(ConfigurationError, match="re-run"):
-        ServiceScheduler(root=str(tmp_path / "svc"), plan=old_plan)
+    # A v1 plan records no cell ids, so it could match no job, and a v2
+    # plan carries fields v3 dropped: refuse both and say how to get a
+    # current one.
+    for schema in ("repro.optimize.plan/v1", "repro.optimize.plan/v2"):
+        old_plan = {
+            "schema": schema,
+            "assignments": {"micro-2k@8": {"config": "S-LocW"}},
+        }
+        with pytest.raises(ConfigurationError, match="re-run"):
+            ServiceScheduler(root=str(tmp_path / "svc"), plan=old_plan)

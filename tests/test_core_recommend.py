@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.suite import workflow_suite
-from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
+from repro.core.configs import ALL_CONFIGS
 from repro.core.recommend import (
     CostModelParameters,
     RecommendationEngine,

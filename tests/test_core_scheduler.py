@@ -5,7 +5,7 @@ import pytest
 from repro.apps.microbench import micro_workflow
 from repro.apps.gtc import gtc_workflow
 from repro.core.autotune import ExhaustiveTuner
-from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW, SchedulerConfig
+from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
 from repro.core.pinning import plan_pinning
 from repro.core.scheduler import WorkflowScheduler
 from repro.errors import ConfigurationError, PlacementError

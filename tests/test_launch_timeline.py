@@ -87,8 +87,8 @@ class TestTimeline:
 
     def test_width_respected(self, traced_run):
         text = render_timeline(traced_run.tracer, width=40)
-        body_lines = [l for l in text.splitlines()[1:]]
-        assert all(len(l) == len("writer[ 0] ") + 40 for l in body_lines)
+        body_lines = text.splitlines()[1:]
+        assert all(len(line) == len("writer[ 0] ") + 40 for line in body_lines)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):

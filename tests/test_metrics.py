@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.metrics.analysis import (
-    ConfigComparison,
     best_config,
     compare_configs,
     gap_between,

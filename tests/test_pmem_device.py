@@ -257,8 +257,8 @@ class TestShares:
         assert share == pytest.approx(CAL.single_thread_read(), rel=0.01)
 
     def test_writers_share_capacity(self):
-        l = load(n_write_local=8.0, raw_write_local=8)
-        share = device_resource().share(l, flow("write"))
+        busy = load(n_write_local=8.0, raw_write_local=8)
+        share = device_resource().share(busy, flow("write"))
         assert share * 8 <= CAL.local_write_peak
 
     def test_reads_crushed_by_many_writers(self):
@@ -320,29 +320,29 @@ class TestPollers:
 
     def test_pollers_slow_writes(self):
         resource = device_resource()
-        l = load(n_write_local=8.0, raw_write_local=8)
-        before = resource.share(l, flow("write"))
+        busy = load(n_write_local=8.0, raw_write_local=8)
+        before = resource.share(busy, flow("write"))
         for _ in range(16):
             resource.add_poller(remote=True)
-        after = resource.share(l, flow("write"))
+        after = resource.share(busy, flow("write"))
         assert after < before
 
 
 class TestCongestionEwma:
     def test_ewma_rises_under_sustained_remote_writes(self):
         resource = device_resource()
-        l = load(n_write_remote=16.0, raw_write_remote=16)
-        l.congestion_write_remote = 16.0
-        resource.observe(0.0, l)
-        resource.observe(5.0, l)
+        busy = load(n_write_remote=16.0, raw_write_remote=16)
+        busy.congestion_write_remote = 16.0
+        resource.observe(0.0, busy)
+        resource.observe(5.0, busy)
         assert resource.remote_write_ewma > 10.0
 
     def test_ewma_decays_when_idle(self):
         resource = device_resource()
-        l = load(n_write_remote=16.0, raw_write_remote=16)
-        l.congestion_write_remote = 16.0
-        resource.observe(0.0, l)
-        resource.observe(5.0, l)  # hot
+        busy = load(n_write_remote=16.0, raw_write_remote=16)
+        busy.congestion_write_remote = 16.0
+        resource.observe(0.0, busy)
+        resource.observe(5.0, busy)  # hot
         resource.observe(5.0 + 1e-9, ResourceLoad())  # writes stop
         resource.observe(20.0, ResourceLoad())  # long idle gap
         assert resource.remote_write_ewma < 1.0

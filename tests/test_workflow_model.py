@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.storage.objects import SnapshotSpec
-from repro.units import GiB, KiB, MiB
+from repro.units import KiB, MiB
 from repro.workflow.component import ComponentSpec
 from repro.workflow.iteration import component_iteration_profile
 from repro.workflow.kernels import (

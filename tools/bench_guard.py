@@ -53,7 +53,7 @@ COUNTER_FIELDS = (
     "solves_at_cap",
     "share_calls",
     "solver_classes",
-    "bb_nodes",
+    "frontier_points",
     "makespan",
 )
 
