@@ -6,13 +6,16 @@ solver-heavy small-object workflow, and the fast solver's memo-miss path
 alone (the recorded misses of one paper run, replayed without the memo).
 
 Each simulator benchmark attaches its work counters (events, recomputes,
-solver iterations, memo hit rate, capped solves, makespan) as ``extra_info`` so the JSON
+solver iterations, memo hit rate, capped solves, makespan, and the objects
+a run leaves to the cyclic garbage collector) as ``extra_info`` so the JSON
 artifact carries the *why* behind a wall-time move — a regression with an
 unchanged iteration count is allocator churn; one with a collapsed memo
 hit rate is a solver-strategy bug.  ``tools/bench_guard.py`` turns the
 pytest-benchmark JSON into the committed ``BENCH_simcore.json`` baseline
 and enforces the +/-20 % guard in CI.
 """
+
+import gc
 
 import repro.sim.flow as flow_module
 from repro.apps.gtc import gtc_workflow
@@ -48,6 +51,21 @@ def _attach_work_counters(benchmark, spec, config):
     )
 
 
+def _attach_cyclic_objects(benchmark, spec, config):
+    """One more (untimed) plain run with collection disabled: the objects
+    it leaves that only the cyclic garbage collector frees.  A finished
+    run is freed by reference counting, so this is guarded at 0."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_workflow(spec, config)
+        benchmark.extra_info["cyclic_objects"] = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_simulate_gtc_workflow(benchmark):
     spec = gtc_workflow(ranks=16, iterations=5)
     result = benchmark.pedantic(
@@ -55,6 +73,7 @@ def test_simulate_gtc_workflow(benchmark):
     )
     assert result.makespan > 0
     _attach_work_counters(benchmark, spec, P_LOCR)
+    _attach_cyclic_objects(benchmark, spec, P_LOCR)
 
 
 def test_simulate_small_object_workflow(benchmark):
@@ -64,6 +83,7 @@ def test_simulate_small_object_workflow(benchmark):
     )
     assert result.makespan > 0
     _attach_work_counters(benchmark, spec, S_LOCW)
+    _attach_cyclic_objects(benchmark, spec, S_LOCW)
 
 
 def test_render_timeline_wide(benchmark):

@@ -37,33 +37,42 @@ def _finding(code: str, obj: str, message: str, hint: str = "") -> Diagnostic:
 # ---------------------------------------------------------------------------
 # Workflow-spec structure (SPEC201, SPEC202, SPEC205).
 # ---------------------------------------------------------------------------
+_WHITE, _GRAY, _BLACK = 0, 1, 2
+
+
+def _visit(
+    node: str,
+    adjacency: Dict[str, List[str]],
+    color: Dict[str, int],
+    stack: List[str],
+) -> Optional[List[str]]:
+    """Depth-first step of :func:`_find_cycle` (module level, so a run of
+    the validator leaves no self-referencing closure behind)."""
+    color[node] = _GRAY
+    stack.append(node)
+    for neighbour in adjacency[node]:
+        if color[neighbour] == _GRAY:
+            return stack[stack.index(neighbour):] + [neighbour]
+        if color[neighbour] == _WHITE:
+            cycle = _visit(neighbour, adjacency, color, stack)
+            if cycle is not None:
+                return cycle
+    stack.pop()
+    color[node] = _BLACK
+    return None
+
+
 def _find_cycle(edges: Sequence[tuple], nodes: Iterable[str]) -> Optional[List[str]]:
     """Return one cycle as a role list, or ``None`` if the graph is a DAG."""
     adjacency: Dict[str, List[str]] = {node: [] for node in nodes}
     for producer, consumer in edges:
         adjacency.setdefault(producer, []).append(consumer)
         adjacency.setdefault(consumer, [])
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
+    color = {node: _WHITE for node in adjacency}
     stack: List[str] = []
-
-    def visit(node: str) -> Optional[List[str]]:
-        color[node] = GRAY
-        stack.append(node)
-        for neighbour in adjacency[node]:
-            if color[neighbour] == GRAY:
-                return stack[stack.index(neighbour):] + [neighbour]
-            if color[neighbour] == WHITE:
-                cycle = visit(neighbour)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        color[node] = BLACK
-        return None
-
     for node in sorted(adjacency):
-        if color[node] == WHITE:
-            cycle = visit(node)
+        if color[node] == _WHITE:
+            cycle = _visit(node, adjacency, color, stack)
             if cycle is not None:
                 return cycle
     return None

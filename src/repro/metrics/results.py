@@ -9,14 +9,11 @@ used by the feature extractor and the analysis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import Tracer
 from repro.units import fmt_time
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports us)
-    from repro.obs.capture import Observation
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class RunResult:
         Payload volumes moved through the channel.
     tracer:
         Full timeline when tracing was requested, else ``None``.
-    observation:
-        The :class:`repro.obs.capture.Observation` that recorded this run
-        when one was attached, else ``None``.
     """
 
     workflow_name: str
@@ -73,9 +67,6 @@ class RunResult:
     bytes_written: float = 0.0
     bytes_read: float = 0.0
     tracer: Optional[Tracer] = field(default=None, compare=False, repr=False)
-    observation: Optional["Observation"] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.makespan < 0:

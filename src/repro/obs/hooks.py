@@ -50,8 +50,8 @@ class NetworkHooks:
         "_recomputes",
         "_solver_iterations",
         "_completed",
-        "_occupancy",
-        "_achieved",
+        "_resource_gauges",
+        "_last_loaded",
         "_bytes",
         "_rate_hist",
     )
@@ -63,19 +63,14 @@ class NetworkHooks:
         self._solver_iterations = probes.counter("flow.solver_iterations")
         self._completed = probes.counter("flow.completed")
         # Per-resource instrument caches (avoid registry lookups per event).
-        self._occupancy: Dict[str, Gauge] = {}
-        self._achieved: Dict[str, Gauge] = {}
+        #: ``(resource.occupancy, resource.rate_achieved)`` per resource.
+        self._resource_gauges: Dict["CapacityResource", Tuple[Gauge, Gauge]] = {}
+        #: The resources loaded at the previous recompute.
+        self._last_loaded: Tuple["CapacityResource", ...] = ()
         self._bytes: Dict[Tuple[str, str, bool], Counter] = {}
         self._rate_hist: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    def _resource_gauge(self, cache: Dict[str, Gauge], name: str, resource: str) -> Gauge:
-        gauge = cache.get(resource)
-        if gauge is None:
-            gauge = self._probes.gauge(name, resource=resource)
-            cache[resource] = gauge
-        return gauge
-
     def on_recompute(
         self,
         now: float,
@@ -85,27 +80,33 @@ class NetworkHooks:
         """Called after every rate recomputation with the converged state."""
         self._recomputes.add(now, 1)
         self._active.set(now, len(flows))
-        # Resources with no load this round decay to zero occupancy/rate.
-        seen = {resource.name for resource in loads}
-        for name, gauge in self._occupancy.items():
-            if name not in seen:
-                gauge.set(now, 0.0)
-        for name, gauge in self._achieved.items():
-            if name not in seen:
-                gauge.set(now, 0.0)
+        gauges = self._resource_gauges
+        # Resources that went idle since the last recompute decay to zero
+        # occupancy/rate (gauges record only changes, so the ones idle
+        # before that are already at zero).
+        for resource in self._last_loaded:
+            if resource not in loads:
+                occupancy, achieved_rate = gauges[resource]
+                occupancy.set(now, 0.0)
+                achieved_rate.set(now, 0.0)
+        self._last_loaded = tuple(loads)
         # One pass over the flows; per-resource sums stay in flow order.
         achieved = dict.fromkeys(loads, 0.0)
         for flow in flows:
             rate = flow.rate
             for resource in flow.resources:
                 achieved[resource] += rate
-        for resource, load in sorted(loads.items(), key=lambda kv: kv[0].name):
-            self._resource_gauge(
-                self._occupancy, "resource.occupancy", resource.name
-            ).set(now, load.n_total)
-            self._resource_gauge(
-                self._achieved, "resource.rate_achieved", resource.name
-            ).set(now, achieved[resource])
+        # Instrument creation order never reaches an export: the registry
+        # lists its instruments sorted by key.
+        for resource, load in loads.items():
+            pair = gauges.get(resource)
+            if pair is None:
+                pair = gauges[resource] = (
+                    self._probes.gauge("resource.occupancy", resource=resource.name),
+                    self._probes.gauge("resource.rate_achieved", resource=resource.name),
+                )
+            pair[0].set(now, load.n_total)
+            pair[1].set(now, achieved[resource])
 
     def on_solve(self, now: float, iterations: int) -> None:
         """Called after every rate solve with the fixed-point iteration count.

@@ -11,6 +11,7 @@ that unrelated remote flows contend with one another.
 
 from __future__ import annotations
 
+from repro.errors import SimulationError
 from repro.sim.flow import CapacityResource, Flow, ResourceLoad
 
 
@@ -25,10 +26,18 @@ class UpiLink(CapacityResource):
 
     def __init__(self, socket_a: int, socket_b: int, bandwidth: float) -> None:
         self.bandwidth = float(bandwidth)
-        super().__init__(name=f"upi[{socket_a}<->{socket_b}]", capacity_fn=self._capacity)
+        super().__init__(name=f"upi[{socket_a}<->{socket_b}]")
 
-    def _capacity(self, load: ResourceLoad) -> float:
-        return self.bandwidth
+    def capacity(self, load: ResourceLoad) -> float:
+        """The link bandwidth, whatever the load (an override rather than
+        a ``capacity_fn``: a bound method stored on the link would make
+        every link a reference cycle)."""
+        bandwidth = self.bandwidth
+        if not bandwidth >= 0:  # negative or NaN
+            raise SimulationError(
+                f"capacity model for {self.name!r} returned invalid value {bandwidth}"
+            )
+        return bandwidth
 
     def share(self, load: ResourceLoad, flow: Flow) -> float:
         """Processor sharing of the link: bit-identical to the inherited

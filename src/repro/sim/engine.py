@@ -19,7 +19,7 @@ re-examines the queue before committing to a pop.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import SimEvent
@@ -78,7 +78,10 @@ class Engine:
         self._now: float = 0.0
         self._seq: int = 0
         self._queue: List[Tuple[float, int, Timer]] = []
-        self._processes: List[Process] = []
+        #: Unfinished processes in spawn order (a dict used as an ordered
+        #: set); a process leaves it when it finishes, so a finished one is
+        #: freed as soon as its caller drops it.
+        self._processes: Dict[Process, None] = {}
         self._running = False
         #: Executed (non-cancelled) timer callbacks.
         self.events_executed: int = 0
@@ -133,7 +136,7 @@ class Engine:
     ) -> Process:
         """Create a :class:`Process` from *generator* and start it after *delay*."""
         process = Process(self, generator, name=name)
-        self._processes.append(process)
+        self._processes[process] = None
         self.schedule(delay, process.start)
         return process
 
@@ -162,6 +165,11 @@ class Engine:
         progress.
         """
         self._flush_hooks.append(hook)
+
+    def remove_flush_hook(self, hook: Callable[[], bool]) -> None:
+        """Unregister *hook*, compared with ``==`` (so a fresh bound method
+        of the same object matches); ``ValueError`` if it is not registered."""
+        self._flush_hooks.remove(hook)
 
     def _run_flush_hooks(self) -> bool:
         ran = False

@@ -981,6 +981,7 @@ class FlowNetwork:
         #: Set when a solve cancelled completion timers; the flush
         #: re-schedules one timer per affected flow.
         self._timers_stale = False
+        self._closed = False
         engine.add_flush_hook(self._flush_recompute)
 
     # ------------------------------------------------------------------
@@ -988,17 +989,42 @@ class FlowNetwork:
     def active_flows(self) -> Tuple[Flow, ...]:
         return tuple(self._flows)
 
+    def close(self) -> None:
+        """Unregister the network's flush hook from its engine.
+
+        The hook is a bound method, so until it is removed the engine and
+        the network (with its memo and last loads) form a reference cycle
+        that only the cyclic garbage collector frees.  Call it once the
+        engine has run; afterwards :meth:`transfer` and :meth:`poke` raise,
+        since nothing would solve what they start.  Closing twice is a
+        no-op.
+        """
+        if not self._closed:
+            self._closed = True
+            self.engine.remove_flush_hook(self._flush_recompute)
+
+    def _closed_error(self, operation: str) -> SimulationError:
+        return SimulationError(
+            f"{operation}() on a closed FlowNetwork: its flush hook is "
+            "unregistered, so no solve would ever run"
+        )
+
     def transfer(self, flow: Flow) -> SimEvent:
         """Start *flow*; returns an event that succeeds on completion.
 
-        Zero-byte flows complete immediately (software-overhead-only
-        operations are charged by the storage stack before the flow starts).
+        The event succeeds with ``None``, not the flow: a flow's event
+        holding the flow would be a reference cycle, and the caller
+        already has the flow.  Zero-byte flows complete immediately
+        (software-overhead-only operations are charged by the storage
+        stack before the flow starts).
         """
+        if self._closed:
+            raise self._closed_error("transfer")
         if flow.done.triggered:
             raise SimulationError(f"flow {flow.label!r} reused after completion")
         flow.started_at = self.engine.now
         if flow.remaining <= COMPLETION_EPSILON_BYTES:
-            flow.done.succeed(flow)
+            flow.done.succeed()
             return flow.done
         self._advance_progress()
         self._flows.append(flow)
@@ -1028,6 +1054,8 @@ class FlowNetwork:
         cannot be reasoned about, so the memo is flushed; a bare ``poke()``
         flushes it too.
         """
+        if self._closed:
+            raise self._closed_error("poke")
         if not resources or any(
             type(r).share_state_token is CapacityResource.share_state_token
             for r in resources
@@ -1168,11 +1196,12 @@ class FlowNetwork:
                 )
             flow.remaining = 0.0
             flow.rate = 0.0
+            flow._timer = None
             self._flows.remove(flow)
             self.flows_completed += 1
             if self.hooks is not None:
                 self.hooks.on_flow_complete(self.engine.now, flow)
-            flow.done.succeed(flow)
+            flow.done.succeed()
             # Recompute even when no flows remain so stateful resources
             # observe the transition to idle.
             self._request_recompute()

@@ -33,7 +33,15 @@ class Process:
     Not instantiated directly — use :meth:`repro.sim.engine.Engine.spawn`.
     """
 
-    __slots__ = ("engine", "name", "completed", "_generator", "_started", "_finished")
+    __slots__ = (
+        "engine",
+        "name",
+        "completed",
+        "_generator",
+        "_started",
+        "_finished",
+        "__weakref__",
+    )
 
     def __init__(self, engine: "Engine", generator: Generator[Any, Any, Any], name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -112,10 +120,12 @@ class Process:
 
     def _finish_ok(self, value: Any) -> None:
         self._finished = True
+        self.engine._processes.pop(self, None)
         self.completed.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._finished = True
+        self.engine._processes.pop(self, None)
         if self.completed.triggered:  # pragma: no cover - defensive
             raise exc
         self.completed.fail(exc)

@@ -327,6 +327,7 @@ class _WorkflowExecution:
             )
         makespan = self.engine.run()
         self.channel.close()
+        self.network.close()
         result = RunResult(
             workflow_name=spec.name,
             config_label=self.config.label,
@@ -338,7 +339,6 @@ class _WorkflowExecution:
             bytes_written=self.writer_stats.payload_bytes,
             bytes_read=self.reader_stats.payload_bytes,
             tracer=self.tracer if self.tracer.enabled else None,
-            observation=self.observation,
         )
         if self.observation is not None:
             self.observation.finalize(self.engine, result, network=self.network)

@@ -21,7 +21,7 @@ def bench_guard():
     return module
 
 
-def _export(tmp_path, names, iterations=720.0, frontier_points=9):
+def _export(tmp_path, names, iterations=720.0, frontier_points=9, cyclic_objects=0):
     raw = {
         "benchmarks": [
             {
@@ -30,6 +30,7 @@ def _export(tmp_path, names, iterations=720.0, frontier_points=9):
                 "extra_info": {
                     "solver_iterations": iterations,
                     "frontier_points": frontier_points,
+                    "cyclic_objects": cyclic_objects,
                 },
             }
             for name in names
@@ -72,3 +73,10 @@ def test_frontier_points_drift_fails(bench_guard, tmp_path, capsys):
     # means the pricing or the frontier's dominance rule changed.
     assert _compare(bench_guard, tmp_path, ["a"], ["a"], frontier_points=10) == 1
     assert "a: frontier_points drifted 9.0 -> 10.0" in capsys.readouterr().err
+
+
+def test_cyclic_objects_drift_fails(bench_guard, tmp_path, capsys):
+    # A finished run is freed by reference counting; any object it leaves
+    # to the cyclic garbage collector is a new reference cycle.
+    assert _compare(bench_guard, tmp_path, ["a"], ["a"], cyclic_objects=12) == 1
+    assert "a: cyclic_objects drifted 0.0 -> 12.0" in capsys.readouterr().err

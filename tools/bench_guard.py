@@ -15,12 +15,12 @@ and ``benchmarks/bench_headline.py``) into the committed
   (a ratchet recorded once and carried forward, so a slow creep across
   many PRs still trips it), and the deterministic work counters (solver
   iterations, events, memo hit rate, ``share()`` calls, solver classes,
-  branch-and-bound nodes, makespan) must not drift at all — a
-  wall regression with unchanged counters is host noise or allocator
-  churn, one *with* counter drift is a solver-strategy change and fails
-  loudly either way.  Every benchmark in the run must have a baseline
-  entry and vice versa: a benchmark the baseline does not know would
-  otherwise run unguarded.
+  frontier points, objects left to the cyclic garbage collector,
+  makespan) must not drift at all — a wall regression with unchanged
+  counters is host noise or allocator churn, one *with* counter drift is
+  a solver-strategy change and fails loudly either way.  Every benchmark
+  in the run must have a baseline entry and vice versa: a benchmark the
+  baseline does not know would otherwise run unguarded.
 
 Usage::
 
@@ -54,6 +54,7 @@ COUNTER_FIELDS = (
     "share_calls",
     "solver_classes",
     "frontier_points",
+    "cyclic_objects",
     "makespan",
 )
 
