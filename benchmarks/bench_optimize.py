@@ -3,9 +3,10 @@
 ``repro.core.optimize`` runs inside CI (``validate`` re-derives Table II
 every push) and is meant to be cheap enough to call per service pass —
 an optimizer that costs more than the simulations it plans is useless.
-Every candidate price is a simulation result, so this file simulates the
-18-workflow suite once, outside the timed region, and then times the
-decision layer on it: price every candidate from those results, solve
+Every candidate price is a simulation result, so this file tunes the
+18-workflow suite into one tuner, outside the timed region, and then
+times the decision layer on it: price every candidate from the tuner's
+reports, solve
 for the cheapest exact-frontier plan under a 300 GB PMEM budget, and
 enumerate the ε-frontier.  A hard wall guard keeps that layer **well under a second**,
 so the simulations always dominate a planning call.
@@ -16,33 +17,29 @@ decision space, more points a wider trade-off.
 """
 
 from repro.apps.suite import workflow_suite
-from repro.core.configs import ALL_CONFIGS
+from repro.core.autotune import ExhaustiveTuner
 from repro.core.optimize.backends import solve
 from repro.core.optimize.cli import build_scenario
 from repro.core.optimize.pareto import enumerate_frontier
 from repro.units import GB
-from repro.workflow.runner import run_workflow
 
 #: Wall budget for one full price-plan-and-frontier pass over run results.
 WALL_BUDGET_SECONDS = 0.5
 
 
-def _suite_results():
-    """``{"family@ranks": {label: RunResult}}`` for the whole suite."""
-    return {
-        f"{entry.family}@{entry.ranks}": {
-            config.label: run_workflow(entry.spec, config)
-            for config in ALL_CONFIGS
-        }
-        for entry in workflow_suite()
-    }
+def _suite_tuner():
+    """A tuner holding the reports of the whole suite, and the suite keys."""
+    tuner = ExhaustiveTuner()
+    keys = []
+    for entry in workflow_suite():
+        tuner.tune(entry.spec)
+        keys.append(f"{entry.family}@{entry.ranks}")
+    return tuner, sorted(keys)
 
 
-def _full_pass(results):
+def _full_pass(tuner, keys):
     scenario = build_scenario(
-        sorted(results),
-        pmem_budget_bytes=int(300 * GB),
-        precomputed=results,
+        keys, pmem_budget_bytes=int(300 * GB), tuner=tuner
     )
     plan = solve(scenario)
     points, _truncated = enumerate_frontier(scenario, epsilon=0.02)
@@ -51,10 +48,10 @@ def _full_pass(results):
 
 def test_optimize_full_pass_under_wall_budget(benchmark):
     """Price + solve + frontier on the whole suite — the planning cost."""
-    results = _suite_results()  # simulated once, outside the timed region
+    tuner, keys = _suite_tuner()  # simulated once, outside the timed region
     scenario, plan, points = benchmark.pedantic(
         _full_pass,
-        args=(results,),
+        args=(tuner, keys),
         rounds=3,
         iterations=1,
         warmup_rounds=1,

@@ -12,14 +12,20 @@ Run with::
 
 import pytest
 
+from repro.core.autotune import ExhaustiveTuner
+
 
 @pytest.fixture
 def run_experiment(benchmark):
-    """Benchmark one experiment and verify its claims reproduced."""
+    """Benchmark one experiment and verify its claims reproduced.
+
+    Each experiment tunes through a fresh tuner, so its time covers every
+    simulation it reads.
+    """
 
     def _run(experiment_fn, min_claims_held=None):
         result = benchmark.pedantic(
-            experiment_fn, args=(None,), rounds=1, iterations=1, warmup_rounds=0
+            experiment_fn, args=(ExhaustiveTuner(),), rounds=1, iterations=1, warmup_rounds=0
         )
         held, total = result.claims_held, len(result.claims)
         threshold = total if min_claims_held is None else min_claims_held

@@ -5,12 +5,17 @@ workflow; :class:`ExhaustiveTuner` does the same against the simulator and
 reports the winner.  It is the ground truth the static recommendation
 strategies are validated against (and the fallback a production scheduler
 could run offline when a workflow falls outside the recommendation rules).
+
+A tuner is also the sweep's result set: it keeps every report it made, so
+the views that share one tuner (each experiment of a ``repro-experiments``
+invocation, ``optimize validate``'s re-derivation and frontier) read one
+simulation per cell instead of re-running it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.configs import ALL_CONFIGS, SchedulerConfig
 from repro.errors import ConfigurationError
@@ -19,9 +24,6 @@ from repro.metrics.results import RunResult
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.workflow.runner import run_workflow
 from repro.workflow.spec import WorkflowSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.cache import ResultCache
 
 
 @dataclass(frozen=True)
@@ -61,58 +63,31 @@ class TuningReport:
 class ExhaustiveTuner:
     """Run a workflow under every configuration and pick the fastest.
 
-    With a :class:`~repro.service.cache.ResultCache` attached, ``tune()``
-    first looks the workflow up by its content id — a hit rebuilds the
-    per-config results from the stored cell without simulating anything,
-    and a miss populates the cache for the next caller.  Tracing needs
-    live tracer objects, so ``trace=True`` always takes the direct path
-    (no cache).
+    ``tune()`` memoizes its report per spec: calibration and configurations
+    are fixed per tuner, so the (frozen, hashable) spec alone names the
+    cell, and tuning it again returns the same report object.  Every
+    caller shares that report, so callers treat it as read-only.
     """
 
     def __init__(
         self,
         cal: OptaneCalibration = DEFAULT_CALIBRATION,
         configs: Sequence[SchedulerConfig] = ALL_CONFIGS,
-        trace: bool = False,
-        cache: Optional["ResultCache"] = None,
     ) -> None:
         if not configs:
             raise ConfigurationError("tuner needs at least one configuration")
         self.cal = cal
         self.configs = tuple(configs)
-        self.trace = trace
-        self.cache = cache
+        self._reports: Dict[WorkflowSpec, TuningReport] = {}
 
     def tune(self, spec: WorkflowSpec) -> TuningReport:
-        """Evaluate *spec* under every configuration."""
-        if not self.trace and self.cache is not None:
-            return self._tune_via_cell(spec)
-        results = [
-            run_workflow(spec, config, cal=self.cal, trace=self.trace)
-            for config in self.configs
-        ]
-        return TuningReport(
-            workflow_name=spec.name, comparison=compare_configs(results)
-        )
-
-    def _tune_via_cell(self, spec: WorkflowSpec) -> TuningReport:
-        """Cache-aware path through the campaign cell machinery."""
-        from repro.obs.campaign import results_from_cell_payload, run_spec_cell
-        from repro.service.cache import cell_id_for_spec
-
-        cached = self.cache.get(cell_id_for_spec(spec, self.configs, self.cal))
-        if cached is not None:
-            return TuningReport(
-                workflow_name=spec.name,
-                comparison=compare_configs(
-                    results_from_cell_payload(cached.deterministic)
-                ),
+        """Evaluate *spec* under every configuration (once per tuner)."""
+        report = self._reports.get(spec)
+        if report is None:
+            results = [
+                run_workflow(spec, config, cal=self.cal) for config in self.configs
+            ]
+            report = self._reports[spec] = TuningReport(
+                workflow_name=spec.name, comparison=compare_configs(results)
             )
-        cell = run_spec_cell(spec, configs=self.configs, cal=self.cal)
-        self.cache.put(cell.stored())
-        return TuningReport(
-            workflow_name=spec.name,
-            comparison=compare_configs(
-                results_from_cell_payload(cell.deterministic)
-            ),
-        )
+        return report

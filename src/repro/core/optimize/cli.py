@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.suite import (
     CONCURRENCY_LEVELS,
@@ -32,6 +32,7 @@ from repro.apps.suite import (
     build_workflow,
     workflow_suite,
 )
+from repro.core.autotune import ExhaustiveTuner
 from repro.core.optimize.backends import solve
 from repro.core.optimize.model import Scenario, ScenarioLimits
 from repro.core.optimize.pareto import (
@@ -42,8 +43,6 @@ from repro.core.optimize.pareto import (
 )
 from repro.core.optimize.pricing import SimulationPricer
 from repro.errors import ConfigurationError
-from repro.metrics.results import RunResult
-from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.platform.builder import paper_testbed
 from repro.units import GB, fmt_bytes
 
@@ -81,17 +80,16 @@ def parse_workflow_key(key: str) -> Tuple[str, int]:
 def build_scenario(
     keys: List[str],
     pmem_budget_bytes: Optional[int] = None,
-    cal=DEFAULT_CALIBRATION,
-    precomputed: Optional[Mapping[str, Mapping[str, RunResult]]] = None,
+    tuner: Optional[ExhaustiveTuner] = None,
 ) -> Scenario:
     """Price every workflow of *keys* and wrap them with platform limits.
 
-    *precomputed* (``{"family@ranks": {label: RunResult}}``) supplies run
-    results a sweep already has; every other workflow is simulated.
+    Prices come from *tuner* (a fresh :class:`ExhaustiveTuner` by default):
+    workflows it already tuned cost no simulation.
     """
-    node = paper_testbed(cal)
+    pricer = SimulationPricer(tuner)
+    node = paper_testbed(pricer.tuner.cal)
     limits = ScenarioLimits.from_node(node, pmem_budget_bytes)
-    pricer = SimulationPricer(cal=cal, precomputed=precomputed)
     choices = []
     for key in keys:
         family, ranks = parse_workflow_key(key)
@@ -214,7 +212,8 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    pricer = SimulationPricer()
+    tuner = ExhaustiveTuner()
+    pricer = SimulationPricer(tuner)
     entries = workflow_suite()
     strict_hits = 0
     eps_hits = 0
@@ -262,7 +261,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     def _demo_frontier() -> str:
         scenario = build_scenario(
             ["micro-64mb@8", "micro-2k@8", "miniamr+matmult@8"],
-            precomputed=pricer.precomputed,
+            tuner=tuner,
         )
         points, truncated = enumerate_frontier(scenario, epsilon=0.01)
         payload = frontier_payload(

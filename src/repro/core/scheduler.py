@@ -16,10 +16,7 @@ scheduler:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.cache import ResultCache
+from typing import Optional
 
 from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.core.configs import SchedulerConfig
@@ -65,17 +62,12 @@ class WorkflowScheduler:
         to exhaustively tune every workflow.
     cal:
         Device calibration shared by recommendation and execution.
-    cache:
-        Optional :class:`repro.service.cache.ResultCache`; oracle tuning is
-        then served from (and populates) the service's content-addressed
-        store instead of re-simulating known workflows.
     """
 
     def __init__(
         self,
         strategy: str = "hybrid",
         cal: OptaneCalibration = DEFAULT_CALIBRATION,
-        cache: Optional["ResultCache"] = None,
     ) -> None:
         self.cal = cal
         self.strategy = strategy
@@ -83,7 +75,7 @@ class WorkflowScheduler:
             self._engine: Optional[RecommendationEngine] = None
         else:
             self._engine = RecommendationEngine(strategy=strategy, cal=cal)
-        self._tuner = ExhaustiveTuner(cal=cal, cache=cache)
+        self._tuner = ExhaustiveTuner(cal=cal)
 
     # ------------------------------------------------------------------
     def recommend(self, spec: WorkflowSpec) -> Recommendation:

@@ -16,33 +16,29 @@ over-fitting a single curve:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.suite import suite_entry
 from repro.core.autotune import ExhaustiveTuner
 from repro.experiments.common import Claim, ExperimentResult
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "ablation-model"
 TITLE = "Device-model term ablation"
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )
     spec_64mb = suite_entry("micro-64mb", 16).spec
 
-    baseline = ExhaustiveTuner(cal=cal).tune(spec_64mb)
+    baseline = tuner.tune(spec_64mb)
 
-    no_mix = ExhaustiveTuner(cal=cal.replace(enable_mix_interference=False)).tune(
-        spec_64mb
-    )
-    no_remote = ExhaustiveTuner(cal=cal.replace(enable_remote_penalty=False)).tune(
-        spec_64mb
-    )
+    no_mix = ExhaustiveTuner(
+        cal=tuner.cal.replace(enable_mix_interference=False)
+    ).tune(spec_64mb)
+    no_remote = ExhaustiveTuner(
+        cal=tuner.cal.replace(enable_remote_penalty=False)
+    ).tune(spec_64mb)
 
     rows = []
     for label, report in (

@@ -13,14 +13,11 @@ software-overhead profiles.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.suite import suite_entry
 from repro.core.autotune import ExhaustiveTuner
 from repro.core.features import extract_features
 from repro.experiments.common import Claim, ExperimentResult
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "ablation-stacks"
 TITLE = "NOVAfs vs NVStream: observations across storage mechanisms"
@@ -29,9 +26,7 @@ LARGE_CASES = (("gtc+readonly", 8), ("gtc+readonly", 24), ("micro-64mb", 16))
 SMALL_CASES = (("micro-2k", 16), ("miniamr+readonly", 16))
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
-    tuner = ExhaustiveTuner(cal=cal)
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )
@@ -47,7 +42,7 @@ def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
             winners[stack] = report.comparison.best_label
             bests[stack] = report.best_result.makespan
         duty = extract_features(
-            suite_entry(family, ranks, stack_name="novafs").spec, cal
+            suite_entry(family, ranks, stack_name="novafs").spec, tuner.cal
         ).sim_profile.duty
         rows.append(
             (

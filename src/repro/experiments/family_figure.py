@@ -18,30 +18,26 @@ from repro.experiments.common import (
     panel_chart,
     winner_claim,
 )
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 ClaimsFn = Callable[[Dict[int, TuningReport]], List[Claim]]
 
 
 def run_family_figure(
+    tuner: ExhaustiveTuner,
     experiment_id: str,
     title: str,
     description: str,
     family: str,
     panels: Sequence[int],
     extra_claims: Optional[ClaimsFn] = None,
-    cal: Optional[OptaneCalibration] = None,
-    stack_name: str = "nvstream",
 ) -> ExperimentResult:
-    """Run one workload family across all configurations and rank counts."""
-    cal = cal or DEFAULT_CALIBRATION
-    tuner = ExhaustiveTuner(cal=cal)
+    """Tune one workload family across all configurations and rank counts."""
     result = ExperimentResult(
         experiment_id=experiment_id, title=title, description=description
     )
     reports: Dict[int, TuningReport] = {}
     for ranks in panels:
-        entry = suite_entry(family, ranks, stack_name)
+        entry = suite_entry(family, ranks)
         report = tuner.tune(entry.spec)
         reports[ranks] = report
         result.artifacts.append(panel_chart(entry, report))

@@ -10,13 +10,10 @@ normalizing to its own best.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.suite import suite_entry
 from repro.core.autotune import ExhaustiveTuner
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "fig01"
 TITLE = "Performance of miniAMR workflows with different configurations"
@@ -24,9 +21,7 @@ TITLE = "Performance of miniAMR workflows with different configurations"
 RANKS = 16
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
-    tuner = ExhaustiveTuner(cal=cal)
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )

@@ -11,20 +11,19 @@ feature extractor and verify the fan-out property.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.apps.suite import workflow_suite
+from repro.core.autotune import ExhaustiveTuner
 from repro.core.features import extract_features
 from repro.experiments.common import Claim, ExperimentResult
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "fig03"
 TITLE = "Workflow parameter space"
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )
@@ -34,7 +33,7 @@ def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
     # fan-out check: each observed axis value must recur in >= 2 workflows.
     axis_points: Dict[Tuple[str, str], int] = defaultdict(int)
     for entry in workflow_suite():
-        features = extract_features(entry.spec, cal)
+        features = extract_features(entry.spec, tuner.cal)
         sim_idx = f"{features.sim_io_index:.2f}"
         ana_idx = f"{features.analytics_io_index:.2f}"
         rows.append(

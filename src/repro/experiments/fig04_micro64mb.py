@@ -8,12 +8,11 @@ up to 2.5x better than other scenarios.  The workflow is bandwidth bound
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.autotune import TuningReport
+from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.experiments.family_figure import run_family_figure
-from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "fig04"
 TITLE = "Benchmark Writer + Reader with 64MB objects: Runtime"
@@ -39,13 +38,13 @@ def _claims(reports: Dict[int, TuningReport]) -> List[Claim]:
     return claims
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     return run_family_figure(
+        tuner,
         EXPERIMENT_ID,
         TITLE,
         __doc__.strip(),
         family="micro-64mb",
         panels=(8, 16, 24),
         extra_claims=_claims,
-        cal=cal,
     )

@@ -9,13 +9,12 @@ internal cache makes serial 11.5 % faster (S-LocR, §VI-B).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.autotune import TuningReport
+from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.experiments.family_figure import run_family_figure
 from repro.metrics.analysis import gap_between
-from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "fig05"
 TITLE = "Benchmark Writer + Reader with 2K objects: Runtime"
@@ -52,13 +51,13 @@ def _claims(reports: Dict[int, TuningReport]) -> List[Claim]:
     return claims
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     return run_family_figure(
+        tuner,
         EXPERIMENT_ID,
         TITLE,
         __doc__.strip(),
         family="micro-2k",
         panels=(8, 16, 24),
         extra_claims=_claims,
-        cal=cal,
     )

@@ -8,13 +8,12 @@ writes begin to dominate and S-LocW wins, ~6 % over S-LocR (§VI-A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.autotune import TuningReport
+from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.experiments.family_figure import run_family_figure
 from repro.metrics.analysis import gap_between
-from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "fig06"
 TITLE = "GTC + Read only: Runtime"
@@ -58,13 +57,13 @@ def _claims(reports: Dict[int, TuningReport]) -> List[Claim]:
     return claims
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     return run_family_figure(
+        tuner,
         EXPERIMENT_ID,
         TITLE,
         __doc__.strip(),
         family="gtc+readonly",
         panels=(8, 16, 24),
         extra_claims=_claims,
-        cal=cal,
     )

@@ -8,12 +8,11 @@ becomes bandwidth bound and S-LocW wins (§VI-A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.autotune import TuningReport
+from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.experiments.family_figure import run_family_figure
-from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "fig07"
 TITLE = "GTC + matrixmult: Runtime"
@@ -39,13 +38,13 @@ def _claims(reports: Dict[int, TuningReport]) -> List[Claim]:
     return claims
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     return run_family_figure(
+        tuner,
         EXPERIMENT_ID,
         TITLE,
         __doc__.strip(),
         family="gtc+matmult",
         panels=(8, 16, 24),
         extra_claims=_claims,
-        cal=cal,
     )

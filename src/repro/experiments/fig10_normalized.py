@@ -12,13 +12,12 @@ configuration's runtime to that workload's best.  Claims reproduced:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.apps.suite import CONCURRENCY_LEVELS, suite_entry
 from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.experiments.common import Claim, ExperimentResult, gap_claim
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "fig10"
 TITLE = "Workflow runtime normalized to the fastest configuration"
@@ -34,9 +33,7 @@ PANEL_IDS = {"gtc+readonly": "10a", "gtc+matmult": "10b",
 CONFIG_ORDER = ("S-LocW", "S-LocR", "P-LocW", "P-LocR")
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
-    tuner = ExhaustiveTuner(cal=cal)
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )

@@ -9,21 +9,16 @@ from the worst to the best configuration (1 - best/worst).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.suite import workflow_suite
 from repro.core.autotune import ExhaustiveTuner
 from repro.experiments.common import ExperimentResult, gap_claim
 from repro.metrics.report import format_table
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 
 EXPERIMENT_ID = "headline"
 TITLE = "Maximum configuration-choice impact across the suite"
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
-    cal = cal or DEFAULT_CALIBRATION
-    tuner = ExhaustiveTuner(cal=cal)
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )

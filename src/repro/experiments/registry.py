@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
+from repro.core.autotune import ExhaustiveTuner
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ablation_model,
@@ -22,9 +23,8 @@ from repro.experiments import (
     table02_recommendations,
 )
 from repro.experiments.common import ExperimentResult
-from repro.pmem.calibration import OptaneCalibration
 
-ExperimentFn = Callable[[Optional[OptaneCalibration]], ExperimentResult]
+ExperimentFn = Callable[[ExhaustiveTuner], ExperimentResult]
 
 #: All experiments in presentation order (paper order).
 EXPERIMENTS: Dict[str, ExperimentFn] = {

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
+from repro.core.autotune import ExhaustiveTuner
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import get_experiment, list_experiments
 
@@ -122,7 +124,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         ids = [args.experiment]
 
-    results = []
     observing = args.trace_out or args.metrics_out
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
@@ -157,15 +158,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.render_text())
         return 1 if report.failed else 0
 
+    # One tuner per invocation: every experiment reads its reports, so each
+    # (spec, config) cell is simulated once however many views show it.
+    tuner = ExhaustiveTuner()
+    capture = nullcontext()
     if observing:
         # Capture context: every run_workflow call inside the experiments
         # gets an Observation without threading a parameter through the
         # whole experiment registry.
         from repro.obs.capture import capture_runs
 
-        with capture_runs() as session:
-            for experiment_id in ids:
-                results.append(get_experiment(experiment_id)(None))
+        capture = capture_runs()
+    with capture as session:
+        results = [get_experiment(experiment_id)(tuner) for experiment_id in ids]
+    if observing:
         observations = session.finalized
         from repro.obs.export import (
             chrome_trace,
@@ -185,9 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(to_jsonl(metrics_records(observations)))
             print(f"[metrics -> {args.metrics_out}]", file=sys.stderr)
-    else:
-        for experiment_id in ids:
-            results.append(get_experiment(experiment_id)(None))
 
     if args.markdown:
         print(_markdown_report(results))

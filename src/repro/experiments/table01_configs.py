@@ -7,18 +7,16 @@ local, which transfers cross the UPI link).
 
 from __future__ import annotations
 
-from typing import Optional
-
+from repro.core.autotune import ExhaustiveTuner
 from repro.core.configs import ALL_CONFIGS
 from repro.experiments.common import Claim, ExperimentResult
 from repro.metrics.report import format_table
-from repro.pmem.calibration import OptaneCalibration
 
 EXPERIMENT_ID = "table01"
 TITLE = "Summary of configurations"
 
 
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )

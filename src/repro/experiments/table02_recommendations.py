@@ -14,49 +14,24 @@ illustrative workload, and its regret vs the oracle is small.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
-
 from repro.apps.suite import workflow_suite
 from repro.core.autotune import ExhaustiveTuner
 from repro.core.recommend import RecommendationEngine
 from repro.experiments.common import Claim, ExperimentResult
 from repro.metrics.report import format_table
-from repro.metrics.results import RunResult
-from repro.obs.explain import attribution_from_phases, why_line
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
+from repro.obs.explain import run_why
 
 EXPERIMENT_ID = "table02"
 TITLE = "Configuration recommendations for workflows"
 
 
-def _why(result: RunResult) -> str:
-    """The oracle winner's dominant blame bucket, from phase breakdowns.
-
-    Uses the estimator (no extra simulation): the tuner keeps phase
-    averages but not traces.  The ``(est.)`` tag the estimator appends is
-    dropped here — every row of this column is estimated the same way.
-    """
-    attribution = attribution_from_phases(
-        result.config_label,
-        result.makespan,
-        {
-            "writer": dataclasses.asdict(result.writer_phases),
-            "reader": dataclasses.asdict(result.reader_phases),
-        },
-    )
-    return why_line(attribution).replace(" (est.)", "")
-
-
-def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
+def run(tuner: ExhaustiveTuner) -> ExperimentResult:
     """Regenerate Table II."""
-    cal = cal or DEFAULT_CALIBRATION
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, description=__doc__.strip()
     )
-    table_engine = RecommendationEngine(strategy="hybrid", cal=cal)
-    model_engine = RecommendationEngine(strategy="model", cal=cal)
-    tuner = ExhaustiveTuner(cal=cal)
+    table_engine = RecommendationEngine(strategy="hybrid", cal=tuner.cal)
+    model_engine = RecommendationEngine(strategy="model", cal=tuner.cal)
 
     rows = []
     table_hits = 0
@@ -86,7 +61,7 @@ def run(cal: Optional[OptaneCalibration] = None) -> ExperimentResult:
                 model_rec.config.label,
                 oracle_best,
                 f"{regret:.1%}",
-                _why(report.results[oracle_best]),
+                run_why(report.results[oracle_best]),
             )
         )
     result.artifacts.append(

@@ -224,42 +224,25 @@ def results_from_config_payloads(
     stored per-config payloads (in payload order).
 
     This is the inverse of :func:`_config_payload` for the fields a
-    :class:`~repro.core.autotune.TuningReport` needs — what lets the
-    exhaustive tuner serve ``tune()`` straight from the service cache.
+    :class:`~repro.core.autotune.TuningReport` needs; :func:`run_spec_cell`
+    picks the cell's winner from them.
     """
     from repro.metrics.results import PhaseBreakdown, RunResult
 
-    results = []
-    for label, entry in config_payloads.items():
-        try:
-            results.append(
-                RunResult(
-                    workflow_name=workflow_name,
-                    config_label=label,
-                    makespan=entry["makespan"],
-                    writer_span=tuple(entry["writer_span"]),
-                    reader_span=tuple(entry["reader_span"]),
-                    writer_phases=PhaseBreakdown(**entry["phases"]["writer"]),
-                    reader_phases=PhaseBreakdown(**entry["phases"]["reader"]),
-                    bytes_written=entry["bytes_written"],
-                    bytes_read=entry["bytes_read"],
-                )
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"config payload {label!r} is missing {exc} — cached cells "
-                "written before span fields were recorded cannot be "
-                "rehydrated; clear the cache and re-run"
-            ) from None
-    return results
-
-
-def results_from_cell_payload(deterministic: Dict[str, Any]) -> List["Any"]:
-    """Rebuild the per-config run results of one stored cell payload."""
-    return results_from_config_payloads(
-        deterministic.get("workflow", deterministic.get("family", "?")),
-        deterministic.get("configs", {}),
-    )
+    return [
+        RunResult(
+            workflow_name=workflow_name,
+            config_label=label,
+            makespan=entry["makespan"],
+            writer_span=tuple(entry["writer_span"]),
+            reader_span=tuple(entry["reader_span"]),
+            writer_phases=PhaseBreakdown(**entry["phases"]["writer"]),
+            reader_phases=PhaseBreakdown(**entry["phases"]["reader"]),
+            bytes_written=entry["bytes_written"],
+            bytes_read=entry["bytes_read"],
+        )
+        for label, entry in config_payloads.items()
+    ]
 
 
 def run_spec_cell(

@@ -41,7 +41,7 @@ makespan by construction* (the acceptance invariant
 summary the campaign store persists, and
 :func:`attribution_from_phases` derives the same record shape from the
 phase breakdowns alone — the estimator used for cells stored before
-attribution existed and for rehydrated cache entries.
+attribution existed and for untraced run results.
 
 **Explainable diffs** — :func:`explain_shift` turns two attribution
 records into one sentence ("drain on pmem[1] grew 38.2% (12.3 s ->
@@ -55,7 +55,7 @@ campaigns for ``python -m repro.obs explain diff``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -78,6 +78,7 @@ from repro.sim.trace import TraceRecord
 from repro.units import fmt_time
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.metrics.results import RunResult
     from repro.obs.capture import Observation
 
 #: Version of the explain-report schema (bumped on breaking changes).
@@ -620,7 +621,7 @@ def attribution_from_phases(
     """Estimate an attribution record from phase breakdowns alone.
 
     The critical-path engine needs the full trace; cells stored before
-    attribution existed (and rehydrated cache entries) only kept per-rank
+    attribution existed (and untraced run results) only keep per-rank
     phase averages.  This estimator maps those onto the same buckets: the
     reader's averages always count (its last rank ends the run), the
     writer's only in serial mode (in parallel mode writer time surfaces
@@ -713,6 +714,24 @@ def why_line(attribution: Optional[Mapping[str, Any]]) -> str:
     if attribution.get("estimated"):
         line += " (est.)"
     return line
+
+
+def run_why(result: "RunResult") -> str:
+    """The why line of an untraced run, estimated from its phases.
+
+    The ``(est.)`` tag is dropped: every caller (Table II's oracle
+    column, the optimizer's candidate prices) estimates all its rows the
+    same way.
+    """
+    attribution = attribution_from_phases(
+        result.config_label,
+        result.makespan,
+        {
+            "writer": asdict(result.writer_phases),
+            "reader": asdict(result.reader_phases),
+        },
+    )
+    return why_line(attribution).replace(" (est.)", "")
 
 
 # ----------------------------------------------------------------------

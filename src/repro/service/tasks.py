@@ -141,11 +141,13 @@ def execute_experiment(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Payload: ``{"experiment": "<id>"}``.  Experiments are not
     content-addressed (their outputs are reports, not cells), so they ride
-    the queue and pool but never the cache.
+    the queue and pool but never the cache.  Each job tunes through its
+    own fresh :class:`~repro.core.autotune.ExhaustiveTuner`.
     """
+    from repro.core.autotune import ExhaustiveTuner
     from repro.experiments.registry import get_experiment
 
-    result = get_experiment(payload["experiment"])(None)
+    result = get_experiment(payload["experiment"])(ExhaustiveTuner())
     return {
         "experiment": result.experiment_id,
         "title": result.title,

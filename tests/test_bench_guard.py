@@ -28,9 +28,13 @@ def _export(tmp_path, names, iterations=720.0, frontier_points=9, cyclic_objects
                 "name": name,
                 "stats": {"median": 0.02},
                 "extra_info": {
-                    "solver_iterations": iterations,
-                    "frontier_points": frontier_points,
-                    "cyclic_objects": cyclic_objects,
+                    key: value
+                    for key, value in (
+                        ("solver_iterations", iterations),
+                        ("frontier_points", frontier_points),
+                        ("cyclic_objects", cyclic_objects),
+                    )
+                    if value is not None
                 },
             }
             for name in names
@@ -80,3 +84,13 @@ def test_cyclic_objects_drift_fails(bench_guard, tmp_path, capsys):
     # to the cyclic garbage collector is a new reference cycle.
     assert _compare(bench_guard, tmp_path, ["a"], ["a"], cyclic_objects=12) == 1
     assert "a: cyclic_objects drifted 0.0 -> 12.0" in capsys.readouterr().err
+
+
+def test_guarded_counter_missing_from_run_fails(bench_guard, tmp_path, capsys):
+    # A benchmark that stops reporting a guarded counter is not read as 0:
+    # a baseline of 0 (cyclic_objects) would otherwise pass silently.
+    assert _compare(bench_guard, tmp_path, ["a"], ["a"], cyclic_objects=None) == 1
+    assert (
+        "a: guarded counter cyclic_objects missing from the current run"
+        in capsys.readouterr().err
+    )

@@ -6,12 +6,12 @@ Four claim groups:
   (byte-identical) serialization, ε-coalescing only shrinks the set.
 * **Pricing agreement** — the simulation pricer's Table I candidate
   prices equal the reference-solver-backed simulator run for run;
-  injected (precomputed) prices round-trip exactly; a priced footprint
-  is the simulator's channel reservation.
+  prices read from the session tuner equal a fresh pricer's exactly; a
+  priced footprint is the simulator's channel reservation.
 * **Exact plans** — ``solve`` equals a brute-force enumeration of every
   joint assignment at every budget where the answer changes.
 * **Table II re-derivation** — the optimizer's per-workflow argmin,
-  priced from the session oracle reports, matches the paper on 17/18
+  priced from the session tuner, matches the paper on 17/18
   panels exactly and all 18 within the ε-band, with the one divergence
   being the documented beats-the-paper point (miniamr+matmult@16).
 """
@@ -56,13 +56,6 @@ from repro.workflow.runner import run_workflow
 BEATS_PAPER_KEY = "miniamr+matmult@16"
 
 
-def _precomputed(suite_reports):
-    return {
-        f"{family}@{ranks}": dict(report.results)
-        for (family, ranks), report in suite_reports.items()
-    }
-
-
 # ----------------------------------------------------------------------
 # Pareto-front properties.
 # ----------------------------------------------------------------------
@@ -104,11 +97,11 @@ def test_epsilon_coalescing_shrinks_monotonically():
     assert sizes[-1] < sizes[0]
 
 
-def test_frontier_json_is_byte_identical_and_schema_valid(suite_reports):
+def test_frontier_json_is_byte_identical_and_schema_valid(suite_tuner):
     def build():
         scenario = build_scenario(
             ["micro-64mb@16", "miniamr+matmult@16", "gtc+readonly@16"],
-            precomputed=_precomputed(suite_reports),
+            tuner=suite_tuner,
         )
         points, truncated = enumerate_frontier(scenario, epsilon=0.0)
         return scenario, frontier_payload(scenario, points, 0.0, truncated)
@@ -173,18 +166,18 @@ def test_simulation_pricer_matches_reference_solver(monkeypatch):
         )
 
 
-def test_precomputed_prices_round_trip(suite_reports):
+def test_shared_tuner_prices_round_trip(suite_tuner):
     spec = build_workflow("gtc+readonly", ranks=8)
-    table = _precomputed(suite_reports)
-    priced = SimulationPricer(precomputed=table).price(spec, "gtc+readonly", 8)
+    report = suite_tuner.tune(spec)
+    priced = SimulationPricer(suite_tuner).price(spec, "gtc+readonly", 8)
     fresh = SimulationPricer().price(spec, "gtc+readonly", 8)
     for config in ALL_CONFIGS:
         assert (
             priced.candidate(config.label).makespan_seconds
-            == table["gtc+readonly@8"][config.label].makespan
+            == report.results[config.label].makespan
         )
-    # Injected results price exactly like a fresh simulation, why lines
-    # included.
+    # Pricing from the shared tuner's runs equals a fresh simulation, why
+    # lines included.
     assert priced.candidates == fresh.candidates
 
 
@@ -217,11 +210,11 @@ def test_retained_bytes_semantics(monkeypatch):
 # Exact plans.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def budget_scenario(suite_reports):
+def budget_scenario(suite_tuner):
     return build_scenario(
         ["micro-64mb@16", "micro-64mb@24", "miniamr+matmult@16"],
         pmem_budget_bytes=int(300 * GB),
-        precomputed=_precomputed(suite_reports),
+        tuner=suite_tuner,
     )
 
 
@@ -240,10 +233,10 @@ def test_exact_backend_feasible_under_budget(budget_scenario):
 
 
 @pytest.fixture(scope="module")
-def suite_scenario(suite_reports):
+def suite_scenario(suite_reports, suite_tuner):
     """The whole 18-workflow suite, unbudgeted, priced from the oracle."""
-    table = _precomputed(suite_reports)
-    return build_scenario(sorted(table), precomputed=table)
+    keys = sorted(f"{family}@{ranks}" for family, ranks in suite_reports)
+    return build_scenario(keys, tuner=suite_tuner)
 
 
 def test_exact_backend_unconstrained_is_per_workflow_argmin(
@@ -258,11 +251,9 @@ def test_exact_backend_unconstrained_is_per_workflow_argmin(
     assert dict(plan.selections) == expected
 
 
-def test_infeasible_budget_reported_not_raised(suite_reports):
+def test_infeasible_budget_reported_not_raised(suite_tuner):
     scenario = build_scenario(
-        ["micro-64mb@16"],
-        pmem_budget_bytes=1,
-        precomputed=_precomputed(suite_reports),
+        ["micro-64mb@16"], pmem_budget_bytes=1, tuner=suite_tuner
     )
     plan = solve(scenario)
     assert not plan.feasible
@@ -282,8 +273,8 @@ ORACLE_KEYS = [
 ]
 
 
-def test_solve_matches_brute_force_at_every_budget(suite_reports, monkeypatch):
-    scenario = build_scenario(ORACLE_KEYS, precomputed=_precomputed(suite_reports))
+def test_solve_matches_brute_force_at_every_budget(suite_tuner, monkeypatch):
+    scenario = build_scenario(ORACLE_KEYS, tuner=suite_tuner)
     keys = sorted(scenario.keys)
     assignments = []
     for picks in itertools.product(
@@ -328,8 +319,8 @@ def test_solve_matches_brute_force_at_every_budget(suite_reports, monkeypatch):
 # ----------------------------------------------------------------------
 # Table II re-derivation (18/18 within the ε-band).
 # ----------------------------------------------------------------------
-def test_table2_rederivation(suite_entries, suite_reports):
-    pricer = SimulationPricer(precomputed=_precomputed(suite_reports))
+def test_table2_rederivation(suite_entries, suite_tuner):
+    pricer = SimulationPricer(suite_tuner)
     strict = 0
     beats = []
     for entry in suite_entries:
@@ -451,9 +442,7 @@ def test_cli_rejects_non_finite_numbers_before_simulating(
     def no_simulation(*_args, **_kwargs):
         raise AssertionError("simulated before rejecting the input")
 
-    monkeypatch.setattr(
-        "repro.core.optimize.pricing.run_workflow", no_simulation
-    )
+    monkeypatch.setattr("repro.core.autotune.run_workflow", no_simulation)
     with pytest.raises(SystemExit) as exit_info:
         optimize_main(argv + ["--workflows", "micro-2k@8"])
     assert exit_info.value.code == 2

@@ -19,9 +19,18 @@ def small_spec():
 
 
 class TestExhaustiveTuner:
-    def test_tunes_all_configs(self, small_spec):
-        report = ExhaustiveTuner().tune(small_spec)
+    def test_tunes_all_configs(self, small_spec, run_counter):
+        tuner = ExhaustiveTuner()
+        report = tuner.tune(small_spec)
         assert set(report.results) == {c.label for c in ALL_CONFIGS}
+        # The tuner memoizes per spec: a second tune(), also of an equal
+        # spec built anew, simulates nothing and returns the same report.
+        assert tuner.tune(small_spec) is report
+        assert tuner.tune(micro_workflow(16 * MiB, ranks=4, iterations=3)) is report
+        assert sum(run_counter.values()) == 4
+        assert {label for _, label, _ in run_counter} == {
+            c.label for c in ALL_CONFIGS
+        }
 
     def test_best_is_minimum(self, small_spec):
         report = ExhaustiveTuner().tune(small_spec)

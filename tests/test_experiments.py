@@ -3,11 +3,13 @@
 Each experiment module must run, produce artifacts, and reproduce its
 claims.  The heavyweight figure experiments reuse run machinery already
 exercised elsewhere; here we verify the harness contracts and the claim
-outcomes on the cheaper experiments, plus registry/CLI behaviour.
+outcomes on the cheaper experiments, plus registry/CLI behaviour and the
+run counts of one shared tuner: a view that re-simulates a cell fails.
 """
 
 import pytest
 
+from repro.core.optimize.cli import main as optimize_main
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments import (
@@ -18,6 +20,7 @@ from repro.experiments import (
     table01_configs,
     table02_recommendations,
 )
+from repro.experiments.runner import main as experiments_main
 
 
 class TestRegistry:
@@ -38,22 +41,22 @@ class TestRegistry:
 
 
 class TestCheapExperiments:
-    def test_table01(self):
-        result = table01_configs.run(None)
+    def test_table01(self, suite_tuner):
+        result = table01_configs.run(suite_tuner)
         assert result.claims_held == len(result.claims) == 1
         assert "S-LocW" in result.artifacts[0]
 
-    def test_fig03(self):
-        result = fig03_parameter_space.run(None)
+    def test_fig03(self, suite_tuner):
+        result = fig03_parameter_space.run(suite_tuner)
         assert result.claims_held == len(result.claims)
         assert result.data["axis_values"]["concurrency"] == ["high", "low", "medium"]
 
-    def test_fig01(self):
-        result = fig01_motivation.run(None)
+    def test_fig01(self, suite_tuner):
+        result = fig01_motivation.run(suite_tuner)
         assert result.claims_held == len(result.claims)
 
-    def test_ablation_model(self):
-        result = ablation_model.run(None)
+    def test_ablation_model(self, suite_tuner):
+        result = ablation_model.run(suite_tuner)
         assert result.claims_held == len(result.claims)
         assert result.data["baseline_best"] == "S-LocW"
         assert result.data["no_mix_best"].startswith("P")
@@ -62,8 +65,8 @@ class TestCheapExperiments:
 
 class TestFigureExperiment:
     @pytest.fixture(scope="class")
-    def fig05(self):
-        return fig05_micro2k.run(None)
+    def fig05(self, suite_tuner):
+        return fig05_micro2k.run(suite_tuner)
 
     def test_three_panels(self, fig05):
         assert len(fig05.artifacts) == 3
@@ -91,8 +94,8 @@ class TestFigureExperiment:
 
 class TestTable02:
     @pytest.fixture(scope="class")
-    def table02(self):
-        return table02_recommendations.run(None)
+    def table02(self, suite_tuner):
+        return table02_recommendations.run(suite_tuner)
 
     def test_rule_engine_matches_paper(self, table02):
         assert table02.data["table_hits"] == table02.data["total"] == 18
@@ -102,3 +105,23 @@ class TestTable02:
 
     def test_claims_hold(self, table02):
         assert all(c.holds for c in table02.claims)
+
+
+# ----------------------------------------------------------------------
+# One sweep, many views: every distinct run is simulated once.
+# ----------------------------------------------------------------------
+def test_all_experiments_simulate_each_run_once(run_counter, capsys):
+    # 72 suite runs, 20 NOVAfs runs of ablation-stacks and 8 runs of
+    # ablation-model's two model variants; every other view re-reads them.
+    assert experiments_main(["all"]) == 0
+    capsys.readouterr()
+    assert sum(run_counter.values()) == 100
+    assert set(run_counter.values()) == {1}
+
+
+def test_optimize_validate_simulates_the_suite_once(run_counter, capsys):
+    # The frontier self-check prices from the re-derivation's runs.
+    assert optimize_main(["validate"]) == 0
+    capsys.readouterr()
+    assert sum(run_counter.values()) == 72
+    assert set(run_counter.values()) == {1}

@@ -12,10 +12,15 @@ The PR's acceptance criteria made executable:
 * the ``python -m repro.obs campaign`` CLI works end to end in a tmp dir.
 """
 
+import json
+
 import pytest
 
+from repro.apps.suite import build_workflow
+from repro.core.autotune import ExhaustiveTuner, TuningReport
 from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
 from repro.errors import ConfigurationError
+from repro.metrics.analysis import compare_configs
 from repro.obs.campaign import (
     SUITE_PRESETS,
     CampaignRun,
@@ -25,8 +30,10 @@ from repro.obs.campaign import (
     cell_key,
     diff_campaigns,
     parse_cell_key,
+    results_from_config_payloads,
     run_campaign,
     run_cell,
+    run_spec_cell,
 )
 from repro.obs.cli import main as obs_main
 from repro.obs.hostmetrics import HostMetrics, KIND_SIMULATED
@@ -110,6 +117,32 @@ class TestRunCell:
     def test_no_configs_rejected(self):
         with pytest.raises(ConfigurationError):
             run_cell("micro-2k", 8, configs=())
+
+    def test_cell_payload_rebuilds_run_results(self):
+        # A stored cell's per-config payloads rebuild the runs a direct
+        # tuning makes: makespans, spans, winner and regret arithmetic.
+        spec = build_workflow("micro-64mb", 8, iterations=2)
+        stored = json.loads(json.dumps(run_spec_cell(spec).deterministic))
+        rebuilt = TuningReport(
+            workflow_name=spec.name,
+            comparison=compare_configs(
+                results_from_config_payloads(spec.name, stored["configs"])
+            ),
+        )
+        direct = ExhaustiveTuner().tune(spec)
+        assert rebuilt.comparison.best_label == direct.comparison.best_label
+        assert stored["winner"] == direct.comparison.best_label
+        for label, result in direct.results.items():
+            assert rebuilt.results[label].makespan == pytest.approx(
+                result.makespan, abs=1e-12
+            )
+            assert rebuilt.results[label].writer_span == pytest.approx(
+                result.writer_span, abs=1e-12
+            )
+        for config in ALL_CONFIGS:
+            assert rebuilt.regret_of(config) == pytest.approx(
+                direct.regret_of(config), abs=1e-9
+            )
 
 
 class TestRunCampaign:

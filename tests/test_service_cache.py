@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.apps.suite import build_workflow
-from repro.core.autotune import ExhaustiveTuner
 from repro.core.configs import ALL_CONFIGS
 from repro.errors import StorageError
 from repro.obs.store import StoredCell
@@ -105,30 +104,3 @@ def test_other_matmul_dim_gets_its_own_cell_id():
     assert cell_id_for_spec(spec, ALL_CONFIGS, DEFAULT_CALIBRATION) != (
         "fd7178becdb4ac38"
     )
-
-
-def test_tuner_served_from_cache_matches_direct_tuning(tmp_path):
-    spec = build_workflow("micro-64mb", 8, iterations=2)
-    cache = ResultCache(str(tmp_path))
-    tuner = ExhaustiveTuner(cache=cache)
-    fresh = tuner.tune(spec)
-    assert cache.stats.misses == 1 and cache.stats.stores == 1
-    cached = tuner.tune(spec)
-    assert cache.stats.hits == 1
-    direct = ExhaustiveTuner().tune(spec)
-    # The cache-miss report and the cache-hit report both match a
-    # direct tuning.
-    for served in (fresh, cached):
-        assert served.comparison.best_label == direct.comparison.best_label
-        for label, result in direct.results.items():
-            assert served.results[label].makespan == pytest.approx(
-                result.makespan, abs=1e-12
-            )
-            assert served.results[label].writer_span == pytest.approx(
-                result.writer_span, abs=1e-12
-            )
-    # Regret arithmetic works on rebuilt results too.
-    for config in ALL_CONFIGS:
-        assert cached.regret_of(config) == pytest.approx(
-            direct.regret_of(config), abs=1e-9
-        )

@@ -186,7 +186,13 @@ def compare(args: argparse.Namespace) -> int:
         for field in COUNTER_FIELDS:
             if field not in expected:
                 continue
-            want, got = expected[field], measured.get(field, 0.0)
+            if field not in measured:
+                failures.append(
+                    f"{name}: guarded counter {field} missing from the "
+                    "current run"
+                )
+                continue
+            want, got = expected[field], measured[field]
             scale = max(abs(want), abs(got), 1.0)
             if abs(got - want) / scale > COUNTER_TOLERANCE:
                 failures.append(
