@@ -25,7 +25,7 @@ bandwidth fell below the model ceiling — flows through this package:
   trace that nests virtual-time simulation spans under wall-time
   lifecycle spans, JSONL span and metric dumps, and the trace schema
   validator.
-* :mod:`repro.obs.report` — the text hot-phase report and run diffing.
+* :mod:`repro.obs.report` — the text hot-phase and utilization reports.
 * :mod:`repro.obs.store` — the persistent, append-only campaign store
   (JSONL under ``campaigns/``) with content-hashed cell ids and a strict
   deterministic / host / provenance payload split.
@@ -37,16 +37,16 @@ bandwidth fell below the model ceiling — flows through this package:
   JSONL snapshot format (latency histograms with p50/p95/p99) and its
   validator.
 * :mod:`repro.obs.campaign` — the campaign runner over the paper suite,
-  the regression diff engine (makespan drift, winner flips, paper-claim
-  changes) and the markdown suite dashboard (heatmap columns in Table I
+  the one diff engine (makespan drift, winner flips, paper-claim and
+  coverage changes, sub-threshold attribution shifts) and the markdown suite dashboard (heatmap columns in Table I
   order).
 * :mod:`repro.obs.explain` — the trace-analytics engine: critical-path
   extraction over the trace records, blame attribution decomposing
   makespan into compute/barrier/drain/pmem/remote/dram buckets per
   resource and coupling, explainable campaign diffs ("flipped because
   pmem drain on socket 1 grew 38%") and per-campaign bottleneck ranking.
-* ``python -m repro.obs`` — the ``export`` / ``summary`` / ``diff`` /
-  ``validate`` / ``campaign`` / ``explain`` command line
+* ``python -m repro.obs`` — the ``export`` / ``summary`` / ``validate`` /
+  ``campaign`` / ``explain`` command line
   (:mod:`repro.obs.cli`).
 """
 
@@ -93,7 +93,7 @@ from repro.obs.hostmetrics import (
 )
 from repro.obs.manifest import RunManifest, build_manifest, calibration_hash
 from repro.obs.probes import Counter, Gauge, Histogram, LatencyHistogram, ProbeRegistry
-from repro.obs.report import diff_report, hot_phase_report
+from repro.obs.report import hot_phase_report
 from repro.obs.spans import Span, build_spans
 from repro.obs.store import CampaignStore, StoredCampaign, StoredCell
 from repro.obs.telemetry import (
@@ -138,7 +138,6 @@ __all__ = [
     "capture_runs",
     "chrome_trace",
     "diff_campaigns",
-    "diff_report",
     "explain_observation",
     "explain_report",
     "hot_phase_report",

@@ -599,12 +599,21 @@ class CampaignDiff:
     name_a: str
     name_b: str
     threshold: float
+    #: Coverage, never regressions: the keys of cells only one campaign
+    #: ran, then ``"<key> [<label>]"`` for each config only one of two
+    #: matched cells ran.
     only_in_a: List[str] = field(default_factory=list)
     only_in_b: List[str] = field(default_factory=list)
     drifts: List[MakespanDrift] = field(default_factory=list)
+    #: Configs within the threshold whose attribution still moved: shown
+    #: for the record, never counted as regressions.
+    shifts: List[MakespanDrift] = field(default_factory=list)
     winner_flips: List[WinnerFlip] = field(default_factory=list)
     claim_changes: List[ClaimChange] = field(default_factory=list)
     calibration_changed: List[str] = field(default_factory=list)
+    #: Cells whose id differs under the same stored calibration hash (a
+    #: different config set or iteration count, say).
+    inputs_changed: List[str] = field(default_factory=list)
     #: Cells whose deterministic payloads are byte-equal.
     identical_cells: int = 0
     #: Cells that changed, but by no more than the threshold and without
@@ -632,6 +641,8 @@ class CampaignDiff:
             lines.append(f"++ {key}: only in {self.name_b}")
         for key in self.calibration_changed:
             lines.append(f"~~ {key}: calibration changed (cell id differs)")
+        for key in self.inputs_changed:
+            lines.append(f"~~ {key}: inputs changed, same calibration (cell id differs)")
         for flip in self.winner_flips:
             lines.append(
                 f"!! {flip.key}: winner {flip.before} -> {flip.after} "
@@ -644,14 +655,15 @@ class CampaignDiff:
                 f"!! {change.key}: paper claim {direction} "
                 f"({change.before_hit} -> {change.after_hit})"
             )
-        for drift in self.drifts:
-            lines.append(
-                f">> {drift.key} [{drift.config}]: makespan "
-                f"{fmt_time(drift.before)} -> {fmt_time(drift.after)} "
-                f"({drift.relative:+.1%})"
-            )
-            if drift.explanation:
-                lines.append(f"   why: {drift.explanation}")
+        for marker, drifts in ((">>", self.drifts), ("..", self.shifts)):
+            for drift in drifts:
+                lines.append(
+                    f"{marker} {drift.key} [{drift.config}]: makespan "
+                    f"{fmt_time(drift.before)} -> {fmt_time(drift.after)} "
+                    f"({drift.relative:+.1%})"
+                )
+                if drift.explanation:
+                    lines.append(f"   why: {drift.explanation}")
         lines.append(
             f"{self.identical_cells} identical cell(s), "
             f"{self.within_threshold_cells} within-threshold cell(s), "
@@ -681,9 +693,14 @@ def diff_campaigns(
 
     Cells are matched by suite coordinate, *not* cell id, so a calibration
     change shows up as drift/flips on the same cells (plus a calibration
-    note) rather than as wholesale removal + addition.  A cell with no
-    reported change counts as identical only when its deterministic
-    payload is byte-equal; otherwise it counts as within the threshold.
+    note) rather than as wholesale removal + addition; a cell id that
+    changed under the same stored calibration hash gets an inputs note
+    instead.  Configs are matched by label: one run in only one campaign
+    is listed as coverage, and one whose makespan stays within the
+    threshold but whose attribution moved is listed as a shift.  A cell
+    with no reported change counts as identical only when its
+    deterministic payload is byte-equal; otherwise it counts as within
+    the threshold.
     """
     from repro.obs.explain import drift_explanation, flip_explanation
 
@@ -697,28 +714,36 @@ def diff_campaigns(
         cell_a, cell_b = cells_a[key], cells_b[key]
         changed = False
         if cell_a.cell_id != cell_b.cell_id:
-            diff.calibration_changed.append(key)
+            calibration_a = cell_a.deterministic.get("calibration_sha256")
+            calibration_b = cell_b.deterministic.get("calibration_sha256")
+            if calibration_a != calibration_b:
+                diff.calibration_changed.append(key)
+            else:
+                diff.inputs_changed.append(key)
             changed = True
         configs_a = cell_a.deterministic.get("configs", {})
         configs_b = cell_b.deterministic.get("configs", {})
+        for label in sorted(set(configs_a) - set(configs_b)):
+            diff.only_in_a.append(f"{key} [{label}]")
+        for label in sorted(set(configs_b) - set(configs_a)):
+            diff.only_in_b.append(f"{key} [{label}]")
         for label in sorted(set(configs_a) & set(configs_b)):
             before = configs_a[label].get("makespan")
             after = configs_b[label].get("makespan")
             if before is None or after is None:
                 continue
+            drift = MakespanDrift(
+                key=key,
+                config=label,
+                before=before,
+                after=after,
+                explanation=drift_explanation(configs_a[label], configs_b[label]),
+            )
             if before > 0 and abs(after - before) / before > threshold:
-                diff.drifts.append(
-                    MakespanDrift(
-                        key=key,
-                        config=label,
-                        before=before,
-                        after=after,
-                        explanation=drift_explanation(
-                            configs_a[label], configs_b[label]
-                        ),
-                    )
-                )
+                diff.drifts.append(drift)
                 changed = True
+            elif drift.explanation is not None:
+                diff.shifts.append(drift)
         if cell_a.winner != cell_b.winner:
             diff.winner_flips.append(
                 WinnerFlip(

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — export, summarize, diff and validate traces.
+"""``python -m repro.obs`` — traces, campaigns and explanations.
 
 Examples::
 
@@ -13,25 +13,24 @@ Examples::
     # Where did the virtual time go?
     python -m repro.obs summary --config all
 
-    # What changed between two exports (configs, code versions, tables)?
-    python -m repro.obs diff before.json after.json
-
     # Schema-check a trace file (used by CI on its exported artifact).
     python -m repro.obs validate trace.json
 
     # Campaigns: persistent suite runs, regression diffs, dashboards.
+    # `campaign diff` is the one diff: drift, flips, coverage and every
+    # attribution shift, each with a "why" line.
     python -m repro.obs campaign run --suite micro
+    python -m repro.obs campaign run --suite micro --cal-set remote_write_knee=4
     python -m repro.obs campaign list
     python -m repro.obs campaign diff micro-001 micro-002 --fail-on flips
     python -m repro.obs campaign report micro-001 --out report.md
     python -m repro.obs campaign validate micro-001
 
     # Trace analytics: critical path + blame per run, campaign
-    # bottleneck ranking, attribution shifts between campaigns.
+    # bottleneck ranking.
     python -m repro.obs explain run --family gtc+matmult --config all \\
         --segments --out explain.json
     python -m repro.obs explain top baseline-micro
-    python -m repro.obs explain diff baseline-micro ci-run
     python -m repro.obs explain validate explain.json
 """
 
@@ -55,7 +54,7 @@ from repro.obs.export import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.report import diff_report, hot_phase_report, utilization_report
+from repro.obs.report import hot_phase_report, utilization_report
 from repro.obs.store import DEFAULT_CAMPAIGN_DIR, CampaignStore
 from repro.pmem.calibration import OptaneCalibration, calibration_from_settings
 
@@ -139,11 +138,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    print(diff_report(_load(args.trace_a), _load(args.trace_b)))
-    return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -299,35 +293,12 @@ def _cmd_explain_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explain_cells(store: CampaignStore, name: str):
-    from repro.obs.campaign import campaign_from_store
-
-    return campaign_from_store(store.read(name)).cells
-
-
 def _cmd_explain_top(args: argparse.Namespace) -> int:
+    from repro.obs.campaign import campaign_from_store
     from repro.obs.explain import campaign_bottlenecks, render_top
 
-    store = CampaignStore(args.dir)
-    rows = campaign_bottlenecks(_explain_cells(store, args.name))
-    print(render_top(rows))
-    return 0
-
-
-def _cmd_explain_diff(args: argparse.Namespace) -> int:
-    from repro.obs.explain import diff_attribution_rows, render_diff_rows
-
-    store = CampaignStore(args.dir)
-    cells_a = {
-        cell.key: cell.deterministic.get("configs", {})
-        for cell in _explain_cells(store, args.campaign_a)
-    }
-    cells_b = {
-        cell.key: cell.deterministic.get("configs", {})
-        for cell in _explain_cells(store, args.campaign_b)
-    }
-    rows = diff_attribution_rows(cells_a, cells_b)
-    print(render_diff_rows(rows))
+    cells = campaign_from_store(CampaignStore(args.dir).read(args.name)).cells
+    print(render_top(campaign_bottlenecks(cells)))
     return 0
 
 
@@ -374,13 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_spec_arguments(summary)
     summary.set_defaults(func=_cmd_summary)
-
-    diff = commands.add_parser(
-        "diff", help="compare two exported trace files"
-    )
-    diff.add_argument("trace_a")
-    diff.add_argument("trace_b")
-    diff.set_defaults(func=_cmd_diff)
 
     validate = commands.add_parser(
         "validate", help="schema-check an exported trace file"
@@ -532,14 +496,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_dir(explain_top)
     explain_top.add_argument("name")
     explain_top.set_defaults(func=_cmd_explain_top)
-
-    explain_diff = explain_commands.add_parser(
-        "diff", help="attribution shifts between two stored campaigns"
-    )
-    _add_dir(explain_diff)
-    explain_diff.add_argument("campaign_a")
-    explain_diff.add_argument("campaign_b")
-    explain_diff.set_defaults(func=_cmd_explain_diff)
 
     explain_validate = explain_commands.add_parser(
         "validate", help="schema-check an explain report file"

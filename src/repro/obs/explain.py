@@ -46,10 +46,8 @@ attribution existed and for untraced run results.
 **Explainable diffs** — :func:`explain_shift` turns two attribution
 records into one sentence ("drain on pmem[1] grew 38.2% (12.3 s ->
 17.0 s)"); :func:`flip_explanation` and :func:`drift_explanation` attach
-those sentences to :class:`~repro.obs.campaign.WinnerFlip` /
-:class:`~repro.obs.campaign.MakespanDrift` rows, and
-:func:`diff_attribution_rows` tabulates every bucket shift between two
-campaigns for ``python -m repro.obs explain diff``.
+those sentences to the winner flips, makespan drifts and sub-threshold
+attribution shifts that ``python -m repro.obs campaign diff`` prints.
 """
 
 from __future__ import annotations
@@ -792,13 +790,16 @@ def flip_explanation(
 
     The question a flip raises is "what happened to the old winner?", so
     the sentence compares the *before*-winner's attribution across the
-    two campaigns; if that config was not re-run, the new winner's own
-    history is the fallback evidence.
+    two campaigns; the new winner's own history is the fallback evidence.
+    A winner that only one campaign ran is the answer by itself.
     """
     for label in (before_label, after_label):
         entry_a = configs_a.get(label)
         entry_b = configs_b.get(label)
-        if entry_a is None or entry_b is None:
+        if (entry_a is None) != (entry_b is None):
+            missing = "first" if entry_a is None else "second"
+            return f"flipped because {label} was not run in the {missing} campaign"
+        if entry_a is None:
             continue
         attribution_a = config_attribution(entry_a)
         attribution_b = config_attribution(entry_b)
@@ -819,56 +820,6 @@ def drift_explanation(
     if attribution_a is None or attribution_b is None:
         return None
     return explain_shift(attribution_a, attribution_b)
-
-
-def diff_attribution_rows(
-    cells_a: Mapping[str, Any], cells_b: Mapping[str, Any]
-) -> List[Dict[str, Any]]:
-    """Every bucket shift between two campaigns' matched cells.
-
-    *cells_a* / *cells_b* map cell key -> a ``configs`` payload mapping
-    (config label -> per-config entry).  One row per matched (cell,
-    config) whose attributions differ, sorted by absolute shift.
-    """
-    rows: List[Dict[str, Any]] = []
-    for key in sorted(set(cells_a) & set(cells_b)):
-        configs_a = cells_a[key]
-        configs_b = cells_b[key]
-        for label in sorted(set(configs_a) & set(configs_b)):
-            attribution_a = config_attribution(configs_a[label])
-            attribution_b = config_attribution(configs_b[label])
-            if attribution_a is None or attribution_b is None:
-                continue
-            shift = bucket_shift(attribution_a, attribution_b)
-            if shift is None:
-                continue
-            bucket, before, after = shift
-            rows.append(
-                {
-                    "key": key,
-                    "config": label,
-                    "bucket": bucket,
-                    "resource": blame_resource(attribution_b, bucket),
-                    "before": before,
-                    "after": after,
-                    "delta": after - before,
-                }
-            )
-    rows.sort(key=lambda row: (-abs(row["delta"]), row["key"], row["config"]))
-    return rows
-
-
-def render_diff_rows(rows: Sequence[Mapping[str, Any]]) -> str:
-    if not rows:
-        return "no attribution shifts between the campaigns"
-    lines = []
-    for row in rows:
-        lines.append(
-            f"{row['key']} [{row['config']}]: {row['bucket']} on "
-            f"{row['resource']} {fmt_time(row['before'])} -> "
-            f"{fmt_time(row['after'])} ({row['delta']:+.3g} s)"
-        )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

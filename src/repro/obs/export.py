@@ -22,8 +22,9 @@ export byte-identical JSON (a test enforces this).
 A ``"repro"`` top-level key carries what the trace viewer does not:
 per-run makespans, counter totals, gauge peaks and the full provenance
 manifest.  The reconciliation tests (counter totals vs. the metrics
-layer) and ``python -m repro.obs diff`` read that section rather than
-re-deriving state from raw events.
+layer, makespans via :func:`trace_makespans`) and ``python -m repro.obs
+validate`` read that section rather than re-deriving state from raw
+events.
 
 The scheduling service's stitched trace (:func:`service_chrome_trace`)
 shares the process/thread layout: one process per job, wall-time

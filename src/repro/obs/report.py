@@ -1,20 +1,17 @@
-"""Text reports over observed runs: hot phases and run-to-run diffs.
+"""Text reports over observed runs: hot phases and utilization.
 
 ``hot_phase_report`` answers "where did the virtual time go" without
 leaving the terminal: leaf phases (trace records) are aggregated per
 ``component;phase`` stack (flamegraph convention) and rendered as a
 sorted bar chart with totals, call counts and share of makespan.
-
-``diff_report`` compares two exported trace documents (the ``"repro"``
-section written by :func:`repro.obs.export.chrome_trace`) run by run:
-makespan movement, counter-total deltas and manifest changes.  Because it
-reads exported files rather than live objects, it diffs anything —
-two configs, two code versions, two calibration tables.
+``utilization_report`` adds the busy/wait/idle table per track.  Both
+are the ``summary`` command; comparing two runs is ``campaign diff``'s
+job (:func:`repro.obs.campaign.diff_campaigns`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs.capture import Observation
 from repro.obs.spans import record_order
@@ -22,9 +19,6 @@ from repro.units import fmt_time
 
 #: Width of the textual bar in the hot-phase report.
 BAR_WIDTH = 30
-
-#: Relative change below which a counter/makespan delta is noise, not news.
-DIFF_EPSILON = 1e-9
 
 
 def _phase_totals(observation: Observation) -> Dict[str, Tuple[float, int]]:
@@ -77,7 +71,7 @@ def utilization_report(observations: Sequence[Observation]) -> str:
     """Busy/wait/idle fractions per component and resource, per run.
 
     The ``summary`` CLI's second table (the first is the hot-phase bar
-    chart); the same rows feed ``explain top``.  Component rows average
+    chart); ``explain run`` prints the same rows.  Component rows average
     over ranks from the leaf spans; resource rows integrate the
     ``resource.occupancy`` gauges over ``[0, makespan]``.
     """
@@ -89,61 +83,4 @@ def utilization_report(observations: Sequence[Observation]) -> str:
     for observation in observations:
         lines.append(f"== {observation.run_id} — utilization ==")
         lines.append(render_utilization(utilization_rows(observation)))
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Diffing exported traces.
-# ----------------------------------------------------------------------
-def _runs_by_id(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    repro = document.get("repro") or {}
-    return {run["run_id"]: run for run in repro.get("runs", [])}
-
-
-def _fmt_delta(before: float, after: float) -> str:
-    delta = after - before
-    if abs(before) > DIFF_EPSILON:
-        return f"{before:g} -> {after:g} ({100.0 * delta / before:+.1f}%)"
-    return f"{before:g} -> {after:g}"
-
-
-def diff_report(
-    document_a: Dict[str, Any], document_b: Dict[str, Any]
-) -> str:
-    """Human-readable run-by-run diff of two exported trace documents."""
-    runs_a = _runs_by_id(document_a)
-    runs_b = _runs_by_id(document_b)
-    lines: List[str] = []
-    for run_id in sorted(set(runs_a) - set(runs_b)):
-        lines.append(f"-- {run_id}: only in first trace")
-    for run_id in sorted(set(runs_b) - set(runs_a)):
-        lines.append(f"++ {run_id}: only in second trace")
-    for run_id in sorted(set(runs_a) & set(runs_b)):
-        run_a, run_b = runs_a[run_id], runs_b[run_id]
-        changes: List[str] = []
-        makespan_a, makespan_b = run_a["makespan"], run_b["makespan"]
-        if abs(makespan_b - makespan_a) > DIFF_EPSILON * max(1.0, abs(makespan_a)):
-            changes.append(f"makespan: {_fmt_delta(makespan_a, makespan_b)}")
-        counters_a = run_a.get("counters", {})
-        counters_b = run_b.get("counters", {})
-        for label in sorted(set(counters_a) | set(counters_b)):
-            value_a = counters_a.get(label, 0.0)
-            value_b = counters_b.get(label, 0.0)
-            if abs(value_b - value_a) > DIFF_EPSILON * max(1.0, abs(value_a)):
-                changes.append(f"counter {label}: {_fmt_delta(value_a, value_b)}")
-        manifest_a = run_a.get("manifest", {})
-        manifest_b = run_b.get("manifest", {})
-        for key in sorted(set(manifest_a) | set(manifest_b)):
-            if manifest_a.get(key) != manifest_b.get(key):
-                changes.append(
-                    f"manifest {key}: {manifest_a.get(key)!r} -> "
-                    f"{manifest_b.get(key)!r}"
-                )
-        if changes:
-            lines.append(f"== {run_id}")
-            lines.extend(f"   {change}" for change in changes)
-        else:
-            lines.append(f"== {run_id}: identical")
-    if not lines:
-        lines.append("(no runs in either trace)")
     return "\n".join(lines)

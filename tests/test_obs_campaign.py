@@ -13,12 +13,13 @@ The PR's acceptance criteria made executable:
 """
 
 import json
+import os
 
 import pytest
 
 from repro.apps.suite import build_workflow
 from repro.core.autotune import ExhaustiveTuner, TuningReport
-from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCW
+from repro.core.configs import ALL_CONFIGS, P_LOCR, S_LOCR, S_LOCW
 from repro.errors import ConfigurationError
 from repro.metrics.analysis import compare_configs
 from repro.obs.campaign import (
@@ -47,6 +48,16 @@ TWO_CONFIGS = (S_LOCW, P_LOCR)
 PERTURBED = DEFAULT_CALIBRATION.replace(
     local_write_peak=DEFAULT_CALIBRATION.local_write_peak * 0.15
 )
+
+
+#: The committed micro baseline every CI campaign is diffed against.
+BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "campaigns"
+)
+
+
+def baseline_micro():
+    return campaign_from_store(CampaignStore(BASELINE_DIR).read("baseline-micro"))
 
 
 def tiny_cell(cal=DEFAULT_CALIBRATION):
@@ -276,6 +287,65 @@ class TestDiff:
         assert diff.only_in_a == ["micro-2k@8"]
         assert diff.regressions == 0  # coverage loss is visible, not a flip
 
+    def test_sub_threshold_attribution_shifts_are_listed(self):
+        # micro-2k@8 P-LocR moves 0.2 % under this knee: below the drift
+        # threshold, so it gets an informational ".." pair, not a ">>".
+        perturbed = run_campaign(
+            suite="micro",
+            name="knee4",
+            cal=DEFAULT_CALIBRATION.replace(remote_write_knee=4),
+        )
+        diff = diff_campaigns(baseline_micro(), perturbed)
+        assert diff.render_text() == (
+            "campaign diff: baseline-micro -> knee4 (drift threshold 2.0%)\n"
+            "~~ micro-2k@8: calibration changed (cell id differs)\n"
+            "~~ micro-64mb@8: calibration changed (cell id differs)\n"
+            "!! micro-64mb@8: winner S-LocR -> S-LocW (now matches paper (S-LocW))\n"
+            "   why: flipped because S-LocR remote on pmem[1] grew 42.0% "
+            "(1.3 s -> 1.9 s)\n"
+            "!! micro-64mb@8: paper claim recovered (False -> True)\n"
+            ">> micro-64mb@8 [P-LocR]: makespan 2.1 s -> 2.7 s (+31.3%)\n"
+            "   why: drain on pmem[1] grew 54.8% (1.2 s -> 1.8 s)\n"
+            ">> micro-64mb@8 [S-LocR]: makespan 1.9 s -> 2.5 s (+28.9%)\n"
+            "   why: remote on pmem[1] grew 42.0% (1.3 s -> 1.9 s)\n"
+            ".. micro-2k@8 [P-LocR]: makespan 6.3 s -> 6.3 s (+0.2%)\n"
+            "   why: drain on pmem[1] grew 0.3% (5.0 s -> 5.0 s)\n"
+            "0 identical cell(s), 0 within-threshold cell(s), 3 regression(s)"
+        )
+        assert [(s.key, s.config) for s in diff.shifts] == [("micro-2k@8", "P-LocR")]
+
+    def test_config_set_change_is_coverage_not_calibration(self):
+        # Same calibration, one config: the cell ids differ because the
+        # config set is hashed into them, and the old winner was not run.
+        slocr = run_campaign(suite="micro", name="slocr", configs=(S_LOCR,))
+        text = diff_campaigns(baseline_micro(), slocr).render_text()
+        assert text == (
+            "campaign diff: baseline-micro -> slocr (drift threshold 2.0%)\n"
+            + "".join(
+                f"-- {key} [{label}]: only in baseline-micro\n"
+                for key in ("micro-2k@8", "micro-64mb@8")
+                for label in ("P-LocR", "P-LocW", "S-LocW")
+            )
+            + "~~ micro-2k@8: inputs changed, same calibration (cell id differs)\n"
+            "~~ micro-64mb@8: inputs changed, same calibration (cell id differs)\n"
+            "!! micro-2k@8: winner P-LocR -> S-LocR "
+            "(was the paper winner (P-LocR), now is not)\n"
+            "   why: flipped because P-LocR was not run in the second campaign\n"
+            "!! micro-2k@8: paper claim regressed (True -> False)\n"
+            "0 identical cell(s), 0 within-threshold cell(s), 2 regression(s)"
+        )
+        reverse = diff_campaigns(slocr, baseline_micro())
+        assert reverse.only_in_b == [
+            f"{key} [{label}]"
+            for key in ("micro-2k@8", "micro-64mb@8")
+            for label in ("P-LocR", "P-LocW", "S-LocW")
+        ]
+        assert reverse.inputs_changed == ["micro-2k@8", "micro-64mb@8"]
+        assert not reverse.calibration_changed
+        assert [flip.explanation for flip in reverse.winner_flips] == [
+            "flipped because P-LocR was not run in the first campaign"
+        ]
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.01])
     def test_threshold_must_be_finite_and_non_negative(self, threshold):
         run = CampaignRun(name="a", suite="micro")
@@ -484,6 +554,9 @@ class TestCli:
             ["explain", "top", "x", "--markdown"],
             ["explain", "diff", "a", "b", "--markdown"],
             ["explain", "run", "--format", "markdown"],
+            # Removed commands: `campaign diff` is the one diff.
+            ["diff", "a", "b"],
+            ["explain", "diff", "a", "b"],
         ],
     )
     def test_removed_renderer_options_exit_2(self, capsys, argv):
