@@ -276,7 +276,8 @@ def run_spec_cell(
     observations: List[Observation] = []
     with HostMeter(**meter_kwargs) as meter:
         for config in configs:
-            observation = observe_workflow(spec, config, cal=cal)
+            # Nothing a cell stores reads the per-event series.
+            observation = observe_workflow(spec, config, per_event=False, cal=cal)
             if on_observation is not None:
                 on_observation(observation)
             observations.append(observation)
@@ -614,6 +615,10 @@ class CampaignDiff:
     #: Cells whose id differs under the same stored calibration hash (a
     #: different config set or iteration count, say).
     inputs_changed: List[str] = field(default_factory=list)
+    #: Coverage, never regressions: ``"<key>: winner A -> B not compared
+    #: (...)"`` for each cell whose two winners were not both run by both
+    #: campaigns, so the winners say nothing about each other.
+    winners_not_compared: List[str] = field(default_factory=list)
     #: Cells whose deterministic payloads are byte-equal.
     identical_cells: int = 0
     #: Cells that changed, but by no more than the threshold and without
@@ -643,6 +648,8 @@ class CampaignDiff:
             lines.append(f"~~ {key}: calibration changed (cell id differs)")
         for key in self.inputs_changed:
             lines.append(f"~~ {key}: inputs changed, same calibration (cell id differs)")
+        for line in self.winners_not_compared:
+            lines.append(f"?? {line}")
         for flip in self.winner_flips:
             lines.append(
                 f"!! {flip.key}: winner {flip.before} -> {flip.after} "
@@ -697,10 +704,12 @@ def diff_campaigns(
     changed under the same stored calibration hash gets an inputs note
     instead.  Configs are matched by label: one run in only one campaign
     is listed as coverage, and one whose makespan stays within the
-    threshold but whose attribution moved is listed as a shift.  A cell
-    with no reported change counts as identical only when its
-    deterministic payload is byte-equal; otherwise it counts as within
-    the threshold.
+    threshold but whose attribution moved is listed as a shift.  A winner
+    flip (and the paper-claim change it carries) counts only when both
+    campaigns ran both winners; otherwise the differing winners are listed
+    as coverage too.  A cell with no reported change counts as identical
+    only when its deterministic payload is byte-equal; otherwise it counts
+    as within the threshold.
     """
     from repro.obs.explain import drift_explanation, flip_explanation
 
@@ -744,7 +753,22 @@ def diff_campaigns(
                 changed = True
             elif drift.explanation is not None:
                 diff.shifts.append(drift)
-        if cell_a.winner != cell_b.winner:
+        unrun = next(
+            (
+                f"{label} was not run in {name}"
+                for label in (cell_a.winner, cell_b.winner)
+                for name, configs in ((a.name, configs_a), (b.name, configs_b))
+                if label not in configs
+            ),
+            None,
+        )
+        if cell_a.winner != cell_b.winner and unrun is not None:
+            diff.winners_not_compared.append(
+                f"{key}: winner {cell_a.winner} -> {cell_b.winner} "
+                f"not compared ({unrun})"
+            )
+            changed = True
+        elif cell_a.winner != cell_b.winner:
             diff.winner_flips.append(
                 WinnerFlip(
                     key=key,
@@ -757,7 +781,7 @@ def diff_campaigns(
                 )
             )
             changed = True
-        if cell_a.paper_hit != cell_b.paper_hit:
+        if unrun is None and cell_a.paper_hit != cell_b.paper_hit:
             diff.claim_changes.append(
                 ClaimChange(
                     key=key,

@@ -38,28 +38,39 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Observation:
-    """All observability state of one observed workflow run."""
+    """All observability state of one observed workflow run.
 
-    def __init__(self) -> None:
+    *per_event* (default on) attaches the engine and network hooks, which
+    record a sample per event: queue depth, active flows, per-resource
+    occupancy and achieved bandwidth, bytes moved and achieved-rate
+    histograms.  A stored campaign cell reads none of those series, only
+    the trace, the channel and payload counters and the network totals
+    in :attr:`solver_stats`, so it observes with ``per_event=False``.
+    """
+
+    def __init__(self, per_event: bool = True) -> None:
+        self.per_event = per_event
         self.probes = ProbeRegistry()
         self.manifest: Optional[RunManifest] = None
         self.tracer: Optional["Tracer"] = None
         self.result: Optional["RunResult"] = None
         self._spans: Optional[List[Span]] = None
-        #: Flow-solver strategy counters (classes, memo hits/misses,
-        #: coalesced recomputes, capped solves), latched from the network at finalize.
-        #: Host-side accounting only — deliberately NOT probes, so trace
-        #: and metrics exports stay identical across solver modes.
+        #: Flow-solver counters latched from the network at finalize: the
+        #: strategy counters (classes, memo hits/misses, coalesced
+        #: recomputes, capped solves) and the work totals (recomputes,
+        #: solver iterations, completed flows).  Host-side accounting only
+        #: — deliberately NOT probes, so trace and metrics exports stay
+        #: identical across solver modes and with *per_event* off.
         self.solver_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Hook factories used by the workflow runner while wiring a run.
     # ------------------------------------------------------------------
-    def engine_hooks(self) -> EngineHooks:
-        return EngineHooks(self.probes)
+    def engine_hooks(self) -> Optional[EngineHooks]:
+        return EngineHooks(self.probes) if self.per_event else None
 
-    def network_hooks(self) -> NetworkHooks:
-        return NetworkHooks(self.probes)
+    def network_hooks(self) -> Optional[NetworkHooks]:
+        return NetworkHooks(self.probes) if self.per_event else None
 
     def channel_hooks(self) -> ChannelHooks:
         return ChannelHooks(self.probes)
@@ -106,6 +117,9 @@ class Observation:
                 "solver_memo_misses": network.memo_misses,
                 "recomputes_coalesced": network.recomputes_coalesced,
                 "solves_at_cap": network.solves_at_cap,
+                "recomputes": network.recompute_count,
+                "solver_iterations": network.solver_iterations,
+                "flows_completed": network.flows_completed,
             }
         self.result = result
 
@@ -161,15 +175,16 @@ def capture_runs() -> Iterator[CaptureSession]:
         _SESSIONS.remove(session)
 
 
-def observe_workflow(spec, config, **run_kwargs) -> Observation:
-    """Run *spec* under *config* with full observability and return it.
+def observe_workflow(spec, config, per_event: bool = True, **run_kwargs) -> Observation:
+    """Run *spec* under *config* observed and return the observation.
 
-    Accepts the same keyword arguments as
+    *per_event* is :class:`Observation`'s switch (full observability by
+    default).  Accepts the same keyword arguments as
     :func:`repro.workflow.runner.run_workflow` (``cal``, ``compute_jitter``,
     sockets, ...).
     """
     from repro.workflow.runner import run_workflow
 
-    observation = Observation()
+    observation = Observation(per_event=per_event)
     run_workflow(spec, config, observation=observation, **run_kwargs)
     return observation

@@ -197,16 +197,17 @@ def leaf_tracks(
 ) -> Dict[Tuple[str, int], List[TraceRecord]]:
     """Leaf records grouped per ``(component, rank)`` track, time-ordered.
 
-    The grouping the critical-path walker chains through: records are
-    taken in :func:`~repro.obs.spans.record_order`, each track is then
-    stably sorted by ``(start, end, phase)``, and the mapping iterates
-    tracks in sorted key order — all deterministic functions of the
-    trace contents.
+    The grouping the critical-path walker chains through: each track is
+    stably sorted by ``(start, end, phase, iteration)`` — the order of
+    :func:`~repro.obs.spans.record_order` re-sorted stably by ``(start,
+    end, phase)``, without sorting the whole trace first — and the
+    mapping iterates tracks in sorted key order: all deterministic
+    functions of the trace contents.
     """
     tracks: Dict[Tuple[str, int], List[TraceRecord]] = {}
-    for record in sorted(records, key=record_order):
+    for record in records:
         tracks.setdefault((record.component, record.rank), []).append(record)
-    by_time = attrgetter("start", "end", "phase")
+    by_time = attrgetter("start", "end", "phase", "iteration")
     return {key: sorted(tracks[key], key=by_time) for key in sorted(tracks)}
 
 
@@ -218,10 +219,12 @@ def last_finishing_leaf(records: Iterable[TraceRecord]) -> Optional[TraceRecord]
     track whose finish the paper's makespan measurement observes; a tie
     within one track keeps the first leaf in record order.
     """
-    leaves = sorted(records, key=record_order)
+    leaves = list(records)
     if not leaves:
         return None
-    return max(leaves, key=attrgetter("end", "component", "rank"))
+    finish = attrgetter("end", "component", "rank")
+    last = finish(max(leaves, key=finish))
+    return min((leaf for leaf in leaves if finish(leaf) == last), key=record_order)
 
 
 def _classify(
@@ -791,15 +794,13 @@ def flip_explanation(
     The question a flip raises is "what happened to the old winner?", so
     the sentence compares the *before*-winner's attribution across the
     two campaigns; the new winner's own history is the fallback evidence.
-    A winner that only one campaign ran is the answer by itself.
+    (:func:`~repro.obs.campaign.diff_campaigns` counts a flip only when
+    both campaigns ran both winners.)
     """
     for label in (before_label, after_label):
         entry_a = configs_a.get(label)
         entry_b = configs_b.get(label)
-        if (entry_a is None) != (entry_b is None):
-            missing = "first" if entry_a is None else "second"
-            return f"flipped because {label} was not run in the {missing} campaign"
-        if entry_a is None:
+        if entry_a is None or entry_b is None:
             continue
         attribution_a = config_attribution(entry_a)
         attribution_b = config_attribution(entry_b)

@@ -31,14 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class EngineHooks:
     """Probe adapter for the discrete-event engine."""
 
-    __slots__ = ("_queue_depth",)
+    __slots__ = ("on_step",)
 
     def __init__(self, probes: ProbeRegistry) -> None:
-        self._queue_depth = probes.gauge("engine.queue_depth")
-
-    def on_step(self, now: float, queue_depth: int) -> None:
-        """Called after every executed timer with the remaining queue size."""
-        self._queue_depth.set(now, queue_depth)
+        #: ``on_step(now, queue_depth)``, called after every executed timer
+        #: with the remaining queue size: the queue-depth gauge's own
+        #: setter, so the per-event path is one call.
+        self.on_step = probes.gauge("engine.queue_depth").set
 
 
 class NetworkHooks:
@@ -67,7 +66,8 @@ class NetworkHooks:
         self._resource_gauges: Dict["CapacityResource", Tuple[Gauge, Gauge]] = {}
         #: The resources loaded at the previous recompute.
         self._last_loaded: Tuple["CapacityResource", ...] = ()
-        self._bytes: Dict[Tuple[str, str, bool], Counter] = {}
+        #: ``resource.bytes_moved`` counters per ``(path, kind, remote)``.
+        self._bytes: Dict[tuple, Tuple[Counter, ...]] = {}
         self._rate_hist: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -123,17 +123,19 @@ class NetworkHooks:
     def on_flow_complete(self, now: float, flow: "Flow") -> None:
         """Called when a flow finishes, before rates are recomputed."""
         self._completed.add(now, 1)
-        for resource in flow.resources:
-            key = (resource.name, flow.kind, flow.remote)
-            counter = self._bytes.get(key)
-            if counter is None:
-                counter = self._probes.counter(
+        route = (flow.resources, flow.kind, flow.remote)
+        counters = self._bytes.get(route)
+        if counters is None:
+            counters = self._bytes[route] = tuple(
+                self._probes.counter(
                     "resource.bytes_moved",
                     resource=resource.name,
                     kind=flow.kind,
                     remote=flow.remote,
                 )
-                self._bytes[key] = counter
+                for resource in flow.resources
+            )
+        for counter in counters:
             counter.add(now, flow.nbytes)
         elapsed = now - flow.started_at
         if elapsed > 0:

@@ -280,10 +280,12 @@ def simulated_host_metrics(
         probes = observation.probes
         events += probes.counter_total("engine.events_executed")
         timers += probes.counter_total("engine.timers_scheduled")
-        recomputes += probes.counter_total("flow.recomputes")
-        solver += probes.counter_total("flow.solver_iterations")
-        completed += probes.counter_total("flow.completed")
         stats = observation.solver_stats
+        # The network's own totals: the ``flow.*`` probes count the same
+        # events, but only observations with per-event hooks have them.
+        recomputes += stats.get("recomputes", 0)
+        solver += stats.get("solver_iterations", 0)
+        completed += stats.get("flows_completed", 0)
         classes += stats.get("solver_classes", 0)
         memo_hits += stats.get("solver_memo_hits", 0)
         memo_misses += stats.get("solver_memo_misses", 0)

@@ -47,6 +47,10 @@ AttrItems = Tuple[Tuple[str, Any], ...]
 #: Histogram bucket index for non-positive observations (log2 undefined).
 UNDERFLOW_BUCKET: int = -9999
 
+#: Bounds of the finite floats: ``-_INF < x < _INF`` is false for NaN too,
+#: one chained comparison instead of a ``math.isfinite`` call per sample.
+_INF = math.inf
+
 #: Instrument-name grammar: Prometheus's, extended with ``.`` for the
 #: dotted probe names (``flow.achieved_rate``).
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:.]*$")
@@ -122,7 +126,7 @@ class Counter(Instrument):
 
     def add(self, now: float, value: float = 1.0) -> None:
         """Increment by *value* at time *now* (must be >= 0)."""
-        if value < 0 or not math.isfinite(value):
+        if not 0 <= value < _INF:
             raise SimulationError(
                 f"counter {self.label}: increment must be finite and >= 0, "
                 f"got {value}"
@@ -156,14 +160,16 @@ class Gauge(Instrument):
 
     def set(self, now: float, value: float) -> None:
         """Record the gauge level at time *now*."""
-        if not math.isfinite(value):
+        # An unchanged value is finite: ``value`` only ever holds checked ones.
+        if value == self.value and self.samples:
+            return
+        if not -_INF < value < _INF:
             raise SimulationError(
                 f"gauge {self.label}: value must be finite, got {value}"
             )
-        if self.samples and value == self.value:
-            return
         self.value = value
-        self.peak = max(self.peak, value)
+        if value > self.peak:
+            self.peak = value
         self.samples.append((now, value))
 
     def as_dict(self) -> Dict[str, Any]:
@@ -197,16 +203,19 @@ class Histogram(Instrument):
 
     def observe(self, now: float, value: float) -> None:
         """Record one observation (*now* kept for signature symmetry)."""
-        if not math.isfinite(value):
+        if not -_INF < value < _INF:
             raise SimulationError(
                 f"histogram {self.label}: value must be finite, got {value}"
             )
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         bucket = int(math.floor(math.log2(value))) if value > 0 else UNDERFLOW_BUCKET
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+        buckets = self.buckets
+        buckets[bucket] = buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:

@@ -50,8 +50,9 @@ class OptaneDeviceResource(CapacityResource):
     """Flow-network resource implementing the Optane sharing policy.
 
     Stateful: the resource tracks an exponentially weighted moving average
-    of its remote-write occupancy (updated by the flow network through
-    :meth:`observe`).  Sustained remote write streams congest the
+    of its remote-write occupancy (relaxed by the flow network through
+    :meth:`advance` before each solve and latched by :meth:`observe` after
+    it).  Sustained remote write streams congest the
     UPI/coherence path far beyond what a transient checkpoint burst causes;
     the EWMA is what distinguishes the two.
     """
@@ -149,7 +150,7 @@ class OptaneDeviceResource(CapacityResource):
         #: local/remote, remote writer).
         self._write_penalties: Dict[tuple, float] = {}
         #: :func:`sustained_congestion_factor` of the EWMA it was last
-        #: evaluated at (the EWMA only moves in :meth:`observe`).
+        #: evaluated at (the EWMA only moves in :meth:`advance`).
         self._congestion_ewma = 0.0
         self._congestion = sustained_congestion_factor(cal, 0.0)
 
@@ -159,15 +160,15 @@ class OptaneDeviceResource(CapacityResource):
         """Current sustained remote-write occupancy estimate."""
         return self._remote_write_ewma
 
-    def observe(self, now: float, load: ResourceLoad) -> None:
-        """Update the congestion EWMA and latch the new occupancy.
+    def advance(self, now: float) -> None:
+        """Relax the congestion EWMA to *now*.
 
-        Called by the flow network whenever rates are recomputed.  The EWMA
-        first relaxes toward the occupancy that *held* since the previous
-        observation (with time constant ``remote_write_congestion_tau``),
-        then latches the new instantaneous duty-weighted remote-write count
-        for the next interval — so an idle gap genuinely cools the link
-        before a fresh burst arrives.
+        The EWMA relaxes toward the occupancy that *held* since the previous
+        update (with time constant ``remote_write_congestion_tau``), so an
+        idle gap genuinely cools the link before a fresh burst arrives.  The
+        flow network calls this before every solve, so a solve prices remote
+        writes with the congestion state as of its own instant, however many
+        solves that instant runs.
         """
         dt = now - self._last_observed
         self._last_observed = now
@@ -176,13 +177,21 @@ class OptaneDeviceResource(CapacityResource):
             self._remote_write_ewma += alpha * (
                 self._held_occupancy - self._remote_write_ewma
             )
+
+    def observe(self, now: float, load: ResourceLoad) -> None:
+        """:meth:`advance` to *now*, then latch the new occupancy.
+
+        Called by the flow network after every solve: the instantaneous
+        duty-weighted remote-write count holds for the next interval.
+        """
+        self.advance(now)
         self._held_occupancy = load.congestion_write_remote
 
     def share_state_token(self, kind: str, remote: bool) -> object:
         """Mutable state :meth:`share` reads, for the solver's memo key.
 
         ``_held_occupancy``/``_last_observed`` only feed *future* EWMA
-        updates via :meth:`observe` and are deliberately excluded — they
+        updates via :meth:`advance` and are deliberately excluded — they
         don't change what ``share`` returns now.  ``_read_share`` reads no
         mutable device state at all, so read tokens are empty — a
         read-only component survives poller churn and EWMA decay without

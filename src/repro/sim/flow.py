@@ -65,13 +65,19 @@ COMPLETION_EPSILON_BYTES = 1e-3
 #: Lower clamp for duty cycles (keeps occupancy sums well conditioned).
 MIN_DUTY = 1e-6
 
-#: Fixed-point iterations for the duty-cycle solve.
-DUTY_ITERATIONS = 24
+#: Fixed-point iteration cap for the duty-cycle solve (solves that meet
+#: ``RATE_TOLERANCE`` stop early; on the paper sweep every solve does).
+DUTY_ITERATIONS = 200
 
 #: Damping factor for the duty-cycle fixed point (1.0 = undamped).
 DUTY_DAMPING = 0.6
 
-#: Relative convergence tolerance on rates.
+#: Convergence tolerance of the duty-cycle solve: an iteration that moves
+#: no rate by more than this (relative) and no duty by more than this
+#: (absolute) ends it.  Duties are checked too because they are state the
+#: solve hands on (the next solve's warm start, and the congestion
+#: occupancy a device latches): a rate pinned by a cap converges at once
+#: while its duty is still damping toward the fixed point.
 RATE_TOLERANCE = 1e-5
 
 #: Bounded LRU capacity for the converged-state memo (entries per network).
@@ -278,11 +284,23 @@ class CapacityResource:
             self.per_thread_cap(load),
         )
 
-    def observe(self, now: float, load: ResourceLoad) -> None:
-        """Hook invoked by the flow network on every rate recomputation.
+    def advance(self, now: float) -> None:
+        """Bring time-dependent state to *now*; called before every solve.
 
-        Stateful device models (e.g. the Optane congestion EWMA) override
-        this; the default resource is stateless.
+        The flow network advances every resource on an active path (and
+        every resource it observed last) before it solves, so ``share()``
+        reads state as of the solve's own instant and a result cannot
+        depend on how many solves that instant runs.  Stateful device
+        models (e.g. the Optane congestion EWMA) override this; the default
+        resource is stateless.
+        """
+
+    def observe(self, now: float, load: ResourceLoad) -> None:
+        """Hook invoked by the flow network after every rate recomputation.
+
+        Receives the converged load (an empty one once the resource goes
+        idle).  Stateful device models override this; the default resource
+        is stateless.
         """
 
     def share_state_token(self, kind: str, remote: bool) -> object:
@@ -293,13 +311,14 @@ class CapacityResource:
         same shares as when the entry was recorded.  The protocol:
 
         * resources that override neither this method nor :meth:`observe`
-          are treated as stateless (empty token);
-        * resources that override :meth:`observe` are assumed stateful — the
-          memo is bypassed unless they also override this method to expose
-          exactly the state :meth:`share` reads for each ``(kind, remote)``
-          combination (a device whose read path reads no mutable state can
-          return ``()`` for reads, so memo entries for read-only flow sets
-          survive write-side state churn);
+          nor :meth:`advance` are treated as stateless (empty token);
+        * resources that override :meth:`observe` or :meth:`advance` are
+          assumed stateful — the memo is bypassed unless they also
+          override this method to expose exactly the state :meth:`share`
+          reads for each ``(kind, remote)`` combination (a device whose
+          read path reads no mutable state can return ``()`` for reads, so
+          memo entries for read-only flow sets survive write-side state
+          churn);
         * returning ``None`` marks the combination opaque (memo bypass);
         * state mutated through neither channel (e.g. a closure captured by
           ``capacity_fn``) must be announced via :meth:`FlowNetwork.poke`,
@@ -477,6 +496,10 @@ class SolveResult:
     #: Whether the fixed point met ``RATE_TOLERANCE`` within
     #: ``DUTY_ITERATIONS`` (a memo hit replays the recorded solve's flag).
     converged: bool = True
+    #: Largest change of the final iteration: relative for rates, absolute
+    #: for duties (below ``RATE_TOLERANCE`` exactly when ``converged``; a
+    #: memo hit replays it).
+    residual: float = 0.0
 
 
 def resource_share_token(
@@ -496,9 +519,12 @@ def resource_share_token(
                 return None
             parts.append((combo, part))
         return tuple(parts)
-    if rtype.observe is not CapacityResource.observe:
-        # Stateful (it watches loads) but exposes no token: assume the
-        # worst and bypass the memo for any set that touches it.
+    if (
+        rtype.observe is not CapacityResource.observe
+        or rtype.advance is not CapacityResource.advance
+    ):
+        # Stateful (it watches loads or time) but exposes no token: assume
+        # the worst and bypass the memo for any set that touches it.
         return None
     return ()
 
@@ -542,6 +568,7 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
     loads: Dict[CapacityResource, ResourceLoad] = {}
     iterations = 0
     converged = False
+    max_rel_change = 0.0
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
         loads = _build_loads(flows, duties)
@@ -570,17 +597,24 @@ def _solve_reference(flows: Sequence[Flow]) -> SolveResult:
                     "self cap constrains it"
                 )
             old_rate = rates[f]
-            damped_duty = duties[f] + DUTY_DAMPING * (new_duty - duties[f])
+            old_duty = duties[f]
+            damped_duty = old_duty + DUTY_DAMPING * (new_duty - old_duty)
             duties[f] = min(1.0, max(MIN_DUTY, damped_duty))
             rates[f] = new_rate
             denom = max(new_rate, 1.0)
-            max_rel_change = max(max_rel_change, abs(new_rate - old_rate) / denom)
+            max_rel_change = max(
+                max_rel_change,
+                abs(new_rate - old_rate) / denom,
+                abs(duties[f] - old_duty),
+            )
         if max_rel_change < RATE_TOLERANCE:
             converged = True
             break
     for f in flows:
         f.duty = duties[f]
-    return SolveResult(rates, iterations, loads, converged=converged)
+    return SolveResult(
+        rates, iterations, loads, converged=converged, residual=max_rel_change
+    )
 
 
 _shape_of = attrgetter("shape")
@@ -691,11 +725,12 @@ def _solve_classes(
       signature projection) per iteration: the share contract makes every
       member class's operands identical, so one call stands for all;
     * the rate update (``new_rate``, ``new_duty``, the unbounded check and
-      the convergence term) runs once per *shape* per iteration: classes of
-      one shape read the same share groups and the same ``self_cap``, and
-      every class starts at rate ``0.0``, so their operands are equal at
-      every iteration.  Only the damped duty, which starts from each
-      class's own duty, is per class.
+      the rate convergence term) runs once per *shape* per iteration:
+      classes of one shape read the same share groups and the same
+      ``self_cap``, and every class starts at rate ``0.0``, so their
+      operands are equal at every iteration.  Only the damped duty (and its
+      convergence term), which starts from each class's own duty, is per
+      class; a maximum does not depend on the order it is taken in.
 
     The memo key is the per-flow :attr:`Flow.shape` and duty sequences plus
     each resource's share-state token; a hit replays per-flow rates and
@@ -722,7 +757,15 @@ def _solve_classes(
         entry = memo.get(key) if key is not None else None
         if entry is not None:
             memo.move_to_end(key)
-            flow_rates, flow_duties, n_classes, iterations, loads, converged = entry
+            (
+                flow_rates,
+                flow_duties,
+                n_classes,
+                iterations,
+                loads,
+                residual,
+                converged,
+            ) = entry
             for f, duty in zip(flows, flow_duties):
                 f.duty = duty
             return SolveResult(
@@ -733,6 +776,7 @@ def _solve_classes(
                 memo_hit=True,
                 memo_attempted=True,
                 converged=converged,
+                residual=residual,
             )
 
     cls_of, reps, remote, loads, folds, groups, shape_plans = _build_plan(
@@ -753,6 +797,7 @@ def _solve_classes(
     inf = math.inf
     iterations = 0
     converged = False
+    max_rel_change = 0.0
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
         # Each load field is a left fold from 0.0 over its flows in flow
@@ -822,6 +867,11 @@ def _solve_classes(
                 cls_duty[c] = weights[c] = duty
                 terms[c] = duty * log_op
                 congestion[c] = duty if duty < issue else issue
+                step = duty - old_duty
+                if step < 0.0:
+                    step = -step
+                if step > max_rel_change:
+                    max_rel_change = step
             rel = new_rate - shape_rate[s]
             shape_rate[s] = new_rate
             if rel < 0.0:
@@ -848,6 +898,7 @@ def _solve_classes(
             n_classes,
             iterations,
             loads,
+            max_rel_change,
             converged,
         )
         if len(memo) > MEMO_CAPACITY:
@@ -859,6 +910,7 @@ def _solve_classes(
         classes=n_classes,
         memo_attempted=key is not None,
         converged=converged,
+        residual=max_rel_change,
     )
 
 
@@ -912,23 +964,21 @@ class FlowNetwork:
     finishes.  Between recomputations every flow progresses linearly at its
     assigned rate, so completions can be scheduled exactly.
 
-    Completion recomputations are additionally *coalesced*: flow finishes
-    (and idle transitions) at the same virtual timestamp mark the network
-    dirty, and one solve runs via the engine's flush hook just before the
-    clock advances — 24 ranks finishing identical writes in one instant
-    cost one solve, not 24.  Flow bookkeeping (``active_flows``, progress
+    Recomputations are *coalesced*: flow starts, finishes, idle transitions
+    and pokes at the same virtual timestamp mark the network dirty, and one
+    solve runs via the engine's flush hook just before the clock advances —
+    24 ranks starting (or finishing) identical writes in one instant cost
+    one solve, not 24.  Flow bookkeeping (``active_flows``, progress
     advancement) stays synchronous; only the fixed-point solve is deferred.
 
-    Flow *starts* deliberately keep solving synchronously, coalescing only
-    an already-pending completion flush.  The congestion model's damped
-    fixed point is bistable (remote-write collapse): starting N flows one
-    solve at a time warm-starts duties down the uncongested branch, while
-    one cold solve of N fresh flows at duty 1.0 can land on the collapsed
-    branch — a simulated-result change of tens of percent, not rounding.
-    The start cascade is therefore part of the model.  Completions are
-    coalesced, and that does move simulated results beyond solver
-    tolerance on some paper cells; DESIGN.md §5b gives the measured drift
-    and its cause.
+    Batching cannot move simulated results beyond solver tolerance because
+    every solve reads resource state as of its own instant: before solving,
+    the network advances each resource on an active path
+    (:meth:`CapacityResource.advance`), so the congestion EWMA is relaxed
+    to ``now`` whether this is the instant's first solve or its fifth.
+    (Reading the EWMA before relaxing it was what once made results
+    depend on the number of solves per instant; DESIGN.md §5b gives the
+    measurements.)
 
     Parameters
     ----------
@@ -978,9 +1028,6 @@ class FlowNetwork:
         self.solver = solver
         self._memo: "OrderedDict" = OrderedDict()
         self._dirty = False
-        #: Set when a solve cancelled completion timers; the flush
-        #: re-schedules one timer per affected flow.
-        self._timers_stale = False
         self._closed = False
         engine.add_flush_hook(self._flush_recompute)
 
@@ -1028,12 +1075,7 @@ class FlowNetwork:
             return flow.done
         self._advance_progress()
         self._flows.append(flow)
-        # Starts solve synchronously (see class docstring) — but one solve
-        # serves both this start and any pending completion flush.
-        if self._dirty:
-            self._dirty = False
-            self.recomputes_coalesced += 1
-        self._recompute()
+        self._request_recompute()
         return flow.done
 
     def poke(self, *resources: CapacityResource) -> None:
@@ -1066,7 +1108,8 @@ class FlowNetwork:
 
     # ------------------------------------------------------------------
     def _request_recompute(self) -> None:
-        """Mark dirty for the end-of-timestamp flush (completions/idle)."""
+        """Mark dirty for the end-of-timestamp flush (starts, completions,
+        pokes)."""
         if self._dirty:
             self.recomputes_coalesced += 1
         else:
@@ -1076,21 +1119,17 @@ class FlowNetwork:
         """Engine flush hook: run the one deferred solve for this instant.
 
         Timers within ``TIME_EPSILON`` of the clock share an instant, so
-        the flush may run a few ulps after the completions that marked the network dirty, so progress is
-        advanced explicitly before solving.  Completion timers parked by
-        deferred solves are scheduled here, after the solve, so each
-        active flow pushes one timer per instant however many cascade
-        solves touched its rate.
+        the flush may run a few ulps after the events that marked the
+        network dirty; progress is advanced explicitly before solving.
+        Every solve runs here, so each active flow pushes at most one
+        completion timer per instant.
         """
-        ran = False
-        if self._dirty:
-            self._dirty = False
-            self._advance_progress()
-            self._recompute()
-            ran = True
-        if self._timers_stale and self._flush_timers():
-            ran = True
-        return ran
+        if not self._dirty:
+            return False
+        self._dirty = False
+        self._advance_progress()
+        self._recompute()
+        return True
 
     def _advance_progress(self) -> None:
         """Apply linear progress at current rates since the last update."""
@@ -1109,6 +1148,15 @@ class FlowNetwork:
         loads: Dict[CapacityResource, ResourceLoad] = {}
         iterations = 0
         rates: Dict[Flow, float] = {}
+        # Solve against state as of now: resources relax time-dependent
+        # state (the congestion EWMA) before the solve reads it, so one
+        # instant's result does not depend on how many solves it runs.
+        # Idle resources observed last time advance too, so they cool.
+        stale = set(self._observed_resources)
+        for flow in flows:
+            stale.update(flow.resources)
+        for resource in stale:
+            resource.advance(now)
         if flows:
             # A module-global call, so wrappers of solve_flow_set (the
             # benchmark's per-layer tracer) see every solve.
@@ -1151,40 +1199,20 @@ class FlowNetwork:
             flow.rate = new_rate
             if flow._timer is not None:
                 flow._timer.cancel()
-                flow._timer = None
             if new_rate <= 0 and flow.remaining > COMPLETION_EPSILON_BYTES:
                 raise SimulationError(
                     f"flow {flow.label!r} stalled with zero rate and "
                     f"{flow.remaining:.0f} bytes remaining"
                 )
-            # Completion timers are (re)scheduled once per instant at the
-            # flush: intermediate cascade solves at the same timestamp
-            # would otherwise push a timer per flow per solve onto the
-            # heap only to cancel it microseconds later.  No virtual time
-            # passes before the flush, so the absolute fire times are
-            # unchanged.
-            self._timers_stale = True
+            # In ``self._flows`` order, so heap tie-breaking (and therefore
+            # same-instant completion order) stays deterministic.  A zero
+            # rate means (epsilon-)zero remaining: complete now.
+            eta = flow.remaining / new_rate if new_rate > 0 else 0.0
+            flow._timer = self.engine.schedule(eta, self._make_completion(flow))
         if self.hooks is not None:
             # After the rates are assigned, so hooks see the converged state.
             self.hooks.on_recompute(now, flows, loads)
             self.hooks.on_solve(now, iterations)
-
-    def _flush_timers(self) -> bool:
-        """Schedule completion timers left stale by this instant's solves.
-
-        Runs in ``self._flows`` order so heap tie-breaking (and therefore
-        same-instant completion order) stays deterministic.
-        """
-        self._timers_stale = False
-        scheduled = False
-        for flow in self._flows:
-            timer = flow._timer
-            if timer is None or timer.cancelled:
-                # A zero rate means (epsilon-)zero remaining: complete now.
-                eta = flow.remaining / flow.rate if flow.rate > 0 else 0.0
-                flow._timer = self.engine.schedule(eta, self._make_completion(flow))
-                scheduled = True
-        return scheduled
 
     def _make_completion(self, flow: Flow) -> Callable[[], None]:
         def _complete() -> None:

@@ -15,7 +15,15 @@ from repro.errors import SimulationError
 from repro.sim.engine import TIME_EPSILON
 
 
-@dataclass(frozen=True)
+#: Bounds of the finite floats: ``-_INF < x < _INF`` is false for NaN too.
+_INF = math.inf
+
+
+# Not frozen: a frozen dataclass pays one ``object.__setattr__`` per field
+# on construction, and an observed run builds one record per phase
+# interval.  Records still compare and hash by value (``detail`` excluded),
+# and nothing mutates one once the tracer has appended it.
+@dataclass(unsafe_hash=True)
 class TraceRecord:
     """One closed interval of activity on a simulated rank.
 
@@ -79,26 +87,20 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if not (math.isfinite(start) and math.isfinite(end)):
+        if not (-_INF < start < _INF and -_INF < end < _INF):
             raise SimulationError(
                 f"trace record {component}[{rank}].{phase}: timestamps must "
                 f"be finite, got start={start}, end={end}"
             )
-        if end < start - TIME_EPSILON * max(1.0, abs(start), abs(end)):
+        if end < start and end < start - TIME_EPSILON * max(
+            1.0, abs(start), abs(end)
+        ):
             raise SimulationError(
                 f"trace record {component}[{rank}].{phase}: interval runs "
                 f"backwards (start={start}, end={end})"
             )
         self.records.append(
-            TraceRecord(
-                component=component,
-                rank=rank,
-                phase=phase,
-                start=start,
-                end=end,
-                iteration=iteration,
-                detail=detail,
-            )
+            TraceRecord(component, rank, phase, start, end, iteration, detail)
         )
 
     # -- queries -----------------------------------------------------------

@@ -43,17 +43,20 @@ from repro.sim.flow import (
     SolveResult,
 )
 
-#: Relative slack on the invariant.  The solver stops once no rate moved by
-#: more than ``RATE_TOLERANCE`` in an iteration, but the loads it stops on
-#: were built from duties that still lag their undamped targets: summed
-#: over a resource, the achieved rates exceed the total by exactly the
-#: next duty step over ``DUTY_DAMPING``.  For a device-bound flow that is
-#: ``RATE_TOLERANCE / DUTY_DAMPING``; software-bound flows move their duty
-#: more than their rate, which the ``(1 - DUTY_DAMPING) ** -3`` allowance
-#: (15.6x) covers.  The allowance is not derived: it is the smallest power
-#: of the damped step's contraction above the worst case measured on the
-#: paper workflows (12.2x, write, miniamr+matmult@8 under P-LocW).
-CAPACITY_EPSILON = RATE_TOLERANCE / (DUTY_DAMPING * (1.0 - DUTY_DAMPING) ** 3)
+def capacity_epsilon(flows: int, occupancy: float) -> float:
+    """Relative slack on the invariant for *flows* flows of one kind whose
+    duty-weighted occupancy in the solver's final load is *occupancy*.
+
+    Derived, not fitted.  A flow's achieved rate is ``A = u* D``, where
+    ``D`` is its device rate and ``u* = A / D`` the duty it would settle
+    on; ``D`` is at most the total over ``max(1, U)``, with ``U`` the
+    occupancy of the duties ``u`` the final loads were built from.  So the
+    rates sum to at most ``total * Σu* / max(1, U)``.  The solve stops only
+    once no duty moves by ``RATE_TOLERANCE`` or more, and a damped step is
+    ``DUTY_DAMPING * (u* - u)``, so ``Σu* < U + flows * RATE_TOLERANCE /
+    DUTY_DAMPING``.
+    """
+    return flows * RATE_TOLERANCE / (DUTY_DAMPING * max(1.0, occupancy))
 
 
 def optane_totals(
@@ -81,24 +84,26 @@ def optane_totals(
     return {"read": read, "write": write}
 
 
-def capacity_violations(
-    result: SolveResult, epsilon: float = CAPACITY_EPSILON
-) -> List[str]:
+def capacity_violations(result: SolveResult) -> List[str]:
     """Every (resource, kind) whose achieved rates exceed its total."""
     problems: List[str] = []
     for resource, load in result.loads.items():
         if isinstance(resource, OptaneDeviceResource):
             limits = optane_totals(resource, load)
+            occupancy = {"read": load.n_reads, "write": load.n_writes}
         elif type(resource).share is CapacityResource.share:
             limits = {"any": resource.capacity(load)}
+            occupancy = {"any": load.n_total}
         else:
             continue
         for kind, limit in limits.items():
-            achieved = sum(
+            rates = [
                 rate
                 for flow, rate in result.rates.items()
                 if resource in flow.resources and kind in ("any", flow.kind)
-            )
+            ]
+            achieved = sum(rates)
+            epsilon = capacity_epsilon(len(rates), occupancy[kind])
             if achieved > limit * (1.0 + epsilon):
                 problems.append(
                     f"{resource.name} {kind}: achieved {achieved!r} > "

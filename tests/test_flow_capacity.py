@@ -3,7 +3,7 @@
 On every solve of the six workflow families at 8 ranks, under all four
 configurations, no Optane device hands its readers or writers more than
 its curves allow, and no UPI link more than its bandwidth, within
-:data:`tests.flow_capacity.CAPACITY_EPSILON`.
+:func:`tests.flow_capacity.capacity_epsilon`.
 """
 
 from repro.apps.suite import workflow_suite

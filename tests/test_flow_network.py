@@ -5,9 +5,10 @@
 flow sets — mixed kinds, localities, shared resources, the real Optane
 device model and opaque stateful resources that bypass the memo.  The
 network-level tests pin the recompute strategy: one solve of the whole
-active flow set per recompute, pokes deferred to the end-of-timestamp
-flush, memo flushes only for state the memo key cannot see, and the
-solver-health counter (``solves_at_cap``).
+active flow set per recompute, starts and pokes deferred to the
+end-of-timestamp flush, memo flushes only for state the memo key cannot
+see, and the solver-health counter (``solves_at_cap``) with each solve's
+final residual.
 """
 
 import math
@@ -134,7 +135,8 @@ class TestFlowIdentity:
 
 class TestSingleSolve:
     def test_recompute_solves_whole_active_set_once(self, monkeypatch):
-        """Disjoint resources still share one solve of the full list."""
+        """Disjoint resources still share one solve of the full list, and
+        one instant's starts share one flush solve."""
         calls = []
         original = flow_module.solve_flow_set
 
@@ -161,35 +163,68 @@ class TestSingleSolve:
         for flow in flows:
             engine.spawn(body(flow), name=flow.label)
         engine.run()
-        assert calls[2] == flows  # the third start solves all three at once
+        assert calls[0] == flows  # three starts at t=0: one solve, in order
         assert len(calls) == net.recompute_count - 1  # final idle: no solve
-        assert [len(c) for c in calls] == [1, 2, 3, 2, 1]
+        assert [len(c) for c in calls] == [3, 2, 1]
+        assert net.recomputes_coalesced == 2  # starts b1 and b2 fold in
         assert done["a"] == pytest.approx(5.0)
         assert done["b1"] == pytest.approx(6.0)  # 30 B at 5 B/s
         assert done["b2"] == pytest.approx(11.0)  # 30 B at 5 + 50 B at 10
 
 
+def _oscillating_resource():
+    """A resource whose capacity jumps *up* with occupancy.
+
+    For a software-capped flow the duty then chases a target that flips
+    between ~0 and ~1 across ``n_total = 0.5``, so the damped fixed point
+    oscillates and no iteration count converges it.
+    """
+    return CapacityResource(
+        "oscillating", lambda load: 1e9 if load.n_total >= 0.5 else 0.01
+    )
+
+
 class TestSolvesAtCap:
     def test_capped_cell_counts_every_unconverged_solve(self, monkeypatch):
-        from repro.apps.suite import build_workflow
-        from repro.core.configs import P_LOCW
-        from repro.obs.capture import observe_workflow
-
-        unconverged = []
+        """Every capped solve is counted and reports a residual above
+        ``RATE_TOLERANCE``; converged ones report one below it."""
+        converged, unconverged = [], []
         original = flow_module.solve_flow_set
 
         def counting(flows, **kwargs):
             result = original(flows, **kwargs)
-            if not result.converged:
+            if result.converged:
+                converged.append(result)
+            else:
                 assert result.iterations == flow_module.DUTY_ITERATIONS
                 unconverged.append(result)
             return result
 
         monkeypatch.setattr(flow_module, "solve_flow_set", counting)
-        observation = observe_workflow(build_workflow("micro-2k", 16), P_LOCW)
-        capped = observation.solver_stats["solves_at_cap"]
-        assert capped > 0
-        assert capped == len(unconverged)
+        engine = Engine()
+        net = FlowNetwork(engine)
+        bad = _oscillating_resource()
+        good = CapacityResource("steady", lambda load: 10.0)
+
+        def body(flow, delay):
+            yield engine.timeout_event(delay)
+            yield net.transfer(flow)
+
+        for i in range(3):
+            flow = make_flow(
+                nbytes=1.0, resources=[bad], self_cap=1.0, label=f"bad{i}"
+            )
+            engine.spawn(body(flow, 1.0 + i), name=flow.label)
+        engine.spawn(
+            body(make_flow(nbytes=500.0, resources=[good], label="ok"), 0.0),
+            name="ok",
+        )
+        engine.run()
+        assert net.solves_at_cap > 0
+        assert net.solves_at_cap == len(unconverged)
+        assert converged  # the steady flow, alone until t=1, converges
+        assert all(r.residual >= flow_module.RATE_TOLERANCE for r in unconverged)
+        assert all(r.residual < flow_module.RATE_TOLERANCE for r in converged)
 
     def test_memo_hit_replays_convergence_flag(self):
         shared = CapacityResource(
@@ -203,6 +238,7 @@ class TestSolvesAtCap:
         hit = solve_flow_set([clone_flow(f) for f in flows], memo=memo)
         assert hit.memo_hit
         assert hit.converged == first.converged
+        assert hit.residual == first.residual < flow_module.RATE_TOLERANCE
         memo[next(iter(memo))] = memo[next(iter(memo))][:-1] + (False,)
         replay = solve_flow_set([clone_flow(f) for f in flows], memo=memo)
         assert replay.memo_hit and not replay.converged
@@ -530,7 +566,7 @@ class TestRateGauges:
         monkeypatch.setattr(
             Observation, "network_hooks", lambda self: Checking(self.probes)
         )
-        observe_workflow(build_workflow("micro-2k", 8, iterations=2), P_LOCR)
+        observe_workflow(build_workflow("micro-2k", 8, iterations=6), P_LOCR)
         assert len(expected) > 10
         assert achieved == expected
 

@@ -304,8 +304,8 @@ class TestDiff:
             "   why: flipped because S-LocR remote on pmem[1] grew 42.0% "
             "(1.3 s -> 1.9 s)\n"
             "!! micro-64mb@8: paper claim recovered (False -> True)\n"
-            ">> micro-64mb@8 [P-LocR]: makespan 2.1 s -> 2.7 s (+31.3%)\n"
-            "   why: drain on pmem[1] grew 54.8% (1.2 s -> 1.8 s)\n"
+            ">> micro-64mb@8 [P-LocR]: makespan 2.1 s -> 2.7 s (+31.7%)\n"
+            "   why: drain on pmem[1] grew 55.3% (1.2 s -> 1.9 s)\n"
             ">> micro-64mb@8 [S-LocR]: makespan 1.9 s -> 2.5 s (+28.9%)\n"
             "   why: remote on pmem[1] grew 42.0% (1.3 s -> 1.9 s)\n"
             ".. micro-2k@8 [P-LocR]: makespan 6.3 s -> 6.3 s (+0.2%)\n"
@@ -328,11 +328,9 @@ class TestDiff:
             )
             + "~~ micro-2k@8: inputs changed, same calibration (cell id differs)\n"
             "~~ micro-64mb@8: inputs changed, same calibration (cell id differs)\n"
-            "!! micro-2k@8: winner P-LocR -> S-LocR "
-            "(was the paper winner (P-LocR), now is not)\n"
-            "   why: flipped because P-LocR was not run in the second campaign\n"
-            "!! micro-2k@8: paper claim regressed (True -> False)\n"
-            "0 identical cell(s), 0 within-threshold cell(s), 2 regression(s)"
+            "?? micro-2k@8: winner P-LocR -> S-LocR "
+            "not compared (P-LocR was not run in slocr)\n"
+            "0 identical cell(s), 0 within-threshold cell(s), 0 regression(s)"
         )
         reverse = diff_campaigns(slocr, baseline_micro())
         assert reverse.only_in_b == [
@@ -342,8 +340,10 @@ class TestDiff:
         ]
         assert reverse.inputs_changed == ["micro-2k@8", "micro-64mb@8"]
         assert not reverse.calibration_changed
-        assert [flip.explanation for flip in reverse.winner_flips] == [
-            "flipped because P-LocR was not run in the first campaign"
+        assert not reverse.winner_flips and not reverse.claim_changes
+        assert reverse.winners_not_compared == [
+            "micro-2k@8: winner S-LocR -> P-LocR "
+            "not compared (P-LocR was not run in slocr)"
         ]
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.01])

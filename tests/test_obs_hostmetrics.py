@@ -114,6 +114,32 @@ class TestSimulatedMetrics:
         assert metrics.sim_seconds_per_wall_second > 0
         assert metrics.events_per_wall_second > 0
 
+    def test_per_event_off_keeps_totals_and_drops_series(self):
+        """A stored cell's lean observation reports the same work totals
+        as a full one and records no engine or network series."""
+        spec = build_workflow("micro-2k", 8, iterations=1)
+        full = observe_workflow(spec, S_LOCW)
+        lean = observe_workflow(spec, S_LOCW, per_event=False)
+        assert lean.result.makespan == full.result.makespan
+        assert lean.tracer.records == full.tracer.records
+        full_metrics = simulated_host_metrics(HostMeter(), [full])
+        lean_metrics = simulated_host_metrics(HostMeter(), [lean])
+        for name in ("flow_recomputes", "solver_iterations", "flows_completed"):
+            assert getattr(lean_metrics, name) == getattr(full_metrics, name) > 0
+        assert full_metrics.flow_recomputes == full.probes.counter_total(
+            "flow.recomputes"
+        )
+        assert full_metrics.solver_iterations == full.probes.counter_total(
+            "flow.solver_iterations"
+        )
+        assert full_metrics.flows_completed == full.probes.counter_total(
+            "flow.completed"
+        )
+        names = {instrument.name for instrument in lean.probes.instruments()}
+        assert not names & {"engine.queue_depth", "flow.active", "flow.completed"}
+        assert "channel.versions_published" in names
+        assert "pmem.payload_bytes" in names
+
     def test_record_round_trip(self):
         with HostMeter(profile=True) as meter:
             observation = tiny_observation()

@@ -381,22 +381,23 @@ class TestNetworkCountersAndCoalescing:
 
     def test_same_instant_completions_coalesce(self):
         _, net = self.drive()
-        # Two identical flows complete at the same instant: their two
-        # completion recomputes collapse into one flush solve.
-        assert net.recomputes_coalesced == 1
-        # start a, start b, one coalesced completion flush.
-        assert net.recompute_count == 3
+        # Two identical flows start at the same instant and complete at
+        # the same instant: each pair of requests collapses into one flush
+        # solve.
+        assert net.recomputes_coalesced == 2
+        # one coalesced start flush, one coalesced completion flush.
+        assert net.recompute_count == 2
         assert net.flows_completed == 2
 
     def test_memo_counters_surface_on_network(self):
         _, net = self.drive()
-        # Two flow-carrying solves (the coalesced flush solves an empty
+        # One flow-carrying solve (the completion flush solves an empty
         # set, which attempts neither classing nor the memo): the two
-        # identical flows share one class per solve, and both distinct
-        # flow-set keys miss the cold memo.
-        assert net.solver_classes == 2
+        # identical flows share one class, and the key misses the cold
+        # memo.
+        assert net.solver_classes == 1
         assert net.memo_hits == 0
-        assert net.memo_misses == 2
+        assert net.memo_misses == 1
 
     def test_reference_network_skips_strategy_counters(self):
         _, net = self.drive(solver=SOLVER_REFERENCE)

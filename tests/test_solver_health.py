@@ -1,10 +1,10 @@
 """DESIGN §5b "Solver health": the paper sweep's solve totals, pinned.
 
-The figures DESIGN quotes (338 capped exits among 25,694 non-empty
-solves, 200,130 fixed-point iterations) are exact counters of the
-deterministic simulator, so they are asserted with ``==``.  A change
-that moves them on purpose (a new iteration cap, another basin rule)
-re-records them here and in DESIGN in the same change.
+The figures DESIGN quotes (no capped exit among 5,994 non-empty solves,
+70,554 fixed-point iterations) are exact counters of the deterministic
+simulator, so they are asserted with ``==``.  A change that moves them
+on purpose (a new iteration cap, another batching rule) re-records them
+here and in DESIGN in the same change.
 """
 
 from repro.apps.suite import workflow_suite
@@ -21,4 +21,4 @@ def test_paper_sweep_solver_totals():
             at_cap += stats["solves_at_cap"]
             lookups += stats["solver_memo_hits"] + stats["solver_memo_misses"]
             iterations += observation.probes.counter_total("flow.solver_iterations")
-    assert (at_cap, lookups, iterations) == (338, 25_694, 200_130)
+    assert (at_cap, lookups, iterations) == (0, 5_994, 70_554)
