@@ -3,11 +3,12 @@
 The ROADMAP's scale target talks about *service* throughput — sustained
 jobs/sec and tail latency of the queue → cache → store pipeline — which is
 orthogonal to simulator speed.  This bench measures exactly that on a
-synthetic cache-hit burst: the cache is pre-seeded with fabricated cells
-and every submitted job resolves to one of them, so a pass through
+synthetic cache-hit burst: the cache (the service's campaign store) is
+pre-seeded with fabricated cells and every submitted job resolves to one
+of them, so a pass through
 :class:`repro.service.scheduler.ServiceScheduler` exercises queue replay,
-claim/done transitions, cache lookups, and store appends while simulating
-nothing.  Wall time here is pure service overhead.
+claim/done transitions, cache lookups, and the end-of-pass fold into the
+``results`` campaign while simulating nothing.  Wall time here is pure service overhead.
 
 Latency quantiles come from the run's own telemetry
 (``repro_service_submit_result_latency_seconds``), so the benchmark also

@@ -1,9 +1,11 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one paper artifact (figure or table) through the
-experiment harness, exactly once per benchmark (the workloads are
-deterministic discrete-event simulations — repetition adds no information,
-so rounds/iterations are pinned to 1 via ``benchmark.pedantic``).
+``run_experiment`` benchmarks one paper experiment through the experiment
+harness, exactly once (the workloads are deterministic discrete-event
+simulations — repetition adds no information, so rounds/iterations are
+pinned to 1 via ``benchmark.pedantic``), and checks its claims reproduced.
+``bench_headline.py`` uses it; every experiment's claims are also checked
+by ``tests/test_experiments.py`` and the EXPERIMENTS.md regeneration.
 
 Run with::
 

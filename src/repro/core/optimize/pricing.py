@@ -21,6 +21,7 @@ from repro.core.optimize.model import (
 )
 from repro.core.recommend import RecommendationEngine
 from repro.obs.explain import run_why
+from repro.obs.store import cell_id_for_spec
 from repro.workflow.spec import WorkflowSpec
 
 
@@ -39,8 +40,6 @@ class SimulationPricer:
     def price(
         self, spec: WorkflowSpec, family: str, ranks: int
     ) -> WorkflowChoices:
-        from repro.service.cache import cell_id_for_spec
-
         results = self.tuner.tune(spec).results
         candidates = []
         for config in ALL_CONFIGS:

@@ -53,6 +53,7 @@ from repro.obs.store import (
     StoredCampaign,
     StoredCell,
     canonical_json,
+    cell_id_for_spec,
     cell_id_from_manifests,
     manifest_determinism_payload,
 )
@@ -371,9 +372,8 @@ def _run_through_service(
     """Execute *cells* in one pass of a throwaway service with *jobs* workers.
 
     The service is the repository's one parallel executor: it brings the
-    worker pool's timeouts, crash detection and retries.  Its queue, cache
-    and results campaign live in a temporary directory; only the cells come
-    back.  Raises :class:`ConfigurationError` with the last error of the
+    worker pool's timeouts, crash detection and retries.  Its queue and
+    campaigns live in a temporary directory; only the cells come back.  Raises :class:`ConfigurationError` with the last error of the
     first job that ends ``failed``.
     """
     import tempfile
@@ -452,8 +452,6 @@ def run_campaign(
     # and fix the storage order up front: sorted by cell id.  Planning
     # builds every spec, so a bad argument fails here, before a campaign
     # file (or an auto-name) is spent on it.
-    from repro.service.cache import cell_id_for_spec
-
     cell_kwargs = dict(
         stack_name=stack_name,
         iterations=chosen_iterations,

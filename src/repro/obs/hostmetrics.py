@@ -11,10 +11,9 @@ with the deterministic work counters the engine and flow network already track
 (events executed, rate recomputations, solver iterations), yielding one
 :class:`HostMetrics` record per campaign cell.
 
-The record shape is shared between *simulated* cells (discrete-event runs)
-and *cached* cells (service cache hits, where nothing was simulated), so a
-campaign store can hold both and a dashboard can compare them in one
-table.  The headline derived rate is ``sim_seconds_per_wall_second`` —
+A cell the service serves from its cache keeps the record of the run that
+simulated it.  A rollup over records of more than one ``kind`` reports
+``"mixed"``.  The headline derived rate is ``sim_seconds_per_wall_second`` —
 how much virtual time the simulator produces per second of host time —
 printed in the "Host cost" table of ``campaign report``.
 
@@ -55,10 +54,6 @@ _MAXRSS_SCALE = 1 if sys.platform == "darwin" else KiB
 #: Record-shape marker for discrete-event (virtual-time) runs.
 KIND_SIMULATED = "simulated"
 
-#: Record-shape marker for service cache hits: nothing was simulated, the
-#: wall cost is the cache lookup itself.
-KIND_CACHED = "cached"
-
 
 @dataclass
 class Hotspot:
@@ -87,8 +82,7 @@ class HostMetrics:
     is the allocation peak, nonzero only for profiled cells.  The
     event/recompute/solver counters are
     deterministic simulator totals copied here because they are *cost*
-    signals, not results.  The record deliberately mirrors the same keys
-    for simulated and cached cells so both kinds live in one store.
+    signals, not results.
     """
 
     kind: str
@@ -309,21 +303,6 @@ def simulated_host_metrics(
         peak_tracemalloc_bytes=meter.peak_tracemalloc_bytes,
         runs=len(observations),
         hotspots=meter.hotspots(),
-    )
-
-
-def cached_host_metrics(wall_seconds: float, simulated_seconds: float = 0.0) -> HostMetrics:
-    """The record for a service cache hit: a lookup, not a simulation.
-
-    ``simulated_seconds`` may carry the *cached* run's virtual total so
-    dashboards can still report how much simulation the hit avoided; the
-    zero event/solver counters make clear no engine ran.
-    """
-    return HostMetrics(
-        kind=KIND_CACHED,
-        wall_seconds=wall_seconds,
-        simulated_seconds=simulated_seconds,
-        runs=0,
     )
 
 

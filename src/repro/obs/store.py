@@ -28,7 +28,8 @@ The three-way split is the store's core invariant:
 
 Cell ids are content hashes of the determinism-relevant manifest fields of
 every configuration in the cell — same spec + configs + calibration ⇒ same
-id, on any machine, at any commit.
+id, on any machine, at any commit.  :func:`cell_id_for_spec` computes that
+id *before* anything runs, so the service can look a job's cell up first.
 """
 
 from __future__ import annotations
@@ -38,9 +39,26 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import StorageError
+from repro.obs.manifest import build_manifest
+from repro.workflow.runner import DEFAULT_COMPUTE_JITTER
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.configs import SchedulerConfig
+    from repro.pmem.calibration import OptaneCalibration
+    from repro.workflow.spec import WorkflowSpec
 
 #: Version of the store record schema (bumped on breaking changes).
 STORE_SCHEMA_VERSION = 1
@@ -86,6 +104,29 @@ def cell_id_from_manifests(manifests: Iterable[Mapping[str, Any]]) -> str:
         raise StorageError("cannot derive a cell id from zero manifests")
     digest = hashlib.sha256(canonical_json(payloads).encode("utf-8"))
     return digest.hexdigest()[:CELL_ID_LENGTH]
+
+
+def cell_id_for_spec(
+    spec: "WorkflowSpec",
+    configs: Sequence["SchedulerConfig"],
+    cal: "OptaneCalibration",
+) -> str:
+    """The cell id a run of (*spec*, *configs*, *cal*) will produce.
+
+    Builds the same manifests :func:`repro.obs.campaign.run_cell` records —
+    ``compute_jitter`` must be the runner's default, not
+    :func:`~repro.obs.manifest.build_manifest`'s zero default, or pre-run
+    ids would never match post-run ids (a parity test enforces this).
+    """
+    if not configs:
+        raise StorageError("cannot derive a cell id from zero configs")
+    manifests = [
+        build_manifest(
+            spec, config, cal, compute_jitter=DEFAULT_COMPUTE_JITTER
+        ).as_dict()
+        for config in configs
+    ]
+    return cell_id_from_manifests(manifests)
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ Balsam gives HPC workflow campaigns):
 * :mod:`repro.service.pool` — a ``multiprocessing``-based **worker pool**
   executing simulation cells in parallel with per-task timeouts, crash
   detection, and graceful drain;
-* :mod:`repro.service.cache` — a **content-addressed result cache** keyed
-  by the store's SHA-256 cell ids, so resubmitting an identical
-  spec/config/calibration is a cache hit that skips simulation entirely;
+* :mod:`repro.service.cache` — the **result cache**: an index over the
+  service's ``results`` and ``pending`` campaigns keyed by the store's
+  SHA-256 cell ids, so resubmitting an identical spec/config/calibration
+  is a cache hit that skips simulation entirely;
 * :mod:`repro.service.scheduler` — the **service loop** routing each job
   through :class:`repro.core.recommend.RecommendationEngine`
   (predicted-best-first ordering) and recording outcomes + regret into a
@@ -24,18 +25,18 @@ Balsam gives HPC workflow campaigns):
   utilization, latency histograms), per-job lifecycle spans stitched
   across worker processes, JSONL snapshots, and the combined
   wall-time/virtual-time Chrome trace;
-* ``python -m repro.service`` — the ``submit | run | status | drain |
-  cache`` command line (:mod:`repro.service.cli`).
+* ``python -m repro.service`` — the ``submit | run | status | drain``
+  command line (:mod:`repro.service.cli`).
 
 The host-side concurrency lives *only* here (the sandbox probe in
 ``tests/test_determinism.py`` fails on a thread or process started
 anywhere else); the simulator each worker drives stays
-single-threaded and deterministic, and completed cells are sorted by cell
-id before persisting so the stored results are byte-identical regardless
-of worker completion order.
+single-threaded and deterministic, and completed cells are folded into
+the ``results`` campaign sorted by cell id, so the stored results are
+byte-identical regardless of worker completion order.
 """
 
-from repro.service.cache import CacheStats, ResultCache, cell_id_for_spec
+from repro.service.cache import ResultCache
 from repro.service.pool import TaskOutcome, TaskSpec, WorkerPool
 from repro.service.queue import (
     DEFAULT_SERVICE_DIR,
@@ -50,7 +51,6 @@ from repro.service.scheduler import ServiceRunReport, ServiceScheduler
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = [
-    "CacheStats",
     "DEFAULT_SERVICE_DIR",
     "Job",
     "JobQueue",
@@ -65,5 +65,4 @@ __all__ = [
     "TaskOutcome",
     "TaskSpec",
     "WorkerPool",
-    "cell_id_for_spec",
 ]

@@ -1,210 +1,94 @@
-"""Content-addressed result cache keyed by campaign-store cell ids.
+"""The service's result cache: its campaign store, indexed by cell id.
 
-The campaign store already derives a SHA-256 content id for every cell
-from the determinism-relevant manifest fields of its configurations
-(:func:`repro.obs.store.cell_id_from_manifests`): same workflow spec +
-configuration set + calibration ⇒ same id, on any machine, at any commit.
-That makes the id a perfect cache key — this module adds the cache.
+Every cell job carries the content id of the cell it will produce
+(:func:`repro.obs.store.cell_id_for_spec`, computed at submit time), so a
+job whose cell is already stored completes without simulating anything.
+The stored cells are the service root's campaigns — there is no second
+record format:
 
-Layout: one JSON file per cell under ``service/cache/<cell_id>.json``::
+* ``results`` holds the cells of every finished pass;
+* ``pending`` holds the cells finished since the last fold, in completion
+  order.  :meth:`ResultCache.put` appends there as each worker returns and
+  before its job is marked ``done``, so a ``done`` job's cell is durable.
 
-    {"record": "cache", "schema_version": 1, "cell_id": ...,
-     "key": "micro-2k@8", "deterministic": {...}, "provenance": {...}}
-
-Only the *deterministic* payload (and the provenance of the run that
-produced it) is cached — host metrics are wall-clock facts about one
-machine at one moment and are deliberately never replayed from cache; a
-cache hit instead emits a fresh ``kind="cached"`` host record whose wall
-cost is the (tiny) lookup time.
-
-:func:`cell_id_for_spec` computes a cell's id *before* running anything,
-by building the same run manifests :func:`repro.obs.campaign.run_cell`
-would attach.  It must mirror :func:`repro.workflow.runner.run_workflow`'s
-determinism inputs exactly — in particular the default compute jitter — or
-pre-run ids would never match post-run ids (a parity test enforces this).
+:meth:`ResultCache.load` indexes both campaigns at the start of a pass;
+:meth:`ResultCache.fold` ends it by appending the pending cells
+``results`` lacks in cell-id order — so ``results`` is byte-independent of
+completion order — and removing ``pending``.  A pass killed before its fold
+leaves ``pending`` for the next pass to serve from and fold.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.errors import StorageError
-from repro.obs.manifest import build_manifest
-from repro.obs.store import (
-    STORE_SCHEMA_VERSION,
-    StoredCell,
-    canonical_json,
-    cell_id_from_manifests,
-)
-from repro.workflow.runner import DEFAULT_COMPUTE_JITTER
+from repro.obs.store import CampaignStore, StoredCell
+# Importable here only because perfbench/tracing.py wraps it at this path.
+from repro.obs.store import cell_id_for_spec  # noqa: F401
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.configs import SchedulerConfig
-    from repro.pmem.calibration import OptaneCalibration
-    from repro.workflow.spec import WorkflowSpec
+#: The campaign (under ``<root>/campaigns/``) service results accumulate in.
+RESULTS_CAMPAIGN = "results"
 
-#: Cache entries live under ``<service root>/cache/``.
-CACHE_DIRNAME = "cache"
-
-
-def cell_id_for_spec(
-    spec: "WorkflowSpec",
-    configs: Sequence["SchedulerConfig"],
-    cal: "OptaneCalibration",
-) -> str:
-    """The cell id a run of (*spec*, *configs*, *cal*) will produce.
-
-    Builds the same manifests :func:`repro.obs.campaign.run_cell` records —
-    ``compute_jitter`` must be the runner's default, not
-    :func:`~repro.obs.manifest.build_manifest`'s zero default, for the ids
-    to match post-run ids.
-    """
-    if not configs:
-        raise StorageError("cannot derive a cell id from zero configs")
-    manifests = [
-        build_manifest(
-            spec, config, cal, compute_jitter=DEFAULT_COMPUTE_JITTER
-        ).as_dict()
-        for config in configs
-    ]
-    return cell_id_from_manifests(manifests)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one service run (and the ``cache`` CLI)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_record(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": self.hit_rate,
-        }
+#: The campaign fresh cells wait in until the end of their pass.
+PENDING_CAMPAIGN = "pending"
 
 
 class ResultCache:
-    """Content-addressed store of deterministic cell payloads.
-
-    Entries are written atomically (temp file + ``os.replace``) so a
-    crashed worker can never leave a torn cache entry, and are immutable:
-    a second ``put`` of the same cell id is a no-op (the payload is
-    content-addressed — by construction it cannot differ).
-    """
+    """Id → cell lookups over ``results`` and ``pending``."""
 
     def __init__(self, root: str) -> None:
-        """*root* is the service directory; entries go in ``root/cache/``."""
-        self.root = os.path.join(root, CACHE_DIRNAME)
-        self.stats = CacheStats()
+        """*root* is the service directory; cells live in ``root/campaigns/``."""
+        self.store = CampaignStore(os.path.join(root, "campaigns"))
+        self._cells: Dict[str, StoredCell] = {}
+        self.load()
 
-    # -- paths ----------------------------------------------------------
-    def path(self, cell_id: str) -> str:
-        if not cell_id or os.sep in cell_id or cell_id.startswith("."):
-            raise StorageError(f"invalid cell id {cell_id!r}")
-        return os.path.join(self.root, f"{cell_id}.json")
+    def load(self) -> None:
+        """(Re)build the index from the stored campaigns."""
+        self._cells = {}
+        for name in (PENDING_CAMPAIGN, RESULTS_CAMPAIGN):
+            if self.store.exists(name):
+                for cell in self.store.read(name).cells:
+                    self._cells[cell.cell_id] = cell
 
     def __contains__(self, cell_id: str) -> bool:
-        return os.path.exists(self.path(cell_id))
+        return cell_id in self._cells
 
-    def list_ids(self) -> List[str]:
-        if not os.path.isdir(self.root):
-            return []
-        return sorted(
-            entry[: -len(".json")]
-            for entry in os.listdir(self.root)
-            if entry.endswith(".json")
-        )
+    def get(self, cell_id: str) -> Optional[StoredCell]:
+        """The stored cell, or None on a miss."""
+        return self._cells.get(cell_id)
 
-    # -- writing --------------------------------------------------------
     def put(self, cell: StoredCell) -> bool:
-        """Cache one completed cell; returns False if already present."""
-        path = self.path(cell.cell_id)
-        if os.path.exists(path):
+        """Append a fresh cell to ``pending``; False if it is already stored."""
+        if cell.cell_id in self._cells:
             return False
-        os.makedirs(self.root, exist_ok=True)
-        record = {
-            "record": "cache",
-            "schema_version": STORE_SCHEMA_VERSION,
-            "cell_id": cell.cell_id,
-            "key": cell.key,
-            "deterministic": cell.deterministic,
-            "provenance": cell.provenance,
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(record) + "\n")
-        os.replace(tmp, path)
-        self.stats.stores += 1
+        if not self.store.exists(PENDING_CAMPAIGN):
+            self.store.create(PENDING_CAMPAIGN, {"suite": "service"})
+        self.store.append_cell(PENDING_CAMPAIGN, cell)
+        self._cells[cell.cell_id] = cell
         return True
 
-    # -- reading --------------------------------------------------------
-    def get(self, cell_id: str) -> Optional[StoredCell]:
-        """The cached cell, or None on a miss (stats updated either way)."""
-        path = self.path(cell_id)
-        if not os.path.exists(path):
-            self.stats.misses += 1
-            return None
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-        if record.get("cell_id") != cell_id:
-            raise StorageError(
-                f"{path}: entry claims cell_id {record.get('cell_id')!r}"
-            )
-        self.stats.hits += 1
-        return StoredCell(
-            cell_id=cell_id,
-            key=record.get("key", ""),
-            deterministic=record.get("deterministic", {}),
-            host={},
-            provenance=record.get("provenance", {}),
+    def fold(self) -> int:
+        """Move ``pending`` into ``results``; returns the cells appended.
+
+        Cells ``results`` already holds are skipped, so a fold killed
+        part-way is finished by the next one without duplicates.
+        """
+        if not self.store.exists(PENDING_CAMPAIGN):
+            return 0
+        recorded = (
+            {cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells}
+            if self.store.exists(RESULTS_CAMPAIGN)
+            else set()
         )
-
-    def peek(self, cell_id: str) -> bool:
-        """Presence check without touching the hit/miss counters."""
-        return cell_id in self
-
-    # -- maintenance ----------------------------------------------------
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for cell_id in self.list_ids():
-            os.remove(self.path(cell_id))
-            removed += 1
-        return removed
-
-    def validate(self) -> List[str]:
-        """Problems across all entries (empty = valid)."""
-        problems: List[str] = []
-        for cell_id in self.list_ids():
-            path = self.path(cell_id)
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                problems.append(f"{cell_id}: unreadable ({exc})")
-                continue
-            if record.get("record") != "cache":
-                problems.append(f"{cell_id}: not a cache record")
-            if record.get("cell_id") != cell_id:
-                problems.append(
-                    f"{cell_id}: entry claims cell_id "
-                    f"{record.get('cell_id')!r}"
-                )
-            if not isinstance(record.get("deterministic"), dict):
-                problems.append(f"{cell_id}: missing deterministic payload")
-        return problems
+        new = {
+            cell.cell_id: cell
+            for cell in self.store.read(PENDING_CAMPAIGN).cells
+            if cell.cell_id not in recorded
+        }
+        if new and not self.store.exists(RESULTS_CAMPAIGN):
+            self.store.create(RESULTS_CAMPAIGN, {"suite": "service"})
+        for cell_id in sorted(new):
+            self.store.append_cell(RESULTS_CAMPAIGN, new[cell_id])
+        os.remove(self.store.path(PENDING_CAMPAIGN))
+        return len(new)

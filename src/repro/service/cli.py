@@ -4,10 +4,9 @@ Subcommands::
 
     submit   put suite cells (or experiments) on the persistent queue
     run      one service pass: cache, schedule, execute, record
-    status   queue counts, per-job states, cache and campaign summary
+    status   queue counts, per-job states and the results campaign
              (``--watch`` turns it into a refreshing terminal dashboard)
     drain    requeue stale running jobs, then fail everything queued
-    cache    list / validate / clear the content-addressed result cache
 
 A typical campaign rerun::
 
@@ -15,6 +14,10 @@ A typical campaign rerun::
     repro-service run --jobs 2 --report-out report.json
     repro-service submit --suite micro      # same cells again
     repro-service run --jobs 2             # 100% cache hits, no simulation
+
+A cache hit is a cell already stored under ``<dir>/campaigns/``: in the
+``results`` campaign, or in ``pending``, where a running (or killed) pass
+keeps the cells it finished until its end folds them into ``results``.
 
 ``run`` records live telemetry by default (snapshots appended to
 ``<dir>/telemetry.jsonl``; disable with ``--no-telemetry``) and can
@@ -40,7 +43,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import CalibrationError, ReproError
 from repro.pmem.calibration import calibration_from_settings
-from repro.service.cache import ResultCache
 from repro.service.queue import DEFAULT_SERVICE_DIR, JobQueue
 from repro.service.scheduler import (
     RESULTS_CAMPAIGN,
@@ -189,7 +191,6 @@ def _top_bottleneck(
 def _status_lines(args: argparse.Namespace) -> List[str]:
     """The operator view ``status`` prints (one frame of ``--watch``)."""
     queue = JobQueue(args.dir)
-    cache = ResultCache(args.dir)
     scheduler = ServiceScheduler(root=args.dir)
     campaign_cells = (
         len(scheduler.store.read(RESULTS_CAMPAIGN).cells)
@@ -203,7 +204,7 @@ def _status_lines(args: argparse.Namespace) -> List[str]:
         + ", ".join(f"{count} {state}" for state, count in counts.items())
     ]
     for job in jobs:
-        cached = " [cached]" if job.cell_id and job.cell_id in cache else ""
+        cached = " [cached]" if job.cell_id and job.cell_id in scheduler.cache else ""
         lines.append(
             f"  {job.job_id}  {job.kind:<10}  {job.state:<7} "
             f"attempts={job.attempts}/{job.max_retries + 1}{cached}"
@@ -261,7 +262,6 @@ def _status_lines(args: argparse.Namespace) -> List[str]:
             f"top bottleneck: {bottleneck['key']} — {bottleneck['why']}"
             f" (winner {bottleneck.get('winner', '?')})"
         )
-    lines.append(f"cache: {len(cache.list_ids())} entr(ies) under {cache.root}")
     lines.append(
         f"campaign {RESULTS_CAMPAIGN!r}: {campaign_cells} cell(s) under "
         f"{scheduler.store.root}"
@@ -272,7 +272,6 @@ def _status_lines(args: argparse.Namespace) -> List[str]:
 def _cmd_status(args: argparse.Namespace) -> int:
     if args.json:
         queue = JobQueue(args.dir)
-        cache = ResultCache(args.dir)
         scheduler = ServiceScheduler(root=args.dir)
         campaign_cells = (
             len(scheduler.store.read(RESULTS_CAMPAIGN).cells)
@@ -285,7 +284,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         payload = {
             "record": "service_status",
             "counts": queue.counts(),
-            "cache_entries": len(cache.list_ids()),
             "campaign_cells": campaign_cells,
             "bottleneck": _top_bottleneck(snapshot, scheduler),
             "stale_running": queue.stale_running(),
@@ -301,7 +299,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
                     "attempts": job.attempts,
                     "max_retries": job.max_retries,
                     "cell_id": job.cell_id,
-                    "cached": bool(job.cell_id and job.cell_id in cache),
+                    "cached": bool(job.cell_id and job.cell_id in scheduler.cache),
                     "detail": job.detail,
                 }
                 for job in queue.load()
@@ -331,28 +329,6 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     queue = JobQueue(args.dir)
     drained = queue.drain()
     print(f"drained {len(drained)} job(s) from {queue.path}")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.dir)
-    if args.clear:
-        removed = cache.clear()
-        print(f"cleared {removed} cache entr(ies)")
-        return 0
-    if args.validate:
-        problems = cache.validate()
-        for problem in problems:
-            print(problem)
-        print(
-            f"{len(cache.list_ids())} entr(ies): "
-            + ("OK" if not problems else f"{len(problems)} problem(s)")
-        )
-        return 1 if problems else 0
-    for cell_id in cache.list_ids():
-        entry = cache.get(cell_id)
-        print(f"{cell_id}  {entry.key if entry else '?'}")
-    print(f"{len(cache.list_ids())} entr(ies) under {cache.root}")
     return 0
 
 
@@ -466,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=_cmd_run)
 
-    status = sub.add_parser("status", help="queue / cache / campaign summary")
+    status = sub.add_parser("status", help="queue / campaign summary")
     _add_dir(status)
     status.add_argument("--json", action="store_true", help="JSON output")
     status.add_argument(
@@ -491,14 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     drain = sub.add_parser("drain", help="fail everything still queued")
     _add_dir(drain)
     drain.set_defaults(func=_cmd_drain)
-
-    cache = sub.add_parser("cache", help="inspect the result cache")
-    _add_dir(cache)
-    cache.add_argument("--clear", action="store_true", help="delete entries")
-    cache.add_argument(
-        "--validate", action="store_true", help="schema-check entries"
-    )
-    cache.set_defaults(func=_cmd_cache)
     return parser
 
 

@@ -4,26 +4,26 @@ One :meth:`ServiceScheduler.run` pass is the Balsam "service cycle":
 
 1. **recover** — stale ``running`` jobs (a previous service crashed) go
    back to ``queued``; jobs past their deadline are failed;
-2. **serve from cache** — each cell job's content id (known at submit
-   time) is looked up in the :class:`~repro.service.cache.ResultCache`;
-   hits complete without simulating anything and report a
-   ``kind="cached"`` host record;
+2. **serve from cache** — the :class:`~repro.service.cache.ResultCache`
+   indexes the service's ``results`` and ``pending`` campaigns, and each
+   cell job's content id (known at submit time) is looked up there; hits
+   complete without simulating anything;
 3. **order the misses** — remaining cell jobs are sorted
    shortest-predicted-first using
    :meth:`repro.core.recommend.RecommendationEngine.estimate_makespan`
    (the §VIII placement prices double as makespan predictions);
 4. **execute and settle** — the :class:`~repro.service.pool.WorkerPool`
    runs the misses with per-job timeouts and hands back each outcome as
-   its worker returns: a fresh result goes into the cache and its job is
-   marked ``done`` right then, with the recommendation's regret vs the
-   measured winner in the transition detail; failed attempts are retried
-   through the queue with exponential backoff until each job's budget
-   runs out;
-5. **record** — at the end of the pass every completed cell (hit or
-   fresh) is appended — sorted by cell id, so the file is byte-independent
-   of completion order — to the ``results`` campaign under
-   ``service/campaigns/``, together with any ``done`` cell an earlier,
-   killed pass never got to append.
+   its worker returns: a fresh cell is appended to ``pending`` and its
+   job is marked ``done`` right then, with the recommendation's regret vs
+   the measured winner in the transition detail; failed attempts are
+   retried through the queue with exponential backoff until each job's
+   budget runs out;
+5. **record** — at the end of the pass the ``pending`` cells are folded
+   into the ``results`` campaign under ``service/campaigns/``, sorted by
+   cell id so the file is byte-independent of completion order.  A pass
+   killed before this step leaves ``pending`` behind, and the next pass
+   serves those cells as hits and folds them.
 
 Experiment jobs (``repro-experiments --service``) ride steps 1/4 only —
 queued after the cell misses, in the same pool and retry rounds — because
@@ -35,22 +35,20 @@ parallel ``campaign run`` submits its cells here too.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.recommend import RecommendationEngine
 from repro.obs.explain import cell_bottleneck
-from repro.obs.store import CampaignStore, StoredCell
+from repro.obs.store import StoredCell, cell_id_for_spec
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
-from repro.service.cache import ResultCache, cell_id_for_spec
+from repro.service.cache import RESULTS_CAMPAIGN, ResultCache
 from repro.service.pool import STATUS_SKIPPED, TaskOutcome, TaskSpec, WorkerPool
 from repro.service.queue import (
     DEFAULT_SERVICE_DIR,
     KIND_CELL,
     KIND_EXPERIMENT,
-    STATE_DONE,
     STATE_QUEUED,
     Job,
     JobQueue,
@@ -59,9 +57,6 @@ from repro.service.queue import (
 from repro.service.tasks import cell_kwargs_from_json, execute_job
 from repro.core.optimize.backends import PLAN_SCHEMA
 from repro.service.telemetry import ServiceTelemetry
-
-#: The campaign (under ``<root>/campaigns/``) service results accumulate in.
-RESULTS_CAMPAIGN = "results"
 
 #: Base of the exponential between-retry-round backoff.
 DEFAULT_BACKOFF_SECONDS = 0.1
@@ -186,7 +181,7 @@ class ServiceScheduler:
         )
         self.queue = JobQueue(root, observer=self.telemetry)
         self.cache = ResultCache(root)
-        self.store = CampaignStore(os.path.join(root, "campaigns"))
+        self.store = self.cache.store
         self._engine = RecommendationEngine(strategy=strategy, cal=cal)
 
     # -- submission -----------------------------------------------------
@@ -397,79 +392,13 @@ class ServiceScheduler:
             entry["why"] = bottleneck["why"]
         return entry
 
-    def _cached_cell(
-        self, job: Job, cell_id: Optional[str]
-    ) -> Optional[StoredCell]:
-        """The job's cell read from the cache with a ``cached`` host
-        record, or None if the cache does not hold it."""
-        from repro.obs.hostmetrics import cached_host_metrics
-
-        lookup_t0 = time.perf_counter()
-        cached = self.cache.get(cell_id) if cell_id is not None else None
-        if cached is None:
-            return None
-        avoided = sum(
-            entry.get("makespan") or 0.0
-            for entry in cached.deterministic.get("configs", {}).values()
-        )
-        host = cached_host_metrics(
-            wall_seconds=time.perf_counter() - lookup_t0,
-            simulated_seconds=avoided,
-        )
-        return StoredCell(
-            cell_id=cell_id,
-            key=f"{job.payload.get('family')}@{job.payload.get('ranks')}",
-            deterministic=cached.deterministic,
-            host=host.as_record(),
-            provenance=cached.provenance,
-        )
-
-    def _persist_cells(
-        self, cells: List[StoredCell], done_jobs: Sequence[Job] = ()
-    ) -> int:
-        """Append new cells — sorted by cell id — to the results campaign.
-
-        The campaign store rejects duplicate cell ids, which is exactly the
-        "zero new deterministic records on a fully-cached rerun" guarantee;
-        already-recorded cells are skipped here rather than errored.
-
-        ``done_jobs`` are cell jobs an earlier pass completed.  A job is
-        ``done`` as soon as its worker returns, so a pass killed before it
-        got here leaves done cells the campaign lacks: those are read back
-        from the cache and appended, in the same sorted order, with the
-        rest.
-        """
-        if not cells and not done_jobs:
-            return 0
-        existing = (
-            {cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells}
-            if self.store.exists(RESULTS_CAMPAIGN)
-            else set()
-        )
-        new: Dict[str, StoredCell] = {}
-        for cell in cells:
-            if cell.cell_id not in existing:
-                new.setdefault(cell.cell_id, cell)
-        for job in done_jobs:
-            cell_id = job.detail.get("cell_id")
-            if cell_id in existing or cell_id in new:
-                continue
-            cell = self._cached_cell(job, cell_id)
-            if cell is not None:
-                new[cell_id] = cell
-        if new and not self.store.exists(RESULTS_CAMPAIGN):
-            self.store.create(RESULTS_CAMPAIGN, {"suite": "service"})
-        for cell_id in sorted(new):
-            self.store.append_cell(RESULTS_CAMPAIGN, new[cell_id])
-        return len(new)
-
     def _finish_cell(
         self, job: Job, outcome: TaskOutcome
     ) -> Tuple[StoredCell, Optional[Dict[str, Any]]]:
-        """Cache, score and complete one freshly executed cell job."""
+        """Store, score and complete one freshly executed cell job."""
         record = outcome.result
         # The worker's telemetry rides the result record but must never
-        # reach the cache/store: pop it first.
+        # reach the store: pop it first.
         self.telemetry.absorb_worker_records(job, record.pop("telemetry", None))
         cell = StoredCell(
             cell_id=record["cell_id"],
@@ -515,14 +444,9 @@ class ServiceScheduler:
         self.telemetry.stale_requeued(len(requeued))
         if requeued:
             say(f"requeued {len(requeued)} stale running job(s)")
+        self.cache.load()
         now = time.time()
-        loaded = self.queue.load()
-        done_before = [
-            job
-            for job in loaded
-            if job.kind == KIND_CELL and job.state == STATE_DONE
-        ]
-        for job in loaded:
+        for job in self.queue.load():
             if (
                 job.state == STATE_QUEUED
                 and job.deadline_epoch is not None
@@ -536,7 +460,6 @@ class ServiceScheduler:
         queued = self.queue.queued()
         cell_jobs = [job for job in queued if job.kind == KIND_CELL]
         exp_jobs = [job for job in queued if job.kind == KIND_EXPERIMENT]
-        completed: List[StoredCell] = []
 
         # Cache pass: serve hits without touching a worker.
         misses: List[Job] = []
@@ -544,7 +467,8 @@ class ServiceScheduler:
             if should_stop is not None and should_stop():
                 report.drained = True
                 break
-            cell = self._cached_cell(job, self._cell_id_of(job))
+            cell_id = self._cell_id_of(job)
+            cell = self.cache.get(cell_id) if cell_id is not None else None
             if cell is None:
                 report.cache_misses += 1
                 self.telemetry.cache_miss(job)
@@ -552,7 +476,6 @@ class ServiceScheduler:
                 continue
             report.cache_hits += 1
             self.telemetry.cache_hit(job, cell.cell_id)
-            completed.append(cell)
             self.queue.claim(job, {"cache": "hit"})
             regret = self._complete_cell(job, cell, {"cache": "hit"})
             if regret is not None:
@@ -567,7 +490,7 @@ class ServiceScheduler:
         for order, job in enumerate(misses):
             self.telemetry.schedule_decided(job, order, predicted[job.job_id])
 
-        # Each job settles as its worker returns: cache put, regret and
+        # Each job settles as its worker returns: pending append, regret and
         # its queue transition happen then, not after the whole round.
         by_id: Dict[str, Job] = {}
         regrets: Dict[str, Dict[str, Any]] = {}
@@ -581,7 +504,6 @@ class ServiceScheduler:
             elif outcome.ok:
                 cell, regret = self._finish_cell(job, outcome)
                 report.executed += 1
-                completed.append(cell)
                 if regret is not None:
                     regrets[job.job_id] = regret
                 say(f"{job.job_id}: {cell.key} done")
@@ -660,7 +582,7 @@ class ServiceScheduler:
                 1 for job in pending if job.kind == KIND_EXPERIMENT
             )
 
-        report.cells_appended = self._persist_cells(completed, done_before)
+        report.cells_appended = self.cache.fold()
         report.wall_seconds = time.perf_counter() - t0
         self.telemetry.update_levels(
             counts=self.queue.counts(),

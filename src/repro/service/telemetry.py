@@ -26,7 +26,7 @@ stitches them back in here.
 
 Everything is strictly additive: every public hook of a disabled
 instance returns before touching its registry or recorder, so it records
-nothing and writes nothing, and the queue/cache/store bytes it watches
+nothing and writes nothing, and the queue and store bytes it watches
 are identical with or without it (wall-clock values live only in
 telemetry artifacts — ``telemetry.jsonl`` snapshots and trace files).
 """

@@ -161,10 +161,9 @@ from repro.analysis.validate import (
 from repro.apps.suite import build_workflow
 from repro.core.configs import ALL_CONFIGS, S_LOCW
 from repro.obs.campaign import parse_cell_key, run_campaign
-from repro.obs.store import CampaignStore, canonical_json
+from repro.obs.store import CampaignStore, canonical_json, cell_id_for_spec
 from repro.platform.builder import paper_testbed
 from repro.pmem.calibration import DEFAULT_CALIBRATION
-from repro.service.cache import cell_id_for_spec
 
 with tempfile.TemporaryDirectory() as root:
     store = CampaignStore(root)

@@ -14,9 +14,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments import (
     ablation_model,
+    ablation_stacks,
     fig01_motivation,
     fig03_parameter_space,
     fig05_micro2k,
+    fig09_miniamr_matmult,
     table01_configs,
     table02_recommendations,
 )
@@ -50,10 +52,12 @@ class TestCheapExperiments:
         result = fig03_parameter_space.run(suite_tuner)
         assert result.claims_held == len(result.claims)
         assert result.data["axis_values"]["concurrency"] == ["high", "low", "medium"]
+        assert result.data["axis_values"]["object_size"] == ["large", "small"]
 
     def test_fig01(self, suite_tuner):
         result = fig01_motivation.run(suite_tuner)
         assert result.claims_held == len(result.claims)
+        assert result.data["ro_normalized_under_mm_best"] > 1.0
 
     def test_ablation_model(self, suite_tuner):
         result = ablation_model.run(suite_tuner)
@@ -61,6 +65,22 @@ class TestCheapExperiments:
         assert result.data["baseline_best"] == "S-LocW"
         assert result.data["no_mix_best"].startswith("P")
         assert result.data["no_remote_gap"] < 0.01
+
+    def test_ablation_stacks(self, suite_tuner):
+        # Pins which claims there are, so one the experiment stops
+        # emitting is noticed.
+        result = ablation_stacks.run(suite_tuner)
+        assert result.claims_held == len(result.claims)
+        assert {claim.claim_id for claim in result.claims} == {
+            "ablation-stacks.large_objects_agree",
+            "ablation-stacks.software_cost",
+        }
+
+    def test_fig09_paper_pick_stays_near_best(self, suite_tuner):
+        # Fig. 9b is a known winner miss (EXPERIMENTS.md appendix): the
+        # paper's S-LocW must stay within 15 % of the simulated best.
+        result = fig09_miniamr_matmult.run(suite_tuner)
+        assert result.data["normalized@16"]["S-LocW"] <= 1.15
 
 
 class TestFigureExperiment:

@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.obs.campaign import run_cell
 from repro.obs.capture import observe_workflow
 from repro.obs.hostmetrics import (
-    KIND_CACHED,
     KIND_SIMULATED,
     HostMeter,
     HostMetrics,
@@ -200,7 +199,7 @@ class TestAggregate:
 
     def test_mixed_kinds(self):
         a = HostMetrics(kind=KIND_SIMULATED, wall_seconds=1.0)
-        b = HostMetrics(kind=KIND_CACHED, wall_seconds=1.0)
+        b = HostMetrics(kind="cached", wall_seconds=1.0)
         assert aggregate_host_metrics([a, b]).kind == "mixed"
 
     def test_zero_wall_rates_are_zero(self):

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.apps.suite import build_workflow
+from repro.core.configs import ALL_CONFIGS
 from repro.errors import StorageError
 from repro.obs.store import (
     CELL_ID_LENGTH,
@@ -13,11 +15,13 @@ from repro.obs.store import (
     CampaignStore,
     StoredCell,
     canonical_json,
+    cell_id_for_spec,
     cell_id_from_manifests,
     manifest_determinism_payload,
     validate_campaign_lines,
     validate_record,
 )
+from repro.pmem.calibration import DEFAULT_CALIBRATION
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -224,3 +228,22 @@ class TestSchemaValidation:
             for line in handle:
                 record = json.loads(line)
                 assert canonical_json(record) == line.rstrip("\n")
+
+
+# ----------------------------------------------------------------------
+# Pre-run cell ids.
+# ----------------------------------------------------------------------
+def test_pre_run_cell_id_matches_post_run_cell_id():
+    """cell_id_for_spec must predict exactly the id run_cell produces.
+
+    This is the keystone of the service cache: if the pre-run id
+    (manifests only) ever drifted from the post-run id (e.g. a
+    compute-jitter default mismatch), every lookup would miss and the
+    service would simulate every resubmitted cell again.
+    """
+    from repro.obs.campaign import run_cell
+
+    spec = build_workflow("micro-2k", 8, iterations=2)
+    predicted = cell_id_for_spec(spec, ALL_CONFIGS, DEFAULT_CALIBRATION)
+    cell = run_cell("micro-2k", 8, iterations=2)
+    assert predicted == cell.cell_id

@@ -42,16 +42,16 @@ def test_full_cli_cycle_submit_run_rerun_status_cache(root, tmp_path, capsys):
     status = json.loads(capsys.readouterr().out)
     assert status["counts"]["done"] == 4
     assert status["counts"]["queued"] == 0
-    assert status["cache_entries"] == 2
     assert status["campaign_cells"] == 2
     assert all(job["cached"] for job in status["jobs"])
 
-    assert main(["cache", "--dir", root, "--validate"]) == 0
-    assert "OK" in capsys.readouterr().out
-    assert main(["cache", "--dir", root]) == 0
-    assert "2 entr(ies)" in capsys.readouterr().out
-    assert main(["cache", "--dir", root, "--clear"]) == 0
-    assert "cleared 2" in capsys.readouterr().out
+    # The cache is the results campaign: no cache directory, nothing left
+    # pending after a completed pass, and no `cache` subcommand.
+    assert sorted(os.listdir(os.path.join(root, "campaigns"))) == ["results.jsonl"]
+    assert not os.path.exists(os.path.join(root, "cache"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "--dir", root])
+    assert excinfo.value.code == 2
 
 
 def test_cli_drain_fails_queued_jobs(root, capsys):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.obs.store import CampaignStore, StoredCell, canonical_json
+from repro.service.cache import PENDING_CAMPAIGN, ResultCache
 from repro.service.queue import KIND_CELL, STATE_FAILED, JobQueue
 from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
 
@@ -160,7 +161,9 @@ def test_persisted_cells_independent_of_completion_order(tmp_path):
         scheduler = ServiceScheduler(root=root)
         cells = synthetic_cells()
         rng.shuffle(cells)
-        assert scheduler._persist_cells(cells) == 8
+        for cell in cells:
+            assert scheduler.cache.put(cell)
+        assert scheduler.cache.fold() == 8
         paths.append(scheduler.store.path(RESULTS_CAMPAIGN))
     contents = [open(path, "rb").read() for path in paths]
     assert contents[0] == contents[1] == contents[2]
@@ -298,7 +301,8 @@ def test_jobs_settle_as_their_task_returns(root, monkeypatch):
             seen.extend(job.state for job in jobs)
             done = [job for job in jobs if job.state == "done"]
             assert len(done) == 1
-            assert done[0].cell_id in scheduler.cache
+            # Durable: a cache reading the disk afresh serves it.
+            assert ResultCache(root).get(done[0].cell_id) is not None
 
     _patch_task(monkeypatch, check)
     report = scheduler.run()
@@ -319,6 +323,9 @@ def test_killed_pass_keeps_finished_cells(root, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         scheduler.run()
     assert len(calls) == 2
+    # The finished cell waits in `pending`; the pass never reached its fold.
+    assert not scheduler.store.exists(RESULTS_CAMPAIGN)
+    assert len(scheduler.store.read(PENDING_CAMPAIGN).cells) == 1
 
     second = ServiceScheduler(root=root).run()
     assert second.executed == 1
@@ -326,6 +333,7 @@ def test_killed_pass_keeps_finished_cells(root, monkeypatch):
     cells = scheduler.store.read(RESULTS_CAMPAIGN).cells
     cell_ids = [cell.cell_id for cell in cells]
     assert cell_ids == sorted(job.cell_id for job in jobs)
+    assert not scheduler.store.exists(PENDING_CAMPAIGN)
 
     third = ServiceScheduler(root=root).run()
     assert third.executed == 0

@@ -10,6 +10,7 @@ import pytest
 from repro.obs.export import validate_chrome_trace
 from repro.obs.store import CampaignStore
 from repro.obs.telemetry import mint_trace_id, validate_snapshot
+from repro.service.cache import ResultCache
 from repro.service.cli import main as service_main
 from repro.service.pool import TaskOutcome
 from repro.service.queue import JobQueue
@@ -248,7 +249,11 @@ def test_artifacts_byte_identical_with_telemetry_on_and_off(tmp_path):
             "cell_ids": sorted(
                 cell.cell_id for cell in store.read(RESULTS_CAMPAIGN).cells
             ),
-            "cache_ids": sorted(scheduler.cache.list_ids()),
+            "cache_ids": sorted(
+                job.cell_id
+                for job in JobQueue(root).load()
+                if job.cell_id in ResultCache(root)
+            ),
         }
         if not enabled:
             # Disabled telemetry writes nothing at all.
