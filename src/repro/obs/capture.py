@@ -118,6 +118,7 @@ class Observation:
                 "recomputes_coalesced": network.recomputes_coalesced,
                 "solves_at_cap": network.solves_at_cap,
                 "recomputes": network.recompute_count,
+                "solves": network.solves,
                 "solver_iterations": network.solver_iterations,
                 "flows_completed": network.flows_completed,
             }

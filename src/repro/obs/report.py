@@ -4,7 +4,9 @@
 leaving the terminal: leaf phases (trace records) are aggregated per
 ``component;phase`` stack (flamegraph convention) and rendered as a
 sorted bar chart with totals, call counts and share of makespan.
-``utilization_report`` adds the busy/wait/idle table per track.  Both
+Each run's block ends with its solver health (solves, memo hit rate,
+solves at the iteration cap).  ``utilization_report`` adds the
+busy/wait/idle table per track.  Both
 are the ``summary`` command; comparing two runs is ``campaign diff``'s
 job (:func:`repro.obs.campaign.diff_campaigns`).
 """
@@ -64,7 +66,22 @@ def hot_phase_report(observations: Sequence[Observation]) -> str:
             f"  engine events {events:.0f}, versions published {published:.0f}, "
             f"reader waits {waits:.0f}"
         )
+        if observation.solver_stats:
+            lines.append(solver_health_line(observation.solver_stats))
     return "\n".join(lines)
+
+
+def solver_health_line(stats: Dict[str, int]) -> str:
+    """One run's solver health from ``Observation.solver_stats``: its
+    solves, the converged-state memo's hit rate and the solves that
+    stopped at the iteration cap without converging."""
+    hits = stats["solver_memo_hits"]
+    lookups = hits + stats["solver_memo_misses"]
+    rate = f"{100.0 * hits / lookups:.1f}%" if lookups else "n/a"
+    return (
+        f"  solver: {stats['solves']} solves, memo hit rate {rate}, "
+        f"{stats['solves_at_cap']} at the iteration cap"
+    )
 
 
 def utilization_report(observations: Sequence[Observation]) -> str:

@@ -4,8 +4,10 @@ One campaign = one JSONL file.  The first line is a *campaign header*; every
 subsequent line is a *cell record* — one (workflow, calibration) cell of the
 suite, carrying the results of every scheduler configuration evaluated for
 it.  Records are append-only: cells are never rewritten, a campaign is
-never truncated, and re-running the same campaign under a new name yields
-byte-identical ``"deterministic"`` payloads (a test enforces this).
+never truncated (but a torn final line, an append that never finished,
+is skipped on read and cut off by the next append), and re-running the
+same campaign under a new name yields byte-identical ``"deterministic"``
+payloads (a test enforces this).
 
 Record layout::
 
@@ -44,6 +46,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -77,6 +80,51 @@ CELL_ID_LENGTH = 16
 def canonical_json(payload: Any) -> str:
     """The byte-stable serialization used for hashing and storage."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def read_records(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(line number, record)`` for each record line of a JSONL file.
+
+    A final line without its newline is an append that never finished (a
+    writer killed mid-write): it is skipped, and the next
+    :func:`append_record` cuts it off.  Any other line that is not a JSON
+    object raises :class:`StorageError` naming ``path:line``.
+    """
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
+                return
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError or bad UTF-8
+                reason = getattr(exc, "msg", exc)
+                raise StorageError(
+                    f"{path}:{number}: not a JSON record ({reason})"
+                ) from None
+            if not isinstance(record, dict):
+                raise StorageError(f"{path}:{number}: not a JSON object")
+            yield number, record
+
+
+def append_record(path: str, record: Mapping[str, Any]) -> None:
+    """Append *record* to a JSONL file as one canonical line, creating the
+    file if needed and first cutting off a torn final line (see
+    :func:`read_records`)."""
+    with open(path, "ab+") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                handle.truncate(handle.read().rfind(b"\n") + 1)
+        handle.write(canonical_json(record).encode("utf-8") + b"\n")
+
+
+def _file_signature(path: str) -> Tuple[int, int, int]:
+    stat = os.stat(path)
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 def manifest_determinism_payload(manifest: Mapping[str, Any]) -> Dict[str, Any]:
@@ -283,6 +331,11 @@ class CampaignStore:
 
     def __init__(self, root: str = DEFAULT_CAMPAIGN_DIR) -> None:
         self.root = root
+        #: Per campaign path, the cell ids it held when this store last read
+        #: or appended it, with the file's (inode, size, mtime) then: an
+        #: append checks duplicates against them while the file is
+        #: unchanged, instead of decoding every stored cell again.
+        self._cell_ids: Dict[str, Tuple[Tuple[int, int, int], set]] = {}
 
     # -- paths and naming ----------------------------------------------
     def path(self, name: str) -> str:
@@ -334,6 +387,7 @@ class CampaignStore:
         record.update(header or {})
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(canonical_json(record) + "\n")
+        self._cell_ids.pop(path, None)
         return path
 
     def append_cell(self, name: str, cell: StoredCell) -> None:
@@ -343,48 +397,51 @@ class CampaignStore:
             raise StorageError(
                 f"campaign {name!r} does not exist; create() it first"
             )
-        existing = self.read(name)
-        if any(c.cell_id == cell.cell_id for c in existing.cells):
+        cached = self._cell_ids.get(path)
+        if cached is not None and cached[0] == _file_signature(path):
+            ids = cached[1]
+        else:
+            ids = {cell.cell_id for cell in self.read(name).cells}
+        if cell.cell_id in ids:
             raise StorageError(
                 f"cell {cell.cell_id} already recorded in campaign {name!r} "
                 "(store is append-only; start a new campaign to re-run)"
             )
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(cell.as_record(name)) + "\n")
+        append_record(path, cell.as_record(name))
+        ids.add(cell.cell_id)
+        self._cell_ids[path] = (_file_signature(path), ids)
 
     # -- reading --------------------------------------------------------
     def read(self, name: str) -> StoredCampaign:
-        """Parse one campaign file into a :class:`StoredCampaign`."""
+        """Parse one campaign file into a :class:`StoredCampaign` (a torn
+        final line is skipped; see :func:`read_records`)."""
         path = self.path(name)
         if not os.path.exists(path):
             raise StorageError(
                 f"no campaign {name!r} in {self.root!r}; "
                 f"have {self.list_campaigns()}"
             )
+        signature = _file_signature(path)
         header: Dict[str, Any] = {}
         cells: List[StoredCell] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("record") == "campaign":
-                    header = record
-                elif record.get("record") == "cell":
-                    cells.append(
-                        StoredCell(
-                            cell_id=record["cell_id"],
-                            key=record["key"],
-                            deterministic=record["deterministic"],
-                            host=record.get("host", {}),
-                            provenance=record.get("provenance", {}),
-                        )
+        for number, record in read_records(path):
+            if record.get("record") == "campaign":
+                header = record
+            elif record.get("record") == "cell":
+                cells.append(
+                    StoredCell(
+                        cell_id=record["cell_id"],
+                        key=record["key"],
+                        deterministic=record["deterministic"],
+                        host=record.get("host", {}),
+                        provenance=record.get("provenance", {}),
                     )
-                else:
-                    raise StorageError(
-                        f"{path}: unknown record type {record.get('record')!r}"
-                    )
+                )
+            else:
+                raise StorageError(
+                    f"{path}:{number}: unknown record type {record.get('record')!r}"
+                )
+        self._cell_ids[path] = (signature, {cell.cell_id for cell in cells})
         return StoredCampaign(name=name, header=header, cells=cells)
 
     def validate(self, name: str) -> List[str]:

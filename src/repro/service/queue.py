@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import StorageError
-from repro.obs.store import canonical_json
+from repro.obs.store import append_record, canonical_json, read_records
 
 #: Version of the queue record schema (bumped on breaking changes).
 QUEUE_SCHEMA_VERSION = 1
@@ -217,8 +217,7 @@ class JobQueue:
     # -- writing --------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
         os.makedirs(self.root, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(record) + "\n")
+        append_record(self.path, record)
 
     def submit(
         self,
@@ -361,53 +360,51 @@ class JobQueue:
 
     # -- reading --------------------------------------------------------
     def load(self) -> List[Job]:
-        """Replay the event log into current job states (submission order)."""
+        """Replay the event log into current job states (submission order).
+
+        A torn final line (an append that never finished) is skipped; any
+        other undecodable line raises :class:`StorageError` naming it."""
         if not self.exists():
             return []
         jobs: Dict[str, Job] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.get("record")
-                if kind == "job":
-                    job = Job(
-                        job_id=record["job_id"],
-                        kind=record["kind"],
-                        payload=record["payload"],
-                        state=record.get("state", STATE_QUEUED),
-                        attempts=record.get("attempts", 0),
-                        max_retries=record.get("max_retries", DEFAULT_MAX_RETRIES),
-                        timeout_seconds=record.get("timeout_seconds"),
-                        deadline_epoch=record.get("deadline_epoch"),
-                        submitted_seq=record.get("submitted_seq", len(jobs)),
-                        cell_id=record.get("cell_id"),
-                        submitted_at=record.get("submitted_at"),
-                        state_at=record.get("submitted_at"),
-                    )
-                    jobs[job.job_id] = job
-                elif kind == "transition":
-                    job = jobs.get(record.get("job_id"))
-                    if job is None:
-                        raise StorageError(
-                            f"{self.path}: transition for unknown job "
-                            f"{record.get('job_id')!r}"
-                        )
-                    job.state = record["state"]
-                    job.attempts = record.get("attempts", job.attempts)
-                    job.detail = record.get("detail")
-                    job.state_at = record.get("at", job.state_at)
-                    job.running_since = (
-                        record.get("at")
-                        if job.state == STATE_RUNNING
-                        else None
-                    )
-                else:
+        for number, record in read_records(self.path):
+            kind = record.get("record")
+            if kind == "job":
+                job = Job(
+                    job_id=record["job_id"],
+                    kind=record["kind"],
+                    payload=record["payload"],
+                    state=record.get("state", STATE_QUEUED),
+                    attempts=record.get("attempts", 0),
+                    max_retries=record.get("max_retries", DEFAULT_MAX_RETRIES),
+                    timeout_seconds=record.get("timeout_seconds"),
+                    deadline_epoch=record.get("deadline_epoch"),
+                    submitted_seq=record.get("submitted_seq", len(jobs)),
+                    cell_id=record.get("cell_id"),
+                    submitted_at=record.get("submitted_at"),
+                    state_at=record.get("submitted_at"),
+                )
+                jobs[job.job_id] = job
+            elif kind == "transition":
+                job = jobs.get(record.get("job_id"))
+                if job is None:
                     raise StorageError(
-                        f"{self.path}: unknown record type {kind!r}"
+                        f"{self.path}:{number}: transition for unknown job "
+                        f"{record.get('job_id')!r}"
                     )
+                job.state = record["state"]
+                job.attempts = record.get("attempts", job.attempts)
+                job.detail = record.get("detail")
+                job.state_at = record.get("at", job.state_at)
+                job.running_since = (
+                    record.get("at")
+                    if job.state == STATE_RUNNING
+                    else None
+                )
+            else:
+                raise StorageError(
+                    f"{self.path}:{number}: unknown record type {kind!r}"
+                )
         return sorted(jobs.values(), key=lambda job: job.submitted_seq)
 
     def queued(self) -> List[Job]:

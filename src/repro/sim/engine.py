@@ -75,7 +75,10 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current virtual time in seconds: a plain attribute (the hot
+        #: paths read it hundreds of thousands of times per sweep) that only
+        #: the engine assigns.
+        self.now: float = 0.0
         self._seq: int = 0
         self._queue: List[Tuple[float, int, Timer]] = []
         #: Unfinished processes in spawn order (a dict used as an ordered
@@ -101,11 +104,6 @@ class Engine:
     # Clock and scheduling.
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
     def timers_scheduled(self) -> int:
         """Total timers ever pushed onto the event queue."""
         return self._seq
@@ -114,7 +112,7 @@ class Engine:
         """Run *callback* ``delay`` seconds from now; returns a cancellable handle."""
         if not delay >= 0:  # negative, or NaN (which would corrupt heap order)
             raise SimulationError(f"cannot schedule at delay {delay}: it must be >= 0")
-        timer = Timer(self._now + delay, callback)
+        timer = Timer(self.now + delay, callback)
         self._seq += 1
         heapq.heappush(self._queue, (timer.time, self._seq, timer))
         if len(self._queue) > self.peak_queue_depth:
@@ -123,7 +121,7 @@ class Engine:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
         """Run *callback* at absolute virtual time *time*."""
-        return self.schedule(time - self._now, callback)
+        return self.schedule(time - self.now, callback)
 
     # ------------------------------------------------------------------
     # Processes.
@@ -146,7 +144,7 @@ class Engine:
 
     def timeout_event(self, delay: float, value: Any = None, name: str = "") -> SimEvent:
         """Return an event that succeeds ``delay`` seconds from now."""
-        event = SimEvent(name=name or f"timeout@{self._now + delay:.6f}")
+        event = SimEvent(name=name or f"timeout@{self.now + delay:.6f}")
         self.schedule(delay, lambda: event.succeed(value))
         return event
 
@@ -207,8 +205,8 @@ class Engine:
                 return False
             head_time = queue[0][0]
             if (
-                head_time > self._now
-                and not times_close(head_time, self._now)
+                head_time > self.now
+                and not times_close(head_time, self.now)
                 and self._flush_hooks
                 and self._run_flush_hooks()
             ):
@@ -218,11 +216,11 @@ class Engine:
             if until is not None and head_time > until:
                 return None
             timer = heapq.heappop(queue)[2]
-            self._now = head_time
+            self.now = head_time
             timer.callback()
             self.events_executed += 1
             if self.hooks is not None:
-                self.hooks.on_step(self._now, len(queue))
+                self.hooks.on_step(self.now, len(queue))
             return True
 
     def step(self) -> bool:
@@ -252,12 +250,12 @@ class Engine:
             while True:
                 executed = self._dispatch(until)
                 if executed is None:
-                    self._now = until
-                    return self._now
+                    self.now = until
+                    return self.now
                 if not executed:
                     break
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
             if check_deadlock and until is None:
                 blocked = [p for p in self._processes if p.alive]
                 if blocked:
@@ -266,7 +264,7 @@ class Engine:
                         f"event queue drained with {len(blocked)} blocked "
                         f"process(es): {names}"
                     )
-            return self._now
+            return self.now
         finally:
             self._running = False
 

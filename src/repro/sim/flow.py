@@ -50,6 +50,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -376,13 +377,14 @@ class Flow:
     #: ``self_cap / (self_cap + single_thread_device_rate)``.
     issue_weight: float = 1.0
 
-    # Runtime state managed by FlowNetwork.
+    # Runtime state managed by FlowNetwork.  ``remaining`` is the payload
+    # at the start and 0.0 once complete; in flight, the network tracks
+    # progress on the flow's cohort (see FlowNetwork).
     remaining: float = field(init=False, default=0.0)
     rate: float = field(init=False, default=0.0)
     duty: float = field(init=False, default=1.0)
     started_at: float = field(init=False, default=0.0)
     done: SimEvent = field(init=False, repr=False)
-    _timer: Optional["Timer"] = field(init=False, default=None, repr=False)
     #: ``log(max(op_bytes, 1))``, precomputed — the solver needs it for the
     #: geometric-mean accumulation on every class build.
     log_op: float = field(init=False, default=0.0, repr=False)
@@ -957,6 +959,38 @@ def solve_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     return solve_flow_set(flows).rates
 
 
+class _Cohort:
+    """A run of consecutive active flows that stay bit-identical.
+
+    A started flow joins the tail cohort only while that cohort has not
+    been solved and the flow has its members' shape, start time, rate,
+    duty and remaining bytes.  Members then share one solver class (same
+    shape and duty), so every solve hands them the same rate and duty,
+    and they stay identical until they complete together.  The network
+    advances a cohort's progress once, keeps one completion timer for it,
+    and completes its members in flow order.
+    """
+
+    __slots__ = ("flows", "remaining", "rate", "timer")
+
+    def __init__(self, flow: Flow) -> None:
+        self.flows = [flow]
+        self.remaining = flow.remaining
+        self.rate = flow.rate
+        self.timer: Optional["Timer"] = None
+
+    def admits(self, flow: Flow) -> bool:
+        """Whether *flow* has exactly the state of this (unsolved) cohort."""
+        last = self.flows[-1]
+        return (
+            flow.shape == last.shape
+            and flow.started_at == last.started_at
+            and flow.remaining == self.remaining
+            and flow.rate == self.rate
+            and flow.duty == last.duty
+        )
+
+
 class FlowNetwork:
     """Tracks active flows and keeps their rates consistent as load changes.
 
@@ -980,6 +1014,17 @@ class FlowNetwork:
     depend on the number of solves per instant; DESIGN.md §5b gives the
     measurements.)
 
+    Bookkeeping is per *cohort* (:class:`_Cohort`): ranks that start
+    same-shape transfers in one instant (8, 16 or 24 in the paper's
+    workflows) form one run of bit-identical flows, with one progress
+    update, one completion timer and one callback that completes the
+    members in flow order.  Delayed starts (:meth:`transfer`'s *delay*)
+    due at one time share one start timer when no other timer was
+    scheduled between them.  Both replace per-flow timers that would have
+    had equal times and consecutive sequence numbers, so no other timer
+    and no flush could have run between them: the callbacks run in the
+    same order either way (DESIGN.md §5b).
+
     Parameters
     ----------
     engine:
@@ -1002,8 +1047,19 @@ class FlowNetwork:
     ) -> None:
         self.engine = engine
         self._flows: List[Flow] = []
+        #: ``_flows`` cut into cohorts, in flow order.
+        self._cohorts: List[_Cohort] = []
+        #: The tail cohort until the next solve (flows may still join it).
+        self._open: Optional[_Cohort] = None
+        #: Delayed starts waiting on the newest start timer, that timer's
+        #: time and ``engine.timers_scheduled`` just after it was pushed.
+        self._starts: Optional[List[Flow]] = None
+        self._starts_time = 0.0
+        self._starts_seq = 0
         self._last_update: float = 0.0
         self.recompute_count: int = 0
+        #: Recomputes that solved a non-empty flow set.
+        self.solves: int = 0
         self.flows_completed: int = 0
         self.solver_iterations: int = 0
         #: Equivalence classes summed over recomputes (fast solver).
@@ -1056,27 +1112,67 @@ class FlowNetwork:
             "unregistered, so no solve would ever run"
         )
 
-    def transfer(self, flow: Flow) -> SimEvent:
-        """Start *flow*; returns an event that succeeds on completion.
+    def transfer(self, flow: Flow, delay: float = 0.0) -> SimEvent:
+        """Start *flow* after *delay* virtual seconds; returns an event
+        that succeeds on completion.
 
         The event succeeds with ``None``, not the flow: a flow's event
         holding the flow would be a reference cycle, and the caller
-        already has the flow.  Zero-byte flows complete immediately
+        already has the flow.  Zero-byte flows complete as they start
         (software-overhead-only operations are charged by the storage
-        stack before the flow starts).
+        stack before the flow starts, e.g. as the *delay*).  A delayed
+        start due at the same time as the previous one joins its start
+        timer when ``engine.timers_scheduled`` has not moved since that
+        timer was pushed: its own timer would have come next in the queue.
         """
         if self._closed:
             raise self._closed_error("transfer")
         if flow.done.triggered:
             raise SimulationError(f"flow {flow.label!r} reused after completion")
+        if not delay >= 0:  # negative, or NaN
+            raise SimulationError(
+                f"flow {flow.label!r}: start delay must be >= 0, got {delay}"
+            )
+        if delay == 0:
+            self._start(flow)
+            return flow.done
+        engine = self.engine
+        starts = self._starts
+        if (
+            starts is not None
+            and engine.now + delay == self._starts_time
+            and engine.timers_scheduled == self._starts_seq
+        ):
+            starts.append(flow)
+        else:
+            starts = self._starts = [flow]
+            self._starts_time = engine.schedule(
+                delay, partial(self._start_all, starts)
+            ).time
+            self._starts_seq = engine.timers_scheduled
+        return flow.done
+
+    def _start_all(self, starts: List[Flow]) -> None:
+        """Start timer callback: start each waiting flow, in call order."""
+        if self._starts is starts:
+            self._starts = None
+        for flow in starts:
+            self._start(flow)
+
+    def _start(self, flow: Flow) -> None:
         flow.started_at = self.engine.now
         if flow.remaining <= COMPLETION_EPSILON_BYTES:
             flow.done.succeed()
-            return flow.done
+            return
         self._advance_progress()
         self._flows.append(flow)
+        cohort = self._open
+        if cohort is not None and cohort.admits(flow):
+            cohort.flows.append(flow)
+        else:
+            self._open = _Cohort(flow)
+            self._cohorts.append(self._open)
         self._request_recompute()
-        return flow.done
 
     def poke(self, *resources: CapacityResource) -> None:
         """Force a rate recomputation after external resource-state changes.
@@ -1136,8 +1232,8 @@ class FlowNetwork:
         now = self.engine.now
         dt = now - self._last_update
         if dt > 0:
-            for flow in self._flows:
-                flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
+            for cohort in self._cohorts:
+                cohort.remaining = max(0.0, cohort.remaining - cohort.rate * dt)
         self._last_update = now
 
     def _recompute(self) -> None:
@@ -1165,6 +1261,7 @@ class FlowNetwork:
                 solver=self.solver,
                 memo=self._memo if self.solver == SOLVER_FAST else None,
             )
+            self.solves += 1
             iterations = result.iterations
             loads = result.loads
             rates = result.rates
@@ -1185,47 +1282,58 @@ class FlowNetwork:
         for resource, load in loads.items():
             resource.observe(now, load)
         self._observed_resources = set(loads)
-        for flow in flows:
-            new_rate = rates[flow]
-            if (
-                new_rate == flow.rate
-                and flow._timer is not None
-                and not flow._timer.cancelled
-            ):
+        self._open = None
+        schedule = self.engine.schedule
+        for cohort in self._cohorts:
+            members = cohort.flows
+            new_rate = rates[members[0]]
+            if new_rate == cohort.rate and cohort.timer is not None:
                 # Rate unchanged (bit-exact, e.g. a memo replay): the
                 # pending completion timer is still correct — skipping the
                 # cancel/reschedule churn keeps the heap small.
                 continue
-            flow.rate = new_rate
-            if flow._timer is not None:
-                flow._timer.cancel()
-            if new_rate <= 0 and flow.remaining > COMPLETION_EPSILON_BYTES:
+            cohort.rate = new_rate
+            for flow in members:
+                flow.rate = new_rate
+            if cohort.timer is not None:
+                cohort.timer.cancel()
+            if new_rate <= 0 and cohort.remaining > COMPLETION_EPSILON_BYTES:
                 raise SimulationError(
-                    f"flow {flow.label!r} stalled with zero rate and "
-                    f"{flow.remaining:.0f} bytes remaining"
+                    f"flow {members[0].label!r} stalled with zero rate and "
+                    f"{cohort.remaining:.0f} bytes remaining"
                 )
             # In ``self._flows`` order, so heap tie-breaking (and therefore
             # same-instant completion order) stays deterministic.  A zero
             # rate means (epsilon-)zero remaining: complete now.
-            eta = flow.remaining / new_rate if new_rate > 0 else 0.0
-            flow._timer = self.engine.schedule(eta, self._make_completion(flow))
+            eta = cohort.remaining / new_rate if new_rate > 0 else 0.0
+            cohort.timer = schedule(eta, partial(self._complete, cohort))
         if self.hooks is not None:
             # After the rates are assigned, so hooks see the converged state.
             self.hooks.on_recompute(now, flows, loads)
             self.hooks.on_solve(now, iterations)
 
-    def _make_completion(self, flow: Flow) -> Callable[[], None]:
-        def _complete() -> None:
-            self._advance_progress()
-            if flow.remaining > COMPLETION_EPSILON_BYTES:  # pragma: no cover
-                raise SimulationError(
-                    f"flow {flow.label!r} completion fired early "
-                    f"({flow.remaining:.0f} bytes left)"
-                )
+    def _complete(self, cohort: _Cohort) -> None:
+        """Completion timer callback: complete *cohort*'s members in flow
+        order, each exactly as its own timer would have."""
+        self._advance_progress()
+        members = cohort.flows
+        if cohort.remaining > COMPLETION_EPSILON_BYTES:  # pragma: no cover
+            raise SimulationError(
+                f"flow {members[0].label!r} completion fired early "
+                f"({cohort.remaining:.0f} bytes left)"
+            )
+        # Clearing the timer breaks the cohort -> timer -> callback ->
+        # cohort cycle, so a finished run is freed by reference counting.
+        cohort.timer = None
+        self._cohorts.remove(cohort)
+        flows = self._flows
+        # Members are consecutive in ``_flows``; flows started by the
+        # callbacks below are appended after them.
+        at = flows.index(members[0])
+        for flow in members:
             flow.remaining = 0.0
             flow.rate = 0.0
-            flow._timer = None
-            self._flows.remove(flow)
+            del flows[at]
             self.flows_completed += 1
             if self.hooks is not None:
                 self.hooks.on_flow_complete(self.engine.now, flow)
@@ -1233,5 +1341,3 @@ class FlowNetwork:
             # Recompute even when no flows remain so stateful resources
             # observe the transition to idle.
             self._request_recompute()
-
-        return _complete

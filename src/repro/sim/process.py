@@ -38,6 +38,7 @@ class Process:
         "name",
         "completed",
         "_generator",
+        "_timeout_value",
         "_started",
         "_finished",
         "__weakref__",
@@ -53,6 +54,8 @@ class Process:
         self.name = name
         self.completed = SimEvent(name=f"{name}.completed")
         self._generator = generator
+        #: The value the pending ``Timeout`` resumes the body with.
+        self._timeout_value: Any = None
         self._started = False
         self._finished = False
 
@@ -98,7 +101,8 @@ class Process:
         if isinstance(request, (int, float)):
             request = Timeout(request)
         if isinstance(request, Timeout):
-            self.engine.schedule(request.duration, lambda: self._advance(request.value, None))
+            self._timeout_value = request.value
+            self.engine.schedule(request.duration, self._resume_timeout)
             return
         if isinstance(request, Process):
             request = request.completed
@@ -111,6 +115,10 @@ class Process:
                 f"{type(request).__name__}: {request!r}"
             )
         )
+
+    def _resume_timeout(self) -> None:
+        value, self._timeout_value = self._timeout_value, None
+        self._advance(value, None)
 
     def _on_event(self, event: SimEvent) -> None:
         if event.exception is not None:

@@ -226,12 +226,13 @@ class _WorkflowExecution:
                         "writer", rank, "barrier", t0, engine.now, iteration
                     )
             t0 = engine.now
-            if overhead > 0:
-                yield Timeout(overhead)
             flow = self._make_flow(
                 "write", self.writer_socket, f"w{rank}.v{iteration}"
             )
-            yield self.network.transfer(flow)
+            # The per-snapshot software overhead runs before the flow
+            # starts; the network times it, so same-instant ranks share
+            # one start timer.
+            yield self.network.transfer(flow, delay=overhead)
             stats.io += engine.now - t0
             stats.payload_bytes += spec.snapshot.snapshot_bytes
             if self._obs_write_bytes is not None:
@@ -281,10 +282,8 @@ class _WorkflowExecution:
                 stats.wait += engine.now - t0
                 self.tracer.record("reader", rank, "wait", t0, engine.now, iteration)
             t0 = engine.now
-            if overhead > 0:
-                yield Timeout(overhead)
             flow = self._make_flow("read", self.reader_socket, f"r{rank}.v{iteration}")
-            yield self.network.transfer(flow)
+            yield self.network.transfer(flow, delay=overhead)
             stats.io += engine.now - t0
             stats.payload_bytes += spec.snapshot.snapshot_bytes
             if self._obs_read_bytes is not None:

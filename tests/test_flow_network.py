@@ -172,6 +172,128 @@ class TestSingleSolve:
         assert done["b2"] == pytest.approx(11.0)  # 30 B at 5 + 50 B at 10
 
 
+class TestCohorts:
+    """Flows that start in one instant with one shape and state form a
+    cohort: one completion timer per reschedule, members completed in
+    start order; delayed starts share a start timer only back to back."""
+
+    @staticmethod
+    def record_completion_pushes(monkeypatch, engine, net):
+        """``(now, cohort)`` per completion timer the network pushes."""
+        pushes = []
+        schedule = engine.schedule
+
+        def recording(delay, callback):
+            if getattr(callback, "func", None) == net._complete:
+                pushes.append((engine.now, callback.args[0]))
+            return schedule(delay, callback)
+
+        monkeypatch.setattr(engine, "schedule", recording)
+        return pushes
+
+    def test_same_shape_starts_share_one_completion_timer(self, monkeypatch):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        pushes = self.record_completion_pushes(monkeypatch, engine, net)
+        shared = contended_resource()
+        writers = [
+            make_flow(nbytes=100.0, resources=[shared], self_cap=30.0, label=f"w{i}")
+            for i in range(4)
+        ]
+        late = make_flow(nbytes=40.0, resources=[shared], label="late")
+        finished = []
+
+        def body(flow, delay):
+            yield net.transfer(flow, delay=delay)
+            finished.append((flow.label, engine.now))
+
+        for flow in writers:
+            engine.spawn(body(flow, 0.0), name=flow.label)
+        engine.spawn(body(late, 1.0), name="late")
+        engine.run()
+        cohorts = {cohort for _, cohort in pushes if writers[0] in cohort.flows}
+        assert len(cohorts) == 1
+        (cohort,) = cohorts
+        assert cohort.flows == writers
+        instants = [now for now, c in pushes if c is cohort]
+        # Rescheduled at t=0, when `late` starts and when it finishes: one
+        # timer each time, where per-flow timers would push four.
+        assert instants == sorted(set(instants)) and len(instants) == 3
+        ends = [(label, now) for label, now in finished if label != "late"]
+        assert [label for label, _ in ends] == ["w0", "w1", "w2", "w3"]
+        assert len({now for _, now in ends}) == 1
+        assert net.flows_completed == 5 and net._cohorts == []
+
+    def test_other_shape_or_size_between_starts_splits_the_cohort(self):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        shared = contended_resource()
+
+        def writer(nbytes=100.0, self_cap=30.0):
+            return make_flow(nbytes=nbytes, resources=[shared], self_cap=self_cap)
+
+        a1, other, a2, a3, bigger = (
+            writer(), writer(self_cap=50.0), writer(), writer(), writer(nbytes=200.0)
+        )
+        for flow in (a1, other, a2, a3, bigger):
+            net.transfer(flow)
+        assert [c.flows for c in net._cohorts] == [[a1], [other], [a2, a3], [bigger]]
+        assert net.active_flows == (a1, other, a2, a3, bigger)
+        engine.run()
+        assert a2.done.triggered and a3.done.triggered and net._cohorts == []
+
+    def test_start_after_the_flush_solve_does_not_join(self):
+        """A flush hook registered after the network's runs after its
+        solve, still at t=0: a flow it starts, even one given the solved
+        flow's rate and duty, gets a cohort (and a timer) of its own."""
+        engine = Engine()
+        net = FlowNetwork(engine)
+        shared = contended_resource()
+        first, late = (
+            make_flow(nbytes=100.0, resources=[shared], self_cap=30.0)
+            for _ in range(2)
+        )
+        seen = []
+
+        def start_late():
+            if seen:
+                return False
+            late.rate, late.duty = first.rate, first.duty
+            net.transfer(late)
+            seen.append((engine.now, first.rate, [c.flows for c in net._cohorts]))
+            return True
+
+        net.transfer(first)
+        engine.add_flush_hook(start_late)
+        engine.run()
+        ((now, solved_rate, cohorts),) = seen
+        assert now == 0.0 and solved_rate > 0.0
+        assert cohorts == [[first], [late]]
+        assert first.done.triggered and late.done.triggered
+
+    def test_delayed_starts_merge_only_back_to_back(self):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        r = CapacityResource("r", lambda load: 10.0)
+        flows = [make_flow(nbytes=10.0, resources=[r], label=f"f{i}") for i in range(4)]
+        net.transfer(flows[0], delay=1.0)
+        net.transfer(flows[1], delay=1.0)  # nothing pushed since: shares it
+        assert engine.timers_scheduled == 1
+        engine.schedule(5.0, lambda: None)
+        net.transfer(flows[2], delay=1.0)  # a timer in between: its own
+        net.transfer(flows[3], delay=0.5)  # another due time: its own
+        assert engine.timers_scheduled == 4
+        engine.run()
+        assert [f.started_at for f in flows] == [1.0, 1.0, 1.0, 0.5]
+        assert all(f.done.triggered for f in flows)
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_invalid_start_delay_rejected(self, delay):
+        net = FlowNetwork(Engine())
+        with pytest.raises(SimulationError, match="start delay"):
+            net.transfer(make_flow(resources=[contended_resource()]), delay=delay)
+
+
 def _oscillating_resource():
     """A resource whose capacity jumps *up* with occupancy.
 

@@ -288,3 +288,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "writer;write" in out
         assert "makespan" in out
+
+    def test_summary_prints_solver_health_per_run(self, capsys, monkeypatch):
+        import repro.obs.cli as cli_module
+
+        observed = []
+        observe = cli_module.observe_workflow
+
+        def recording(*args, **kwargs):
+            observed.append(observe(*args, **kwargs))
+            return observed[-1]
+
+        monkeypatch.setattr(cli_module, "observe_workflow", recording)
+        assert obs_main(["summary", "--config", "all", "--iterations", "2"]) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  solver: ")
+        ]
+        assert len(observed) == len(lines) == 4
+        for observation, line in zip(observed, lines):
+            stats = observation.solver_stats
+            hits = stats["solver_memo_hits"]
+            rate = 100.0 * hits / (hits + stats["solver_memo_misses"])
+            assert stats["solves"] > 0
+            assert line == (
+                f"  solver: {stats['solves']} solves, memo hit rate {rate:.1f}%, "
+                f"{stats['solves_at_cap']} at the iteration cap"
+            )

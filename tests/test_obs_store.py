@@ -142,6 +142,69 @@ class TestAppendOnly:
                 store.path(bad)
 
 
+def big_cell(cell_id):
+    """A cell whose record is well over 2,000 bytes."""
+    stored = cell(cell_id)
+    stored.deterministic["notes"] = ["x" * 100] * 40
+    return stored
+
+
+class TestTornAndCorruptLines:
+    def test_torn_tail_is_skipped_and_cut_by_the_next_append(self, tmp_path):
+        store = CampaignStore(str(tmp_path))
+        path = store.create("camp", {"suite": "micro"})
+        store.append_cell("camp", cell("a" * 16))
+        record = canonical_json(big_cell("b" * 16).as_record("camp")).encode()
+        assert len(record) > 2000
+        with open(path, "ab") as handle:  # an append killed mid-write
+            handle.write(record[:2000])
+        assert [c.cell_id for c in store.read("camp").cells] == ["a" * 16]
+        # Another store (another process) cuts the torn line off, too.
+        CampaignStore(str(tmp_path)).append_cell("camp", cell("c" * 16))
+        assert [c.cell_id for c in store.read("camp").cells] == ["a" * 16, "c" * 16]
+        assert store.validate("camp") == []
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        assert lines[-1] == b"" and all(json.loads(line) for line in lines[:-1])
+
+    def test_corrupt_middle_line_names_path_and_line(self, tmp_path):
+        store = CampaignStore(str(tmp_path))
+        path = store.create("camp", {"suite": "micro"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"record": "cell", "cell_id": \n')
+            handle.write(canonical_json(cell("a" * 16).as_record("camp")) + "\n")
+        for operation in (store.read, lambda name: store.append_cell(name, cell())):
+            with pytest.raises(StorageError, match=f"{path}:2: not a JSON record"):
+                operation("camp")
+
+    def test_appends_decode_each_record_once(self, tmp_path, monkeypatch):
+        """n appends decode O(n) records in total, not one read per append."""
+        store = CampaignStore(str(tmp_path))
+        store.create("camp", {"suite": "micro"})
+        decoded = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            decoded.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        n = 60
+        for i in range(n):
+            store.append_cell("camp", cell(f"{i:016x}"))
+        assert len(decoded) <= n  # one read per append would be ~n*n/2
+        assert len(store.read("camp").cells) == n
+
+    def test_duplicate_rejected_after_another_writer_appends(self, tmp_path):
+        store = CampaignStore(str(tmp_path))
+        store.create("camp", {"suite": "micro"})
+        store.append_cell("camp", cell("a" * 16))
+        CampaignStore(str(tmp_path)).append_cell("camp", cell("b" * 16))
+        for cell_id in ("a" * 16, "b" * 16):
+            with pytest.raises(StorageError, match="already recorded"):
+                store.append_cell("camp", cell(cell_id))
+
+
 class TestSchemaValidation:
     def test_valid_file_passes(self, tmp_path):
         store = CampaignStore(str(tmp_path))

@@ -118,6 +118,30 @@ BOUNDARY_OP_BYTES = (
 )
 
 
+#: Any :class:`ResourceLoad` the solver can build, as its field dict.
+LOAD_FIELDS = st.fixed_dictionaries(
+    {
+        "n_read_local": st.floats(0.0, 32.0),
+        "n_read_remote": st.floats(0.0, 32.0),
+        "n_write_local": st.floats(0.0, 32.0),
+        "n_write_remote": st.floats(0.0, 32.0),
+        "raw_read_local": st.integers(0, 24),
+        "raw_read_remote": st.integers(0, 24),
+        "raw_write_local": st.integers(0, 24),
+        "raw_write_remote": st.integers(0, 24),
+        "read_op_bytes": st.one_of(
+            st.sampled_from(BOUNDARY_OP_BYTES), st.floats(1.0, 1e9)
+        ),
+        "write_op_bytes": st.one_of(
+            st.sampled_from(BOUNDARY_OP_BYTES), st.floats(1.0, 1e9)
+        ),
+    }
+)
+
+#: Remote-write occupancy latched into the congestion EWMA (0: cold).
+OCCUPANCY = st.one_of(st.just(0.0), st.floats(0.1, 40.0))
+
+
 def heat(device, occupancy):
     """Move the congestion EWMA through :meth:`observe`: latch
     *occupancy*, then let one second of it pass (0 keeps a cold device
@@ -167,29 +191,10 @@ class TestShareKernel:
         cal=st.sampled_from(KERNEL_CALIBRATIONS),
         steps=st.lists(
             st.tuples(
-                st.fixed_dictionaries(
-                    {
-                        "n_read_local": st.floats(0.0, 32.0),
-                        "n_read_remote": st.floats(0.0, 32.0),
-                        "n_write_local": st.floats(0.0, 32.0),
-                        "n_write_remote": st.floats(0.0, 32.0),
-                        "raw_read_local": st.integers(0, 24),
-                        "raw_read_remote": st.integers(0, 24),
-                        "raw_write_local": st.integers(0, 24),
-                        "raw_write_remote": st.integers(0, 24),
-                        "read_op_bytes": st.one_of(
-                            st.sampled_from(BOUNDARY_OP_BYTES),
-                            st.floats(1.0, 1e9),
-                        ),
-                        "write_op_bytes": st.one_of(
-                            st.sampled_from(BOUNDARY_OP_BYTES),
-                            st.floats(1.0, 1e9),
-                        ),
-                    }
-                ),
+                LOAD_FIELDS,
                 st.integers(0, 6),  # local pollers
                 st.integers(0, 6),  # remote pollers
-                st.one_of(st.just(0.0), st.floats(0.1, 40.0)),  # occupancy
+                OCCUPANCY,
             ),
             min_size=1,
             max_size=4,
@@ -241,6 +246,45 @@ class TestShareKernel:
         for kind, remote in itertools.product(("read", "write"), (False, True)):
             probe = flow(kind, remote=remote)
             assert refit.share(load, probe) != base.share(load, probe)
+
+
+class TestShareMonotonicity:
+    """More capacity never hurts at a fixed load: raising a peak
+    bandwidth or the remote-write thread cap never lowers the share any
+    flow gets (the capacity-monotonicity relation, DESIGN §5a)."""
+
+    @given(
+        field=st.sampled_from(
+            ("local_read_peak", "local_write_peak", "remote_write_thread_cap")
+        ),
+        # Up to 2.5x keeps the write peak below the read peak, as
+        # ``OptaneCalibration.validate()`` requires.
+        factor=st.floats(1.0, 2.5),
+        fields=LOAD_FIELDS,
+        pollers=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        occupancy=OCCUPANCY,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raising_capacity_never_lowers_a_share(
+        self, field, factor, fields, pollers, occupancy
+    ):
+        raised_cal = CAL.replace(**{field: getattr(CAL, field) * factor})
+        devices = []
+        for cal in (CAL, raised_cal):
+            device = OptaneDeviceResource("pmem[mono]", cal)
+            for remote, count in zip((False, True), pollers):
+                for _ in range(count):
+                    device.add_poller(remote=remote)
+            heat(device, occupancy)
+            devices.append(device)
+        base, raised = devices
+        load = ResourceLoad(**fields)
+        for kind, remote in itertools.product(("read", "write"), (False, True)):
+            probe = flow(kind, remote=remote)
+            assert raised.share(load, probe) >= base.share(load, probe), (
+                kind,
+                remote,
+            )
 
 
 class TestShares:

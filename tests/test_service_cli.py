@@ -131,3 +131,35 @@ def test_experiment_deadline_is_checked_before_queueing(root, capsys):
     assert "deadline_seconds" in capsys.readouterr().err
     with open(path, "rb") as handle:
         assert handle.read() == before
+
+
+def test_torn_pending_tail_and_corrupt_results_line(root, capsys):
+    """A pass killed inside an append leaves a torn last line: `run` and
+    `status` skip it; a corrupt earlier line is an `error: path:line`."""
+    assert main(["submit", "--dir", root, "--suite", "micro"]) == 0
+    assert main(["run", "--dir", root]) == 0
+    campaigns = os.path.join(root, "campaigns")
+    results = os.path.join(campaigns, "results.jsonl")
+    with open(results, "rb") as handle:
+        header, cell_line = handle.read().split(b"\n")[:2]
+    assert len(cell_line) > 2000
+    pending = os.path.join(campaigns, "pending.jsonl")
+    with open(pending, "wb") as handle:
+        handle.write(header.replace(b'"results"', b'"pending"') + b"\n")
+        handle.write(cell_line[:2000])
+    capsys.readouterr()
+    assert main(["status", "--dir", root]) == 0
+    assert main(["submit", "--dir", root, "--suite", "micro"]) == 0
+    assert main(["run", "--dir", root]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(campaigns)) == ["results.jsonl"]
+
+    with open(results, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    lines[1] = lines[1][:2000]
+    with open(results, "wb") as handle:
+        handle.write(b"\n".join(lines))
+    for command in ("status", "run"):
+        assert main([command, "--dir", root]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{results}:2: not a JSON record" in err

@@ -155,3 +155,18 @@ def test_validate_flags_transition_after_terminal(queue):
     ]
     problems = validate_queue_lines(lines)
     assert any("terminal state" in p for p in problems)
+
+
+def test_torn_tail_skipped_and_corrupt_line_named(queue):
+    first = queue.submit(KIND_CELL, {"family": "micro-2k", "ranks": 8})
+    with open(queue.path, "ab") as handle:  # a submit killed mid-write
+        handle.write(b'{"record":"job","job_id":"job-0001-')
+    assert [job.job_id for job in queue.load()] == [first.job_id]
+    second = queue.submit(KIND_CELL, {"family": "micro-64mb", "ranks": 8})
+    assert [job.job_id for job in queue.load()] == [first.job_id, second.job_id]
+    assert queue.validate() == []
+    with open(queue.path, "a", encoding="utf-8") as handle:
+        handle.write("not json\n{}\n")
+    for operation in (queue.load, lambda: queue.submit(KIND_CELL, {})):
+        with pytest.raises(StorageError, match=f"{queue.path}:3: not a JSON record"):
+            operation()

@@ -217,7 +217,8 @@ class TestFlowNetwork:
         engine.run()
         assert seen == [None]
         assert flow.done.value is None
-        assert flow._timer is None
+        # No cohort (and so no completion timer) outlives the flow.
+        assert net._cohorts == []
 
     def test_flow_reuse_rejected(self):
         engine = Engine()

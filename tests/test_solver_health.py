@@ -13,12 +13,14 @@ from repro.obs.capture import observe_workflow
 
 
 def test_paper_sweep_solver_totals():
-    at_cap = lookups = iterations = 0
+    at_cap = lookups = solves = iterations = 0
     for entry in workflow_suite():
         for config in ALL_CONFIGS:
             observation = observe_workflow(entry.spec, config)
             stats = observation.solver_stats
             at_cap += stats["solves_at_cap"]
             lookups += stats["solver_memo_hits"] + stats["solver_memo_misses"]
+            solves += stats["solves"]
             iterations += observation.probes.counter_total("flow.solver_iterations")
     assert (at_cap, lookups, iterations) == (0, 5_994, 70_554)
+    assert solves == lookups  # every solve of the sweep consults the memo

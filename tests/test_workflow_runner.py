@@ -218,8 +218,7 @@ class TestFlowTemplates:
         assert (a.label, b.label) == ("a", "b")
         assert a.done is not b.done
         a.remaining, a.rate, a.duty = 1.0, 2.0, 0.5
-        a._timer = object()
         a.done.succeed(a)
         assert b.remaining == b.nbytes
-        assert (b.rate, b.duty, b._timer) == (0.0, 1.0, None)
+        assert (b.rate, b.duty) == (0.0, 1.0)
         assert not b.done.triggered

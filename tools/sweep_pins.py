@@ -1,22 +1,25 @@
-"""Record and check the exact pins of the paper sweep kept under tests/.
+"""Record and check the exact pins of the benchmark workloads kept under tests/.
 
-Two files under ``tests/fixtures/`` pin the 72-run paper sweep exactly:
+Three files under ``tests/fixtures/`` pin simulated work exactly:
 
-* ``sweep_makespans.json`` -- every makespan, compared with ``==`` by
+* ``sweep_makespans.json`` -- every makespan of the 72-run paper sweep,
+  compared with ``==`` by
   ``tests/test_determinism.py::test_paper_sweep_makespans_pinned_bit_for_bit``;
-* ``sweep_seed_counters.json`` -- the deterministic per-layer counters of
-  one traced ``perfbench`` pass of ``paper-sweep``, compared exactly by CI.
+* ``sweep_seed_counters.json`` and ``service_cold_seed_counters.json`` --
+  the deterministic per-layer counters of one traced ``perfbench`` pass
+  of ``paper-sweep`` and of ``service-cold``, compared exactly by CI.
 
-Both are separate from ``perfbench/fixtures/``, which stay the
+They are separate from ``perfbench/fixtures/``, which stay the
 benchmark's 2 % reference.  Re-record them only for an intended change to
 simulated results or solver work, and say why in the change log.
 
-Usage, from the repository root::
+Usage, from the repository root (``--workload`` defaults to
+``paper-sweep``)::
 
     python tools/sweep_pins.py makespans
-    python perfbench/run.py --workload paper-sweep --seed 1 --trace 1 > trace.out
-    python tools/sweep_pins.py counters trace.out     # re-record
-    python tools/sweep_pins.py check trace.out        # exit 1 on any mismatch
+    python perfbench/run.py --workload service-cold --seed 1 --trace 1 > trace.out
+    python tools/sweep_pins.py counters trace.out --workload service-cold  # re-record
+    python tools/sweep_pins.py check trace.out --workload service-cold     # exit 1 on any mismatch
 """
 
 import argparse
@@ -27,7 +30,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 MAKESPANS = os.path.join(FIXTURES, "sweep_makespans.json")
-COUNTERS = os.path.join(FIXTURES, "sweep_seed_counters.json")
+#: The pinned counters of each traced workload; the paper sweep's file
+#: also names the deterministic counters every file pins.
+COUNTERS = {
+    "paper-sweep": os.path.join(FIXTURES, "sweep_seed_counters.json"),
+    "service-cold": os.path.join(FIXTURES, "service_cold_seed_counters.json"),
+}
 
 
 def _write(path, document):
@@ -62,15 +70,15 @@ def traced_counters(trace_out):
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def record_counters(trace_out):
-    with open(COUNTERS, encoding="utf-8") as handle:
+def record_counters(trace_out, workload):
+    with open(COUNTERS["paper-sweep"], encoding="utf-8") as handle:
         names = sorted(json.load(handle))
     metrics = traced_counters(trace_out)
-    _write(COUNTERS, {name: metrics[name] for name in names})
+    _write(COUNTERS[workload], {name: metrics[name] for name in names})
 
 
-def check_counters(trace_out):
-    with open(COUNTERS, encoding="utf-8") as handle:
+def check_counters(trace_out, workload):
+    with open(COUNTERS[workload], encoding="utf-8") as handle:
         expected = json.load(handle)
     metrics = traced_counters(trace_out)
     mismatches = [
@@ -92,14 +100,18 @@ def main(argv=None) -> int:
         ("counters", "re-record the counters from a traced run's output"),
         ("check", "compare a traced run's counters with the pinned ones"),
     ):
-        sub.add_parser(name, help=text).add_argument("trace_out")
+        command = sub.add_parser(name, help=text)
+        command.add_argument("trace_out")
+        command.add_argument(
+            "--workload", choices=sorted(COUNTERS), default="paper-sweep"
+        )
     args = parser.parse_args(argv)
     if args.command == "makespans":
         record_makespans()
     elif args.command == "counters":
-        record_counters(args.trace_out)
+        record_counters(args.trace_out, args.workload)
     else:
-        return check_counters(args.trace_out)
+        return check_counters(args.trace_out, args.workload)
     return 0
 
 
